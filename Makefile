@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race race-short repolint staticcheck govulncheck preflight fuzz check bench bench-serve bench-cluster bench-qos bench-pipeline serve-smoke cluster-smoke pipeline-smoke figures clean
+.PHONY: all build test vet race race-short repolint staticcheck govulncheck preflight fuzz check bench bench-compare bench-serve bench-cluster bench-qos bench-pipeline serve-smoke cluster-smoke pipeline-smoke figures clean
 
 # Pinned staticcheck release — CI installs exactly this version so findings
 # are reproducible; locally the target is skipped (with a note) when the
@@ -54,11 +54,12 @@ race:
 	$(GO) test -race -timeout 45m ./...
 
 # The concurrency-sensitive packages only (the sweep worker pool and the
-# linter the machine calls from strict mode) plus the trace-engine parity
-# difftest, whose replay path shares compiled traces and memoized recipe
-# expansions across sweep workers, the parallel-scheduler parity difftest,
-# which fans cores out across scheduler goroutines, and the serve-layer
-# parity and warm-pool hammer tests — fast enough for every CI run.
+# linter the machine calls from strict mode) plus the engine-vs-interpreter
+# parity difftest, whose replay path shares compiled traces and memoized
+# recipe expansions across sweep workers, the parallel-scheduler parity
+# difftest, which fans cores out across scheduler goroutines, and the
+# serve-layer parity and warm-pool hammer tests — fast enough for every CI
+# run.
 race-short:
 	$(GO) test -race -timeout 30m ./internal/sweep ./internal/lint
 	$(GO) test -race -timeout 30m -run 'TestTraceParity|TestJITParityRandom|TestParallelMachine|TestParallelDeadlock|TestSnapshotResumeParity' ./internal/machine
@@ -69,7 +70,7 @@ race-short:
 # Bounded runs of the differential oracles: random programs the linter
 # passes must execute without ensemble or capacity faults, and random
 # straight-line bodies must produce identical planes and stats whether
-# rounds run JIT-compiled, step-interpreted, or fully interpreted. The comm
+# rounds replay on the trace engine or are fully interpreted. The comm
 # oracle cross-checks commlint against the real scheduler: verdict-clean
 # program sets must run, flagged ones must deadlock. The FBP oracles check
 # that the pipeline parser never panics and that every graph the compiler
@@ -93,6 +94,16 @@ check: build vet test repolint staticcheck govulncheck
 # -benchtime.
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime 1x
+
+# The BENCHMARK.json harness against a saved baseline: run every workload
+# into bench/out/new.json (git-ignored), then diff it against BASE — exits
+# non-zero on a regression beyond a metric's bound, a rising failed share,
+# or a simulated-stats mismatch. Make the baseline with
+# `go run ./bench -out old.json` at the commit to compare against.
+bench-compare:
+	@test -n "$(BASE)" || { echo "usage: make bench-compare BASE=<old.json>"; exit 2; }
+	$(GO) run ./bench -out bench/out/new.json
+	$(GO) run ./bench -compare $(BASE) bench/out/new.json
 
 # End-to-end daemon check (also in CI): start mpud on a random port, hit
 # /healthz, execute one kernel, read /metrics, drain on SIGTERM, exit.

@@ -253,14 +253,20 @@ func BenchmarkLintLargestKernel(b *testing.B) {
 	}
 }
 
+// engineCases are the two ways a machine executes a round: the trace engine
+// (the default) and the plain interpreter.
+var engineCases = []struct {
+	name    string
+	noTrace bool
+}{{"engine", false}, {"notrace", true}}
+
 // BenchmarkMachineRun measures one machine executing the largest kernel in
 // the suite — the simulator hot path in isolation from the sweep worker
 // pool. The activation limit is pinned to 1 with two VRFs per RFH so every
-// ensemble schedules at least two rounds: the /jit variant (the default
-// engine) records the first round and replays the rest through compiled
-// closure chains, /nojit replays through the step interpreter, and /notrace
-// interprets every round — the triple quantifies both the
-// compile-once/replay-many win and the JIT's margin on top of it.
+// ensemble schedules at least two rounds: the /engine variant (the default)
+// records the first round and replays the rest through compiled closure
+// chains, and /notrace interprets every round — the pair quantifies the
+// compile-once/replay-many win.
 func BenchmarkMachineRun(b *testing.B) {
 	spec := mpu.RACER()
 	var largest *workloads.Kernel
@@ -279,14 +285,10 @@ func BenchmarkMachineRun(b *testing.B) {
 		Spec: spec, Mode: 0, TotalElements: spec.BaselineUnits * spec.Lanes * vrfs,
 		Seed: 1, MaxSimVRFs: vrfs, ActiveVRFsOverride: 1,
 	}
-	for _, bc := range []struct {
-		name           string
-		noTrace, noJIT bool
-	}{{"jit", false, false}, {"nojit", false, true}, {"notrace", true, false}} {
+	for _, bc := range engineCases {
 		b.Run(bc.name, func(b *testing.B) {
 			c := cfg
 			c.NoTrace = bc.noTrace
-			c.NoJIT = bc.noJIT
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := workloads.Run(largest, c); err != nil {
@@ -303,14 +305,12 @@ func BenchmarkMachineRun(b *testing.B) {
 // then Rewinds and re-runs it — the resident-kernel regime, where every
 // scheduling round is a trace hit and no host data transfer or program load
 // is re-paid. The activation limit is pinned to 1 over many VRFs so one Run
-// replays many rounds. /jit executes the fused closure chains, /nojit the
-// step-interpreted replay, /notrace the plain interpreter; the racer
-// geometry (64 lanes, one word per plane) is where the JIT's dispatch
-// elimination pays, the simdram geometry (256 lanes, 4-word slabs) is where
-// per-word dispatch cost is already amortized and the slab interpreter is
-// competitive — both are tracked.
+// replays many rounds. /engine replays through the geometry's one replay
+// kernel — the fused closure chains at racer's 64 lanes (one word per
+// plane), the slab-kernel loop at simdram's 256 (4-word slabs) — and
+// /notrace is the plain interpreter.
 func BenchmarkTraceReplay(b *testing.B) {
-	steady := func(b *testing.B, spec *mpu.Backend, vrfs int, noJIT, noTrace bool) {
+	steady := func(b *testing.B, spec *mpu.Backend, vrfs int, noTrace bool) {
 		var kern *workloads.Kernel
 		for _, k := range workloads.All() {
 			if k.Name == "sobelx" {
@@ -321,7 +321,7 @@ func BenchmarkTraceReplay(b *testing.B) {
 			Spec: spec, Mode: 0, Seed: 1,
 			TotalElements: spec.BaselineUnits * spec.Lanes * vrfs,
 			MaxSimVRFs:    vrfs, ActiveVRFsOverride: 1,
-			NoJIT: noJIT, NoTrace: noTrace, Workers: 1,
+			NoTrace: noTrace, Workers: 1,
 		}
 		m, err := machine.New(workloads.MachineConfigFor(cfg))
 		if err != nil {
@@ -339,20 +339,12 @@ func BenchmarkTraceReplay(b *testing.B) {
 			}
 		}
 	}
-	for _, bc := range []struct {
-		name           string
-		noJIT, noTrace bool
-	}{{"jit", false, false}, {"nojit", true, false}, {"notrace", false, true}} {
+	for _, bc := range engineCases {
 		b.Run("racer/"+bc.name, func(b *testing.B) {
-			steady(b, mpu.RACER(), 256, bc.noJIT, bc.noTrace)
+			steady(b, mpu.RACER(), 256, bc.noTrace)
 		})
-	}
-	for _, bc := range []struct {
-		name           string
-		noJIT, noTrace bool
-	}{{"jit", false, false}, {"nojit", true, false}} {
 		b.Run("simdram/"+bc.name, func(b *testing.B) {
-			steady(b, mpu.SIMDRAM(), 64, bc.noJIT, bc.noTrace)
+			steady(b, mpu.SIMDRAM(), 64, bc.noTrace)
 		})
 	}
 }

@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	mastodon [-scale N] [-seed S] [-j N] [-mj N] [-notrace] [-nojit] <experiment>...
+//	mastodon [-scale N] [-seed S] [-j N] [-mj N] [-notrace] <experiment>...
 //
 // Experiments: preflight fig1 table1 fig5 table3 fig11 fig12 fig13 table4
 // fig14 fig15 scale ablations pipelines all. preflight statically verifies
@@ -18,9 +18,7 @@
 // communication points (0 = share the CPU budget with -j; 1 = sequential).
 // Output is byte-identical at any worker count. -notrace disables the
 // ensemble trace engine, forcing every scheduling round through the
-// interpreter; -nojit keeps the engine but replays traces step-interpreted
-// instead of through JIT-compiled closure chains — both byte-identical,
-// just slower (the parity is test-pinned).
+// interpreter — byte-identical, just slower (the parity is test-pinned).
 package main
 
 import (
@@ -41,10 +39,9 @@ func main() {
 	mjobs := flag.Int("mj", 0, "machine scheduler workers per sweep cell (0 = share the CPU budget with -j, 1 = sequential)")
 	csvDir := flag.String("csv", "", "also export machine-readable CSVs into this directory")
 	noTrace := flag.Bool("notrace", false, "disable the ensemble trace engine (interpret every scheduling round)")
-	noJIT := flag.Bool("nojit", false, "disable trace JIT compilation (replay traces step-interpreted)")
 	fbpDir := flag.String("fbp", "examples/pipelines", "directory of .fbp graphs for the pipelines experiment")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: mastodon [-scale N] [-seed S] [-j N] [-mj N] [-notrace] [-nojit] <experiment>...\n")
+		fmt.Fprintf(os.Stderr, "usage: mastodon [-scale N] [-seed S] [-j N] [-mj N] [-notrace] <experiment>...\n")
 		fmt.Fprintf(os.Stderr, "experiments: preflight fig1 table1 fig5 table3 fig11 fig12 fig13 table4 fig14 fig15 scale ablations autotune pipelines all\n")
 		flag.PrintDefaults()
 	}
@@ -53,7 +50,7 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	opts := exp.Options{Scale: *scale, Seed: *seed, Workers: *jobs, MachineWorkers: *mjobs, NoTrace: *noTrace, NoJIT: *noJIT}
+	opts := exp.Options{Scale: *scale, Seed: *seed, Workers: *jobs, MachineWorkers: *mjobs, NoTrace: *noTrace}
 	if *csvDir != "" {
 		if err := exp.ExportAll(*csvDir, opts); err != nil {
 			fmt.Fprintf(os.Stderr, "mastodon: csv export: %v\n", err)

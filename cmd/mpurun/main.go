@@ -5,7 +5,7 @@
 // Usage:
 //
 //	mpurun [-backend racer|mimdram|dcache] [-mode mpu|baseline] [-mpus N] [-j N]
-//	       [-nolint] [-notrace] [-nojit] [-set rfh.vrf.reg=v1,v2,...]... [-dump rfh.vrf.reg]... file
+//	       [-nolint] [-notrace] [-set rfh.vrf.reg=v1,v2,...]... [-dump rfh.vrf.reg]... file
 //
 // -set preloads a vector register on MPU 0 before the run; -dump prints one
 // after it. The same binary is loaded into every MPU (SPMD). -j runs the
@@ -53,7 +53,6 @@ func main() {
 	lintOnly := flag.Bool("lint", false, "preflight only: print the machine-level lint report and exit without running")
 	nolint := flag.Bool("nolint", false, "skip the static lint preflight")
 	notrace := flag.Bool("notrace", false, "disable the ensemble trace engine (interpret every scheduling round)")
-	nojit := flag.Bool("nojit", false, "disable trace JIT compilation (replay traces step-interpreted)")
 	jobs := flag.Int("j", 0, "machine scheduler workers running MPUs concurrently (0 = one per CPU, 1 = sequential)")
 	jsonOut := flag.Bool("json", false, "print the run statistics as stable JSON instead of text")
 	csvDir := flag.String("csv", "", "also write the run statistics as CSV into this directory (created if missing)")
@@ -69,7 +68,7 @@ func main() {
 	opts := runOpts{
 		backend: *backend, mode: *mode, mpus: *mpus, sets: sets, dumps: dumps,
 		stats: *stats, lintOnly: *lintOnly, nolint: *nolint, notrace: *notrace,
-		nojit: *nojit, jobs: *jobs, jsonOut: *jsonOut, csvDir: *csvDir,
+		jobs: *jobs, jsonOut: *jsonOut, csvDir: *csvDir,
 	}
 	if err := run(flag.Arg(0), opts); err != nil {
 		fmt.Fprintf(os.Stderr, "mpurun: %v\n", err)
@@ -79,16 +78,16 @@ func main() {
 
 // runOpts mirrors the command-line flags.
 type runOpts struct {
-	backend, mode  string
-	mpus           int
-	sets, dumps    []string
-	stats          bool
-	lintOnly       bool
-	nolint         bool
-	notrace, nojit bool
-	jobs           int
-	jsonOut        bool
-	csvDir         string
+	backend, mode string
+	mpus          int
+	sets, dumps   []string
+	stats         bool
+	lintOnly      bool
+	nolint        bool
+	notrace       bool
+	jobs          int
+	jsonOut       bool
+	csvDir        string
 }
 
 func run(path string, o runOpts) error {
@@ -146,7 +145,7 @@ func run(path string, o runOpts) error {
 	default:
 		return fmt.Errorf("unknown mode %q", o.mode)
 	}
-	m, err := mpu.NewMachine(mpu.MachineConfig{Spec: spec, Mode: mode, NumMPUs: o.mpus, NoTrace: o.notrace, NoJIT: o.nojit, Workers: o.jobs})
+	m, err := mpu.NewMachine(mpu.MachineConfig{Spec: spec, Mode: mode, NumMPUs: o.mpus, NoTrace: o.notrace, Workers: o.jobs})
 	if err != nil {
 		return err
 	}
@@ -294,7 +293,7 @@ func runPipeline(path, src string, o runOpts) error {
 		}
 	}
 	m, err := mpu.NewMachine(mpu.MachineConfig{
-		Spec: spec, Mode: mode, NumMPUs: c.MPUs, NoTrace: o.notrace, NoJIT: o.nojit, Workers: o.jobs,
+		Spec: spec, Mode: mode, NumMPUs: c.MPUs, NoTrace: o.notrace, Workers: o.jobs,
 	})
 	if err != nil {
 		return err

@@ -109,9 +109,6 @@ type BlackScholesConfig struct {
 	// NoTrace forwards to machine.Config: interpret every scheduling round.
 	NoTrace bool
 
-	// NoJIT forwards to machine.Config: trace replay stays step-interpreted.
-	NoJIT bool
-
 	// MachineWorkers forwards to machine.Config.Workers: scheduler
 	// goroutines executing the two MPUs concurrently between rendezvous
 	// (0 = one per CPU, 1 = sequential; statistics are identical either
@@ -198,7 +195,7 @@ func RunBlackScholes(cfg BlackScholesConfig) (*Result, error) {
 	}
 
 	m, err := machine.New(machine.Config{Spec: spec, Mode: cfg.Mode, NumMPUs: 2,
-		NoTrace: cfg.NoTrace, NoJIT: cfg.NoJIT, Workers: cfg.MachineWorkers})
+		NoTrace: cfg.NoTrace, Workers: cfg.MachineWorkers})
 	if err != nil {
 		return nil, err
 	}

@@ -27,38 +27,21 @@ func New(lanes int) Plane {
 }
 
 // NewSlab returns count planes of the given lane width backed by one
-// contiguous allocation. A vector register is 64 planes; allocating them
-// as a slab instead of 64 separate slices keeps concurrent sweeps from
-// turning the garbage collector into the bottleneck.
+// contiguous allocation (plane i occupies words [i*w, (i+1)*w) of it for
+// w = ceil(lanes/64)).
 func NewSlab(lanes, count int) []Plane {
-	planes, _ := NewSlabWords(lanes, count)
-	return planes
-}
-
-// NewSlabWords is NewSlab plus the slab's shared backing words (plane i
-// occupies backing[i*w:(i+1)*w] for w = ceil(lanes/64)). The backing gives
-// word-granular access to the same storage the planes alias; internal/vrf
-// uses it to execute resolved micro-op streams without per-op plane
-// resolution. Writers through the backing must preserve the tail invariant
-// (bits at or beyond the lane count stay zero).
-func NewSlabWords(lanes, count int) ([]Plane, []uint64) {
 	if lanes < 0 || count < 0 {
 		panic(fmt.Sprintf("bitvec: negative slab dimensions %d×%d", count, lanes))
 	}
-	words := (lanes + 63) / 64
-	backing := make([]uint64, words*count)
-	out := make([]Plane, count)
-	for i := range out {
-		out[i] = Plane{n: lanes, w: backing[i*words : (i+1)*words : (i+1)*words]}
-	}
-	return out, backing
+	return PlanesOver(lanes, count, make([]uint64, (lanes+63)/64*count))
 }
 
 // PlanesOver returns count planes of the given lane width aliasing an
-// existing backing slab laid out as NewSlabWords produces (plane i occupies
-// backing[i*w:(i+1)*w] for w = ceil(lanes/64)). internal/vrf uses it to hang
-// lazy plane views over a word directory allocated up front, so the plane
-// and word paths always observe the same storage.
+// existing backing slab (plane i occupies backing[i*w:(i+1)*w] for
+// w = ceil(lanes/64)). internal/vrf uses it to hang lazy plane views over a
+// word directory allocated up front, so the plane and word paths always
+// observe the same storage. Writers through the backing must preserve the
+// tail invariant (bits at or beyond the lane count stay zero).
 func PlanesOver(lanes, count int, backing []uint64) []Plane {
 	if lanes < 0 || count < 0 {
 		panic(fmt.Sprintf("bitvec: negative slab dimensions %d×%d", count, lanes))
@@ -363,29 +346,6 @@ func (p Plane) GatherFrom(vals []uint64, bit uint) {
 		}
 		p.w[wi] = w
 	}
-}
-
-// AppendWords appends the plane's backing words (lane 0 in bit 0 of the
-// first word) to dst and returns the extended slice — the serialization
-// path of machine snapshots. Exposing a copy rather than the backing slice
-// keeps plane mutation behind the package's masked kernels.
-func (p Plane) AppendWords(dst []uint64) []uint64 {
-	return append(dst, p.w...)
-}
-
-// LoadWords overwrites the plane's backing from src, which must hold
-// exactly the plane's word count with no bits set at or beyond the lane
-// count. Rejecting a dirty tail instead of clamping it keeps snapshot
-// decoding canonical: every accepted stream re-encodes byte-identically.
-func (p Plane) LoadWords(src []uint64) error {
-	if len(src) != len(p.w) {
-		return fmt.Errorf("bitvec: plane of %d words loaded from %d", len(p.w), len(src))
-	}
-	if len(src) > 0 && src[len(src)-1]&^p.tailMask() != 0 {
-		return fmt.Errorf("bitvec: tail bits set beyond lane %d", p.n)
-	}
-	copy(p.w, src)
-	return nil
 }
 
 // String renders the plane as lane bits, lane 0 first, for debugging.

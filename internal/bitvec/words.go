@@ -2,29 +2,16 @@ package bitvec
 
 // Multi-word slab kernels: the raw []uint64 counterparts of the Plane
 // operations, for callers that address plane storage through a word
-// directory rather than Plane views (internal/vrf's resolved executor and
-// the trace JIT). Each operand is one plane's backing span — wpl =
-// lanes/64 words — and all spans of a call must have the same length.
+// directory rather than Plane views (internal/vrf's resolved executor,
+// which is also its multi-word replay kernel). Each operand is one plane's
+// backing span — wpl = ceil(lanes/64) words — and all spans of a call must
+// have the same length.
 //
-// The kernels assume the lane count is a multiple of 64: every word is
-// fully populated, so there is no tail to clamp and the masked merge
-// (dst&^m | v&m) is exact. Callers with ragged lane counts must stay on
-// the Plane path, whose clampTail maintains the tail invariant.
-//
-// The *All variants are the unmasked fast paths (every lane enabled); the
-// JIT selects them per replay once it has observed the mask word(s) to be
-// all ones, which removes the merge entirely from the hot loop.
-
-// AllOnes reports whether every bit of the span is set — the "every lane
-// enabled" test for a mask plane's backing words.
-func AllOnes(m []uint64) bool {
-	for _, w := range m {
-		if w != ^uint64(0) {
-			return false
-		}
-	}
-	return true
-}
+// The kernels never clamp a tail. They stay exact at lane counts that are
+// not a multiple of 64 because every write is a masked merge (dst&^m | v&m)
+// or a store of a value ANDed with m: as long as the mask span's bits at or
+// beyond the lane count are zero — the invariant internal/vrf maintains —
+// no kernel can set a tail bit in any other span.
 
 // NorWords computes dst = NOR(a, b) on lanes where m=1.
 func NorWords(dst, a, b, m []uint64) {
@@ -32,14 +19,6 @@ func NorWords(dst, a, b, m []uint64) {
 	for i := range dst {
 		v := ^(a[i] | b[i])
 		dst[i] = (dst[i] &^ m[i]) | (v & m[i])
-	}
-}
-
-// NorWordsAll is NorWords with every lane enabled.
-func NorWordsAll(dst, a, b []uint64) {
-	a, b = a[:len(dst)], b[:len(dst)]
-	for i := range dst {
-		dst[i] = ^(a[i] | b[i])
 	}
 }
 
@@ -52,28 +31,12 @@ func AndWords(dst, a, b, m []uint64) {
 	}
 }
 
-// AndWordsAll is AndWords with every lane enabled.
-func AndWordsAll(dst, a, b []uint64) {
-	a, b = a[:len(dst)], b[:len(dst)]
-	for i := range dst {
-		dst[i] = a[i] & b[i]
-	}
-}
-
 // OrWords computes dst = a OR b under m.
 func OrWords(dst, a, b, m []uint64) {
 	a, b, m = a[:len(dst)], b[:len(dst)], m[:len(dst)]
 	for i := range dst {
 		v := a[i] | b[i]
 		dst[i] = (dst[i] &^ m[i]) | (v & m[i])
-	}
-}
-
-// OrWordsAll is OrWords with every lane enabled.
-func OrWordsAll(dst, a, b []uint64) {
-	a, b = a[:len(dst)], b[:len(dst)]
-	for i := range dst {
-		dst[i] = a[i] | b[i]
 	}
 }
 
@@ -86,14 +49,6 @@ func XorWords(dst, a, b, m []uint64) {
 	}
 }
 
-// XorWordsAll is XorWords with every lane enabled.
-func XorWordsAll(dst, a, b []uint64) {
-	a, b = a[:len(dst)], b[:len(dst)]
-	for i := range dst {
-		dst[i] = a[i] ^ b[i]
-	}
-}
-
 // NotWords computes dst = NOT a under m.
 func NotWords(dst, a, m []uint64) {
 	a, m = a[:len(dst)], m[:len(dst)]
@@ -103,16 +58,7 @@ func NotWords(dst, a, m []uint64) {
 	}
 }
 
-// NotWordsAll is NotWords with every lane enabled.
-func NotWordsAll(dst, a []uint64) {
-	a = a[:len(dst)]
-	for i := range dst {
-		dst[i] = ^a[i]
-	}
-}
-
-// CopyWords writes dst = a under m. The unmasked counterpart is the
-// built-in copy.
+// CopyWords writes dst = a under m.
 func CopyWords(dst, a, m []uint64) {
 	a, m = a[:len(dst)], m[:len(dst)]
 	for i := range dst {
@@ -129,28 +75,12 @@ func MajWords(dst, a, b, c, m []uint64) {
 	}
 }
 
-// MajWordsAll is MajWords with every lane enabled.
-func MajWordsAll(dst, a, b, c []uint64) {
-	a, b, c = a[:len(dst)], b[:len(dst)], c[:len(dst)]
-	for i := range dst {
-		dst[i] = (a[i] & b[i]) | (b[i] & c[i]) | (a[i] & c[i])
-	}
-}
-
 // MuxWords computes dst = sel?a:b per lane under m (sel=1 chooses a).
 func MuxWords(dst, a, b, sel, m []uint64) {
 	a, b, sel, m = a[:len(dst)], b[:len(dst)], sel[:len(dst)], m[:len(dst)]
 	for i := range dst {
 		v := (a[i] & sel[i]) | (b[i] &^ sel[i])
 		dst[i] = (dst[i] &^ m[i]) | (v & m[i])
-	}
-}
-
-// MuxWordsAll is MuxWords with every lane enabled.
-func MuxWordsAll(dst, a, b, sel []uint64) {
-	a, b, sel = a[:len(dst)], b[:len(dst)], sel[:len(dst)]
-	for i := range dst {
-		dst[i] = (a[i] & sel[i]) | (b[i] &^ sel[i])
 	}
 }
 
@@ -169,18 +99,7 @@ func FullAddWords(sum, cout, a, b, cin, m []uint64) {
 	}
 }
 
-// FullAddWordsAll is FullAddWords with every lane enabled.
-func FullAddWordsAll(sum, cout, a, b, cin []uint64) {
-	cout, a, b, cin = cout[:len(sum)], a[:len(sum)], b[:len(sum)], cin[:len(sum)]
-	for i := range sum {
-		aw, bw, cw := a[i], b[i], cin[i]
-		sum[i] = aw ^ bw ^ cw
-		cout[i] = (aw & bw) | (bw & cw) | (aw & cw)
-	}
-}
-
-// ClearWords clears masked lanes: dst &^= m (SET0). Unmasked, the span is
-// simply zeroed.
+// ClearWords clears masked lanes: dst &^= m (SET0).
 func ClearWords(dst, m []uint64) {
 	m = m[:len(dst)]
 	for i := range dst {
@@ -188,20 +107,11 @@ func ClearWords(dst, m []uint64) {
 	}
 }
 
-// SetWords sets masked lanes: dst |= m (SET1). Unmasked, the span is
-// filled with ones.
+// SetWords sets masked lanes: dst |= m (SET1).
 func SetWords(dst, m []uint64) {
 	m = m[:len(dst)]
 	for i := range dst {
 		dst[i] |= m[i]
-	}
-}
-
-// FillWords writes v to every word of the span (the unmasked SET0/SET1 and
-// mask-fill store).
-func FillWords(dst []uint64, v uint64) {
-	for i := range dst {
-		dst[i] = v
 	}
 }
 

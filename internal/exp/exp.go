@@ -48,11 +48,6 @@ type Options struct {
 	// NoTrace forwards to machine.Config: disable the ensemble trace engine
 	// and interpret every scheduling round (the CLI's -notrace).
 	NoTrace bool
-
-	// NoJIT forwards to machine.Config: keep the trace engine but replay
-	// step-interpreted instead of through compiled closure chains (the
-	// CLI's -nojit).
-	NoJIT bool
 }
 
 // machineWorkers resolves the per-cell scheduler budget for a sweep fanning
@@ -128,7 +123,7 @@ func Fig1(opts Options) (*Fig1Result, error) {
 			return Fig1Point{}, err
 		}
 		run := func(mode machine.Mode) (*machine.Stats, error) {
-			m, err := machine.New(machine.Config{Spec: spec, Mode: mode, NumMPUs: 1, NoTrace: opts.NoTrace, NoJIT: opts.NoJIT})
+			m, err := machine.New(machine.Config{Spec: spec, Mode: mode, NumMPUs: 1, NoTrace: opts.NoTrace})
 			if err != nil {
 				return nil, err
 			}

@@ -64,7 +64,7 @@ func Pipelines(opts Options, dir string) (*PipelinesResult, error) {
 			}
 			m, err := machine.New(machine.Config{
 				Spec: spec, NumMPUs: c.MPUs, Workers: opts.MachineWorkers,
-				NoTrace: opts.NoTrace, NoJIT: opts.NoJIT,
+				NoTrace: opts.NoTrace,
 			})
 			if err != nil {
 				return nil, fmt.Errorf("exp: pipelines %s/%s: %w", graph, spec.Name, err)

@@ -91,7 +91,7 @@ func Scale(opts Options) ([]ScaleRow, error) {
 		case "EditDistance":
 			res, err = apps.RunEditDistance(apps.EditDistanceConfig{
 				Spec: spec, Mode: machine.ModeMPU, MPUs: n, VRFs: scaleVRFs,
-				Steps: scaleEDSteps, Seed: opts.Seed, NoTrace: opts.NoTrace, NoJIT: opts.NoJIT,
+				Steps: scaleEDSteps, Seed: opts.Seed, NoTrace: opts.NoTrace,
 				MachineWorkers: mw,
 			})
 			units = n * scaleVRFs * spec.Lanes * scaleEDSteps
@@ -104,7 +104,7 @@ func Scale(opts Options) ([]ScaleRow, error) {
 			}
 			res, err = apps.RunLLMEncode(apps.LLMEncodeConfig{
 				Spec: spec, Mode: machine.ModeMPU, Workers: workers, Groups: groups,
-				VRFs: scaleVRFs, Seed: opts.Seed, NoTrace: opts.NoTrace, NoJIT: opts.NoJIT,
+				VRFs: scaleVRFs, Seed: opts.Seed, NoTrace: opts.NoTrace,
 				MachineWorkers: mw,
 			})
 			units = n * scaleVRFs * spec.Lanes

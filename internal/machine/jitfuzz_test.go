@@ -1,13 +1,15 @@
 package machine_test
 
-// FuzzJITParity is the trace JIT's differential oracle: arbitrary bytes are
-// shaped into a lint-clean straight-line compute-ensemble body, and the body
-// runs three times — JIT (default), NoJIT (step-interpreted trace replay),
-// and NoTrace (pure interpreter). All three must leave identical register
-// planes in every VRF and report identical Stats (engine-strategy counters
-// aside). Each body also runs under a deliberately tiny recipe table so the
-// recipe-cold replay fallback (ReplayAllHit false) is exercised, and the
-// seed corpus includes a body large enough to spill the playback buffer.
+// FuzzJITParity is the replay engine's differential oracle: arbitrary bytes
+// are shaped into a lint-clean straight-line compute-ensemble body, and the
+// body runs twice — on the engine (record, lower, replay) and under NoTrace
+// (pure interpreter) — at each replay-kernel geometry: RACER's one full
+// word per plane, SIMDRAM's four, and a 48-lane spec whose single word has
+// a tail. Both runs must leave identical register planes in every VRF and
+// report identical Stats (engine-strategy counters aside). Each body also
+// runs under a deliberately tiny recipe table so the recipe-cold replay
+// fallback (ReplayAllHit false) is exercised, and the seed corpus includes
+// a body large enough to spill the playback buffer.
 //
 // Run with `go test -fuzz=FuzzJITParity ./internal/machine`.
 
@@ -32,7 +34,7 @@ const fuzzVRFs = 4
 const fuzzRegs = 16
 
 // fuzzOps is the datapath subset generated bodies draw from: every
-// micro-coded kind the JIT compiles, via representative ISA ops.
+// micro-coded kind the replay kernels execute, via representative ISA ops.
 var fuzzOps = []isa.Op{
 	isa.ADD, isa.SUB, isa.INC, isa.INIT0, isa.INIT1,
 	isa.CMPEQ, isa.CMPGT, isa.CMPLT, isa.CAS, isa.MUX, isa.MAX, isa.MIN,
@@ -87,11 +89,11 @@ func fuzzProgram(spec *backends.Spec, body []isa.Instr) (isa.Program, []controlp
 // fuzzRun executes prog on a fresh machine and returns its stats plus the
 // full register window of every activated VRF.
 func fuzzRun(t *testing.T, spec *backends.Spec, prog isa.Program, addrs []controlpath.VRFAddr,
-	rc controlpath.RecipeCacheConfig, noTrace, noJIT bool, seed int64) (*machine.Stats, [][]uint64) {
+	rc controlpath.RecipeCacheConfig, noTrace bool, seed int64) (*machine.Stats, [][]uint64) {
 	t.Helper()
 	m, err := machine.New(machine.Config{
 		Spec: spec, Mode: machine.ModeMPU, NumMPUs: 1,
-		ActiveVRFsOverride: 1, Recipe: rc, NoTrace: noTrace, NoJIT: noJIT,
+		ActiveVRFsOverride: 1, Recipe: rc, NoTrace: noTrace,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -141,26 +143,24 @@ func checkJITParity(t *testing.T, data []byte) {
 		{}, // defaults: replay serves from a warm recipe table
 		{CapacityMicroOps: 1, PointerTable: true, TemplateLookup: true}, // recipe-cold fallback
 	}
-	for _, spec := range []*backends.Spec{backends.RACER(), backends.SIMDRAM()} {
+	for _, spec := range []*backends.Spec{backends.RACER(), backends.SIMDRAM(), fuzzSpec()} {
 		prog, addrs := fuzzProgram(spec, body)
 		if !lint.Lint(prog, lint.Options{Spec: spec}).Ok() {
 			continue
 		}
 		for ri, rc := range recipes {
-			jitStats, jitPlanes := fuzzRun(t, spec, prog, addrs, rc, false, false, seed)
-			nojitStats, nojitPlanes := fuzzRun(t, spec, prog, addrs, rc, false, true, seed)
-			notraceStats, notracePlanes := fuzzRun(t, spec, prog, addrs, rc, true, false, seed)
+			engStats, engPlanes := fuzzRun(t, spec, prog, addrs, rc, false, seed)
+			notraceStats, notracePlanes := fuzzRun(t, spec, prog, addrs, rc, true, seed)
 			name := spec.Name
 			if ri == 1 {
 				name += "/recipe-cold"
 			}
-			requireParity(t, name, jitStats, nojitStats, notraceStats)
-			for i := range jitPlanes {
-				for l := range jitPlanes[i] {
-					if jitPlanes[i][l] != nojitPlanes[i][l] || jitPlanes[i][l] != notracePlanes[i][l] {
-						t.Fatalf("%s: plane %d lane %d diverges: jit=%#x nojit=%#x notrace=%#x\nprogram:\n%s",
-							name, i, l, jitPlanes[i][l], nojitPlanes[i][l], notracePlanes[i][l],
-							isa.Disassemble(prog))
+			requireParity(t, name, engStats, notraceStats)
+			for i := range engPlanes {
+				for l := range engPlanes[i] {
+					if engPlanes[i][l] != notracePlanes[i][l] {
+						t.Fatalf("%s: plane %d lane %d diverges: engine=%#x notrace=%#x\nprogram:\n%s",
+							name, i, l, engPlanes[i][l], notracePlanes[i][l], isa.Disassemble(prog))
 					}
 				}
 			}

@@ -105,16 +105,10 @@ type Config struct {
 
 	// NoTrace disables the ensemble trace engine, forcing every scheduling
 	// round through the interpreter (the escape hatch behind cmd flags and
-	// the parity difftest). The engine is also disabled while Trace is set,
-	// so the execution log keeps its per-instruction fidelity.
+	// the interpreter leg of the parity difftest). The engine is also
+	// disabled while Trace is set, so the execution log keeps its
+	// per-instruction fidelity.
 	NoTrace bool
-
-	// NoJIT keeps the trace engine but disables JIT compilation of
-	// installed traces, so replayed rounds interpret the step stream
-	// instead of running the fused closure chain (the -nojit escape hatch
-	// and the JIT parity difftest's reference engine). Implied by NoTrace:
-	// without traces there is nothing to compile.
-	NoJIT bool
 
 	// Trace, when non-nil, receives a line per architectural event
 	// (ensemble activation, scheduling round, control transfer, DTC and
@@ -156,11 +150,10 @@ type Stats struct {
 
 	// Trace-JIT accounting, same simulator-strategy caveat as the trace
 	// counters (excluded from parity): JITCompiles counts traces lowered
-	// to fused closure chains at install time, JITReplays the replayed
-	// rounds that ran a compiled chain instead of interpreting the step
-	// stream (every JIT replay is also a TraceHit). Only the closure-
-	// compile path and the replay loop write them (enforced by
-	// cmd/repolint's jit-counter-mutation rule).
+	// to closure chains (on their first replayed round), JITReplays the
+	// replayed rounds, each of which runs a compiled chain (so it equals
+	// TraceHits). Only the closure-compile path and the replay loop write
+	// them (enforced by cmd/repolint's jit-counter-mutation rule).
 	JITCompiles uint64 `json:"jit_compiles"`
 	JITReplays  uint64 `json:"jit_replays"`
 
@@ -882,26 +875,21 @@ func (c *core) replayable(t *trace.Trace) bool {
 	return c.m.cfg.Mode == ModeBaseline || c.rcache.ReplayAllHit(t.Lookups)
 }
 
-// compileJIT lowers an installed trace to its fused closure chain, called
-// lazily from replayRound on the body's first replayed round — bodies that
-// never replay (recipe-cold decode every round) are never lowered. The
+// compileJIT lowers an installed trace to its closure chain, called lazily
+// from replayRound on the body's first replayed round — bodies that never
+// replay (recipe-cold decode every round) are never lowered. The
 // machine-wide jitMemo dedupes the lowering by step-stream content, so a
 // Reset-recycled pool machine or a sibling SPMD core adopts the existing
 // chain; JITCompiles still counts every trace lowered (memo hits included)
-// so warm-pool stats stay byte-identical to a fresh machine's. A declined
-// compilation — a lane geometry without a flat word directory — leaves
-// Prog nil and replay interprets the step stream as before. This is one of
-// the two sanctioned writers of the JIT counters (cmd/repolint's
+// so warm-pool stats stay byte-identical to a fresh machine's. This is one
+// of the two sanctioned writers of the JIT counters (cmd/repolint's
 // jit-counter-mutation rule).
 func (c *core) compileJIT(tr *trace.Trace) {
-	tr.Compiled = true
-	if c.m.cfg.NoJIT {
-		return
+	tr.Prog = c.m.jitMemo.Compile(tr, c.m.cfg.Spec.Lanes)
+	if tr.Prog == nil {
+		panic("machine: recorded trace holds a step or micro-op kind the replay engine does not know")
 	}
-	if p := c.m.jitMemo.Compile(tr, c.m.cfg.Spec.Lanes); p != nil {
-		tr.Prog = p
-		c.local.JITCompiles++
-	}
+	c.local.JITCompiles++
 }
 
 // replayRound applies a compiled body to one round's activated VRFs: the
@@ -909,7 +897,7 @@ func (c *core) compileJIT(tr *trace.Trace) {
 // precomputed delta — O(1) accounting regardless of dynamic body length.
 func (c *core) replayRound(t *trace.Trace, batch []*vrf.VRF) {
 	st := &c.local
-	if !t.Compiled {
+	if t.Prog == nil {
 		c.compileJIT(t)
 	}
 	if c.m.cfg.Mode == ModeMPU {
@@ -928,34 +916,12 @@ func (c *core) replayRound(t *trace.Trace, batch []*vrf.VRF) {
 	st.ComputeCycles += t.ComputeCycles
 	st.MicroOps += t.MicroOpsPerVRF * uint64(len(batch))
 	st.DatapathEnergyPJ += t.EnergyPerVRF * float64(len(batch))
-	if t.Prog != nil {
-		// JIT path: the closure chain pre-binds everything the step
-		// interpreter below resolves per op; it mutates the same words in
-		// the same order under the same mask, so the paths are
-		// bit-identical (pinned by TestTraceParity's jit dimension and
-		// FuzzJITParity).
-		st.JITReplays++
-		for _, v := range batch {
-			t.Prog.Run(v)
-		}
-		return
-	}
+	// The closure chain mutates the same words in the same order under the
+	// same mask as an interpreted round (pinned by TestTraceParity and
+	// FuzzJITParity).
+	st.JITReplays++
 	for _, v := range batch {
-		for i := range t.Steps {
-			s := &t.Steps[i]
-			switch s.Kind {
-			case trace.StepExec:
-				v.ExecAllResolved(s.Ops)
-			case trace.StepSetMaskCond:
-				v.SetMaskFromCond()
-			case trace.StepSetMaskReg:
-				v.SetMaskFromReg(int(s.Arg))
-			case trace.StepUnmask:
-				v.Unmask()
-			case trace.StepGetMask:
-				v.GetMaskInto(int(s.Arg))
-			}
-		}
+		t.Prog.Run(v)
 	}
 }
 

@@ -73,7 +73,7 @@ func (m *Machine) fingerprint() []byte {
 	w.F64(m.cfg.ComputeScale)
 	w.Int(m.cfg.MaxSteps)
 	w.Bool(m.traceEnabled())
-	w.Bool(m.cfg.NoJIT)
+	w.Bool(false) // the retired step-replay switch; kept so existing snapshots still match
 	w.Int(m.cfg.Recipe.CapacityMicroOps)
 	w.Bool(m.cfg.Recipe.PointerTable)
 	w.Bool(m.cfg.Recipe.TemplateLookup)
@@ -147,11 +147,12 @@ func (m *Machine) Restore(data []byte) error {
 		// Recompile the traces that were JIT'd when the snapshot was taken.
 		// The memoized lowering is a pure function of the step stream and
 		// lane count and charges nothing — JITCompiles already sits in the
-		// restored local Stats — so replayed rounds take the same path, and
-		// count the same JITReplays, as the uninterrupted run.
+		// restored local Stats — so the resumed run neither lowers nor counts
+		// them a second time, exactly like the uninterrupted run.
 		for j := range cs.tentries {
-			if t := cs.tentries[j].Tr; t != nil && t.Compiled && cs.hadProg[j] {
-				t.Prog = m.jitMemo.Compile(t, m.cfg.Spec.Lanes)
+			if cs.hadProg[j] {
+				t := cs.tentries[j].Tr
+				t.Prog = m.jitMemo.Compile(t, m.cfg.Spec.Lanes) // non-nil: decode validated every kind
 			}
 		}
 		c.act = c.act[:0]
@@ -504,7 +505,9 @@ func encodeTraceEntry(w *snap.Writer, e trace.CacheEntry) {
 	for _, op := range t.TouchOrder {
 		w.U8(op)
 	}
-	w.Bool(t.Compiled)
+	// Two bools for one fact: the format once told a concluded lowering
+	// attempt apart from a successful one, and no lowering fails any more.
+	w.Bool(t.Prog != nil)
 	w.Bool(t.Prog != nil)
 }
 
@@ -596,10 +599,10 @@ func decodeTraceEntry(r *snap.Reader, progLen int) (trace.CacheEntry, bool, erro
 			t.TouchOrder[i] = r.U8()
 		}
 	}
-	t.Compiled = r.Bool()
+	compiled := r.Bool()
 	hadProg := r.Bool()
-	if r.Err() == nil && hadProg && !t.Compiled {
-		return e, false, fmt.Errorf("machine: snapshot trace has a JIT program without a concluded compilation")
+	if r.Err() == nil && hadProg != compiled {
+		return e, false, fmt.Errorf("machine: snapshot trace's two JIT-program flags disagree")
 	}
 	e.Tr = t
 	return e, hadProg, r.Err()

@@ -208,7 +208,7 @@ func TestRestoreRejectsMismatchedMachine(t *testing.T) {
 	for _, alt := range []machine.Config{
 		{Spec: backends.RACER(), Mode: machine.ModeBaseline, NumMPUs: 2, Workers: 1},
 		{Spec: backends.RACER(), Mode: machine.ModeMPU, NumMPUs: 3, Workers: 1},
-		{Spec: backends.RACER(), Mode: machine.ModeMPU, NumMPUs: 2, Workers: 1, NoJIT: true},
+		{Spec: backends.RACER(), Mode: machine.ModeMPU, NumMPUs: 2, Workers: 1, NoTrace: true},
 	} {
 		other, err := machine.New(alt)
 		if err != nil {
@@ -268,14 +268,10 @@ func TestRestoreRejectsCorruption(t *testing.T) {
 	}
 }
 
-// fuzzSpec is a deliberately small back end for the fuzzer: ragged lanes
-// (48 % 64 ≠ 0) select the lazy per-register VRF layout, so snapshots stay
-// a few KB — Go's mutator degrades badly on the ~140 KB streams the flat
-// 64-lane directory produces — while still exercising every structural
-// decode branch (allocation bitmaps, mid-ensemble state, recipe residency,
-// installed traces). The flat word-dump layout is raw data with no decode
-// structure to explore; TestSnapshotResumeParity covers it on every
-// shipped back end.
+// fuzzSpec is the back end the snapshot fuzzer and the ghost-lane tests
+// run on: 48 lanes leave 16 tail bits in every plane's one word, so the
+// decoder's tail check is reachable, and one word per plane keeps the
+// (full-directory) snapshots as small as the format allows.
 func fuzzSpec() *backends.Spec {
 	s := backends.RACER()
 	s.Name = "fuzz48"
@@ -336,6 +332,9 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 		f.Add(m.Snapshot()) // every boundary: mid-ensemble rounds, warm caches
 	}
 	f.Add(m.Snapshot()) // completed run: full stats, installed traces
+	// Lane bit 48 set in a 48-lane plane: starts the mutator next to the
+	// tail check (TestRestoreRejectsGhostLanes pins the refusal itself).
+	f.Add(ghostLaneMutants(m.Snapshot(), allLanes48)[0])
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fresh, err := machine.New(cfg)
 		if err != nil {

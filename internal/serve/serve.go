@@ -85,13 +85,6 @@ type Config struct {
 	// RetryAfter is the hint returned with 503 responses. Default 1s.
 	RetryAfter time.Duration
 
-	// NoTrace builds the pool machines with the trace engine disabled.
-	NoTrace bool
-
-	// NoJIT builds the pool machines with trace JIT compilation disabled
-	// (traces replay step-interpreted).
-	NoJIT bool
-
 	// MachineWorkers is forwarded to each pool machine's scheduler
 	// (kernel requests simulate one MPU, so this only matters for
 	// submitted multi-MPU binaries).
@@ -437,7 +430,7 @@ func New(cfg Config) (*Server, error) {
 		}
 		p.cond = sync.NewCond(&p.mu)
 		mc := workloads.MachineConfigFor(workloads.RunConfig{
-			Spec: spec, Mode: ps.Mode, NoTrace: cfg.NoTrace, NoJIT: cfg.NoJIT, Workers: cfg.MachineWorkers,
+			Spec: spec, Mode: ps.Mode, Workers: cfg.MachineWorkers,
 		})
 		for i := 0; i < size; i++ {
 			m, err := machine.New(mc)
@@ -680,8 +673,6 @@ func (s *Server) execute(p *pool, w *workerState, b *batch) (*batchResult, bool)
 			TotalElements: rq.raw.Elements,
 			Seed:          rq.raw.Seed,
 			Check:         rq.raw.Check,
-			NoTrace:       s.cfg.NoTrace,
-			NoJIT:         s.cfg.NoJIT,
 			Workers:       s.cfg.MachineWorkers,
 		})
 		if err != nil {

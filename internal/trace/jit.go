@@ -2,34 +2,29 @@ package trace
 
 import "mpu/internal/vrf"
 
-// JIT compilation: when the machine installs a freshly recorded Trace, it
+// JIT compilation: on a recorded Trace's first replayed round the machine
 // lowers the step stream once into a Prog — a flat chain of closures with
-// everything the interpreter resolves per op (operand directory indices,
-// recipe expansions, lane-mask merges, plane aliasing) pre-bound at compile
-// time. StepExec streams become vrf.CompiledExec fused-run kernels; mask
+// everything the interpreter resolves per instruction (recipe expansions,
+// operand directory indices, plane aliasing) pre-bound at compile time.
+// StepExec streams become vrf.CompiledExec kernels — the fused closure
+// chain at one word per plane, the slab-kernel loop above that — and mask
 // steps become direct method calls. Replaying a round is then a tight loop
-// of direct calls with zero per-op dispatch and zero allocation.
+// of direct calls with zero allocation.
 //
-// Compilation declines (returns nil) when any exec stream fails to lower —
-// a lane geometry without a flat word directory, or an unknown micro-op —
-// and replay keeps interpreting Steps, so the JIT is strictly an engine
-// swap: the Prog touches the same words the interpreter would, in the same
-// order, under the same mask.
+// Every lane geometry compiles, so the Prog is the only replay engine: it
+// touches the same words the interpreter would, in the same order, under
+// the same mask.
 
-// Prog is a JIT-compiled body: the closure chain replacing Steps during
-// replay.
+// Prog is a JIT-compiled body: the closure chain that replays Steps.
 type Prog struct {
 	steps []func(v *vrf.VRF)
 	ops   uint64 // total micro-ops per execution, across all exec steps
 }
 
 // CompileJIT lowers a compiled trace for VRFs of the given lane count. It
-// returns nil — caller stays on the step interpreter — if any exec stream
-// cannot be compiled.
+// returns nil only for a stream no Recorder produces: an unknown step kind
+// or an unknown micro-op kind.
 func CompileJIT(t *Trace, lanes int) *Prog {
-	if t == nil {
-		return nil
-	}
 	p := &Prog{steps: make([]func(v *vrf.VRF), 0, len(t.Steps))}
 	for i := range t.Steps {
 		s := &t.Steps[i]

@@ -32,8 +32,8 @@ func jitBody() *Trace {
 	}
 }
 
-// The compiled Prog must mutate a VRF exactly like the step interpreter
-// (the replayRound loop in internal/machine).
+// interpretSteps is the reference the compiled Prog must match: each step
+// applied directly, exec streams through the resolved executor.
 func interpretSteps(tr *Trace, v *vrf.VRF) {
 	for i := range tr.Steps {
 		s := &tr.Steps[i]
@@ -54,7 +54,7 @@ func interpretSteps(tr *Trace, v *vrf.VRF) {
 
 func TestCompileJITMatchesStepInterpreter(t *testing.T) {
 	tr := jitBody()
-	for _, lanes := range []int{64, 256} {
+	for _, lanes := range []int{48, 64, 65, 256} {
 		p := CompileJIT(tr, lanes)
 		if p == nil {
 			t.Fatalf("lanes=%d: CompileJIT declined a straight-line body", lanes)
@@ -96,24 +96,21 @@ func TestCompileJITMatchesStepInterpreter(t *testing.T) {
 	}
 }
 
-func TestCompileJITDeclines(t *testing.T) {
-	if CompileJIT(nil, 64) != nil {
-		t.Error("compiled a nil trace")
-	}
-	tr := jitBody()
-	if CompileJIT(tr, 65) != nil {
-		t.Error("compiled for a ragged lane count")
-	}
+// Lane geometry never declines; only a stream no Recorder produces does.
+func TestCompileJITMalformedStream(t *testing.T) {
 	bad := &Trace{Steps: []Step{{Kind: StepExec, Ops: []micro.ResolvedOp{{Kind: 200}}}}}
-	if CompileJIT(bad, 64) != nil {
+	if CompileJIT(bad, 64) != nil || CompileJIT(bad, 256) != nil {
 		t.Error("compiled an unknown micro-op kind")
+	}
+	if CompileJIT(&Trace{Steps: []Step{{Kind: StepGetMask + 1}}}, 64) != nil {
+		t.Error("compiled an unknown step kind")
 	}
 }
 
 // Replay is the simulator's hot loop: one compiled round must not allocate.
 func TestProgRunDoesNotAllocate(t *testing.T) {
 	tr := jitBody()
-	for _, lanes := range []int{64, 256} {
+	for _, lanes := range []int{48, 64, 256} {
 		p := CompileJIT(tr, lanes)
 		v := vrf.New(lanes)
 		if n := testing.AllocsPerRun(100, func() { p.Run(v) }); n != 0 {

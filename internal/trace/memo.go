@@ -30,20 +30,16 @@ type ProgMemo struct {
 type memoEntry struct {
 	lanes int
 	steps []Step
-	prog  *Prog // nil: compilation declined; memoized so the decline is also O(1)
+	prog  *Prog
 }
 
 // NewProgMemo returns an empty memo.
 func NewProgMemo() *ProgMemo { return &ProgMemo{m: map[uint64][]memoEntry{}} }
 
 // Compile returns the JIT program for the trace's step stream, lowering it
-// at most once per distinct (stream, lanes) pair. A nil return means
-// compilation declined (unsupported lane geometry or micro-op) — also
-// memoized, so replay's step interpreter is not re-probed per recording.
+// at most once per distinct (stream, lanes) pair. It returns nil exactly
+// when CompileJIT does (a malformed stream), and memoizes nothing then.
 func (pm *ProgMemo) Compile(t *Trace, lanes int) *Prog {
-	if t == nil {
-		return nil
-	}
 	h := hashSteps(t.Steps, lanes)
 	pm.mu.Lock()
 	for _, e := range pm.m[h] {
@@ -54,6 +50,9 @@ func (pm *ProgMemo) Compile(t *Trace, lanes int) *Prog {
 	}
 	pm.mu.Unlock()
 	p := CompileJIT(t, lanes)
+	if p == nil {
+		return nil
+	}
 	pm.mu.Lock()
 	defer pm.mu.Unlock()
 	for _, e := range pm.m[h] {

@@ -5,7 +5,7 @@ import "sort"
 // CacheEntry is the exported form of one cache slot, used by machine
 // snapshots. It carries the memoized classification verdict and recording
 // outcome exactly as the private entry does; Tr is shared, not copied —
-// installed traces are immutable once recorded (Prog/Compiled excepted,
+// installed traces are immutable once recorded (Prog excepted,
 // which the restoring machine recomputes).
 type CacheEntry struct {
 	Key        Key

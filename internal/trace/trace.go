@@ -81,15 +81,11 @@ type Trace struct {
 	NumLookups uint64
 	TouchOrder []uint8
 
-	// Prog, when non-nil, is the JIT-compiled form of Steps (jit.go):
-	// replay runs the closure chain instead of interpreting the steps. The
-	// machine compiles it lazily — on the body's first replayed round, not
-	// at install time — so bodies that never replay (recipe-cold decode,
-	// NoJIT) are never lowered. Compiled records that the lowering attempt
-	// concluded; Prog nil after that means the JIT declined (unsupported
-	// lane geometry or micro-op, or disabled) and replay interprets Steps.
-	Prog     *Prog
-	Compiled bool
+	// Prog is the JIT-compiled form of Steps (jit.go), the closure chain
+	// replay runs. The machine compiles it lazily — on the body's first
+	// replayed round, not at install time — so bodies that never replay
+	// (recipe-cold decode every round) are never lowered; nil until then.
+	Prog *Prog
 }
 
 // Cache holds one core's compiled bodies, each entry carrying the

@@ -1,6 +1,7 @@
 package vrf
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -41,74 +42,124 @@ func randResolved(n int, rng *rand.Rand) []micro.ResolvedOp {
 	return out
 }
 
-// randomize fills every plane of the directory with random words, clears
-// tail bits (none exist: lanes%64==0), and restores the constant planes and
-// a chosen mask.
-func randomize(v *VRF, rng *rand.Rand, maskedLanes bool) {
+// maskMode selects the lane mask a parity case runs under.
+type maskMode int
+
+const (
+	maskAll maskMode = iota
+	maskPartial
+	maskEmpty
+)
+
+func (m maskMode) String() string { return [...]string{"all", "partial", "empty"}[m] }
+
+// tailOf is the valid-bit mask of a plane's last word.
+func tailOf(lanes int) uint64 {
+	if n := lanes % 64; n != 0 {
+		return uint64(1)<<uint(n) - 1
+	}
+	return ^uint64(0)
+}
+
+// randomize fills every plane of the directory with random lane bits (tail
+// bits zero, as every writer leaves them) and restores the constant planes
+// and the chosen mask.
+func randomize(v *VRF, rng *rand.Rand, mode maskMode) {
+	tail := tailOf(v.lanes)
 	for i := range v.words {
 		v.words[i] = rng.Uint64()
+		if i%v.wpl == v.wpl-1 {
+			v.words[i] &= tail
+		}
 	}
-	zero := int(micro.SlotZero) * v.wpl
-	one := int(micro.SlotOne) * v.wpl
-	mask := int(micro.SlotMask) * v.wpl
-	for i := 0; i < v.wpl; i++ {
-		v.words[zero+i] = 0
-		v.words[one+i] = ^uint64(0)
-		if maskedLanes {
-			v.words[mask+i] = rng.Uint64()
-		} else {
-			v.words[mask+i] = ^uint64(0)
+	v.zero.Fill(false)
+	v.one.Fill(true)
+	switch mode {
+	case maskAll:
+		v.mask.Fill(true)
+	case maskEmpty:
+		v.mask.Fill(false)
+	}
+}
+
+// requireZeroTails asserts the directory invariant every word kernel relies
+// on: no plane holds a bit at or beyond the lane count.
+func requireZeroTails(t *testing.T, name string, v *VRF) {
+	t.Helper()
+	tail := tailOf(v.lanes)
+	for s := 0; s < micro.NumSlots; s++ {
+		if w := v.words[(s+1)*v.wpl-1]; w&^tail != 0 {
+			t.Fatalf("%s: slot %d has tail bits set: %#x", name, s, w)
 		}
 	}
 }
 
-// The compiled closure chain must reproduce the interpreting executor's
-// directory bit for bit, masked and unmasked, at both geometries.
+// One storage, one result: at every lane geometry — a single lane, ragged
+// below, at and above one word, and SIMDRAM's four words — random streams
+// over all 13 micro-op kinds must leave the resolved executor and the
+// compiled replay kernel bit-identical to the plane reference executor
+// (Exec over bitvec.Plane), under all-ones, partial and empty masks, with
+// identical MicroOps and every tail bit still zero.
 func TestCompiledExecMatchesInterpreter(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
-	for _, lanes := range []int{64, 256} {
-		for _, masked := range []bool{false, true} {
+	for _, lanes := range []int{1, 48, 63, 64, 65, 100, 256} {
+		for _, mode := range []maskMode{maskAll, maskPartial, maskEmpty} {
+			name := fmt.Sprintf("lanes%d/%s", lanes, mode)
+			seen := map[micro.Kind]bool{}
 			for trial := 0; trial < 20; trial++ {
 				rs := randResolved(1+rng.Intn(60), rng)
+				ops := make([]micro.Op, len(rs))
+				for i, r := range rs {
+					ops[i] = r.Op()
+					seen[r.Kind] = true
+				}
 				c := CompileResolved(rs, lanes)
 				if c == nil {
-					t.Fatalf("lanes=%d: CompileResolved returned nil for a well-formed stream", lanes)
+					t.Fatalf("%s: CompileResolved declined a well-formed stream", name)
 				}
 				if c.Ops() != uint64(len(rs)) {
-					t.Fatalf("lanes=%d: Ops() = %d, want %d", lanes, c.Ops(), len(rs))
+					t.Fatalf("%s: Ops() = %d, want %d", name, c.Ops(), len(rs))
 				}
-				vi, vj := New(lanes), New(lanes)
+				ref, interp, compiled := New(lanes), New(lanes), New(lanes)
 				seed := rng.Int63()
-				randomize(vi, rand.New(rand.NewSource(seed)), masked)
-				randomize(vj, rand.New(rand.NewSource(seed)), masked)
-
-				vi.ExecAllResolved(rs)
-				vj.RunCompiled(c)
-
-				if vi.MicroOps != vj.MicroOps {
-					t.Fatalf("lanes=%d masked=%v: MicroOps %d vs %d", lanes, masked, vi.MicroOps, vj.MicroOps)
+				for _, v := range []*VRF{ref, interp, compiled} {
+					randomize(v, rand.New(rand.NewSource(seed)), mode)
 				}
-				for w := range vi.words {
-					if vi.words[w] != vj.words[w] {
-						t.Fatalf("lanes=%d masked=%v trial=%d: word %d (slot %d): interp=%#x jit=%#x",
-							lanes, masked, trial, w, w/vi.wpl, vi.words[w], vj.words[w])
+
+				ref.ExecAll(ops)
+				interp.ExecAllResolved(rs)
+				compiled.RunCompiled(c)
+
+				for _, got := range []struct {
+					engine string
+					v      *VRF
+				}{{"resolved", interp}, {"compiled", compiled}} {
+					if got.v.MicroOps != ref.MicroOps {
+						t.Fatalf("%s: %s MicroOps %d, reference %d", name, got.engine, got.v.MicroOps, ref.MicroOps)
 					}
+					for w := range ref.words {
+						if ref.words[w] != got.v.words[w] {
+							t.Fatalf("%s trial %d: word %d (slot %d): reference=%#x %s=%#x",
+								name, trial, w, w/ref.wpl, ref.words[w], got.engine, got.v.words[w])
+						}
+					}
+					requireZeroTails(t, name+"/"+got.engine, got.v)
 				}
+			}
+			if len(seen) != micro.NumKinds {
+				t.Fatalf("%s: streams covered %d of %d micro-op kinds", name, len(seen), micro.NumKinds)
 			}
 		}
 	}
 }
 
-// Ragged lane counts have no word directory; the compiler must decline.
-func TestCompileResolvedRejectsRaggedLanes(t *testing.T) {
-	rs := randResolved(4, rand.New(rand.NewSource(3)))
-	for _, lanes := range []int{1, 63, 65, 100} {
+// An unknown micro-op kind is the only thing the compiler declines.
+func TestCompileResolvedUnknownKind(t *testing.T) {
+	rs := []micro.ResolvedOp{{Kind: micro.Kind(micro.NumKinds)}}
+	for _, lanes := range []int{48, 64, 256} {
 		if CompileResolved(rs, lanes) != nil {
-			t.Errorf("lanes=%d: compiled for a geometry without a word directory", lanes)
+			t.Errorf("lanes=%d: compiled a stream with an unknown micro-op kind", lanes)
 		}
-	}
-	if CompileResolved(rs, 0) != nil || CompileResolved(rs, -64) != nil {
-		t.Error("compiled for a non-positive lane count")
 	}
 }
 
@@ -116,11 +167,11 @@ func TestCompileResolvedRejectsRaggedLanes(t *testing.T) {
 // loop runs millions of times per simulation.
 func TestRunCompiledDoesNotAllocate(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	for _, lanes := range []int{64, 256} {
+	for _, lanes := range []int{48, 64, 256} {
 		rs := randResolved(64, rng)
 		c := CompileResolved(rs, lanes)
 		v := New(lanes)
-		randomize(v, rng, true)
+		randomize(v, rng, maskPartial)
 		if n := testing.AllocsPerRun(100, func() { v.RunCompiled(c) }); n != 0 {
 			t.Errorf("lanes=%d: RunCompiled allocates %v times per run", lanes, n)
 		}

@@ -19,35 +19,28 @@ var (
 
 // ExecAllResolved applies a resolved micro-op sequence in order, with the
 // same semantics (and the same MicroOps accounting) as ExecAll on the
-// unresolved form. When every plane is a whole number of machine words
-// (lanes % 64 == 0, which holds for all shipped backends) it runs a
-// word-level fast path over the flat slot directory that skips per-op
-// plane resolution, bounds checks, and the constant-plane write guard
-// (performed once at Resolve time): single-word planes get the fully
-// inlined 64-lane executor, wider planes the multi-word slab kernels.
+// unresolved form. It runs at word level over the flat slot directory,
+// skipping per-op plane resolution, bounds checks, and the constant-plane
+// write guard (performed once at Resolve time): single-word planes (lanes
+// <= 64) get the fully inlined executor, wider planes the multi-word slab
+// kernels.
 func (v *VRF) ExecAllResolved(rs []micro.ResolvedOp) {
-	if v.words != nil {
-		if v.wpl == 1 {
-			v.execResolved64(rs)
-		} else {
-			v.execResolvedWide(rs)
-		}
-		v.MicroOps += uint64(len(rs))
-		return
+	if v.wpl == 1 {
+		v.execResolved64(rs)
+	} else {
+		v.execResolvedWide(rs)
 	}
-	for _, r := range rs {
-		v.Exec(r.Op())
-	}
+	v.MicroOps += uint64(len(rs))
 }
 
 // execResolved64 is the single-word executor: micro.Slot i is backed by
 // v.words[i], so operand access is one index with no plane resolution. Each
-// case reproduces the corresponding bitvec merge expression for a full
-// 64-lane word: with lanes == 64 the tail mask is all-ones, so bitvec's
-// clampTail calls are no-ops, and the constant-one plane is a full word, so
-// the unmasked CONDWR and MASKRD writes reduce to plain stores. Sources are
-// loaded before the destination is written, matching bitvec's aliasing
-// behavior.
+// case reproduces the corresponding bitvec merge expression on one word.
+// Below 64 lanes the mask word's tail bits are zero, so the merge keeps
+// every destination's tail zero without bitvec's clampTail, and the
+// unmasked CONDWR and MASKRD writes store a value already ANDed with (or
+// equal to) the mask — plain stores either way. Sources are loaded before
+// the destination is written, matching bitvec's aliasing behavior.
 func (v *VRF) execResolved64(rs []micro.ResolvedOp) {
 	ws := v.words
 	m := ws[micro.SlotMask] // no micro-op writes the mask plane
@@ -108,11 +101,11 @@ func (v *VRF) span(s micro.Slot) []uint64 {
 }
 
 // execResolvedWide is the multi-word executor for lanes that span several
-// words per plane (lanes % 64 == 0, lanes > 64 — e.g. SIMDRAM's 256). Each
-// op runs one bitvec slab kernel over the operand spans; the kernels
-// reproduce the plane path bit for bit (every word is fully populated, so
-// there is no tail to clamp, and word i of one plane only ever combines
-// with word i of another).
+// words per plane (lanes > 64 — e.g. SIMDRAM's 256). Each op runs one
+// bitvec slab kernel over the operand spans; the kernels reproduce the
+// plane path bit for bit (word i of one plane only ever combines with word
+// i of another, and the mask's zero tail bits keep every other plane's tail
+// zero). It is also the replay kernel RunCompiled uses at this geometry.
 func (v *VRF) execResolvedWide(rs []micro.ResolvedOp) {
 	m := v.span(micro.SlotMask) // no micro-op writes the mask plane
 	for i := range rs {

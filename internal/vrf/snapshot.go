@@ -3,66 +3,27 @@ package vrf
 import (
 	"fmt"
 
-	"mpu/internal/bitvec"
 	"mpu/internal/isa"
-	"mpu/internal/micro"
 	"mpu/internal/snap"
 )
 
-// Snapshot encoding of one VRF. Two layouts mirror the two storage paths:
+// Snapshot encoding of one VRF: the whole word directory is dumped
+// wholesale — registers, scratch, temps, cond, and the constant and mask
+// planes all live in one slab, so one copy captures everything, lazy view
+// allocation being irrelevant. The bool ahead of the words marked the flat
+// layout when a second, per-register layout existed; it stays in the stream
+// as true so snapshots of word-aligned geometries keep their bytes.
 //
-//   - flat (lanes % 64 == 0, every shipped backend): the whole word
-//     directory is dumped wholesale — registers, scratch, temps, cond, and
-//     the constant and mask planes all live in one slab, so one copy
-//     captures everything including lazy-view allocation being irrelevant.
-//   - ragged: per-register slabs are lazy, so the encoding carries
-//     allocation bitmaps and only the allocated registers' planes, plus the
-//     fixed planes (temps, cond, mask; the zero/one constants are invariant
-//     and skipped).
-//
-// Both layouts re-encode byte-identically after a decode: the flat path is
-// a verbatim word copy, and the ragged path rejects dirty tail bits and
-// malformed bitmaps instead of normalizing them.
+// A decode re-encodes byte-identically: it is a verbatim word copy that
+// rejects dirty tail bits instead of normalizing them.
 
 // EncodeState appends the VRF's architectural state to w.
 func (v *VRF) EncodeState(w *snap.Writer) {
 	w.U64(v.MicroOps)
-	if v.words != nil {
-		w.Bool(true)
-		for _, x := range v.words {
-			w.U64(x)
-		}
-		return
+	w.Bool(true)
+	for _, x := range v.words {
+		w.U64(x)
 	}
-	w.Bool(false)
-	var regBits uint64
-	for r := 0; r < isa.NumRegs; r++ {
-		if v.regs[r] != nil {
-			regBits |= 1 << uint(r)
-		}
-	}
-	w.U64(regBits)
-	var scratchBits uint8
-	for s := 0; s < micro.NumScratchRegs; s++ {
-		if v.scratch[s] != nil {
-			scratchBits |= 1 << uint(s)
-		}
-	}
-	w.U8(scratchBits)
-	var buf []uint64
-	for r := 0; r < isa.NumRegs; r++ {
-		if v.regs[r] != nil {
-			buf = encodePlanes(w, v.regs[r], buf)
-		}
-	}
-	for s := 0; s < micro.NumScratchRegs; s++ {
-		if v.scratch[s] != nil {
-			buf = encodePlanes(w, v.scratch[s], buf)
-		}
-	}
-	buf = encodePlanes(w, v.temps[:], buf)
-	buf = encodePlane(w, v.cond, buf)
-	encodePlane(w, v.mask, buf)
 }
 
 // DecodeState overwrites a freshly constructed VRF (same lane count as the
@@ -73,86 +34,22 @@ func (v *VRF) DecodeState(r *snap.Reader) error {
 	if err := r.Err(); err != nil {
 		return err
 	}
-	if flat != (v.words != nil) {
-		return fmt.Errorf("vrf: snapshot layout (flat=%v) does not match %d-lane geometry", flat, v.lanes)
+	if !flat {
+		return fmt.Errorf("vrf: snapshot uses the retired per-register plane layout")
 	}
-	if flat {
-		for i := range v.words {
-			v.words[i] = r.U64()
+	// Bits at or beyond the lane count in a plane's last word would be ghost
+	// lanes: invisible to register reads, but counted by MaskAny/MaskPop and
+	// carried along by every word kernel.
+	var ghost uint64
+	if n := v.lanes % isa.WordBits; n != 0 {
+		ghost = ^uint64(0) << uint(n)
+	}
+	for i := range v.words {
+		x := r.U64()
+		if x&ghost != 0 && i%v.wpl == v.wpl-1 {
+			return fmt.Errorf("vrf: snapshot plane %d has bits set beyond lane %d", i/v.wpl, v.lanes)
 		}
-		return r.Err()
-	}
-	regBits := r.U64()
-	scratchBits := r.U8()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if scratchBits >= 1<<uint(micro.NumScratchRegs) {
-		return fmt.Errorf("vrf: scratch allocation bits %#x out of range", scratchBits)
-	}
-	var buf []uint64
-	var err error
-	for reg := 0; reg < isa.NumRegs; reg++ {
-		if regBits&(1<<uint(reg)) == 0 {
-			continue
-		}
-		if buf, err = decodePlanes(r, v.regPlanes(reg), buf); err != nil {
-			return err
-		}
-	}
-	for s := 0; s < micro.NumScratchRegs; s++ {
-		if scratchBits&(1<<uint(s)) == 0 {
-			continue
-		}
-		if buf, err = decodePlanes(r, v.scratchPlanes(s), buf); err != nil {
-			return err
-		}
-	}
-	if buf, err = decodePlanes(r, v.temps[:], buf); err != nil {
-		return err
-	}
-	if buf, err = decodePlane(r, v.cond, buf); err != nil {
-		return err
-	}
-	if _, err = decodePlane(r, v.mask, buf); err != nil {
-		return err
+		v.words[i] = x
 	}
 	return r.Err()
-}
-
-func encodePlane(w *snap.Writer, p bitvec.Plane, buf []uint64) []uint64 {
-	buf = p.AppendWords(buf[:0])
-	for _, x := range buf {
-		w.U64(x)
-	}
-	return buf
-}
-
-func encodePlanes(w *snap.Writer, ps []bitvec.Plane, buf []uint64) []uint64 {
-	for _, p := range ps {
-		buf = encodePlane(w, p, buf)
-	}
-	return buf
-}
-
-func decodePlane(r *snap.Reader, p bitvec.Plane, buf []uint64) ([]uint64, error) {
-	words := (p.Len() + 63) / 64
-	buf = buf[:0]
-	for i := 0; i < words; i++ {
-		buf = append(buf, r.U64())
-	}
-	if err := r.Err(); err != nil {
-		return buf, err
-	}
-	return buf, p.LoadWords(buf)
-}
-
-func decodePlanes(r *snap.Reader, ps []bitvec.Plane, buf []uint64) ([]uint64, error) {
-	var err error
-	for _, p := range ps {
-		if buf, err = decodePlane(r, p, buf); err != nil {
-			return buf, err
-		}
-	}
-	return buf, nil
 }

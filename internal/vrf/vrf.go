@@ -4,6 +4,12 @@
 // planes reserved for recipe temporaries, the conditional register written by
 // comparison instructions, and the in-VRF mask register that power-gates
 // individual lanes (§VI-B).
+//
+// All of it is stored in one flat word directory, at every lane count.
+// Exec/ExecAll run micro-ops over bitvec.Plane views of that directory and
+// are the reference the tests compare against; ExecAllResolved (the
+// interpreter's path) and RunCompiled (replay's) work on the words directly,
+// one kernel per lane geometry each.
 package vrf
 
 import (
@@ -14,9 +20,9 @@ import (
 	"mpu/internal/micro"
 )
 
-// VRF is the functional state of one vector register file. Registers are
-// allocated lazily: a register that is never touched costs no memory, which
-// keeps chip-scale machines (hundreds of MPUs × hundreds of VRFs) tractable.
+// VRF is the functional state of one vector register file. The planes live
+// in one word directory allocated up front; the per-register plane views the
+// host I/O and reference paths use are built lazily, on first touch.
 type VRF struct {
 	lanes   int
 	regs    [isa.NumRegs][]bitvec.Plane
@@ -27,15 +33,16 @@ type VRF struct {
 	zero    bitvec.Plane
 	one     bitvec.Plane
 
-	// words is the flat word directory backing every plane whenever each
-	// plane is a whole number of machine words (lanes % 64 == 0, every
-	// shipped backend): micro.Slot s occupies words[s*wpl : (s+1)*wpl], so
-	// the resolved executor (resolved.go) and the trace JIT (kernel.go)
-	// turn a slot into its storage with one multiply. Plane views are lazy
-	// aliases over this directory. nil for ragged lane counts; those VRFs
-	// take the per-register slab path below.
+	// words is the flat word directory backing every plane at every lane
+	// count: micro.Slot s occupies words[s*wpl : (s+1)*wpl], so the resolved
+	// executor (resolved.go) and the replay kernels (kernel.go) turn a slot
+	// into its storage with one multiply. Plane views are lazy aliases over
+	// this directory. When lanes is not a multiple of 64 the bits of each
+	// plane's last word at or beyond the lane count stay zero — the mask
+	// plane's included, which is what lets the word kernels ignore the tail:
+	// a masked merge never touches a bit the mask does not enable.
 	words []uint64
-	wpl   int // words per plane: lanes / 64 when words != nil
+	wpl   int // words per plane: ceil(lanes / 64)
 
 	// MicroOps counts executed micro-ops, for cross-checking against the
 	// control path's issue accounting.
@@ -47,26 +54,15 @@ func New(lanes int) *VRF {
 	if lanes <= 0 {
 		panic(fmt.Sprintf("vrf: lane count %d must be positive", lanes))
 	}
-	v := &VRF{lanes: lanes}
-	if lanes%isa.WordBits == 0 {
-		// One flat directory backs every slot; plane views alias into it.
-		v.wpl = lanes / isa.WordBits
-		v.words = make([]uint64, micro.NumSlots*v.wpl)
-		slab := bitvec.PlanesOver(lanes, micro.NumTempPlanes+4, v.words[micro.SlotTempBase*v.wpl:])
-		copy(v.temps[:], slab[:micro.NumTempPlanes])
-		v.cond = slab[int(micro.SlotCond)-micro.SlotTempBase]
-		v.zero = slab[int(micro.SlotZero)-micro.SlotTempBase]
-		v.one = slab[int(micro.SlotOne)-micro.SlotTempBase]
-		v.mask = slab[int(micro.SlotMask)-micro.SlotTempBase]
-	} else {
-		// One slab covers the fixed planes: temps, cond, zero, one, mask.
-		slab, _ := bitvec.NewSlabWords(lanes, micro.NumTempPlanes+4)
-		copy(v.temps[:], slab[:micro.NumTempPlanes])
-		v.cond = slab[micro.NumTempPlanes]
-		v.zero = slab[micro.NumTempPlanes+1]
-		v.one = slab[micro.NumTempPlanes+2]
-		v.mask = slab[micro.NumTempPlanes+3]
-	}
+	v := &VRF{lanes: lanes, wpl: (lanes + isa.WordBits - 1) / isa.WordBits}
+	v.words = make([]uint64, micro.NumSlots*v.wpl)
+	// One flat directory backs every slot; plane views alias into it.
+	slab := bitvec.PlanesOver(lanes, micro.NumTempPlanes+4, v.words[micro.SlotTempBase*v.wpl:])
+	copy(v.temps[:], slab[:micro.NumTempPlanes])
+	v.cond = slab[int(micro.SlotCond)-micro.SlotTempBase]
+	v.zero = slab[int(micro.SlotZero)-micro.SlotTempBase]
+	v.one = slab[int(micro.SlotOne)-micro.SlotTempBase]
+	v.mask = slab[int(micro.SlotMask)-micro.SlotTempBase]
 	v.one.Fill(true)
 	v.mask.Fill(true)
 	return v
@@ -75,15 +71,10 @@ func New(lanes int) *VRF {
 // Lanes reports the vector width of this VRF.
 func (v *VRF) Lanes() int { return v.lanes }
 
-// newRegPlanes allocates (or, with the flat directory, aliases) the 64
-// planes of one architectural or scratch register. base is the register's
-// first slot.
+// newRegPlanes aliases the 64 planes of one architectural or scratch
+// register over the word directory. base is the register's first slot.
 func (v *VRF) newRegPlanes(base int) []bitvec.Plane {
-	if v.words != nil {
-		return bitvec.PlanesOver(v.lanes, isa.WordBits, v.words[base*v.wpl:])
-	}
-	planes, _ := bitvec.NewSlabWords(v.lanes, isa.WordBits)
-	return planes
+	return bitvec.PlanesOver(v.lanes, isa.WordBits, v.words[base*v.wpl:])
 }
 
 func (v *VRF) regPlanes(r int) []bitvec.Plane {
