@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race race-short repolint staticcheck govulncheck preflight fuzz check bench bench-compare bench-serve bench-cluster bench-qos bench-pipeline serve-smoke cluster-smoke pipeline-smoke figures clean
+.PHONY: all build test vet race race-short repolint staticcheck govulncheck preflight fuzz check bench profile bench-compare bench-serve bench-cluster bench-qos bench-pipeline serve-smoke cluster-smoke pipeline-smoke figures clean
 
 # Pinned staticcheck release — CI installs exactly this version so findings
 # are reproducible; locally the target is skipped (with a note) when the
@@ -56,25 +56,26 @@ race:
 # The concurrency-sensitive packages only (the sweep worker pool and the
 # linter the machine calls from strict mode) plus the engine-vs-interpreter
 # parity difftest, whose replay path shares compiled traces and memoized
-# recipe expansions across sweep workers, the parallel-scheduler parity
-# difftest, which fans cores out across scheduler goroutines, and the
-# serve-layer parity and warm-pool hammer tests — fast enough for every CI
-# run.
+# recipe expansions across sweep workers, the concurrent-decode test of the
+# process-wide kernel memo, the parallel-scheduler parity difftest, which
+# fans cores out across scheduler goroutines, and the serve-layer parity and
+# warm-pool hammer tests — fast enough for every CI run.
 race-short:
 	$(GO) test -race -timeout 30m ./internal/sweep ./internal/lint
-	$(GO) test -race -timeout 30m -run 'TestTraceParity|TestJITParityRandom|TestParallelMachine|TestParallelDeadlock|TestSnapshotResumeParity' ./internal/machine
+	$(GO) test -race -timeout 30m -run 'TestTraceParity|TestJITParityRandom|TestExpandConcurrent|TestParallelMachine|TestParallelDeadlock|TestSnapshotResumeParity' ./internal/machine
 	$(GO) test -race -timeout 30m -run 'TestServeParity|TestServePool|TestServePreempt|TestServeNoPreempt|TestParkedGauges|TestPipelineSession' ./internal/serve
 	$(GO) test -race -timeout 30m -run 'TestRouterParity|TestRollingDrain|TestFairAdmission|TestRouterPipeline' ./internal/router
 	$(GO) test -race -timeout 30m -run 'TestPipelineParity' ./internal/fbp
 
 # Bounded runs of the differential oracles: random programs the linter
 # passes must execute without ensemble or capacity faults, and random
-# straight-line bodies must produce identical planes and stats whether
-# rounds replay on the trace engine or are fully interpreted. The comm
-# oracle cross-checks commlint against the real scheduler: verdict-clean
-# program sets must run, flagged ones must deadlock. The FBP oracles check
-# that the pipeline parser never panics and that every graph the compiler
-# accepts is deadlock-free by construction (lint-clean and actually runs).
+# bodies — straight-line, and wrapped in a data-dependent countdown loop —
+# must produce identical planes and stats whether rounds run on the engine's
+# kernels or are fully interpreted. The comm oracle cross-checks commlint
+# against the real scheduler: verdict-clean program sets must run, flagged
+# ones must deadlock. The FBP oracles check that the pipeline parser never
+# panics and that every graph the compiler accepts is deadlock-free by
+# construction (lint-clean and actually runs).
 fuzz:
 	$(GO) test -fuzz=FuzzLintSoundness -fuzztime=30s ./internal/isa
 	$(GO) test -fuzz=FuzzJITParity -fuzztime=30s ./internal/machine
@@ -94,6 +95,16 @@ check: build vet test repolint staticcheck govulncheck
 # -benchtime.
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime 1x
+
+# Function shares of one root benchmark: CPU-profile it and print the top of
+# the profile (`make profile BENCH='MachineRun/racer/engine'`). The profile
+# and the test binary stay under bench/out/ (git-ignored) for
+# `go tool pprof -list`.
+profile:
+	@test -n "$(BENCH)" || { echo "usage: make profile BENCH=<regexp>"; exit 2; }
+	@mkdir -p bench/out
+	$(GO) test -run '^$$' -bench '$(BENCH)' -o bench/out/mpu.test -cpuprofile bench/out/cpu.prof .
+	$(GO) tool pprof -top -nodecount 25 bench/out/mpu.test bench/out/cpu.prof
 
 # The BENCHMARK.json harness against a saved baseline: run every workload
 # into bench/out/new.json (git-ignored), then diff it against BASE — exits

@@ -8,6 +8,7 @@ package mpu_test
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -30,14 +31,23 @@ var (
 	parOpts = exp.Options{Scale: 8, Seed: 1, Workers: 0}
 )
 
+// BenchmarkFig1 is a dynamic-loop sweep on RACER: no round replays, so
+// /engine against /notrace is the expansion kernels against the reference
+// interpreter (about 2x apart, docs/PERF.md).
 func BenchmarkFig1(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := exp.Fig1(benchOpts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		last := r.Points[len(r.Points)-1]
-		b.ReportMetric(last.Slowdown, "slowdown@80instr")
+	for _, bc := range engineCases {
+		b.Run(bc.name, func(b *testing.B) {
+			opts := benchOpts
+			opts.NoTrace = bc.noTrace
+			for i := 0; i < b.N; i++ {
+				r, err := exp.Fig1(opts)
+				if err != nil {
+					b.Fatal(err)
+				}
+				last := r.Points[len(r.Points)-1]
+				b.ReportMetric(last.Slowdown, "slowdown@80instr")
+			}
+		})
 	}
 }
 
@@ -253,26 +263,28 @@ func BenchmarkLintLargestKernel(b *testing.B) {
 	}
 }
 
-// engineCases are the two ways a machine executes a round: the trace engine
-// (the default) and the plain interpreter.
+// engineCases are the two ways a machine executes a round: the engine (the
+// default: compiled kernels on every round, replayed where a trace allows)
+// and the reference interpreter.
 var engineCases = []struct {
 	name    string
 	noTrace bool
 }{{"engine", false}, {"notrace", true}}
 
 // BenchmarkMachineRun measures one machine executing the largest kernel in
-// the suite — the simulator hot path in isolation from the sweep worker
-// pool. The activation limit is pinned to 1 with two VRFs per RFH so every
-// ensemble schedules at least two rounds: the /engine variant (the default)
-// records the first round and replays the rest through compiled closure
-// chains, and /notrace interprets every round — the pair quantifies the
-// compile-once/replay-many win.
+// the suite (crc32) — the simulator hot path in isolation from the sweep
+// worker pool. The activation limit is pinned to 1 with two VRFs per RFH so
+// every ensemble schedules at least two rounds. crc32's body is dynamic, so
+// no round replays: /engine runs every round through the expansion kernels
+// and /notrace through the reference interpreter. At 64 lanes that is the
+// closure chain against the per-op switch — ahead where the recipe has
+// same-kind runs to fuse (racer), behind where it has none (mimdram); at
+// simdram's 256 both run the same slab kernels and the legs land together.
 func BenchmarkMachineRun(b *testing.B) {
-	spec := mpu.RACER()
 	var largest *workloads.Kernel
 	var size int
 	for _, k := range workloads.All() {
-		p, _, err := workloads.BuildProgram(k, spec, 4)
+		p, _, err := workloads.BuildProgram(k, mpu.RACER(), 4)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -281,21 +293,23 @@ func BenchmarkMachineRun(b *testing.B) {
 		}
 	}
 	const vrfs = 16
-	cfg := workloads.RunConfig{
-		Spec: spec, Mode: 0, TotalElements: spec.BaselineUnits * spec.Lanes * vrfs,
-		Seed: 1, MaxSimVRFs: vrfs, ActiveVRFsOverride: 1,
-	}
-	for _, bc := range engineCases {
-		b.Run(bc.name, func(b *testing.B) {
-			c := cfg
-			c.NoTrace = bc.noTrace
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := workloads.Run(largest, c); err != nil {
-					b.Fatal(err)
+	for _, spec := range []*mpu.Backend{mpu.RACER(), mpu.MIMDRAM(), mpu.DualityCache(), mpu.SIMDRAM()} {
+		cfg := workloads.RunConfig{
+			Spec: spec, Mode: 0, TotalElements: spec.BaselineUnits * spec.Lanes * vrfs,
+			Seed: 1, MaxSimVRFs: vrfs, ActiveVRFsOverride: 1,
+		}
+		for _, bc := range engineCases {
+			b.Run(strings.ToLower(spec.Name)+"/"+bc.name, func(b *testing.B) {
+				c := cfg
+				c.NoTrace = bc.noTrace
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := workloads.Run(largest, c); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-		})
+			})
+		}
 	}
 }
 
@@ -305,10 +319,10 @@ func BenchmarkMachineRun(b *testing.B) {
 // then Rewinds and re-runs it — the resident-kernel regime, where every
 // scheduling round is a trace hit and no host data transfer or program load
 // is re-paid. The activation limit is pinned to 1 over many VRFs so one Run
-// replays many rounds. /engine replays through the geometry's one replay
-// kernel — the fused closure chains at racer's 64 lanes (one word per
-// plane), the slab-kernel loop at simdram's 256 (4-word slabs) — and
-// /notrace is the plain interpreter.
+// replays many rounds. /engine replays through the geometry's kernel — the
+// fused closure chains at racer's 64 lanes (one word per plane), the
+// slab-kernel loop at simdram's 256 (4-word slabs) — and /notrace is the
+// reference interpreter.
 func BenchmarkTraceReplay(b *testing.B) {
 	steady := func(b *testing.B, spec *mpu.Backend, vrfs int, noTrace bool) {
 		var kern *workloads.Kernel

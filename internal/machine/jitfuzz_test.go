@@ -1,15 +1,20 @@
 package machine_test
 
-// FuzzJITParity is the replay engine's differential oracle: arbitrary bytes
-// are shaped into a lint-clean straight-line compute-ensemble body, and the
-// body runs twice — on the engine (record, lower, replay) and under NoTrace
-// (pure interpreter) — at each replay-kernel geometry: RACER's one full
-// word per plane, SIMDRAM's four, and a 48-lane spec whose single word has
-// a tail. Both runs must leave identical register planes in every VRF and
-// report identical Stats (engine-strategy counters aside). Each body also
-// runs under a deliberately tiny recipe table so the recipe-cold replay
-// fallback (ReplayAllHit false) is exercised, and the seed corpus includes
-// a body large enough to spill the playback buffer.
+// FuzzJITParity is the engine's differential oracle: arbitrary bytes are
+// shaped into a lint-clean compute-ensemble body, and the body runs twice —
+// on the engine (record, lower, replay; compiled kernels on every round)
+// and under NoTrace (the reference interpreter) — at each kernel geometry:
+// RACER's one full word per plane, SIMDRAM's four, and a 48-lane spec whose
+// single word has a tail. Both runs must leave identical register planes in
+// every VRF and report identical Stats (engine-strategy counters aside).
+// Each body also runs under a deliberately tiny recipe table so the
+// recipe-cold replay fallback (ReplayAllHit false) is exercised, and the
+// seed corpus includes a body large enough to spill the playback buffer.
+//
+// A body comes in two shapes. Straight-line, it records once and replays.
+// Wrapped in a per-lane countdown loop (CMPGT → SETMASK cond → JUMP_COND),
+// it is dynamic: no round replays, every one runs the compiled kernels
+// under masks that depend on lane data and shrink as lanes retire.
 //
 // Run with `go test -fuzz=FuzzJITParity ./internal/machine`.
 
@@ -30,8 +35,21 @@ import (
 const fuzzVRFs = 4
 
 // fuzzRegs bounds the register window the generated bodies touch (and the
-// harness seeds and compares).
+// harness seeds).
 const fuzzRegs = 16
+
+// The countdown loop's registers sit just above the body's window: the
+// per-lane trip count (host-seeded, 0..loopMaxTrips), the constants 0 and 1,
+// and the saved live-lane mask. The harness compares them with the window.
+const (
+	loopCtr = fuzzRegs + iota
+	loopZero
+	loopOne
+	loopLive
+	fuzzCompared
+
+	loopMaxTrips = 3
+)
 
 // fuzzOps is the datapath subset generated bodies draw from: every
 // micro-coded kind the replay kernels execute, via representative ISA ops.
@@ -70,8 +88,11 @@ func fuzzBody(data []byte) []isa.Instr {
 }
 
 // fuzzProgram wraps a body into an SPMD ensemble over fuzzVRFs register
-// files, mirroring workloads.BuildProgram's address layout.
-func fuzzProgram(spec *backends.Spec, body []isa.Instr) (isa.Program, []controlpath.VRFAddr) {
+// files, mirroring workloads.BuildProgram's address layout. With loop set
+// the body repeats while a lane's countdown is positive: the body may churn
+// the mask freely, so the live-lane mask is saved before it and restored
+// after, then live lanes decrement and those reaching zero retire.
+func fuzzProgram(spec *backends.Spec, body []isa.Instr, loop bool) (isa.Program, []controlpath.VRFAddr) {
 	addrs := make([]controlpath.VRFAddr, fuzzVRFs)
 	var p isa.Program
 	for v := range addrs {
@@ -81,13 +102,28 @@ func fuzzProgram(spec *backends.Spec, body []isa.Instr) (isa.Program, []controlp
 		}
 		p = append(p, isa.Compute(int(addrs[v].RFH), int(addrs[v].VRF)))
 	}
+	if !loop {
+		p = append(p, body...)
+		p = append(p, isa.Unmask(), isa.ComputeDone())
+		return p, addrs
+	}
+	p = append(p,
+		isa.Init0(loopZero), isa.Init1(loopOne),
+		isa.CmpGt(loopCtr, loopZero), isa.SetMask(isa.RegCond))
+	top := len(p)
+	p = append(p, isa.GetMask(loopLive))
 	p = append(p, body...)
-	p = append(p, isa.Unmask(), isa.ComputeDone())
+	p = append(p,
+		isa.SetMask(loopLive),
+		isa.Sub(loopCtr, loopOne, loopCtr),
+		isa.CmpGt(loopCtr, loopZero), isa.SetMask(isa.RegCond),
+		isa.JumpCond(top),
+		isa.Unmask(), isa.ComputeDone())
 	return p, addrs
 }
 
 // fuzzRun executes prog on a fresh machine and returns its stats plus the
-// full register window of every activated VRF.
+// compared registers of every activated VRF.
 func fuzzRun(t *testing.T, spec *backends.Spec, prog isa.Program, addrs []controlpath.VRFAddr,
 	rc controlpath.RecipeCacheConfig, noTrace bool, seed int64) (*machine.Stats, [][]uint64) {
 	t.Helper()
@@ -112,14 +148,21 @@ func fuzzRun(t *testing.T, spec *backends.Spec, prog isa.Program, addrs []contro
 				t.Fatal(err)
 			}
 		}
+		trips := make([]uint64, spec.Lanes)
+		for l := range trips {
+			trips[l] = uint64(rng.Intn(loopMaxTrips + 1))
+		}
+		if err := m.WriteVector(0, a, loopCtr, trips); err != nil {
+			t.Fatal(err)
+		}
 	}
 	st, err := m.Run()
 	if err != nil {
-		t.Fatalf("straight-line body faulted: %v\nprogram:\n%s", err, isa.Disassemble(prog))
+		t.Fatalf("generated body faulted: %v\nprogram:\n%s", err, isa.Disassemble(prog))
 	}
 	var planes [][]uint64
 	for _, a := range addrs {
-		for reg := 0; reg < fuzzRegs; reg++ {
+		for reg := 0; reg < fuzzCompared; reg++ {
 			vals, err := m.ReadVector(0, a, reg)
 			if err != nil {
 				t.Fatal(err)
@@ -130,11 +173,14 @@ func fuzzRun(t *testing.T, spec *backends.Spec, prog isa.Program, addrs []contro
 	return st, planes
 }
 
-func checkJITParity(t *testing.T, data []byte) {
+// checkJITParity runs one generated body, straight-line or looped, through
+// the oracle and reports how many (spec, recipe table) cells it compared —
+// zero when the linter rejected the program everywhere.
+func checkJITParity(t *testing.T, data []byte, loop bool) (compared int) {
 	t.Helper()
 	body := fuzzBody(data)
 	if len(body) == 0 {
-		return
+		return 0
 	}
 	h := fnv.New64a()
 	h.Write(data)
@@ -144,7 +190,7 @@ func checkJITParity(t *testing.T, data []byte) {
 		{CapacityMicroOps: 1, PointerTable: true, TemplateLookup: true}, // recipe-cold fallback
 	}
 	for _, spec := range []*backends.Spec{backends.RACER(), backends.SIMDRAM(), fuzzSpec()} {
-		prog, addrs := fuzzProgram(spec, body)
+		prog, addrs := fuzzProgram(spec, body, loop)
 		if !lint.Lint(prog, lint.Options{Spec: spec}).Ok() {
 			continue
 		}
@@ -155,6 +201,14 @@ func checkJITParity(t *testing.T, data []byte) {
 			if ri == 1 {
 				name += "/recipe-cold"
 			}
+			if loop {
+				name += "/loop"
+				if engStats.TraceFallbacks == 0 || engStats.TraceHits != 0 {
+					t.Fatalf("%s: dynamic body ran %d fallback and %d replayed rounds; want every round interpreted",
+						name, engStats.TraceFallbacks, engStats.TraceHits)
+				}
+			}
+			compared++
 			requireParity(t, name, engStats, notraceStats)
 			for i := range engPlanes {
 				for l := range engPlanes[i] {
@@ -166,13 +220,21 @@ func checkJITParity(t *testing.T, data []byte) {
 			}
 		}
 	}
+	return compared
+}
+
+// jitSeed is one corpus entry: the body bytes and the shape they run in.
+type jitSeed struct {
+	data []byte
+	loop bool
 }
 
 // jitSeedCorpus returns hand-shaped inputs covering the replay edge cases:
 // mask churn, every datapath family, a playback-buffer spill (a body whose
-// micro-op expansion exceeds the 1024-op playback capacity), and a
-// single-instruction minimal body.
-func jitSeedCorpus() [][]byte {
+// micro-op expansion exceeds the 1024-op playback capacity), a
+// single-instruction minimal body, and the mask-churn body inside the
+// countdown loop (its own SETMASK/UNMASK fight the loop's lane mask).
+func jitSeedCorpus() []jitSeed {
 	instr := func(sel, a, b, c byte) []byte { return []byte{sel, a, b, c} }
 	cat := func(chunks ...[]byte) []byte {
 		var out []byte
@@ -204,20 +266,21 @@ func jitSeedCorpus() [][]byte {
 	for i := byte(0); i < 40; i++ {
 		spill = append(spill, instr(84, i%8, (i+1)%8, (i+2)%8)...)
 	}
-	return [][]byte{
-		masky,
-		sweep,
-		spill,
-		instr(7, 1, 2, 3), // minimal single-instruction body
+	return []jitSeed{
+		{data: masky},
+		{data: sweep},
+		{data: spill},
+		{data: instr(7, 1, 2, 3)}, // minimal single-instruction body
+		{data: masky, loop: true},
 	}
 }
 
 func FuzzJITParity(f *testing.F) {
 	for _, s := range jitSeedCorpus() {
-		f.Add(s)
+		f.Add(s.data, s.loop)
 	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		checkJITParity(t, data)
+	f.Fuzz(func(t *testing.T, data []byte, loop bool) {
+		checkJITParity(t, data, loop)
 	})
 }
 
@@ -229,12 +292,19 @@ func TestJITParityRandom(t *testing.T) {
 		n = 6
 	}
 	rng := rand.New(rand.NewSource(81))
+	looped := 0
 	for i := 0; i < n; i++ {
 		buf := make([]byte, 4*(1+rng.Intn(24)))
 		rng.Read(buf)
-		checkJITParity(t, buf)
+		checkJITParity(t, buf, false)
+		looped += checkJITParity(t, buf, true)
 	}
 	for _, s := range jitSeedCorpus() {
-		checkJITParity(t, s)
+		if checkJITParity(t, s.data, s.loop) == 0 {
+			t.Errorf("seed corpus body (loop=%v) was rejected by the linter on every spec", s.loop)
+		}
+	}
+	if looped == 0 {
+		t.Error("no random body survived lint inside the countdown loop: the dynamic shape went untested")
 	}
 }

@@ -103,10 +103,11 @@ type Config struct {
 	// GOMAXPROCS between the two levels (see sweep.MachineWorkers).
 	Workers int
 
-	// NoTrace disables the ensemble trace engine, forcing every scheduling
-	// round through the interpreter (the escape hatch behind cmd flags and
-	// the interpreter leg of the parity difftest). The engine is also
-	// disabled while Trace is set, so the execution log keeps its
+	// NoTrace selects the reference interpreter: no round records or
+	// replays, and every micro-op stream runs through the uncompiled per-op
+	// executor instead of the compiled kernels (the escape hatch behind cmd
+	// flags and the interpreter leg of the parity difftest). Recording and
+	// replay are also off while Trace is set, so the execution log keeps its
 	// per-instruction fidelity.
 	NoTrace bool
 
@@ -190,14 +191,17 @@ type Machine struct {
 	stats  Stats
 	limit  int // effective active VRFs per RFH
 
-	// expands memoizes recipe expansion per dynamic instruction. A dynamic
-	// loop re-executes the same instruction thousands of times across
-	// rounds and replays; re-running the gate-level expander each time
-	// dominated simulation wall clock. The cache is per machine (the
-	// capability set is fixed at construction), so concurrent sweep cells
-	// share nothing. It is the one piece of machine state cores touch from
-	// concurrent scheduler goroutines, hence the mutex; entries are
-	// immutable once published, so lookups hand out shared pointers.
+	// expands memoizes decode per dynamic instruction: the recipe expansion
+	// and, on every machine but the NoTrace reference interpreter, the
+	// kernel compiled from it. A dynamic loop re-executes the same
+	// instruction thousands of times across rounds and replays; re-running
+	// the gate-level expander each time dominated simulation wall clock.
+	// The cache is per machine (capability set and lane count are fixed at
+	// construction), so concurrent sweep cells contend on nothing but the
+	// process-wide memos behind it (recipe's expansions, kernels below). It
+	// is the one piece of machine state cores touch from concurrent
+	// scheduler goroutines, hence the mutex; entries are immutable once
+	// published, so lookups hand out shared pointers.
 	expandsMu sync.Mutex
 	expands   map[isa.Instr]*expandEntry
 
@@ -221,11 +225,50 @@ type Machine struct {
 	midRun bool
 }
 
-// expandEntry pairs a recipe expansion with its slot-resolved form, so the
-// body interpreter and the trace engine share one decode.
+// expandEntry is one decoded datapath instruction: its recipe expansion,
+// the slot-resolved form of the same stream, and the kernel compiled from
+// that form for the machine's lane count. Every round that is not a replay
+// — dynamic bodies, recording rounds, recipe-cold and spill fallbacks —
+// executes kern, the same kernel a replayed round runs; rops is what the
+// recorder copies into a trace and what the NoTrace reference interpreter
+// executes (its entries carry no kern).
 type expandEntry struct {
 	ops  []micro.Op
 	rops []micro.ResolvedOp
+	kern *vrf.CompiledExec
+}
+
+// kernelKey identifies a compiled expansion process-wide: the resolved
+// stream recipe.ExpandResolved memoizes per (capability set, instruction) —
+// one canonical slice, named by its first element — and the lane geometry
+// the kernel is bound to.
+type kernelKey struct {
+	stream *micro.ResolvedOp
+	lanes  int
+}
+
+// kernels memoizes expansion kernels across every machine in the process,
+// living as long as the recipe.ExpandResolved entries they are compiled
+// from. A server or a sweep builds hundreds of machines over the same back
+// ends, and compiling a wide recipe costs as much as some twenty executions
+// of it, so a kernel is built on first decode, once, and every later
+// machine adopts the canonical pointer. Kernels are immutable, pure
+// functions of the key and charge nothing, so sharing them perturbs no
+// statistic and is not machine state (Reset and snapshots ignore it).
+var kernels sync.Map // kernelKey -> *vrf.CompiledExec
+
+// expansionKernel returns the process-wide kernel of a stream returned by
+// recipe.ExpandResolved, compiling it on first use.
+func expansionKernel(rops []micro.ResolvedOp, lanes int) *vrf.CompiledExec {
+	k := kernelKey{lanes: lanes}
+	if len(rops) > 0 {
+		k.stream = &rops[0]
+	}
+	if c, ok := kernels.Load(k); ok {
+		return c.(*vrf.CompiledExec)
+	}
+	c, _ := kernels.LoadOrStore(k, vrf.CompileResolved(rops, lanes))
+	return c.(*vrf.CompiledExec)
 }
 
 // core is one MPU: precoder state, compute controller, DTC, and its VRFs.
@@ -658,12 +701,13 @@ const (
 	frontendDynamicPJPerCycle = 71.72 // pJ per active issue cycle (71.72 mW at 1 GHz)
 )
 
-// expand returns the decoded recipe for in — the micro-op expansion plus
-// its slot-resolved form — memoized for the machine's capability set. The
-// returned entry is shared and must not be mutated. Cores call this from
-// concurrent scheduler goroutines, so the memo is mutex-guarded; when two
-// cores race to expand the same instruction the first published entry wins,
-// keeping one canonical pointer per instruction.
+// expand returns the decoded recipe for in — the micro-op expansion, its
+// slot-resolved form and the kernel compiled from it — memoized for the
+// machine's capability set and lane count. The returned entry is shared and
+// must not be mutated. Cores call this from concurrent scheduler goroutines,
+// so the memo is mutex-guarded; when two cores race to expand the same
+// instruction the first published entry wins, keeping one canonical pointer
+// per instruction.
 func (m *Machine) expand(in isa.Instr) (*expandEntry, error) {
 	m.expandsMu.Lock()
 	e, ok := m.expands[in]
@@ -676,6 +720,9 @@ func (m *Machine) expand(in isa.Instr) (*expandEntry, error) {
 		return nil, err
 	}
 	e = &expandEntry{ops: ops, rops: rops}
+	if !m.cfg.NoTrace {
+		e.kern = expansionKernel(rops, m.cfg.Spec.Lanes)
+	}
 	m.expandsMu.Lock()
 	if prev, ok := m.expands[in]; ok {
 		e = prev
@@ -951,6 +998,9 @@ func (c *core) findComputeDone(start int) (int, error) {
 // summing per round first makes both paths add bit-identical values.
 func (c *core) runBody(start int, batch []*vrf.VRF, rec *trace.Recorder) (int, error) {
 	spec := c.m.cfg.Spec
+	// NoTrace is the reference interpreter: the parity oracles compare the
+	// kernels every other configuration executes against it.
+	noTrace := c.m.cfg.NoTrace
 	st := &c.local
 	pc := start
 	steps := 0
@@ -981,8 +1031,14 @@ func (c *core) runBody(start int, batch []*vrf.VRF, rec *trace.Recorder) (int, e
 				rec.Lookup(uint8(in.Op), len(e.ops))
 				c.cycles += c.rcache.Lookup(uint8(in.Op), len(e.ops))
 			}
-			for _, v := range batch {
-				v.ExecAllResolved(e.rops)
+			if noTrace {
+				for _, v := range batch {
+					v.ExecAllResolved(e.rops)
+				}
+			} else {
+				for _, v := range batch {
+					v.RunCompiled(e.kern)
+				}
 			}
 			n := int64(len(e.ops))
 			exec := int64(float64(n*int64(spec.CyclesPerMicroOp)) * c.m.cfg.ComputeScale)

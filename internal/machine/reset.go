@@ -19,12 +19,14 @@ import (
 //   - the per-core local Stats and scratch buffers
 //
 // The only state that survives is the machine's configuration and two
-// content-keyed memos: the recipe-expansion memo (m.expands) and the JIT
-// program memo (m.jitMemo). Both cache pure functions — expansion is decode
-// work keyed by instruction bits, a compiled closure chain is keyed by the
-// recorded step stream and lane count — shared by pointer and charged
-// nowhere, so keeping them warm is what makes pool reuse profitable without
-// perturbing statistics. TestResetReuseMatchesFresh pins that a
+// content-keyed memos: the decoded-instruction memo (m.expands) and the JIT
+// program memo (m.jitMemo). Both cache pure functions — a recipe expansion
+// and its compiled kernel are decode work keyed by instruction bits (the
+// kernel itself lives in the process-wide kernels memo, no machine's state
+// at all), a compiled closure chain is keyed by the recorded step stream and
+// lane count — shared by pointer and charged nowhere, so keeping them warm
+// is what makes pool reuse profitable without perturbing statistics.
+// TestResetReuseMatchesFresh pins that a
 // Reset+LoadAll+Run sequence on a used machine produces byte-identical
 // Stats to a fresh machine's run.
 func (m *Machine) Reset() {

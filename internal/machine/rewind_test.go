@@ -17,6 +17,12 @@ import (
 // the recipe table, so every later round of a rewound run replays.
 func warmMachine(t testing.TB, noTrace bool, vrfs int) *machine.Machine {
 	t.Helper()
+	return warmKernel(t, "sobelx", noTrace, vrfs)
+}
+
+// warmKernel is warmMachine for any workload kernel.
+func warmKernel(t testing.TB, kernel string, noTrace bool, vrfs int) *machine.Machine {
+	t.Helper()
 	spec := backends.RACER()
 	cfg := workloads.RunConfig{
 		Spec: spec, Mode: machine.ModeMPU, Seed: 1,
@@ -28,7 +34,7 @@ func warmMachine(t testing.TB, noTrace bool, vrfs int) *machine.Machine {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := workloads.RunOn(m, workloads.ByName("sobelx"), cfg); err != nil {
+	if _, err := workloads.RunOn(m, workloads.ByName(kernel), cfg); err != nil {
 		t.Fatal(err)
 	}
 	return m
@@ -106,5 +112,26 @@ func TestReplayAllocsEngineInvariant(t *testing.T) {
 	engStep, notraceStep := measure(false, large)-eng, measure(true, large)-notrace
 	if engStep >= notraceStep {
 		t.Errorf("%d more rounds cost the engine %v allocations, the interpreter %v", large-small, engStep, notraceStep)
+	}
+}
+
+// TestDynamicRewindAllocs is the same guard for rounds that never replay.
+// gcd's JUMP_COND body runs every round through the expansion kernels the
+// decode cache already holds, so a rewound run allocates only what the
+// scheduler does and no more than the NoTrace interpreter. A kernel fetched
+// through the process-wide memo per round (a boxed key), or compiled per
+// machine, fails here.
+func TestDynamicRewindAllocs(t *testing.T) {
+	measure := func(noTrace bool) float64 {
+		m := warmKernel(t, "gcd", noTrace, 4)
+		return testing.AllocsPerRun(5, func() {
+			m.Rewind()
+			if _, err := m.Run(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if eng, notrace := measure(false), measure(true); eng > notrace {
+		t.Errorf("rewound gcd run allocates %v times on the engine, %v on the interpreter", eng, notrace)
 	}
 }

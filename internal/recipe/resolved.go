@@ -47,6 +47,10 @@ func ExpandResolved(caps micro.CapabilitySet, in isa.Instr) ([]micro.Op, []micro
 	} else {
 		x.rops = micro.Resolve(x.ops)
 	}
-	expansions.Store(k, x)
+	// First publication wins, so the slices are canonical: callers may key
+	// derived artefacts by their identity.
+	if prev, loaded := expansions.LoadOrStore(k, x); loaded {
+		x = prev.(*expansion)
+	}
 	return x.ops, x.rops, x.err
 }

@@ -5,9 +5,11 @@ import (
 	"mpu/internal/micro"
 )
 
-// The replay engine's execution substrate. RunCompiled executes a resolved
-// micro-op stream through the one kernel each lane geometry replays
-// fastest on (bench/README.md's vrf.* per-layer numbers):
+// The engine's execution substrate, on replayed rounds (a trace's exec
+// steps) and interpreted ones (one recipe expansion at a time) alike.
+// RunCompiled executes a resolved micro-op stream through the one kernel
+// each lane geometry runs fastest on (bench/README.md's vrf.* per-layer
+// numbers):
 //
 //   - one word per plane (lanes <= 64): the stream is lowered, once, into a
 //     chain of fused closures over the flat word directory. micro.Runs

@@ -7,9 +7,12 @@
 //
 // All of it is stored in one flat word directory, at every lane count.
 // Exec/ExecAll run micro-ops over bitvec.Plane views of that directory and
-// are the reference the tests compare against; ExecAllResolved (the
-// interpreter's path) and RunCompiled (replay's) work on the words directly,
-// one kernel per lane geometry each.
+// are the reference the tests compare against. ExecAllResolved and
+// RunCompiled work on the words directly: RunCompiled is what the machine
+// executes on every round, replayed or not, through the one kernel its lane
+// geometry favours (kernel.go); ExecAllResolved is the uncompiled per-op
+// executor, kept as the NoTrace reference interpreter the parity oracles
+// compare those kernels against.
 package vrf
 
 import (
@@ -194,13 +197,16 @@ func (v *VRF) MaskAny() bool { return v.mask.AnySet() }
 func (v *VRF) MaskPop() int { return v.mask.PopCount() }
 
 // GetMaskInto copies the lane mask into bit 0 of register r and clears the
-// remaining bits, bypassing lane gating (GETMASK).
+// remaining bits, bypassing lane gating (GETMASK). It writes the word
+// directory directly: the register's 64 planes are consecutive spans, and
+// the mask's zero tail keeps the tail invariant.
 func (v *VRF) GetMaskInto(r int) {
-	ps := v.regPlanes(r)
-	bitvec.Copy(ps[0], v.mask, v.one)
-	for b := 1; b < isa.WordBits; b++ {
-		bitvec.SetAll(ps[b], false, v.one)
+	if r < 0 || r >= isa.NumRegs {
+		panic(fmt.Sprintf("vrf: register %d out of range", r))
 	}
+	reg := v.words[r*isa.WordBits*v.wpl : (r+1)*isa.WordBits*v.wpl]
+	copy(reg, v.span(micro.SlotMask))
+	clear(reg[v.wpl:])
 }
 
 // ReadWord returns the 64-bit value of register r in lane l.

@@ -1,10 +1,12 @@
 package vrf
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"mpu/internal/bitvec"
 	"mpu/internal/micro"
 )
 
@@ -92,6 +94,42 @@ func TestGetMaskBypassesGating(t *testing.T) {
 	for l, got := range v.ReadReg(7) {
 		if got != 0 {
 			t.Fatalf("lane %d = %#x after GETMASK under empty mask", l, got)
+		}
+	}
+}
+
+// GetMaskInto writes the word directory directly; the plane path it replaced
+// (an unmasked bitvec.Copy into plane 0, an unmasked clear of the other 63)
+// is the reference here, at one lane, a ragged single word, one full word,
+// a ragged second word and SIMDRAM's four words, under full, partial and
+// empty masks. The whole directory is compared, so a write outside the
+// register or a dirty tail fails too.
+func TestGetMaskIntoMatchesPlanePath(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	for _, lanes := range []int{1, 48, 64, 65, 256} {
+		for _, mode := range []maskMode{maskAll, maskPartial, maskEmpty} {
+			for _, r := range []int{0, 7, 63} {
+				ref, got := New(lanes), New(lanes)
+				seed := rng.Int63()
+				randomize(ref, rand.New(rand.NewSource(seed)), mode)
+				randomize(got, rand.New(rand.NewSource(seed)), mode)
+
+				ps := ref.regPlanes(r)
+				bitvec.Copy(ps[0], ref.mask, ref.one)
+				for b := 1; b < len(ps); b++ {
+					bitvec.SetAll(ps[b], false, ref.one)
+				}
+				got.GetMaskInto(r)
+
+				name := fmt.Sprintf("lanes%d/%s/r%d", lanes, mode, r)
+				for w := range ref.words {
+					if ref.words[w] != got.words[w] {
+						t.Fatalf("%s: word %d (slot %d): plane path %#x, word path %#x",
+							name, w, w/ref.wpl, ref.words[w], got.words[w])
+					}
+				}
+				requireZeroTails(t, name, got)
+			}
 		}
 	}
 }
