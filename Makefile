@@ -58,12 +58,14 @@ race:
 # parity difftest, whose replay path shares compiled traces and memoized
 # recipe expansions across sweep workers, the concurrent-decode test of the
 # process-wide kernel memo, the parallel-scheduler parity difftest, which
-# fans cores out across scheduler goroutines, and the serve-layer parity and
-# warm-pool hammer tests — fast enough for every CI run.
+# fans cores out across scheduler goroutines, the register-file recycling
+# oracles (no residue after Reset, bounded spare list, reuse after a wide
+# kernel), and the serve-layer parity, cross-request isolation and warm-pool
+# hammer tests — fast enough for every CI run.
 race-short:
 	$(GO) test -race -timeout 30m ./internal/sweep ./internal/lint
-	$(GO) test -race -timeout 30m -run 'TestTraceParity|TestJITParityRandom|TestExpandConcurrent|TestParallelMachine|TestParallelDeadlock|TestSnapshotResumeParity' ./internal/machine
-	$(GO) test -race -timeout 30m -run 'TestServeParity|TestServePool|TestServePreempt|TestServeNoPreempt|TestParkedGauges|TestPipelineSession' ./internal/serve
+	$(GO) test -race -timeout 30m -run 'TestTraceParity|TestJITParityRandom|TestExpandConcurrent|TestParallelMachine|TestParallelDeadlock|TestSnapshotResumeParity|TestNoResidueAfterReset|TestSpareListBounded|TestResetReuseMatchesFresh' ./internal/machine
+	$(GO) test -race -timeout 30m -run 'TestServeParity|TestServeIsolation|TestServePool|TestServePreempt|TestServeNoPreempt|TestParkedGauges|TestPipelineSession' ./internal/serve
 	$(GO) test -race -timeout 30m -run 'TestRouterParity|TestRollingDrain|TestFairAdmission|TestRouterPipeline' ./internal/router
 	$(GO) test -race -timeout 30m -run 'TestPipelineParity' ./internal/fbp
 
@@ -71,9 +73,10 @@ race-short:
 # passes must execute without ensemble or capacity faults, and random
 # bodies — straight-line, and wrapped in a data-dependent countdown loop —
 # must produce identical planes and stats whether rounds run on the engine's
-# kernels or are fully interpreted. The comm oracle cross-checks commlint
-# against the real scheduler: verdict-clean program sets must run, flagged
-# ones must deadlock. The FBP oracles check that the pipeline parser never
+# kernels or are fully interpreted, and leave register files that recycle to
+# the bytes of a new one (as must every snapshot Restore accepts). The comm
+# oracle cross-checks commlint against the real scheduler: verdict-clean
+# program sets must run, flagged ones must deadlock. The FBP oracles check that the pipeline parser never
 # panics and that every graph the compiler accepts is deadlock-free by
 # construction (lint-clean and actually runs).
 fuzz:

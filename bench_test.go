@@ -407,3 +407,75 @@ func BenchmarkKernelSuite(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkHostIO measures the host↔VRF data path a request pays around its
+// run: /write loads three input registers into each of 64 mapped register
+// files (Machine.WriteVector: one 64×64 bit-tile transpose per 64 lanes),
+// /read copies them back out (ReadVector), and /reset-reuse is the pooled
+// request cycle — Reset parks the register files, the first write to each
+// address recycles one (clearing only the registers the last request
+// dirtied) and loads it. MB/s is host data moved; `make profile
+// BENCH=HostIO` shows the function shares.
+func BenchmarkHostIO(b *testing.B) {
+	const vrfs, regs = 64, 3
+	for _, g := range []struct {
+		name string
+		spec *mpu.Backend
+	}{{"racer64", mpu.RACER()}, {"simdram256", mpu.SIMDRAM()}} {
+		spec := g.spec
+		addrs := make([]mpu.VRFAddr, vrfs)
+		for v := range addrs {
+			addrs[v] = mpu.VRFAddr{RFH: uint8(v % spec.RFHsPerMPU), VRF: uint8(v / spec.RFHsPerMPU)}
+		}
+		vals := make([]uint64, spec.Lanes)
+		for l := range vals {
+			vals[l] = uint64(l+1) * 0x9e3779b97f4a7c15
+		}
+		newMachine := func(b *testing.B) *machine.Machine {
+			m, err := machine.New(machine.Config{Spec: spec, Mode: machine.ModeMPU, NumMPUs: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			return m
+		}
+		write := func(b *testing.B, m *machine.Machine) {
+			for _, a := range addrs {
+				for reg := 0; reg < regs; reg++ {
+					if err := m.WriteVector(0, a, reg, vals); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		}
+		for _, c := range []struct {
+			name string
+			iter func(b *testing.B, m *machine.Machine)
+		}{
+			{"write", write},
+			{"read", func(b *testing.B, m *machine.Machine) {
+				for _, a := range addrs {
+					for reg := 0; reg < regs; reg++ {
+						if _, err := m.ReadVector(0, a, reg); err != nil {
+							b.Fatal(err)
+						}
+					}
+				}
+			}},
+			{"reset-reuse", func(b *testing.B, m *machine.Machine) {
+				m.Reset()
+				write(b, m)
+			}},
+		} {
+			b.Run(g.name+"/"+c.name, func(b *testing.B) {
+				m := newMachine(b)
+				write(b, m)
+				b.SetBytes(int64(vrfs * regs * spec.Lanes * 8))
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					c.iter(b, m)
+				}
+			})
+		}
+	}
+}

@@ -307,47 +307,6 @@ func AndNot(dst, a, b, mask Plane) {
 	}
 }
 
-// ScatterInto ORs bit `bit` of out[l] for every lane l whose plane bit is
-// 1, skipping lanes beyond len(out). It walks set bits a word at a time,
-// so sparse planes cost almost nothing — this is the word-level fast path
-// behind register readback (vrf.ReadReg), which previously probed every
-// lane of every plane individually.
-func (p Plane) ScatterInto(out []uint64, bit uint) {
-	for wi, w := range p.w {
-		base := wi * 64
-		for w != 0 {
-			l := base + bits.TrailingZeros64(w)
-			if l >= len(out) {
-				return
-			}
-			out[l] |= 1 << bit
-			w &= w - 1
-		}
-	}
-}
-
-// GatherFrom sets each lane's plane bit from bit `bit` of vals[l], zeroing
-// lanes beyond len(vals). It assembles whole backing words instead of
-// calling Set per lane — the fast path behind register loads
-// (vrf.WriteReg).
-func (p Plane) GatherFrom(vals []uint64, bit uint) {
-	for wi := range p.w {
-		base := wi * 64
-		n := p.n - base
-		if n > 64 {
-			n = 64
-		}
-		if n > len(vals)-base {
-			n = len(vals) - base
-		}
-		var w uint64
-		for j := 0; j < n; j++ {
-			w |= (vals[base+j] >> bit & 1) << uint(j)
-		}
-		p.w[wi] = w
-	}
-}
-
 // String renders the plane as lane bits, lane 0 first, for debugging.
 func (p Plane) String() string {
 	buf := make([]byte, p.n)

@@ -382,42 +382,6 @@ func TestNewSlab(t *testing.T) {
 	}
 }
 
-func TestScatterGatherRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	const lanes = 131
-	vals := make([]uint64, lanes)
-	for i := range vals {
-		vals[i] = rng.Uint64()
-	}
-	planes := NewSlab(lanes, 64)
-	for b := range planes {
-		planes[b].GatherFrom(vals, uint(b))
-	}
-	got := make([]uint64, lanes)
-	for b := range planes {
-		planes[b].ScatterInto(got, uint(b))
-	}
-	for l := range vals {
-		if got[l] != vals[l] {
-			t.Fatalf("lane %d: round trip %#x, want %#x", l, got[l], vals[l])
-		}
-	}
-	// GatherFrom zeroes lanes beyond the value slice.
-	short := []uint64{^uint64(0), ^uint64(0)}
-	p := New(lanes)
-	p.GatherFrom(short, 0)
-	if p.PopCount() != 2 || !p.Get(0) || !p.Get(1) {
-		t.Fatalf("GatherFrom(short) left %d bits", p.PopCount())
-	}
-	// ScatterInto ignores lanes beyond the output slice.
-	out := make([]uint64, 1)
-	p.Fill(true)
-	p.ScatterInto(out, 7)
-	if out[0] != 1<<7 {
-		t.Fatalf("ScatterInto short out = %#x", out[0])
-	}
-}
-
 func BenchmarkNor4096(b *testing.B) {
 	p, q, r := New(4096), New(4096), New(4096)
 	m := fullMask(4096)

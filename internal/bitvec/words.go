@@ -123,3 +123,25 @@ func AndIntoWords(dst, a, m []uint64) {
 		dst[i] = a[i] & m[i]
 	}
 }
+
+// Transpose64 transposes a 64×64 bit tile in place: afterwards bit c of
+// t[r] is what bit r of t[c] was. It is how host data crosses between lane
+// order (one 64-bit value per lane) and plane order (one word per bit
+// position holding 64 lanes) — internal/vrf's WriteReg and ReadReg move a
+// register one tile at a time. The network is the recursive block swap: at
+// stage j (32, 16, ..., 1) the high-column half of each upper row block
+// trades places with the low-column half of the row block j below it, 32
+// masked swaps per stage and six stages per tile, against the 4096
+// shift-mask-or steps of moving the bits one at a time. Applying it twice
+// restores the tile.
+func Transpose64(t *[64]uint64) {
+	m := uint64(0x00000000ffffffff)
+	for j := 32; j != 0; j, m = j>>1, m^(m<<uint(j>>1)) {
+		for k := 0; k < 64; k = (k + j + 1) &^ j {
+			lo, hi := &t[k&63], &t[(k+j)&63] // the &63 only sheds the bounds checks
+			x := (*lo>>uint(j) ^ *hi) & m
+			*lo ^= x << uint(j)
+			*hi ^= x
+		}
+	}
+}

@@ -109,3 +109,78 @@ func TestWordKernelsMatchPlanes(t *testing.T) {
 		})
 	}
 }
+
+// naiveTranspose moves a tile one bit at a time: the 4096-step loop
+// Transpose64 replaces.
+func naiveTranspose(in *[64]uint64) (out [64]uint64) {
+	for r := 0; r < 64; r++ {
+		for c := 0; c < 64; c++ {
+			out[c] |= (in[r] >> uint(c) & 1) << uint(r)
+		}
+	}
+	return out
+}
+
+func TestTranspose64(t *testing.T) {
+	rng := rand.New(rand.NewSource(64))
+	var tiles [][64]uint64
+	var identity, zero, full [64]uint64
+	for i := range identity {
+		identity[i] = 1 << uint(i)
+		full[i] = ^uint64(0)
+	}
+	tiles = append(tiles, identity, zero, full)
+	for r := 0; r < 64; r++ {
+		for _, c := range []int{0, 1, 31, 32, 62, 63, r} {
+			var one [64]uint64
+			one[r] = 1 << uint(c)
+			tiles = append(tiles, one)
+		}
+	}
+	for i := 0; i < 200; i++ {
+		var x [64]uint64
+		for j := range x {
+			x[j] = rng.Uint64()
+			if i%2 == 1 {
+				x[j] &= rng.Uint64() & rng.Uint64() // sparse tiles too
+			}
+		}
+		tiles = append(tiles, x)
+	}
+	for i, in := range tiles {
+		got := in
+		Transpose64(&got)
+		if want := naiveTranspose(&in); got != want {
+			t.Fatalf("tile %d: Transpose64 differs from the bit-at-a-time transpose", i)
+		}
+		Transpose64(&got)
+		if got != in {
+			t.Fatalf("tile %d: Transpose64 applied twice is not the identity", i)
+		}
+	}
+	// The identity matrix is symmetric, so it is its own transpose; a single
+	// bit at (r, c) lands at (c, r).
+	got := identity
+	Transpose64(&got)
+	if got != identity {
+		t.Fatal("Transpose64 moved the identity tile")
+	}
+	var one [64]uint64
+	one[5] = 1 << 40
+	Transpose64(&one)
+	if one[40] != 1<<5 {
+		t.Fatalf("bit (5,40) landed at row 40 = %#x, want bit 5", one[40])
+	}
+}
+
+func BenchmarkTranspose64(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	var tile [64]uint64
+	for i := range tile {
+		tile[i] = rng.Uint64()
+	}
+	b.SetBytes(64 * 8)
+	for i := 0; i < b.N; i++ {
+		Transpose64(&tile)
+	}
+}

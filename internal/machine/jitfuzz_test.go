@@ -123,7 +123,8 @@ func fuzzProgram(spec *backends.Spec, body []isa.Instr, loop bool) (isa.Program,
 }
 
 // fuzzRun executes prog on a fresh machine and returns its stats plus the
-// compared registers of every activated VRF.
+// compared registers of every activated VRF, then holds the machine to the
+// no-residue oracle.
 func fuzzRun(t *testing.T, spec *backends.Spec, prog isa.Program, addrs []controlpath.VRFAddr,
 	rc controlpath.RecipeCacheConfig, noTrace bool, seed int64) (*machine.Stats, [][]uint64) {
 	t.Helper()
@@ -169,6 +170,11 @@ func fuzzRun(t *testing.T, spec *backends.Spec, prog isa.Program, addrs []contro
 			}
 			planes = append(planes, vals)
 		}
+	}
+	// Whatever the body wrote, through whichever executor, the register
+	// files must recycle clean (residue_test.go).
+	if n := requireNoResidue(t, spec.Name, m); n != len(addrs) {
+		t.Fatalf("%s: no-residue oracle saw %d parked VRFs, want %d", spec.Name, n, len(addrs))
 	}
 	return st, planes
 }

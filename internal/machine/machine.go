@@ -285,6 +285,10 @@ type core struct {
 	pbuf    *controlpath.PlaybackBuffer
 	done    bool
 	blocked bool
+	// spare holds the register files Reset parked: storage for vrfAt to
+	// recycle, never machine state (Snapshot does not see it). It is bounded
+	// by Spec.VRFsPerMPU, the number of addresses checkAddr admits.
+	spare []*vrf.VRF
 	// local accumulates this core's share of the run statistics. Between
 	// communication points each core charges only its own local Stats, so
 	// scheduler goroutines never contend; Run merges the locals in
@@ -443,10 +447,17 @@ func (m *Machine) checkAddr(a controlpath.VRFAddr) error {
 	return nil
 }
 
+// vrfAt returns the register file at a, mapping one on first touch: a
+// parked one recycled to the state vrf.New leaves, else a new one.
 func (c *core) vrfAt(a controlpath.VRFAddr) *vrf.VRF {
 	v, ok := c.vrfs[a]
 	if !ok {
-		v = vrf.New(c.m.cfg.Spec.Lanes)
+		if n := len(c.spare); n > 0 {
+			v, c.spare = c.spare[n-1], c.spare[:n-1]
+			v.Recycle()
+		} else {
+			v = vrf.New(c.m.cfg.Spec.Lanes)
+		}
 		c.vrfs[a] = v
 	}
 	return v

@@ -1,17 +1,17 @@
 package machine
 
-import (
-	"mpu/internal/controlpath"
-	"mpu/internal/vrf"
-)
-
 // Reset returns the machine to its just-constructed state so a pooled
 // instance can be reused across LoadProgram calls. It is the one audited
 // place that recycles per-core run state:
 //
 //   - program, pc, cycle and issue counters, and the done/blocked flags
-//   - vector register files (dropped wholesale; vrfAt re-creates zeroed
-//     planes on demand, exactly like a fresh machine)
+//   - vector register files: every address is unmapped, so the next touch
+//     sees the register file a fresh machine would. The storage is parked
+//     on the core's spare list and vrfAt recycles it (vrf.Recycle clears
+//     what the last request may have set and nothing else) instead of
+//     allocating and zeroing a new word directory per VRF per request. A
+//     core parks at most Spec.VRFsPerMPU of them — what its largest request
+//     mapped, at most VRFsPerMPU × 4372 × wpl × 8 B.
 //   - the return-address stack, recipe cache (contents AND stall/hit
 //     accounting), and playback-buffer overflow count
 //   - pending SEND/RECV rendezvous state
@@ -37,7 +37,12 @@ func (m *Machine) Reset() {
 		c.pc = 0
 		c.cycles = 0
 		c.issue = 0
-		c.vrfs = map[controlpath.VRFAddr]*vrf.VRF{}
+		for _, v := range c.vrfs {
+			if len(c.spare) < m.cfg.Spec.VRFsPerMPU() {
+				c.spare = append(c.spare, v)
+			}
+		}
+		clear(c.vrfs)
 		c.ras.Reset()
 		c.rcache.Reset()
 		c.pbuf.Reset()

@@ -6,10 +6,13 @@ package machine_test
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"slices"
 	"testing"
 
 	"mpu/internal/backends"
 	"mpu/internal/controlpath"
+	"mpu/internal/isa"
 	"mpu/internal/machine"
 	"mpu/internal/workloads"
 )
@@ -73,6 +76,66 @@ func TestResetReuseMatchesFresh(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Fatalf("request %d (%s): warm-machine stats diverge from fresh\nwarm:  %s\nfresh: %s",
 				i, rq.kernel, got, want)
+		}
+	}
+	t.Run("after-wide-kernel", resetReuseAfterWideKernel)
+}
+
+// The order-sensitive leg: a wide kernel first (sobelx and manhattan write
+// the most registers of the replayable suite), then vecadd on the same
+// machine, which recycles the wide kernel's register files and itself
+// touches three registers. Stats and every register of every mapped VRF
+// must equal vecadd's on a fresh machine, on the engine and under NoTrace.
+func resetReuseAfterWideKernel(t *testing.T) {
+	const simVRFs = 4
+	for _, spec := range []*backends.Spec{backends.RACER(), backends.SIMDRAM()} {
+		for _, noTrace := range []bool{false, true} {
+			cfg := workloads.RunConfig{
+				Spec: spec, Mode: machine.ModeMPU, TotalElements: spec.MPUs * spec.Lanes * simVRFs,
+				Seed: 3, Check: true, MaxSimVRFs: simVRFs, NoTrace: noTrace,
+			}
+			run := func(m *machine.Machine, kernel string) []byte {
+				res, err := workloads.RunOn(m, workloads.ByName(kernel), cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return statsBytes(t, res.Stats)
+			}
+			newMachine := func() *machine.Machine {
+				m, err := machine.New(workloads.MachineConfigFor(cfg))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return m
+			}
+			for _, wide := range []string{"sobelx", "manhattan"} {
+				name := fmt.Sprintf("%s/%s/notrace=%v", wide, spec.Name, noTrace)
+				warm, fresh := newMachine(), newMachine()
+				run(warm, wide)
+				got, want := run(warm, "vecadd"), run(fresh, "vecadd")
+				if !bytes.Equal(got, want) {
+					t.Fatalf("%s then vecadd: stats diverge from a fresh machine's\nwarm:  %s\nfresh: %s", name, got, want)
+				}
+				_, addrs, err := workloads.BuildProgram(workloads.ByName("vecadd"), spec, simVRFs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, a := range addrs {
+					for reg := 0; reg < isa.NumRegs; reg++ {
+						g, err := warm.ReadVector(0, a, reg)
+						if err != nil {
+							t.Fatal(err)
+						}
+						w, err := fresh.ReadVector(0, a, reg)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !slices.Equal(g, w) {
+							t.Fatalf("%s then vecadd: rfh%d.vrf%d r%d differs from a fresh machine's", name, a.RFH, a.VRF, reg)
+						}
+					}
+				}
+			}
 		}
 	}
 }

@@ -346,5 +346,8 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 		if again := fresh.Snapshot(); !bytes.Equal(again, data) {
 			t.Fatalf("accepted %d-byte stream re-encoded to %d different bytes", len(data), len(again))
 		}
+		// A restored VRF may hold any bit the stream chose; it must count
+		// as all-dirty and recycle clean.
+		requireNoResidue(t, "restored", fresh)
 	})
 }

@@ -2,12 +2,14 @@ package serve
 
 import (
 	"bytes"
+	"encoding/base64"
 	"net/http"
 	"sync"
 	"testing"
 	"time"
 
 	"mpu/internal/backends"
+	"mpu/internal/isa"
 	"mpu/internal/machine"
 	"mpu/internal/workloads"
 )
@@ -186,4 +188,70 @@ func poolSpecOf(t *testing.T, _ string) *backends.Spec {
 		t.Fatal(err)
 	}
 	return spec
+}
+
+// TestServeIsolationAcrossRequests: a pooled machine recycles its register
+// files from one request to the next, and a submitted binary may dump any
+// register — so whatever the previous tenant left, by host preload, by the
+// engine or by a whole kernel run, the next tenant on the same one-machine
+// pool must read zeros in every register its own program did not write.
+func TestServeIsolationAcrossRequests(t *testing.T) {
+	_, ts := newTestServer(t, Config{
+		Pools:       []PoolSpec{{Backend: "racer", Mode: machine.ModeMPU, Size: 1}},
+		BatchWindow: -1,
+	})
+	binary := func(src string) string {
+		prog, err := isa.Assemble(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return base64.StdEncoding.EncodeToString(isa.EncodeProgram(prog))
+	}
+	secret := make([]uint64, backends.RACER().Lanes)
+	for i := range secret {
+		secret[i] = 0xdeadbeef00000000 | uint64(i)
+	}
+	tenantA := []Request{
+		// r9 by host preload, r12 and r13 by the engine.
+		{Binary: binary("COMPUTE rfh0 vrf0\nADD r9 r9 r12\nINV r9 r13\nCOMPUTE_DONE\n"), Backend: "racer",
+			Sets: []RegisterSet{{RFH: 0, VRF: 0, Reg: 9, Values: secret}}},
+		// A kernel that writes many registers of the same VRF.
+		{Workload: "sobelx", Backend: "racer", Elements: 256, Seed: 4, Check: true},
+	}
+	tenantB := Request{
+		Binary:  binary("COMPUTE rfh0 vrf0\nADD r0 r1 r2\nCOMPUTE_DONE\n"),
+		Backend: "racer",
+		Sets: []RegisterSet{
+			{RFH: 0, VRF: 0, Reg: 0, Values: []uint64{3, 5, 7}},
+			{RFH: 0, VRF: 0, Reg: 1, Values: []uint64{10, 20, 30}},
+		},
+	}
+	for reg := 0; reg < isa.NumRegs; reg++ {
+		tenantB.Dumps = append(tenantB.Dumps, RegisterRef{RFH: 0, VRF: 0, Reg: reg})
+	}
+	for i, a := range tenantA {
+		if code, body, _ := postExecute(t, ts.URL, a); code != http.StatusOK {
+			t.Fatalf("tenant A request %d: %d %s", i, code, body)
+		}
+		code, body, _ := postExecute(t, ts.URL, tenantB)
+		if code != http.StatusOK {
+			t.Fatalf("tenant B after A's request %d: %d %s", i, code, body)
+		}
+		dumps := decodeResponse(t, body).Dumps
+		if len(dumps) != isa.NumRegs {
+			t.Fatalf("tenant B got %d dumps, want %d", len(dumps), isa.NumRegs)
+		}
+		own := map[int][]uint64{0: {3, 5, 7}, 1: {10, 20, 30}, 2: {13, 25, 37}}
+		for _, d := range dumps {
+			for l, x := range d.Values {
+				var want uint64
+				if l < len(own[d.Reg]) {
+					want = own[d.Reg][l]
+				}
+				if x != want {
+					t.Fatalf("after A's request %d: tenant B reads r%d lane %d = %#x, want %#x", i, d.Reg, l, x, want)
+				}
+			}
+		}
+	}
 }

@@ -33,6 +33,7 @@ type CompiledExec struct {
 	lanes int
 	k64   []kern64           // lanes <= 64: the fused closure chain
 	rs    []micro.ResolvedOp // lanes > 64: the stream itself (shared with the caller, immutable)
+	dirty uint64             // the architectural registers the stream writes (VRF.dirty's bits)
 }
 
 // kern64 executes one fused run over a single-word directory under mask m.
@@ -42,18 +43,30 @@ type kern64 func(ws []uint64, m uint64)
 // count declines; nil means the stream holds a micro-op kind the executors
 // do not know. The stream must not be mutated afterwards.
 func CompileResolved(rs []micro.ResolvedOp, lanes int) *CompiledExec {
+	c := &CompiledExec{lanes: lanes, rs: rs}
 	for i := range rs {
 		if int(rs[i].Kind) >= micro.NumKinds {
 			return nil
 		}
+		// Dst2 is marked whatever the kind: where it is unused it reads
+		// slot 0 and over-marks r0, which costs Recycle one register clear.
+		c.dirty |= regBit(rs[i].Dst) | regBit(rs[i].Dst2)
 	}
-	c := &CompiledExec{lanes: lanes, rs: rs}
 	if lanes <= isa.WordBits {
 		for _, run := range micro.Runs(rs) {
 			c.k64 = append(c.k64, compileRun64(run.Kind, rs[run.Start:run.Start+run.Len]))
 		}
 	}
 	return c
+}
+
+// regBit is slot s's bit in a dirty bitmap: its architectural register's, or
+// none for a slot in the always-reset tail.
+func regBit(s micro.Slot) uint64 {
+	if s >= micro.SlotScratchBase {
+		return 0
+	}
+	return 1 << (s / micro.SlotWordBits)
 }
 
 // Ops reports the number of micro-ops one execution simulates.
@@ -66,6 +79,7 @@ func (v *VRF) RunCompiled(c *CompiledExec) {
 	if v.lanes != c.lanes {
 		panic("vrf: compiled stream executed on a VRF of different lane count")
 	}
+	v.dirty |= c.dirty
 	if v.wpl == 1 {
 		ws := v.words
 		m := ws[micro.SlotMask]

@@ -23,8 +23,11 @@ var (
 // skipping per-op plane resolution, bounds checks, and the constant-plane
 // write guard (performed once at Resolve time): single-word planes (lanes
 // <= 64) get the fully inlined executor, wider planes the multi-word slab
-// kernels.
+// kernels. It marks every register dirty rather than scan the stream for
+// destinations: a per-op scan here costs the reference interpreter more
+// than Recycle's full clear ever will.
 func (v *VRF) ExecAllResolved(rs []micro.ResolvedOp) {
+	v.dirty = ^uint64(0)
 	if v.wpl == 1 {
 		v.execResolved64(rs)
 	} else {

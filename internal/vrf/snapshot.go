@@ -9,10 +9,11 @@ import (
 
 // Snapshot encoding of one VRF: the whole word directory is dumped
 // wholesale — registers, scratch, temps, cond, and the constant and mask
-// planes all live in one slab, so one copy captures everything, lazy view
-// allocation being irrelevant. The bool ahead of the words marked the flat
-// layout when a second, per-register layout existed; it stays in the stream
-// as true so snapshots of word-aligned geometries keep their bytes.
+// planes all live in one slab, so one copy captures everything. The dirty
+// bitmap is bookkeeping about those words, not state, and is not encoded.
+// The bool ahead of the words marked the flat layout when a second,
+// per-register layout existed; it stays in the stream as true so snapshots
+// of word-aligned geometries keep their bytes.
 //
 // A decode re-encodes byte-identically: it is a verbatim word copy that
 // rejects dirty tail bits instead of normalizing them.
@@ -28,7 +29,9 @@ func (v *VRF) EncodeState(w *snap.Writer) {
 
 // DecodeState overwrites a freshly constructed VRF (same lane count as the
 // encoder's) with the stream's state. On error the VRF must be discarded.
+// The stream may set any bit, so every register counts as dirty afterwards.
 func (v *VRF) DecodeState(r *snap.Reader) error {
+	v.dirty = ^uint64(0)
 	v.MicroOps = r.U64()
 	flat := r.Bool()
 	if err := r.Err(); err != nil {

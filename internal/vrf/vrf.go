@@ -13,10 +13,20 @@
 // geometry favours (kernel.go); ExecAllResolved is the uncompiled per-op
 // executor, kept as the NoTrace reference interpreter the parity oracles
 // compare those kernels against.
+//
+// Host data crosses into and out of the directory a 64×64 bit tile at a
+// time (WriteReg, ReadReg: one bitvec.Transpose64 per 64 lanes), and a VRF
+// outlives the request that filled it: Recycle returns one to the state New
+// leaves by clearing only the registers its dirty bitmap names, so a pooled
+// machine neither re-allocates nor re-zeroes a whole directory per request.
+// Every writer into the directory therefore either marks the register it
+// writes dirty or writes only the always-reset tail (scratch, temps, cond,
+// constants, mask).
 package vrf
 
 import (
 	"fmt"
+	"math/bits"
 
 	"mpu/internal/bitvec"
 	"mpu/internal/isa"
@@ -25,7 +35,7 @@ import (
 
 // VRF is the functional state of one vector register file. The planes live
 // in one word directory allocated up front; the per-register plane views the
-// host I/O and reference paths use are built lazily, on first touch.
+// reference paths use are built lazily, on first touch.
 type VRF struct {
 	lanes   int
 	regs    [isa.NumRegs][]bitvec.Plane
@@ -46,6 +56,11 @@ type VRF struct {
 	// a masked merge never touches a bit the mask does not enable.
 	words []uint64
 	wpl   int // words per plane: ceil(lanes / 64)
+
+	// dirty has bit r set when architectural register r may hold a set bit:
+	// the registers Recycle must clear. Writers over-mark freely (reading a
+	// register through its plane views marks it too); none may under-mark.
+	dirty uint64
 
 	// MicroOps counts executed micro-ops, for cross-checking against the
 	// control path's issue accounting.
@@ -71,6 +86,23 @@ func New(lanes int) *VRF {
 	return v
 }
 
+// Recycle returns a used VRF to exactly the state New leaves, so a pooled
+// machine can hand it to its next request: the registers marked dirty are
+// cleared, everything from the scratch registers up (scratch, temps, cond,
+// the constant and mask planes) is reset unconditionally, and MicroOps
+// restarts at 0. A kernel that touched 3 of the 64 registers pays for 3 plus
+// the 276-slot tail, not for the whole directory.
+func (v *VRF) Recycle() {
+	for d := v.dirty; d != 0; d &= d - 1 {
+		clear(v.regWords(bits.TrailingZeros64(d)))
+	}
+	clear(v.words[micro.SlotScratchBase*v.wpl:])
+	v.one.Fill(true)
+	v.mask.Fill(true)
+	v.dirty = 0
+	v.MicroOps = 0
+}
+
 // Lanes reports the vector width of this VRF.
 func (v *VRF) Lanes() int { return v.lanes }
 
@@ -80,10 +112,23 @@ func (v *VRF) newRegPlanes(base int) []bitvec.Plane {
 	return bitvec.PlanesOver(v.lanes, isa.WordBits, v.words[base*v.wpl:])
 }
 
+// regWords returns the storage of architectural register r: its 64 planes
+// are consecutive spans, bit b of 64-lane tile wi at word b*wpl+wi.
+func (v *VRF) regWords(r int) []uint64 {
+	if r < 0 || r >= isa.NumRegs {
+		panic(fmt.Sprintf("vrf: register %d out of range", r))
+	}
+	n := isa.WordBits * v.wpl
+	return v.words[r*n : (r+1)*n]
+}
+
+// regPlanes returns the plane views of register r and marks it dirty: the
+// caller may write through them.
 func (v *VRF) regPlanes(r int) []bitvec.Plane {
 	if r < 0 || r >= isa.NumRegs {
 		panic(fmt.Sprintf("vrf: register %d out of range", r))
 	}
+	v.dirty |= 1 << uint(r)
 	if v.regs[r] == nil {
 		v.regs[r] = v.newRegPlanes(r * isa.WordBits)
 	}
@@ -184,7 +229,7 @@ func (v *VRF) SetMaskFromCond() { v.mask.CopyFrom(v.cond) }
 
 // SetMaskFromReg loads the mask register from bit 0 of register r
 // (SETMASK r<N>).
-func (v *VRF) SetMaskFromReg(r int) { v.mask.CopyFrom(v.regPlanes(r)[0]) }
+func (v *VRF) SetMaskFromReg(r int) { copy(v.span(micro.SlotMask), v.regWords(r)[:v.wpl]) }
 
 // Unmask re-enables every lane (UNMASK).
 func (v *VRF) Unmask() { v.mask.Fill(true) }
@@ -201,10 +246,8 @@ func (v *VRF) MaskPop() int { return v.mask.PopCount() }
 // directory directly: the register's 64 planes are consecutive spans, and
 // the mask's zero tail keeps the tail invariant.
 func (v *VRF) GetMaskInto(r int) {
-	if r < 0 || r >= isa.NumRegs {
-		panic(fmt.Sprintf("vrf: register %d out of range", r))
-	}
-	reg := v.words[r*isa.WordBits*v.wpl : (r+1)*isa.WordBits*v.wpl]
+	reg := v.regWords(r)
+	v.dirty |= 1 << uint(r)
 	copy(reg, v.span(micro.SlotMask))
 	clear(reg[v.wpl:])
 }
@@ -230,25 +273,44 @@ func (v *VRF) WriteWord(r, l int, x uint64) {
 	}
 }
 
-// ReadReg returns all lane values of register r.
+// ReadReg returns all lane values of register r. Each 64-lane tile is
+// gathered from the register's 64 planes and transposed back into lane
+// order; the planes' zero tails come out as lanes the copy drops.
 func (v *VRF) ReadReg(r int) []uint64 {
+	reg := v.regWords(r)
 	out := make([]uint64, v.lanes)
-	ps := v.regPlanes(r)
-	for b := 0; b < isa.WordBits; b++ {
-		ps[b].ScatterInto(out, uint(b))
+	var tile [isa.WordBits]uint64
+	for wi := 0; wi < v.wpl; wi++ {
+		for b := range tile {
+			tile[b] = reg[b*v.wpl+wi]
+		}
+		bitvec.Transpose64(&tile)
+		copy(out[wi*isa.WordBits:], tile[:])
 	}
 	return out
 }
 
 // WriteReg stores vals into register r starting at lane 0; extra lanes are
-// zeroed. It panics if vals exceeds the lane count.
+// zeroed. It panics if vals exceeds the lane count. Each 64-lane tile is
+// zero-padded, transposed into plane order and stored straight into the
+// word directory; the padding is what keeps plane tails zero.
 func (v *VRF) WriteReg(r int, vals []uint64) {
 	if len(vals) > v.lanes {
 		panic(fmt.Sprintf("vrf: %d values exceed %d lanes", len(vals), v.lanes))
 	}
-	ps := v.regPlanes(r)
-	for b := 0; b < isa.WordBits; b++ {
-		ps[b].GatherFrom(vals, uint(b))
+	reg := v.regWords(r)
+	v.dirty |= 1 << uint(r)
+	var tile [isa.WordBits]uint64
+	for wi := 0; wi < v.wpl; wi++ {
+		n := 0
+		if lo := wi * isa.WordBits; lo < len(vals) {
+			n = copy(tile[:], vals[lo:])
+		}
+		clear(tile[n:])
+		bitvec.Transpose64(&tile)
+		for b := range tile {
+			reg[b*v.wpl+wi] = tile[b]
+		}
 	}
 }
 
@@ -271,25 +333,23 @@ func (v *VRF) MaskBits() []bool {
 }
 
 // CopyRegister copies register src of from into register dst of v, bypassing
-// lane masks. Lane counts must match; this is the DTC's MEMCPY datapath.
+// lane masks. Lane counts must match; this is the DTC's MEMCPY datapath. A
+// register is one contiguous span of the word directory, so it is one copy.
 func CopyRegister(from *VRF, src int, to *VRF, dst int) {
 	if from.lanes != to.lanes {
 		panic(fmt.Sprintf("vrf: MEMCPY lane mismatch %d vs %d", from.lanes, to.lanes))
 	}
-	fp, tp := from.regPlanes(src), to.regPlanes(dst)
-	for b := 0; b < isa.WordBits; b++ {
-		tp[b].CopyFrom(fp[b])
-	}
+	copy(to.regWords(dst), from.regWords(src))
+	to.dirty |= 1 << uint(dst)
 }
 
-// TouchedRegs returns the architectural registers that have been allocated,
-// in ascending order — useful for debugging and state dumps.
+// TouchedRegs returns the architectural registers that may hold a set bit
+// (the dirty bitmap), in ascending order — useful for debugging and state
+// dumps.
 func (v *VRF) TouchedRegs() []int {
 	var out []int
-	for r := range v.regs {
-		if v.regs[r] != nil {
-			out = append(out, r)
-		}
+	for d := v.dirty; d != 0; d &= d - 1 {
+		out = append(out, bits.TrailingZeros64(d))
 	}
 	return out
 }
