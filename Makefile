@@ -60,12 +60,13 @@ race:
 # process-wide kernel memo, the parallel-scheduler parity difftest, which
 # fans cores out across scheduler goroutines, the register-file recycling
 # oracles (no residue after Reset, bounded spare list, reuse after a wide
-# kernel), and the serve-layer parity, cross-request isolation and warm-pool
-# hammer tests — fast enough for every CI run.
+# kernel), and the serve-layer parity, cross-request isolation, warm-pool
+# hammer, preemption/parking and join-until-sealed tests — fast enough for
+# every CI run.
 race-short:
 	$(GO) test -race -timeout 30m ./internal/sweep ./internal/lint
 	$(GO) test -race -timeout 30m -run 'TestTraceParity|TestJITParityRandom|TestExpandConcurrent|TestParallelMachine|TestParallelDeadlock|TestSnapshotResumeParity|TestNoResidueAfterReset|TestSpareListBounded|TestResetReuseMatchesFresh' ./internal/machine
-	$(GO) test -race -timeout 30m -run 'TestServeParity|TestServeIsolation|TestServePool|TestServePreempt|TestServeNoPreempt|TestParkedGauges|TestPipelineSession' ./internal/serve
+	$(GO) test -race -timeout 30m -run 'TestServeParity|TestServeIsolation|TestServePool|TestServePreempt|TestServeNoPreempt|TestParkedGauges|TestServeJoin|TestServeLateArrival|TestBatchingCoalesces|TestPipelineSession' ./internal/serve
 	$(GO) test -race -timeout 30m -run 'TestRouterParity|TestRollingDrain|TestFairAdmission|TestRouterPipeline' ./internal/router
 	$(GO) test -race -timeout 30m -run 'TestPipelineParity' ./internal/fbp
 

@@ -1,14 +1,19 @@
 // Command mpud runs the MPU simulator as a long-lived execution service:
 // warm machine pools per (backend, mode), a bounded admission queue with
-// 503 backpressure, request batching, per-request deadlines, and an
-// observability plane (/metrics, /healthz, JSON request logs).
+// 503 backpressure, single-flight coalescing of identical requests,
+// per-request deadlines, and an observability plane (/metrics, /healthz,
+// JSON request logs).
 //
 // Usage:
 //
 //	mpud [-addr :8080] [-pools racer:mpu:2,mimdram:mpu:1] [-queue 64]
-//	     [-window 2ms] [-deadline 30s] [-max-elements 1048576]
+//	     [-deadline 30s] [-max-elements 1048576]
 //	     [-j N] [-node-id node0] [-quiet]
-//	     [-nopreempt] [-max-parked 8]
+//	     [-nopreempt] [-max-parked 8] [-pprof 127.0.0.1:6060]
+//
+// Coalescing needs no setting: a request identical to one that is queued,
+// running or parked shares that run, and no request ever waits for a twin
+// to arrive (docs/SERVE.md, "Batching").
 //
 // QoS: the X-QoS request header selects a class — "latency" (strict queue
 // priority; preempts running batch jobs at ensemble boundaries) or "batch"
@@ -31,6 +36,10 @@
 // session's machine state parks as a snapshot between requests, so sessions
 // never pin machines. -max-sessions bounds the table.
 //
+// -pprof mounts net/http/pprof on a listener of its own (off by default;
+// keep it on loopback), so a profile is read off the daemon under real
+// traffic: go tool pprof http://127.0.0.1:6060/debug/pprof/profile?seconds=30
+//
 // On SIGTERM/SIGINT the daemon drains: admission stops (503), in-flight
 // requests run to completion, then the pools shut down.
 //
@@ -50,6 +59,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"os"
 	"os/signal"
 	"syscall"
@@ -62,7 +72,6 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address (host:port; :0 picks a free port)")
 	pools := flag.String("pools", "racer:mpu:2", "warm pools: backend:mode[:size],... (modes: mpu, baseline)")
 	queue := flag.Int("queue", 64, "admission queue depth per pool, in batches")
-	window := flag.Duration("window", 2*time.Millisecond, "batching window (negative disables coalescing waits)")
 	deadline := flag.Duration("deadline", 30*time.Second, "default per-request deadline")
 	maxElements := flag.Int("max-elements", 1<<20, "per-request element cap for workload runs")
 	jobs := flag.Int("j", 0, "machine scheduler workers per pool machine (0 = one per CPU)")
@@ -71,17 +80,18 @@ func main() {
 	nopreempt := flag.Bool("nopreempt", false, "disable ensemble-boundary preemption (latency keeps queue priority only)")
 	maxParked := flag.Int("max-parked", 8, "parking-lot bound per pool for preempted-job snapshots")
 	maxSessions := flag.Int("max-sessions", 8, "live pipeline session bound (/v1/pipelines)")
+	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address, on its own listener (empty = off)")
 	smoke := flag.Bool("smoke", false, "self-test: serve on a random port, run one request, drain, exit")
 	pipelineSmoke := flag.Bool("pipeline-smoke", false, "self-test the session plane: create, stream, 422 check, close, drain, exit")
 	flag.Parse()
 
-	if err := run(*addr, *pools, *queue, *window, *deadline, *maxElements, *jobs, *nodeID, *quiet, *nopreempt, *maxParked, *maxSessions, *smoke, *pipelineSmoke); err != nil {
+	if err := run(*addr, *pools, *queue, *deadline, *maxElements, *jobs, *nodeID, *quiet, *nopreempt, *maxParked, *maxSessions, *pprofAddr, *smoke, *pipelineSmoke); err != nil {
 		fmt.Fprintf(os.Stderr, "mpud: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run(addr, pools string, queue int, window, deadline time.Duration, maxElements int, jobs int, nodeID string, quiet, nopreempt bool, maxParked, maxSessions int, smoke, pipelineSmoke bool) error {
+func run(addr, pools string, queue int, deadline time.Duration, maxElements int, jobs int, nodeID string, quiet, nopreempt bool, maxParked, maxSessions int, pprofAddr string, smoke, pipelineSmoke bool) error {
 	specs, err := serve.ParsePoolSpecs(pools)
 	if err != nil {
 		return err
@@ -93,7 +103,6 @@ func run(addr, pools string, queue int, window, deadline time.Duration, maxEleme
 	srv, err := serve.New(serve.Config{
 		Pools:           specs,
 		QueueDepth:      queue,
-		BatchWindow:     window,
 		MaxElements:     maxElements,
 		DefaultDeadline: deadline,
 		MachineWorkers:  jobs,
@@ -125,8 +134,33 @@ func run(addr, pools string, queue int, window, deadline time.Duration, maxEleme
 	}
 	fmt.Printf("mpud: listening on %s (pools %s)\n", ln.Addr(), pools)
 
-	errCh := make(chan error, 1)
+	errCh := make(chan error, 2) // one send per server
 	go func() { errCh <- hs.Serve(ln) }()
+
+	if pprofAddr != "" {
+		pln, err := net.Listen("tcp", pprofAddr)
+		if err != nil {
+			return fmt.Errorf("pprof: %w", err)
+		}
+		mux := http.NewServeMux()
+		mux.HandleFunc("/debug/pprof/", pprof.Index)
+		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+		// The write timeout bounds the longest CPU profile or execution
+		// trace a client may ask for (pprof refuses longer ones up front).
+		ps := &http.Server{
+			Handler:           mux,
+			ReadHeaderTimeout: 5 * time.Second,
+			ReadTimeout:       30 * time.Second,
+			WriteTimeout:      2 * time.Minute,
+			IdleTimeout:       2 * time.Minute,
+		}
+		defer ps.Close()
+		fmt.Printf("mpud: pprof on http://%s/debug/pprof/\n", pln.Addr())
+		go func() { errCh <- ps.Serve(pln) }()
+	}
 
 	if smoke || pipelineSmoke {
 		test, name := smokeTest, "smoke"

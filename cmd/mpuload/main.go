@@ -216,7 +216,6 @@ type opts struct {
 	mixSpec  string
 	elements int
 	queue    int
-	window   time.Duration
 	drain    bool
 	strict   bool
 	seeds    int // distinct seed values cycled per request (1 maximizes coalescing)
@@ -248,7 +247,6 @@ func main() {
 		"request mix: workload:backend[:mode],... cycled per client")
 	flag.IntVar(&o.elements, "elements", 128, "elements per request")
 	flag.IntVar(&o.queue, "queue", 64, "self-hosted admission queue depth per pool")
-	flag.DurationVar(&o.window, "window", 2*time.Millisecond, "self-hosted batching window")
 	flag.BoolVar(&o.drain, "drain", false, "SIGTERM the self-hosted server (node 0 in cluster mode) at half duration")
 	flag.BoolVar(&o.strict, "strict", false, "exit non-zero on any dropped request or transport error")
 	flag.IntVar(&o.seeds, "seeds", 8, "distinct seed values cycled across requests (higher defeats batch coalescing)")
@@ -802,7 +800,6 @@ func selfHost(o opts, debugDelay time.Duration) (string, func() error, error) {
 	srv, err := serve.New(serve.Config{
 		Pools:       specs,
 		QueueDepth:  o.queue,
-		BatchWindow: o.window,
 		MaxElements: o.maxElements,
 		NoPreempt:   o.nopreempt,
 		MaxParked:   o.maxParked,
@@ -860,7 +857,6 @@ func selfHostCluster(o opts, slow map[int]time.Duration) (string, *router.Router
 		srv, err := serve.New(serve.Config{
 			Pools:       specs,
 			QueueDepth:  o.queue,
-			BatchWindow: o.window,
 			MaxElements: o.maxElements,
 			NoPreempt:   o.nopreempt,
 			MaxParked:   o.maxParked,
@@ -979,7 +975,6 @@ func clusterBench(out string) error {
 		mixSpec:  scaleMix,
 		elements: 64,
 		queue:    128,
-		window:   2 * time.Millisecond,
 		hedge:    true,
 		hedgeMax: 250 * time.Millisecond,
 	}
@@ -1199,7 +1194,6 @@ func qosBench(out string) error {
 		o := opts{
 			pools:       bench.Config.Pools,
 			queue:       16,
-			window:      time.Millisecond,
 			maxElements: batchElems,
 			nopreempt:   nopreempt,
 			maxParked:   8,

@@ -409,7 +409,7 @@ func pipelineBench(out string) error {
 	bench.Floors.MaxBurstRefusals = 0
 	bench.Floors.MaxPipelineErrors = 0
 
-	o := opts{pools: bench.Config.Pools, queue: 64, window: time.Millisecond, maxParked: 8}
+	o := opts{pools: bench.Config.Pools, queue: 64, maxParked: 8}
 	url, shutdown, err := selfHost(o, 0)
 	if err != nil {
 		return err

@@ -90,7 +90,7 @@ func scrapeMetric(t *testing.T, url, name string) string {
 }
 
 // preemptOnce runs the preemption choreography against a single-machine pool:
-// a batch request is admitted first and held in its coalescing window, a
+// a batch request is admitted first and held by DebugDelay, a
 // latency request arrives while the worker is busy, and (with preemption
 // enabled) the batch job parks at its first ensemble boundary, the latency
 // request runs, and the batch job is restored and resumed. Returns the batch
@@ -109,9 +109,9 @@ func preemptOnce(t *testing.T, cfg Config, batchReq, latReq Request) (batchStats
 		}
 		batchStats = []byte(decodeResponse(t, body).Stats)
 	}()
-	// Land the latency request inside the batch job's coalescing window so
+	// Land the latency request while the batch job is held before its run so
 	// the worker is reliably busy with preemptible work.
-	time.Sleep(cfg.BatchWindow / 4)
+	time.Sleep(cfg.DebugDelay / 4)
 	code, body := postExecuteClass(t, ts.URL, ClassLatency, latReq)
 	if code != http.StatusOK {
 		t.Fatalf("latency request: %d %s", code, body)
@@ -128,23 +128,14 @@ func preemptOnce(t *testing.T, cfg Config, batchReq, latReq Request) (batchStats
 func TestServePreemptParity(t *testing.T) {
 	batchReq := Request{Workload: "gcd", Backend: "racer", Elements: 512, Seed: 11, Check: true}
 	latReq := Request{Workload: "vecadd", Backend: "racer", Elements: 64, Seed: 3}
-
-	// Uncontended reference.
-	_, ts := newTestServer(t, Config{
-		Pools: []PoolSpec{{Backend: "racer", Mode: machine.ModeMPU, Size: 1}},
-	})
-	code, body, _ := postExecute(t, ts.URL, batchReq)
-	if code != http.StatusOK {
-		t.Fatalf("reference: %d %s", code, body)
-	}
-	want := []byte(decodeResponse(t, body).Stats)
+	want := soloStats(t, batchReq) // uncontended reference
 
 	cfg := Config{
-		Pools:       []PoolSpec{{Backend: "racer", Mode: machine.ModeMPU, Size: 1}},
-		BatchWindow: 300 * time.Millisecond,
+		Pools:      []PoolSpec{{Backend: "racer", Mode: machine.ModeMPU, Size: 1}},
+		DebugDelay: 300 * time.Millisecond,
 	}
-	// The choreography depends on the latency request landing inside the
-	// batch window; retry on a slow machine rather than flake.
+	// The choreography depends on the latency request landing while the
+	// batch job is held; retry on a slow machine rather than flake.
 	for attempt := 0; attempt < 3; attempt++ {
 		got, preempted := preemptOnce(t, cfg, batchReq, latReq)
 		if t.Failed() {
@@ -166,20 +157,12 @@ func TestServePreemptParity(t *testing.T) {
 func TestServeNoPreempt(t *testing.T) {
 	batchReq := Request{Workload: "gcd", Backend: "racer", Elements: 512, Seed: 11, Check: true}
 	latReq := Request{Workload: "vecadd", Backend: "racer", Elements: 64, Seed: 3}
-
-	_, ts := newTestServer(t, Config{
-		Pools: []PoolSpec{{Backend: "racer", Mode: machine.ModeMPU, Size: 1}},
-	})
-	code, body, _ := postExecute(t, ts.URL, batchReq)
-	if code != http.StatusOK {
-		t.Fatalf("reference: %d %s", code, body)
-	}
-	want := []byte(decodeResponse(t, body).Stats)
+	want := soloStats(t, batchReq)
 
 	got, preempted := preemptOnce(t, Config{
-		Pools:       []PoolSpec{{Backend: "racer", Mode: machine.ModeMPU, Size: 1}},
-		BatchWindow: 150 * time.Millisecond,
-		NoPreempt:   true,
+		Pools:      []PoolSpec{{Backend: "racer", Mode: machine.ModeMPU, Size: 1}},
+		DebugDelay: 150 * time.Millisecond,
+		NoPreempt:  true,
 	}, batchReq, latReq)
 	if t.Failed() {
 		return
@@ -197,8 +180,8 @@ func TestServeNoPreempt(t *testing.T) {
 // distinct batches.
 func TestClassCoalescingSeparation(t *testing.T) {
 	_, ts := newTestServer(t, Config{
-		Pools:       []PoolSpec{{Backend: "racer", Mode: machine.ModeMPU, Size: 1}},
-		BatchWindow: 150 * time.Millisecond,
+		Pools:      []PoolSpec{{Backend: "racer", Mode: machine.ModeMPU, Size: 1}},
+		DebugDelay: 150 * time.Millisecond,
 	})
 	req := Request{Workload: "vecadd", Backend: "racer", Elements: 128, Seed: 5}
 	var wg sync.WaitGroup
@@ -226,8 +209,8 @@ func TestClassCoalescingSeparation(t *testing.T) {
 // restore was observed.
 func TestParkedGaugesDrain(t *testing.T) {
 	cfg := Config{
-		Pools:       []PoolSpec{{Backend: "racer", Mode: machine.ModeMPU, Size: 1}},
-		BatchWindow: 300 * time.Millisecond,
+		Pools:      []PoolSpec{{Backend: "racer", Mode: machine.ModeMPU, Size: 1}},
+		DebugDelay: 300 * time.Millisecond,
 	}
 	batchReq := Request{Workload: "gcd", Backend: "racer", Elements: 512, Seed: 11}
 	latReq := Request{Workload: "vecadd", Backend: "racer", Elements: 64, Seed: 3}
@@ -242,7 +225,7 @@ func TestParkedGaugesDrain(t *testing.T) {
 				t.Errorf("batch request: %d %s", code, body)
 			}
 		}()
-		time.Sleep(cfg.BatchWindow / 4)
+		time.Sleep(cfg.DebugDelay / 4)
 		if code, body := postExecuteClass(t, ts.URL, ClassLatency, latReq); code != http.StatusOK {
 			t.Fatalf("latency request: %d %s", code, body)
 		}

@@ -1,8 +1,9 @@
 // Package serve turns the simulator into a long-running MPU-as-a-service
 // daemon: warm machine pools per (backend, mode) whose recipe-expansion
 // memos survive across requests, a bounded admission queue with 503
-// backpressure, a batching coalescer that merges identical requests into
-// one SPMD run, per-request deadlines, and an observability plane
+// backpressure, a single-flight coalescer that lets a request join an
+// identical one that is queued, running or parked and share its run,
+// per-request deadlines, and an observability plane
 // (/metrics in Prometheus text format, /healthz, structured JSON request
 // logs). The package is stdlib-only.
 //
@@ -69,12 +70,6 @@ type Config struct {
 	// admission with 503 + Retry-After. Default 64.
 	QueueDepth int
 
-	// BatchWindow is how long a dequeued batch keeps accepting identical
-	// requests before it is sealed and executed. Under load batches also
-	// accumulate joiners while queued. Default 2ms; negative disables the
-	// wait (a zero value means the default).
-	BatchWindow time.Duration
-
 	// MaxElements caps a workload request's element count. Default 1<<20.
 	MaxElements int
 
@@ -97,8 +92,9 @@ type Config struct {
 	NodeID string
 
 	// DebugDelay artificially delays each batch execution by the given
-	// duration. It exists for the cluster studies and tests that need one
-	// deliberately slow node (hedging p99 experiments); it never changes
+	// duration (the batch stays joinable meanwhile). It exists for the
+	// cluster studies and tests that need one deliberately slow node
+	// (hedging p99 experiments) or a worker held busy; it never changes
 	// machine.Stats, only wall time. Zero disables it.
 	DebugDelay time.Duration
 
@@ -131,12 +127,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 64
-	}
-	if c.BatchWindow == 0 {
-		c.BatchWindow = 2 * time.Millisecond
-	}
-	if c.BatchWindow < 0 {
-		c.BatchWindow = 0
 	}
 	if c.MaxElements <= 0 {
 		c.MaxElements = 1 << 20
@@ -316,13 +306,13 @@ type batchResult struct {
 	body   []byte
 }
 
-// batch is one piece of work in a pool's admission queue plus the waiters
-// coalesced onto it.
+// batch is one piece of work — queued, running or parked — plus the waiters
+// coalesced onto it. It accepts joiners from admit until pool.seal, which
+// runs once its result is known.
 type batch struct {
 	key     string
 	class   string
 	req     *execReq
-	created time.Time
 	waiters []chan *batchResult // guarded by the pool mutex until sealed
 }
 
@@ -338,8 +328,9 @@ type workerState struct {
 	started     time.Time // when the current job was taken
 }
 
-// parkedJob is one preempted batch job: its sealed batch, the prepared-run
-// bookkeeping needed to finish it, and the machine snapshot to resume from.
+// parkedJob is one preempted batch job: its (still joinable) batch, the
+// prepared-run bookkeeping needed to finish it, and the machine snapshot to
+// resume from.
 type parkedJob struct {
 	b    *batch
 	prep *workloads.Prepared
@@ -363,7 +354,7 @@ type pool struct {
 	latQ    []*batch   // latency-class admission queue (strict priority)
 	batQ    []*batch   // batch-class admission queue
 	parked  []*parkedJob
-	open    map[string]*batch // batches still accepting joiners
+	open    map[string]*batch // unsealed batches: queued, running or parked
 	workers []*workerState
 	closed  bool
 }
@@ -502,16 +493,6 @@ func (s *Server) runWorker(p *pool, w *workerState) {
 		case pj != nil:
 			s.resume(p, w, pj)
 		case b != nil:
-			// The coalescing window only delays batch-class work: a latency
-			// request trades batching efficiency for response time.
-			if b.class == ClassBatch && s.cfg.BatchWindow > 0 {
-				if d := time.Until(b.created.Add(s.cfg.BatchWindow)); d > 0 {
-					time.Sleep(d)
-				}
-			}
-			p.mu.Lock()
-			delete(p.open, b.key) // seal: later identical requests start a new batch
-			p.mu.Unlock()
 			if s.cfg.DebugDelay > 0 {
 				time.Sleep(s.cfg.DebugDelay)
 			}
@@ -519,7 +500,7 @@ func (s *Server) runWorker(p *pool, w *workerState) {
 			if parked {
 				continue // the job is in the parking lot; pick up latency work
 			}
-			s.deliver(b, res)
+			s.deliver(p, b, res)
 		default:
 			return // closed and drained
 		}
@@ -561,9 +542,24 @@ func (p *pool) take(w *workerState) (*batch, *parkedJob) {
 	}
 }
 
-// deliver fans a sealed batch's shared result out to every coalesced waiter.
-func (s *Server) deliver(b *batch, res *batchResult) {
-	s.metrics.observeBatch(len(b.waiters))
+// seal closes b to joiners and returns how many requests share its result.
+// One hold of the pool mutex covers both, so a request either joined before
+// the count was read or starts a batch of its own: no joiner is lost and
+// none is served twice. Sealing an already sealed batch changes nothing.
+func (p *pool) seal(b *batch) int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.open[b.key] == b {
+		delete(p.open, b.key)
+	}
+	return len(b.waiters)
+}
+
+// deliver fans a batch's shared result out to every coalesced waiter. A
+// success was sealed before its body was marshalled (sealResponse); an error
+// result is sealed here.
+func (s *Server) deliver(p *pool, b *batch, res *batchResult) {
+	s.metrics.observeBatch(p.seal(b))
 	for _, ch := range b.waiters {
 		ch <- res // buffered: an abandoned (deadline-expired) waiter cannot block the pool
 	}
@@ -584,7 +580,7 @@ func (p *pool) admit(rq *execReq) (<-chan *batchResult, bool) {
 	if len(p.latQ)+len(p.batQ) >= p.queueDepth {
 		return nil, false
 	}
-	b := &batch{key: rq.key, class: rq.class, req: rq, created: time.Now(), waiters: []chan *batchResult{ch}}
+	b := &batch{key: rq.key, class: rq.class, req: rq, waiters: []chan *batchResult{ch}}
 	if rq.class == ClassLatency {
 		p.latQ = append(p.latQ, b)
 		if p.preempt {
@@ -623,18 +619,36 @@ func (p *pool) preemptForLatency() {
 // boundary; returns false when the job should simply resume in place —
 // either the latency burst that triggered the preemption was already
 // absorbed by another worker, or the lot is full (counted as a spill).
+//
+// The snapshot is megabytes for a large job, so it is encoded between two
+// holds of the pool mutex, not under one — admit, take and the /metrics depth
+// read never wait for it — and the decision is re-checked before the append.
 func (p *pool) park(w *workerState, b *batch, prep *workloads.Prepared, mt *metrics) bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	w.preempting = false
-	if len(p.latQ) == 0 {
-		return false
+	// wanted reports, with p.mu held, whether the job should leave its
+	// machine, and counts the spill when a full lot is why not.
+	wanted := func() bool {
+		if len(p.latQ) == 0 {
+			return false
+		}
+		if len(p.parked) >= p.maxParked {
+			mt.observeSpill()
+			return false
+		}
+		return true
 	}
-	if len(p.parked) >= p.maxParked {
-		mt.observeSpill()
+	p.mu.Lock()
+	w.preempting = false
+	ok := wanted()
+	p.mu.Unlock()
+	if !ok {
 		return false
 	}
 	snap := prep.Machine.Snapshot()
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if !wanted() {
+		return false
+	}
 	p.parked = append(p.parked, &parkedJob{b: b, prep: prep, snap: snap})
 	mt.observePark(len(snap))
 	p.cond.Signal()
@@ -649,7 +663,7 @@ func (s *Server) resume(p *pool, w *workerState, pj *parkedJob) {
 	s.metrics.observeUnpark(len(pj.snap))
 	t0 := time.Now()
 	if err := w.m.Restore(pj.snap); err != nil {
-		s.deliver(pj.b, errResult(http.StatusInternalServerError, err))
+		s.deliver(p, pj.b, errResult(http.StatusInternalServerError, err))
 		return
 	}
 	s.metrics.observeRestore(time.Since(t0).Seconds())
@@ -658,10 +672,10 @@ func (s *Server) resume(p *pool, w *workerState, pj *parkedJob) {
 	if parked {
 		return
 	}
-	s.deliver(pj.b, res)
+	s.deliver(p, pj.b, res)
 }
 
-// execute runs one sealed batch on the worker's warm machine. The second
+// execute runs one batch on the worker's warm machine. The second
 // return reports that the job was preempted and parked instead of finishing;
 // its result will be delivered by whichever worker resumes it.
 func (s *Server) execute(p *pool, w *workerState, b *batch) (*batchResult, bool) {
@@ -682,10 +696,9 @@ func (s *Server) execute(p *pool, w *workerState, b *batch) (*batchResult, bool)
 	}
 	m := w.m
 	resp := Response{
-		Backend:   p.spec.Name,
-		Mode:      p.mode.String(),
-		Seed:      rq.raw.Seed,
-		BatchSize: len(b.waiters),
+		Backend: p.spec.Name,
+		Mode:    p.mode.String(),
+		Seed:    rq.raw.Seed,
 	}
 	m.Reset()
 	if err := m.LoadAll(rq.prog); err != nil {
@@ -710,7 +723,7 @@ func (s *Server) execute(p *pool, w *workerState, b *batch) (*batchResult, bool)
 		}
 		resp.Dumps = append(resp.Dumps, RegisterDump{RFH: d.RFH, VRF: d.VRF, Reg: d.Reg, Values: vals})
 	}
-	return s.sealResponse(&resp, &cp), false
+	return s.sealResponse(p, b, &resp, &cp), false
 }
 
 // runKernel drives a prepared kernel batch to completion, parking it when a
@@ -747,18 +760,19 @@ func (s *Server) runKernel(p *pool, w *workerState, b *batch, prep *workloads.Pr
 			Mode:         p.mode.String(),
 			Elements:     b.req.raw.Elements,
 			Seed:         b.req.raw.Seed,
-			BatchSize:    len(b.waiters),
 			Seconds:      res.Seconds,
 			Joules:       res.Joules,
 			CheckedLanes: res.CheckedLanes,
 		}
-		return s.sealResponse(&resp, res.Stats), false
+		return s.sealResponse(p, b, &resp, res.Stats), false
 	}
 }
 
-// sealResponse rolls the run's stats into the metrics plane and marshals the
-// shared response body.
-func (s *Server) sealResponse(resp *Response, st *machine.Stats) *batchResult {
+// sealResponse seals a finished batch — its result is known, so from here a
+// twin request runs again — stamps the final batch size, rolls the run's stats
+// into the metrics plane and marshals the shared response body.
+func (s *Server) sealResponse(p *pool, b *batch, resp *Response, st *machine.Stats) *batchResult {
+	resp.BatchSize = p.seal(b)
 	s.metrics.rollupStats(st.TraceHits, st.TraceMisses, st.TraceFallbacks, st.JITCompiles, st.JITReplays, st.Rounds)
 	statsJSON, err := json.Marshal(st)
 	if err != nil {
@@ -837,7 +851,7 @@ func (s *Server) validate(raw *Request, class string) (*execReq, *pool, error) {
 		return nil, nil, fmt.Errorf("request needs a workload or a binary")
 	}
 	// The class is part of the coalescing identity: a latency request never
-	// rides on (or waits for) an open batch-class twin.
+	// rides on an open batch-class twin, which may be parked behind it.
 	key, err := json.Marshal(struct {
 		W  string        `json:"w"`
 		B  string        `json:"b"`

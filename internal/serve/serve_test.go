@@ -209,9 +209,9 @@ func TestExecuteBinaryCommPreflight(t *testing.T) {
 // and a single busy worker, distinct requests beyond capacity are refused.
 func TestBackpressure(t *testing.T) {
 	s, ts := newTestServer(t, Config{
-		Pools:       []PoolSpec{{Backend: "racer", Mode: machine.ModeMPU, Size: 1}},
-		QueueDepth:  1,
-		BatchWindow: 100 * time.Millisecond, // hold the worker so the queue stays occupied
+		Pools:      []PoolSpec{{Backend: "racer", Mode: machine.ModeMPU, Size: 1}},
+		QueueDepth: 1,
+		DebugDelay: 100 * time.Millisecond, // hold the worker so the queue stays occupied
 	})
 	var wg sync.WaitGroup
 	status := make([]int, 8)
@@ -258,12 +258,13 @@ func TestBackpressure(t *testing.T) {
 	_ = s
 }
 
-// TestBatchingCoalesces pins that identical requests inside the window run
-// once: every response reports the same batch size > 1 and identical stats.
+// TestBatchingCoalesces pins that identical requests arriving while their
+// twin is in flight run once: every response reports the same batch size > 1
+// and identical stats.
 func TestBatchingCoalesces(t *testing.T) {
 	_, ts := newTestServer(t, Config{
-		Pools:       []PoolSpec{{Backend: "racer", Mode: machine.ModeMPU, Size: 1}},
-		BatchWindow: 150 * time.Millisecond,
+		Pools:      []PoolSpec{{Backend: "racer", Mode: machine.ModeMPU, Size: 1}},
+		DebugDelay: 150 * time.Millisecond,
 	})
 	const n = 4
 	var wg sync.WaitGroup
@@ -289,8 +290,9 @@ func TestBatchingCoalesces(t *testing.T) {
 		sizes[r.BatchSize] = true
 		stats = append(stats, r.Stats)
 	}
-	// All four arrive well inside the 150ms window, so they coalesce into
-	// one run; every waiter sees the same batch size.
+	// The first to arrive is held 150ms before it runs and the other three
+	// arrive well inside that, so they join it in flight: one run, and every
+	// waiter sees the same batch size.
 	if len(sizes) != 1 || !sizes[n] {
 		t.Fatalf("want every response batched at size %d, got sizes %v", n, sizes)
 	}
@@ -302,11 +304,11 @@ func TestBatchingCoalesces(t *testing.T) {
 }
 
 // TestDeadlineWhileQueued pins the 504 path: a deadline shorter than the
-// batch window expires while the request waits.
+// time the request's batch is held expires while the request waits.
 func TestDeadlineWhileQueued(t *testing.T) {
 	_, ts := newTestServer(t, Config{
-		Pools:       []PoolSpec{{Backend: "racer", Mode: machine.ModeMPU, Size: 1}},
-		BatchWindow: 300 * time.Millisecond,
+		Pools:      []PoolSpec{{Backend: "racer", Mode: machine.ModeMPU, Size: 1}},
+		DebugDelay: 300 * time.Millisecond,
 	})
 	code, body, _ := postExecute(t, ts.URL, Request{
 		Workload: "vecxor", Backend: "racer", Elements: 64, DeadlineMS: 20,
@@ -321,8 +323,8 @@ func TestDeadlineWhileQueued(t *testing.T) {
 // /healthz flips to draining.
 func TestDrain(t *testing.T) {
 	s, ts := newTestServer(t, Config{
-		Pools:       []PoolSpec{{Backend: "racer", Mode: machine.ModeMPU, Size: 1}},
-		BatchWindow: 200 * time.Millisecond,
+		Pools:      []PoolSpec{{Backend: "racer", Mode: machine.ModeMPU, Size: 1}},
+		DebugDelay: 200 * time.Millisecond,
 	})
 	done := make(chan int, 1)
 	go func() {
@@ -331,20 +333,7 @@ func TestDrain(t *testing.T) {
 		})
 		done <- code
 	}()
-	// Wait until the request is admitted (inflight gauge reaches 1).
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		s.metrics.mu.Lock()
-		n := s.metrics.inflight
-		s.metrics.mu.Unlock()
-		if n >= 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("request never admitted")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitInflight(t, s, 1) // admitted
 	s.Drain()
 	if code, _, _ := postExecute(t, ts.URL, Request{
 		Workload: "gcd", Backend: "racer", Elements: 256, Seed: 2,

@@ -25,6 +25,7 @@ type Prog struct {
 // returns nil only for a stream no Recorder produces: an unknown step kind
 // or an unknown micro-op kind.
 func CompileJIT(t *Trace, lanes int) *Prog {
+	t.Flatten()
 	p := &Prog{steps: make([]func(v *vrf.VRF), 0, len(t.Steps))}
 	for i := range t.Steps {
 		s := &t.Steps[i]

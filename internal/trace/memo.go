@@ -39,7 +39,11 @@ func NewProgMemo() *ProgMemo { return &ProgMemo{m: map[uint64][]memoEntry{}} }
 // Compile returns the JIT program for the trace's step stream, lowering it
 // at most once per distinct (stream, lanes) pair. It returns nil exactly
 // when CompileJIT does (a malformed stream), and memoizes nothing then.
+//
+// The caller owns t: its flat stream is built here, before the memo (which
+// other cores read) can come to share t.Steps.
 func (pm *ProgMemo) Compile(t *Trace, lanes int) *Prog {
+	t.Flatten()
 	h := hashSteps(t.Steps, lanes)
 	pm.mu.Lock()
 	for _, e := range pm.m[h] {

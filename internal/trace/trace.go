@@ -5,7 +5,8 @@
 // every round executes the identical instruction path with identical
 // per-round costs. The machine therefore interprets such a body once, under
 // a Recorder that compiles it into a flat Trace — the fully resolved
-// micro-op stream with recipe expansions inlined and JUMP/RETURN folded
+// micro-op stream with recipe expansions inlined (on first use: recording
+// only references them, Trace.Flatten copies) and JUMP/RETURN folded
 // away, plus the precomputed per-round cycle/energy/stat deltas — and
 // replays later rounds in O(1) accounting time: apply the data-mutating
 // steps to the round's activated VRFs and add the aggregated deltas.
@@ -52,7 +53,14 @@ const (
 type Step struct {
 	Kind StepKind
 	Arg  uint8
-	Ops  []micro.ResolvedOp // StepExec only
+	// Ops is a StepExec's flat micro-op stream, the one form the compiler,
+	// the memo and the snapshot codec read. A recorded step does not have it
+	// until Trace.Flatten builds it from refs.
+	Ops []micro.ResolvedOp
+	// refs is what the Recorder keeps instead: the merged instructions'
+	// expansions, by reference. The slices belong to the process-wide
+	// expansion memo and are never written through.
+	refs [][]micro.ResolvedOp
 }
 
 // Trace is a compiled ensemble body: the replayable step stream plus the
@@ -86,6 +94,30 @@ type Trace struct {
 	// replayed round, not at install time — so bodies that never replay
 	// (recipe-cold decode every round) are never lowered; nil until then.
 	Prog *Prog
+}
+
+// Flatten builds every recorded exec step's Ops, exact-size, from the
+// expansions the Recorder referenced. A body recorded and never replayed or
+// snapshotted never pays for the copy: the only callers are the readers of
+// Ops — the lowering on the body's first replayed round (ProgMemo.Compile,
+// CompileJIT) and the snapshot export (Cache.SnapshotEntries) — each on the
+// core that owns the trace. Idempotent.
+func (t *Trace) Flatten() {
+	for i := range t.Steps {
+		s := &t.Steps[i]
+		if s.refs == nil {
+			continue
+		}
+		n := 0
+		for _, rops := range s.refs {
+			n += len(rops)
+		}
+		s.Ops = make([]micro.ResolvedOp, 0, n)
+		for _, rops := range s.refs {
+			s.Ops = append(s.Ops, rops...)
+		}
+		s.refs = nil
+	}
 }
 
 // Cache holds one core's compiled bodies, each entry carrying the
@@ -223,19 +255,18 @@ func (r *Recorder) Lookup(opcode uint8, microOps int) {
 	r.last[opcode] = int(r.t.NumLookups)
 }
 
-// Exec records one datapath instruction: its resolved expansion (merged
-// into a preceding StepExec when adjacent), its execution cycles, and its
-// per-VRF energy.
+// Exec records one datapath instruction: its resolved expansion, by
+// reference (merged into a preceding StepExec when adjacent), its execution
+// cycles, and its per-VRF energy. rops must stay unmodified for the life of
+// the trace; the machine passes the immutable process-wide expansion.
 func (r *Recorder) Exec(rops []micro.ResolvedOp, exec int64, perVRFPJ float64) {
 	if r == nil {
 		return
 	}
 	if n := len(r.t.Steps); n > 0 && r.t.Steps[n-1].Kind == StepExec {
-		r.t.Steps[n-1].Ops = append(r.t.Steps[n-1].Ops, rops...)
+		r.t.Steps[n-1].refs = append(r.t.Steps[n-1].refs, rops)
 	} else {
-		// Copy: the expansion slice is shared machine-wide and a later
-		// merge must not write into it.
-		r.t.Steps = append(r.t.Steps, Step{Kind: StepExec, Ops: append([]micro.ResolvedOp(nil), rops...)})
+		r.t.Steps = append(r.t.Steps, Step{Kind: StepExec, refs: [][]micro.ResolvedOp{rops}})
 	}
 	n := int64(len(rops))
 	r.t.Cycles += exec

@@ -1,7 +1,9 @@
 package trace
 
 import (
+	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"mpu/internal/micro"
@@ -70,6 +72,7 @@ func TestRecorderCompilesBody(t *testing.T) {
 	if len(tr.Steps) != 3 || tr.Steps[0].Kind != StepExec || tr.Steps[1].Kind != StepSetMaskReg || tr.Steps[2].Kind != StepExec {
 		t.Fatalf("Steps = %+v, want [exec mask exec]", tr.Steps)
 	}
+	tr.Flatten()
 	if len(tr.Steps[0].Ops) != 3 || len(tr.Steps[2].Ops) != 2 {
 		t.Errorf("merged op counts = %d/%d, want 3/2", len(tr.Steps[0].Ops), len(tr.Steps[2].Ops))
 	}
@@ -78,16 +81,107 @@ func TestRecorderCompilesBody(t *testing.T) {
 	}
 }
 
-func TestRecorderExecCopiesSharedExpansion(t *testing.T) {
+// The recorder keeps the process-wide expansion it is handed by reference, so
+// neither recording a merge nor flattening may write into it — spare capacity
+// included, which an in-place append would fill.
+func TestRecorderLeavesSharedExpansionIntact(t *testing.T) {
 	r := NewRecorder()
-	shared := []micro.ResolvedOp{{Kind: micro.COPY}}
-	// Give the shared slice spare capacity so an in-place append would
-	// overwrite the machine-wide expansion cache.
-	shared = append(make([]micro.ResolvedOp, 0, 8), shared...)
+	shared := append(make([]micro.ResolvedOp, 0, 8), micro.ResolvedOp{Kind: micro.COPY, Dst: 3})
+	before := append([]micro.ResolvedOp(nil), shared[:cap(shared)]...)
 	r.Exec(shared, 1, 0)
 	r.Exec([]micro.ResolvedOp{{Kind: micro.NOT}}, 1, 0)
-	if shared[:cap(shared)][1].Kind == micro.NOT {
-		t.Fatal("merge wrote into the shared expansion slice")
+	r.Exec(shared, 1, 0)
+	tr := r.Finish(0)
+	tr.Flatten()
+	tr.Steps[0].Ops[0].Dst++ // the flat stream is the trace's own
+	if !reflect.DeepEqual(shared[:cap(shared)], before) {
+		t.Fatalf("shared expansion changed:\nbefore %v\nafter  %v", before, shared[:cap(shared)])
+	}
+}
+
+// Flatten yields exactly the stream the copying recorder used to build: each
+// exec step is the concatenation, in program order, of the expansions merged
+// into it, at exact size, and a second Flatten changes nothing.
+func TestFlattenMatchesCopyingRecorder(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	expansions := make([][]micro.ResolvedOp, 6)
+	for i := range expansions {
+		expansions[i] = make([]micro.ResolvedOp, r.Intn(40)) // some empty
+		for j := range expansions[i] {
+			expansions[i][j] = micro.ResolvedOp{Kind: micro.Kind(r.Intn(8)), Dst: micro.Slot(r.Intn(1 << 12)), A: micro.Slot(i), B: micro.Slot(j)}
+		}
+	}
+	rec := NewRecorder()
+	var want []Step // what append-copying every expansion produced
+	for i := 0; i < 200; i++ {
+		if r.Intn(7) == 0 {
+			rec.Mask(StepGetMask, uint8(i))
+			want = append(want, Step{Kind: StepGetMask, Arg: uint8(i)})
+			continue
+		}
+		rops := expansions[r.Intn(len(expansions))]
+		rec.Exec(rops, 1, 0)
+		if n := len(want); n == 0 || want[n-1].Kind != StepExec {
+			want = append(want, Step{Kind: StepExec})
+		}
+		want[len(want)-1].Ops = append(want[len(want)-1].Ops, rops...)
+	}
+	tr := rec.Finish(0)
+	for pass := 0; pass < 2; pass++ {
+		tr.Flatten()
+		if !stepsEqual(tr.Steps, want) {
+			t.Fatalf("pass %d: flattened steps differ from the copied stream", pass)
+		}
+		for i := range tr.Steps {
+			if s := &tr.Steps[i]; cap(s.Ops) != len(s.Ops) {
+				t.Fatalf("pass %d: step %d: cap %d for %d micro-ops", pass, i, cap(s.Ops), len(s.Ops))
+			}
+		}
+	}
+	var ops uint64
+	for i := range tr.Steps {
+		ops += uint64(len(tr.Steps[i].Ops))
+	}
+	if ops != tr.MicroOpsPerVRF {
+		t.Fatalf("flat stream holds %d micro-ops, trace charges %d", ops, tr.MicroOpsPerVRF)
+	}
+}
+
+// Recording costs one slice header per datapath instruction, whatever the
+// expansion's length: a body that is recorded and never replayed (every
+// one-round request on a pooled machine) must not copy its micro-ops.
+func TestRecorderExecAllocatesPerInstruction(t *testing.T) {
+	const instrs = 64
+	record := func(rops []micro.ResolvedOp) func() {
+		return func() {
+			r := NewRecorder()
+			for i := 0; i < instrs; i++ {
+				r.Exec(rops, 1, 0)
+			}
+			if r.Finish(0) == nil {
+				t.Fatal("recording aborted")
+			}
+		}
+	}
+	bytesPerRun := func(f func()) uint64 {
+		const runs = 50
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			f()
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / runs
+	}
+	short, long := make([]micro.ResolvedOp, 1), make([]micro.ResolvedOp, 4096)
+	if a, b := testing.AllocsPerRun(20, record(short)), testing.AllocsPerRun(20, record(long)); a != b {
+		t.Errorf("allocations follow the expansion length: %v for 1 micro-op, %v for 4096", a, b)
+	}
+	// The copying recorder moved instrs × 4096 × 12 B ≈ 3 MB here; by
+	// reference it is the recorder, its two maps and a grown slice of
+	// instrs 24-byte headers.
+	if got := bytesPerRun(record(long)); got > 8<<10 {
+		t.Errorf("recording %d instructions of 4096 micro-ops allocated %d bytes, want at most 8 KiB", instrs, got)
 	}
 }
 
