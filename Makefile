@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race race-short repolint staticcheck govulncheck preflight fuzz check bench profile bench-compare bench-serve bench-cluster bench-qos bench-pipeline serve-smoke cluster-smoke pipeline-smoke figures clean
+.PHONY: all build test vet race race-short repolint staticcheck govulncheck preflight fuzz check bench profile bench-compare serve-smoke cluster-smoke pipeline-smoke figures clean
 
 # Pinned staticcheck release — CI installs exactly this version so findings
 # are reproducible; locally the target is skipped (with a note) when the
@@ -127,8 +127,8 @@ serve-smoke:
 
 # End-to-end cluster check (also in CI): the mpurouter self-test (2-node
 # in-process cluster, routed/direct stats parity), then ~5s of open-loop
-# Poisson load through a routed 2-node cluster — any dropped request or
-# transport error fails the run.
+# Poisson load through a routed 2-node cluster — any dropped request,
+# transport error or shed arrival fails the run.
 cluster-smoke:
 	$(GO) run ./cmd/mpurouter -smoke
 	$(GO) run ./cmd/mpuload -nodes 2 -rate 150 -tenants 2 -duration 5s -elements 64 -strict
@@ -138,30 +138,6 @@ cluster-smoke:
 # across requests (parked between them), and verify the accumulator.
 pipeline-smoke:
 	$(GO) run ./cmd/mpud -pipeline-smoke -quiet
-
-# The PR 5 load study: 64 closed-loop clients against a self-hosted 4-pool
-# daemon with a mid-run SIGTERM drain; fails if any in-flight request drops.
-bench-serve:
-	$(GO) run ./cmd/mpuload -c 64 -duration 10s -drain -out BENCH_pr5.json
-
-# The PR 8 cluster study: 1/2/4-node throughput scaling, hedged-vs-unhedged
-# p99 under one slow node, and a rolling node drain under open-loop load;
-# fails below the acceptance floors (1.8x on 1->2 nodes, 30% p99 reduction).
-bench-cluster:
-	$(GO) run ./cmd/mpuload -cluster-bench -out BENCH_pr8.json
-
-# The PR 9 QoS study: one machine under a resident heavy batch-class job with
-# open-loop latency-class arrivals, preemption on vs off; fails below the
-# acceptance floors (5x latency p99 improvement, <=15% batch slowdown).
-bench-qos:
-	$(GO) run ./cmd/mpuload -qos-bench -out BENCH_pr9.json
-
-# The PR 10 pipeline study: a persistent FBP session streams 1000 records
-# across 125 requests (zero recompilation after the cold first request),
-# then keeps streaming under a concurrent latency-class burst; fails if any
-# warm request recompiles or any burst request is shed.
-bench-pipeline:
-	$(GO) run ./cmd/mpuload -pipeline-bench -out BENCH_pr10.json
 
 figures:
 	$(GO) run ./cmd/mastodon all

@@ -3,9 +3,8 @@ package exp
 import "sort"
 
 // Percentile returns the p-quantile (0 <= p <= 1) of values by nearest rank,
-// without mutating the input; 0 when values is empty. Shared by the load
-// generators and study drivers so every BENCH file computes percentiles the
-// same way.
+// without mutating the input; 0 when values is empty. cmd/mpuload's latency
+// report uses it.
 func Percentile(values []float64, p float64) float64 {
 	if len(values) == 0 {
 		return 0

@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
+	"sync"
 	"testing"
+
+	"mpu/internal/machine"
 )
 
 // streamSource is the smallest resident pipeline: Split forwards each
@@ -297,5 +300,80 @@ func TestPipelineSessionParity(t *testing.T) {
 	}
 	if len(split) != len(records) {
 		t.Fatalf("split stream answered %d records", len(split))
+	}
+}
+
+// TestPipelineSessionLatencyBurst: a streaming session takes no pool capacity
+// from /v1/execute and loses nothing to it. While one client advances a
+// resident session back to back, a burst of latency-class requests is served
+// in full — none refused, no advance failing — and the session is as warm
+// after the burst as it was before.
+func TestPipelineSessionLatencyBurst(t *testing.T) {
+	_, ts := newTestServer(t, Config{
+		Pools: []PoolSpec{{Backend: "racer", Mode: machine.ModeMPU, Size: 2}},
+	})
+	pr := createPipeline(t, ts.URL, PipelineRequest{Source: streamSource, Backend: "racer"})
+	vals := make([]uint64, pr.Lanes)
+	for i := range vals {
+		vals[i] = 1
+	}
+	batch := AdvanceRequest{Records: make([]PipelineRecord, 8)}
+	for i := range batch.Records {
+		batch.Records[i] = PipelineRecord{Sets: []PipelineSet{{Node: "src", Reg: 0, Values: vals}}}
+	}
+	advancePipeline(t, ts.URL, pr.ID, batch) // the cold request records the traces
+
+	var (
+		streaming sync.WaitGroup
+		first     sync.Once
+		started   = make(chan struct{}) // closed after the loop's first advance, or its failure
+		stop      = make(chan struct{})
+	)
+	streaming.Add(1)
+	go func() {
+		defer streaming.Done()
+		defer first.Do(func() { close(started) })
+		for n := 0; ; n++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			code, body, _ := doPipeline(t, http.MethodPost, ts.URL+"/v1/pipelines/"+pr.ID, batch)
+			if code != http.StatusOK {
+				t.Errorf("advance %d during the burst: status %d: %s", n, code, body)
+				return
+			}
+			first.Do(func() { close(started) })
+		}
+	}()
+	<-started
+
+	const clients, burst = 4, 40
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := c; i < burst; i += clients {
+				code, body := postExecuteClass(t, ts.URL, ClassLatency, Request{
+					Workload: "vecadd", Backend: "racer", Elements: 128, Seed: int64(i), Check: true,
+				})
+				if code != http.StatusOK {
+					t.Errorf("latency request %d: status %d: %s", i, code, body)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	streaming.Wait()
+
+	if got := scrapeMetric(t, ts.URL, "mpud_backpressure_total"); got != "0" {
+		t.Errorf("mpud_backpressure_total = %s after the burst, want 0", got)
+	}
+	ar := advancePipeline(t, ts.URL, pr.ID, batch)
+	if ar.Summary.TraceMisses != 0 || ar.Summary.JITCompiles != 0 {
+		t.Errorf("first advance after the burst recompiled: %+v", ar.Summary)
 	}
 }
