@@ -53,21 +53,23 @@ preflight:
 race:
 	$(GO) test -race -timeout 45m ./...
 
-# The concurrency-sensitive packages only (the sweep worker pool and the
-# linter the machine calls from strict mode) plus the engine-vs-interpreter
-# parity difftest, whose replay path shares compiled traces and memoized
-# recipe expansions across sweep workers, the concurrent-decode test of the
-# process-wide kernel memo, the parallel-scheduler parity difftest, which
-# fans cores out across scheduler goroutines, the register-file recycling
-# oracles (no residue after Reset, bounded spare list, reuse after a wide
-# kernel), and the serve-layer parity, cross-request isolation, warm-pool
-# hammer, preemption/parking and join-until-sealed tests — fast enough for
-# every CI run.
+# The concurrency-sensitive packages only (the sweep worker pool, the linter
+# the machine calls from strict mode, and the metrics registry both daemons
+# observe into — its hammer binds series, observes and renders at once) plus
+# the engine-vs-interpreter parity difftest, whose replay path shares
+# compiled traces and memoized recipe expansions across sweep workers, the
+# concurrent-decode test of the process-wide kernel memo, the
+# parallel-scheduler parity difftest, which fans cores out across scheduler
+# goroutines, the register-file recycling oracles (no residue after Reset,
+# bounded spare list, reuse after a wide kernel), the serve-layer parity,
+# cross-request isolation, warm-pool hammer, preemption/parking and
+# join-until-sealed tests, and the router's parity, drain, admission and
+# node-load-contract tests — fast enough for every CI run.
 race-short:
-	$(GO) test -race -timeout 30m ./internal/sweep ./internal/lint
+	$(GO) test -race -timeout 30m ./internal/sweep ./internal/lint ./internal/obs
 	$(GO) test -race -timeout 30m -run 'TestTraceParity|TestJITParityRandom|TestExpandConcurrent|TestParallelMachine|TestParallelDeadlock|TestSnapshotResumeParity|TestNoResidueAfterReset|TestSpareListBounded|TestResetReuseMatchesFresh' ./internal/machine
 	$(GO) test -race -timeout 30m -run 'TestServeParity|TestServeIsolation|TestServePool|TestServePreempt|TestServeNoPreempt|TestParkedGauges|TestServeJoin|TestServeLateArrival|TestBatchingCoalesces|TestPipelineSession' ./internal/serve
-	$(GO) test -race -timeout 30m -run 'TestRouterParity|TestRollingDrain|TestFairAdmission|TestRouterPipeline' ./internal/router
+	$(GO) test -race -timeout 30m -run 'TestRouterParity|TestRollingDrain|TestFairAdmission|TestRouterPipeline|TestNodeLoadContract' ./internal/router
 	$(GO) test -race -timeout 30m -run 'TestPipelineParity' ./internal/fbp
 
 # Bounded runs of the differential oracles: random programs the linter

@@ -29,7 +29,7 @@
 //	POST   /v1/pipelines/{id} stream records through a session
 //	GET    /v1/pipelines[/{id}] list sessions / session status
 //	DELETE /v1/pipelines/{id} close a session
-//	GET    /healthz           liveness + pool inventory (503 while draining)
+//	GET    /healthz           liveness, pool inventory, queue depth + inflight (503 while draining)
 //	GET    /metrics           Prometheus text exposition
 //
 // Pipeline sessions compile once and stream records across requests; the

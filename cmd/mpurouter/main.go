@@ -2,8 +2,8 @@
 // requests by consistent hashing on (backend, mode, program-hash) so
 // identical programs land on the node whose caches already hold them, applies
 // per-tenant weighted-fair admission, retries and hedges around slow or
-// failed nodes, and tracks node health from each node's /healthz and
-// /metrics.
+// failed nodes, and tracks node health and load from one probe of each
+// node's /healthz.
 //
 // Usage:
 //

@@ -2,13 +2,14 @@ package router
 
 import (
 	"context"
+	"encoding/json"
 	"io"
 	"math"
 	"net/http"
-	"strconv"
-	"strings"
 	"sync/atomic"
 	"time"
+
+	"mpu/internal/obs"
 )
 
 // nodeState is the router's live view of one mpud node, updated by the
@@ -18,8 +19,8 @@ type nodeState struct {
 	base        string // base URL
 	ready       atomic.Bool
 	loadBits    atomic.Uint64 // math.Float64bits of the EWMA load score
-	queueDepth  atomic.Int64  // last scraped sum over pools
-	inflight    atomic.Int64  // last scraped gauge
+	queueDepth  atomic.Int64  // last probed sum over pools
+	inflight    atomic.Int64  // last probed gauge
 	outstanding atomic.Int64  // attempts this router has in flight right now
 
 	// Scrape-loop-local state (single goroutine, no locking needed).
@@ -42,11 +43,11 @@ func (n *nodeState) effLoad() float64 {
 // ewmaAlpha weights the newest scrape sample; ~3 scrapes to converge.
 const ewmaAlpha = 0.3
 
-// scrapeLoop polls every node's /healthz and /metrics on the configured
-// interval until stop closes. Readiness comes from /healthz (a draining mpud
-// answers 503 and is immediately routed around); the load score is an EWMA
-// of queue depth + inflight from the gauges mpud already exports, used as
-// the least-loaded tiebreak inside a key's candidate set. Sustained queue
+// scrapeLoop polls every node's /healthz on the configured interval until
+// stop closes — one GET per node per round. Readiness is the status code (a
+// draining mpud answers 503 and is immediately routed around); the load score
+// is an EWMA of queue_depth + inflight from the typed body, used as the
+// least-loaded tiebreak inside a key's candidate set. Sustained queue
 // depth above the advisory threshold emits a pool-autoscale advisory log
 // line — the router cannot grow a node's pools, but it can tell the
 // operator which node needs it.
@@ -76,10 +77,11 @@ func (rt *Router) scrapeNode(n *nodeState) {
 	defer cancel()
 
 	wasReady := n.ready.Load()
-	ready := rt.probe(ctx, n.base+"/healthz") == http.StatusOK
+	status, health, decoded := rt.probe(ctx, n.base+"/healthz")
+	ready := status == http.StatusOK
 	n.ready.Store(ready)
 	if wasReady && !ready {
-		rt.metrics.nodeUnready(n.name)
+		rt.metrics.nodeUnreadys.With(n.name).Inc()
 		rt.logf(routerLog{Msg: "node-unready", Node: n.name})
 	}
 	if !wasReady && ready {
@@ -92,13 +94,15 @@ func (rt *Router) scrapeNode(n *nodeState) {
 		return
 	}
 
-	depth, inflight, ok := rt.scrapeGauges(ctx, n.base+"/metrics")
-	if !ok {
+	if !decoded {
+		// A 200 that is not a NodeHealth still means ready; the load keeps
+		// its last value rather than taking a made-up sample.
 		return
 	}
+	depth := health.QueueDepth
 	n.queueDepth.Store(depth)
-	n.inflight.Store(inflight)
-	sample := float64(depth + inflight)
+	n.inflight.Store(health.Inflight)
+	sample := float64(depth + health.Inflight)
 	n.setLoad(ewmaAlpha*sample + (1-ewmaAlpha)*n.load())
 
 	// Pool-autoscale advisory: sustained admission-queue depth means the
@@ -107,7 +111,7 @@ func (rt *Router) scrapeNode(n *nodeState) {
 		n.hotScrapes++
 		if n.hotScrapes >= rt.cfg.AutoscaleSustain && !n.advised {
 			n.advised = true
-			rt.metrics.autoscaleAdvisory(n.name)
+			rt.metrics.advisories.With(n.name).Inc()
 			rt.logf(routerLog{
 				Msg: "autoscale-advice", Node: n.name, Queue: int(depth),
 				Err: "sustained queue depth: grow this node's warm pools (-pools size) or add nodes",
@@ -118,67 +122,20 @@ func (rt *Router) scrapeNode(n *nodeState) {
 	}
 }
 
-// probe GETs url and returns the status code (0 on transport failure).
-func (rt *Router) probe(ctx context.Context, url string) int {
+// probe GETs a node's /healthz and returns the status code (0 on transport
+// failure) and the typed body; decoded is false when the body — read through
+// a 1 MiB cap — is not a NodeHealth.
+func (rt *Router) probe(ctx context.Context, url string) (status int, h obs.NodeHealth, decoded bool) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
-		return 0
+		return 0, h, false
 	}
 	resp, err := rt.client.Do(req)
 	if err != nil {
-		return 0
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	return resp.StatusCode
-}
-
-// scrapeGauges fetches a Prometheus text exposition and sums the
-// mpud_queue_depth and mpud_inflight gauges, tolerating any label set (a
-// node may or may not carry node="..." labels).
-func (rt *Router) scrapeGauges(ctx context.Context, url string) (depth, inflight int64, ok bool) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return 0, 0, false
-	}
-	resp, err := rt.client.Do(req)
-	if err != nil {
-		return 0, 0, false
+		return 0, h, false
 	}
 	defer resp.Body.Close()
 	body, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	if err != nil || resp.StatusCode != http.StatusOK {
-		return 0, 0, false
-	}
-	d, dok := sumSeries(string(body), "mpud_queue_depth")
-	f, fok := sumSeries(string(body), "mpud_inflight")
-	return d, f, dok && fok
-}
-
-// sumSeries sums the values of every sample whose metric name matches
-// exactly (label sets differ per node/pool; histogram series like
-// name_bucket do not match).
-func sumSeries(exposition, name string) (int64, bool) {
-	var sum float64
-	found := false
-	for _, line := range strings.Split(exposition, "\n") {
-		if !strings.HasPrefix(line, name) {
-			continue
-		}
-		rest := line[len(name):]
-		if rest == "" || (rest[0] != ' ' && rest[0] != '{') {
-			continue // a longer metric name sharing the prefix
-		}
-		i := strings.LastIndexByte(line, ' ')
-		if i < 0 {
-			continue
-		}
-		v, err := strconv.ParseFloat(line[i+1:], 64)
-		if err != nil {
-			continue
-		}
-		sum += v
-		found = true
-	}
-	return int64(sum), found
+	decoded = err == nil && json.Unmarshal(body, &h) == nil
+	return resp.StatusCode, h, decoded
 }

@@ -1,240 +1,83 @@
 package router
 
 import (
-	"fmt"
-	"sort"
+	"io"
 	"strconv"
-	"strings"
-	"sync"
+
+	"mpu/internal/obs"
 )
 
-// rmetrics is the router's hand-rolled Prometheus-text registry, the same
-// stdlib-only idiom as internal/serve: a fixed catalog of series emitted in
-// deterministic order with sorted label values.
+// rmetrics is the router's catalogue on the shared obs registry, the same
+// idiom as internal/serve: unlabelled series are bound once, here, labelled
+// ones by one lookup at the observation. Declaration order is emission
+// order, and testdata/metrics.golden pins the result byte-for-byte.
 type rmetrics struct {
-	mu sync.Mutex
+	reg *obs.Registry
 
-	requests     map[string]uint64 // HTTP status code → count
-	nodeForwards map[string]uint64 // node → winning responses relayed
-	nodeUnreadys map[string]uint64 // node → ready→unready transitions
-	advisories   map[string]uint64 // node → autoscale advisories emitted
-	retries      uint64            // extra attempts after 503/transport failure
-	hedges       uint64            // speculative duplicates launched
-	hedgeWins    uint64            // hedged attempt answered first
-	inflight     int64             // admitted, not yet answered
+	requests     *obs.Family[*obs.Int] // HTTP status code → count
+	inflight     *obs.Int              // admitted, not yet answered
+	nodeForwards *obs.Family[*obs.Int] // node → winning responses relayed
+	retries      *obs.Int              // extra attempts after 503/transport failure
+	hedges       *obs.Int              // speculative duplicates launched
+	hedgeWins    *obs.Int              // hedged attempt answered first
+	nodeUnreadys *obs.Family[*obs.Int] // node → ready→unready transitions
+	advisories   *obs.Family[*obs.Int] // node → autoscale advisories emitted
+	latency      *obs.Histogram        // request wall time, seconds
 
-	latency rhistogram // request wall time, seconds
+	// Sampled at render time from the live router state.
+	hedgeDelay                    *obs.Float
+	nodeReady, nodeDepth          *obs.Family[*obs.Int]
+	nodeLoad                      *obs.Family[*obs.Float]
+	tenantGranted, tenantRejected *obs.Family[*obs.Int]
+	pipelines                     *obs.Int
 }
 
 func newRMetrics() *rmetrics {
-	return &rmetrics{
-		requests:     map[string]uint64{},
-		nodeForwards: map[string]uint64{},
-		nodeUnreadys: map[string]uint64{},
-		advisories:   map[string]uint64{},
-		latency:      newRHistogram([]float64{0.001, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10}),
-	}
-}
-
-// rhistogram mirrors serve's cumulative-bucket histogram.
-type rhistogram struct {
-	bounds []float64
-	counts []uint64
-	sum    float64
-	n      uint64
-}
-
-func newRHistogram(bounds []float64) rhistogram {
-	return rhistogram{bounds: bounds, counts: make([]uint64, len(bounds))}
-}
-
-func (h *rhistogram) observe(v float64) {
-	for i, b := range h.bounds {
-		if v <= b {
-			h.counts[i]++
-		}
-	}
-	h.sum += v
-	h.n++
+	r := &obs.Registry{}
+	m := &rmetrics{reg: r}
+	m.requests = r.Counter("mpurouter_requests_total", "Requests answered, by HTTP status code.", "code")
+	m.inflight = r.Gauge("mpurouter_inflight", "Admitted requests not yet answered.").With()
+	m.nodeForwards = r.Counter("mpurouter_node_requests_total", "Winning responses relayed, by serving node.", "node")
+	m.retries = r.Counter("mpurouter_retries_total", "Extra attempts after a 503 or transport failure.").With()
+	m.hedges = r.Counter("mpurouter_hedges_total", "Speculative duplicate attempts launched after the hedge delay.").With()
+	m.hedgeWins = r.Counter("mpurouter_hedge_wins_total", "Hedged attempts that answered before the primary.").With()
+	m.hedgeDelay = r.FloatGauge("mpurouter_hedge_delay_seconds", "Current hedge trigger delay (tracked p95, clamped).").With()
+	m.nodeReady = r.Gauge("mpurouter_node_ready", "Node readiness from the /healthz scrape (1 ready, 0 not).", "node")
+	m.nodeLoad = r.FloatGauge("mpurouter_node_load", "EWMA load score (queue depth + inflight) per node.", "node")
+	m.nodeDepth = r.Gauge("mpurouter_node_queue_depth", "Last scraped admission-queue depth per node.", "node")
+	m.nodeUnreadys = r.Counter("mpurouter_node_unready_total", "Ready-to-unready transitions observed by the scraper.", "node")
+	m.advisories = r.Counter("mpurouter_autoscale_advisories_total", "Pool-autoscale advisories logged per node.", "node")
+	m.tenantGranted = r.Counter("mpurouter_tenant_granted_total", "Admission grants per tenant.", "tenant")
+	m.tenantRejected = r.Counter("mpurouter_tenant_rejected_total", "Admissions refused with 429 per tenant (queue full).", "tenant")
+	m.latency = r.Histogram("mpurouter_request_seconds", "Request wall time from admission to relayed response.",
+		[]float64{0.001, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10}).With()
+	m.pipelines = r.Gauge("mpurouter_pipelines", "Pipeline sessions with a live node-affinity pin.").With()
+	return m
 }
 
 func (m *rmetrics) observeRequest(code int, seconds float64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.requests[strconv.Itoa(code)]++
-	m.latency.observe(seconds)
+	m.requests.With(strconv.Itoa(code)).Inc()
+	m.latency.Observe(seconds)
 }
 
-func (m *rmetrics) observeForward(node string) {
-	m.mu.Lock()
-	m.nodeForwards[node]++
-	m.mu.Unlock()
-}
-
-func (m *rmetrics) addRetry() {
-	m.mu.Lock()
-	m.retries++
-	m.mu.Unlock()
-}
-
-func (m *rmetrics) addHedge() {
-	m.mu.Lock()
-	m.hedges++
-	m.mu.Unlock()
-}
-
-func (m *rmetrics) hedgeWin() {
-	m.mu.Lock()
-	m.hedgeWins++
-	m.mu.Unlock()
-}
-
-func (m *rmetrics) nodeUnready(node string) {
-	m.mu.Lock()
-	m.nodeUnreadys[node]++
-	m.mu.Unlock()
-}
-
-func (m *rmetrics) autoscaleAdvisory(node string) {
-	m.mu.Lock()
-	m.advisories[node]++
-	m.mu.Unlock()
-}
-
-func (m *rmetrics) addInflight(d int64) {
-	m.mu.Lock()
-	m.inflight += d
-	m.mu.Unlock()
-}
-
-// counters returns (hedges, hedgeWins, retries) for the study drivers.
-func (m *rmetrics) counters() (uint64, uint64, uint64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.hedges, m.hedgeWins, m.retries
-}
-
-// nodeView is sampled at render time from the live node states.
-type nodeView struct {
-	name  string
-	ready bool
-	load  float64
-	depth int64
-}
-
-// render emits the Prometheus text exposition.
-func (m *rmetrics) render(nodes []nodeView, tenants map[string][2]uint64, hedgeDelaySec float64, pipelines int) string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var sb strings.Builder
-
-	sb.WriteString("# HELP mpurouter_requests_total Requests answered, by HTTP status code.\n")
-	sb.WriteString("# TYPE mpurouter_requests_total counter\n")
-	codes := make([]string, 0, len(m.requests))
-	for c := range m.requests {
-		codes = append(codes, c)
-	}
-	sort.Strings(codes)
-	for _, c := range codes {
-		fmt.Fprintf(&sb, "mpurouter_requests_total{code=%q} %d\n", c, m.requests[c])
-	}
-
-	sb.WriteString("# HELP mpurouter_inflight Admitted requests not yet answered.\n")
-	sb.WriteString("# TYPE mpurouter_inflight gauge\n")
-	fmt.Fprintf(&sb, "mpurouter_inflight %d\n", m.inflight)
-
-	sb.WriteString("# HELP mpurouter_node_requests_total Winning responses relayed, by serving node.\n")
-	sb.WriteString("# TYPE mpurouter_node_requests_total counter\n")
-	emitByLabel(&sb, "mpurouter_node_requests_total", "node", m.nodeForwards)
-
-	sb.WriteString("# HELP mpurouter_retries_total Extra attempts after a 503 or transport failure.\n")
-	sb.WriteString("# TYPE mpurouter_retries_total counter\n")
-	fmt.Fprintf(&sb, "mpurouter_retries_total %d\n", m.retries)
-
-	sb.WriteString("# HELP mpurouter_hedges_total Speculative duplicate attempts launched after the hedge delay.\n")
-	sb.WriteString("# TYPE mpurouter_hedges_total counter\n")
-	fmt.Fprintf(&sb, "mpurouter_hedges_total %d\n", m.hedges)
-
-	sb.WriteString("# HELP mpurouter_hedge_wins_total Hedged attempts that answered before the primary.\n")
-	sb.WriteString("# TYPE mpurouter_hedge_wins_total counter\n")
-	fmt.Fprintf(&sb, "mpurouter_hedge_wins_total %d\n", m.hedgeWins)
-
-	sb.WriteString("# HELP mpurouter_hedge_delay_seconds Current hedge trigger delay (tracked p95, clamped).\n")
-	sb.WriteString("# TYPE mpurouter_hedge_delay_seconds gauge\n")
-	fmt.Fprintf(&sb, "mpurouter_hedge_delay_seconds %s\n", strconv.FormatFloat(hedgeDelaySec, 'g', -1, 64))
-
-	sb.WriteString("# HELP mpurouter_node_ready Node readiness from the /healthz scrape (1 ready, 0 not).\n")
-	sb.WriteString("# TYPE mpurouter_node_ready gauge\n")
+// render samples the live state it is handed — node states, per-tenant
+// (granted, rejected) counts, the hedge delay and the pinned-session count —
+// and emits the Prometheus text exposition.
+func (m *rmetrics) render(w io.Writer, nodes []*nodeState, tenants map[string][2]uint64, hedgeDelaySec float64, pipelines int) {
+	m.hedgeDelay.Set(hedgeDelaySec)
 	for _, n := range nodes {
-		v := 0
-		if n.ready {
-			v = 1
+		ready := int64(0)
+		if n.ready.Load() {
+			ready = 1
 		}
-		fmt.Fprintf(&sb, "mpurouter_node_ready{node=%q} %d\n", n.name, v)
+		m.nodeReady.With(n.name).Set(ready)
+		m.nodeLoad.With(n.name).Set(n.load())
+		m.nodeDepth.With(n.name).Set(n.queueDepth.Load())
 	}
-
-	sb.WriteString("# HELP mpurouter_node_load EWMA load score (queue depth + inflight) per node.\n")
-	sb.WriteString("# TYPE mpurouter_node_load gauge\n")
-	for _, n := range nodes {
-		fmt.Fprintf(&sb, "mpurouter_node_load{node=%q} %s\n", n.name, strconv.FormatFloat(n.load, 'g', -1, 64))
+	for name, t := range tenants {
+		m.tenantGranted.With(name).Set(int64(t[0]))
+		m.tenantRejected.With(name).Set(int64(t[1]))
 	}
-
-	sb.WriteString("# HELP mpurouter_node_queue_depth Last scraped admission-queue depth per node.\n")
-	sb.WriteString("# TYPE mpurouter_node_queue_depth gauge\n")
-	for _, n := range nodes {
-		fmt.Fprintf(&sb, "mpurouter_node_queue_depth{node=%q} %d\n", n.name, n.depth)
-	}
-
-	sb.WriteString("# HELP mpurouter_node_unready_total Ready-to-unready transitions observed by the scraper.\n")
-	sb.WriteString("# TYPE mpurouter_node_unready_total counter\n")
-	emitByLabel(&sb, "mpurouter_node_unready_total", "node", m.nodeUnreadys)
-
-	sb.WriteString("# HELP mpurouter_autoscale_advisories_total Pool-autoscale advisories logged per node.\n")
-	sb.WriteString("# TYPE mpurouter_autoscale_advisories_total counter\n")
-	emitByLabel(&sb, "mpurouter_autoscale_advisories_total", "node", m.advisories)
-
-	sb.WriteString("# HELP mpurouter_tenant_granted_total Admission grants per tenant.\n")
-	sb.WriteString("# TYPE mpurouter_tenant_granted_total counter\n")
-	names := make([]string, 0, len(tenants))
-	for name := range tenants {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		fmt.Fprintf(&sb, "mpurouter_tenant_granted_total{tenant=%q} %d\n", name, tenants[name][0])
-	}
-	sb.WriteString("# HELP mpurouter_tenant_rejected_total Admissions refused with 429 per tenant (queue full).\n")
-	sb.WriteString("# TYPE mpurouter_tenant_rejected_total counter\n")
-	for _, name := range names {
-		fmt.Fprintf(&sb, "mpurouter_tenant_rejected_total{tenant=%q} %d\n", name, tenants[name][1])
-	}
-
-	renderRHistogram(&sb, "mpurouter_request_seconds", "Request wall time from admission to relayed response.", &m.latency)
-
-	sb.WriteString("# HELP mpurouter_pipelines Pipeline sessions with a live node-affinity pin.\n")
-	sb.WriteString("# TYPE mpurouter_pipelines gauge\n")
-	fmt.Fprintf(&sb, "mpurouter_pipelines %d\n", pipelines)
-	return sb.String()
-}
-
-func emitByLabel(sb *strings.Builder, name, label string, vals map[string]uint64) {
-	keys := make([]string, 0, len(vals))
-	for k := range vals {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		fmt.Fprintf(sb, "%s{%s=%q} %d\n", name, label, k, vals[k])
-	}
-}
-
-func renderRHistogram(sb *strings.Builder, name, help string, h *rhistogram) {
-	fmt.Fprintf(sb, "# HELP %s %s\n", name, help)
-	fmt.Fprintf(sb, "# TYPE %s histogram\n", name)
-	for i, b := range h.bounds {
-		fmt.Fprintf(sb, "%s_bucket{le=%q} %d\n", name, strconv.FormatFloat(b, 'g', -1, 64), h.counts[i])
-	}
-	fmt.Fprintf(sb, "%s_bucket{le=\"+Inf\"} %d\n", name, h.n)
-	fmt.Fprintf(sb, "%s_sum %s\n", name, strconv.FormatFloat(h.sum, 'g', -1, 64))
-	fmt.Fprintf(sb, "%s_count %d\n", name, h.n)
+	m.pipelines.Set(int64(pipelines))
+	m.reg.WriteTo(w)
 }

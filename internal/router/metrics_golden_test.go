@@ -18,16 +18,14 @@ func goldenRMetrics() *rmetrics {
 	m.observeRequest(200, 0.004)
 	m.observeRequest(200, 0.3)
 	m.observeRequest(429, 0.0001)
-	m.observeForward("n1:9001")
-	m.observeForward("n1:9001")
-	m.observeForward("n2:9002")
-	m.addRetry()
-	m.addHedge()
-	m.addHedge()
-	m.hedgeWin()
-	m.nodeUnready("n2:9002")
-	m.autoscaleAdvisory("n1:9001")
-	m.addInflight(1)
+	m.nodeForwards.With("n1:9001").Add(2)
+	m.nodeForwards.With("n2:9002").Inc()
+	m.retries.Inc()
+	m.hedges.Add(2)
+	m.hedgeWins.Inc()
+	m.nodeUnreadys.With("n2:9002").Inc()
+	m.advisories.With("n1:9001").Inc()
+	m.inflight.Inc()
 	return m
 }
 
@@ -37,15 +35,15 @@ func goldenRMetrics() *rmetrics {
 // reorder must show up as a reviewed golden diff, not a silent scrape break.
 // Regenerate with: go test ./internal/router -run TestRouterMetricsRenderGolden -update
 func TestRouterMetricsRenderGolden(t *testing.T) {
-	got := goldenRMetrics().render(
-		[]nodeView{
-			{name: "n1:9001", ready: true, load: 1.5, depth: 3},
-			{name: "n2:9002", ready: false, load: 0, depth: 0},
-		},
-		map[string][2]uint64{"default": {12, 0}, "tenant-b": {4, 2}},
-		0.025,
-		1,
-	)
+	// Listed out of name order: the registry sorts series by label value.
+	n1, n2 := &nodeState{name: "n1:9001"}, &nodeState{name: "n2:9002"}
+	n1.ready.Store(true)
+	n1.setLoad(1.5)
+	n1.queueDepth.Store(3)
+	var sb strings.Builder
+	goldenRMetrics().render(&sb, []*nodeState{n2, n1},
+		map[string][2]uint64{"default": {12, 0}, "tenant-b": {4, 2}}, 0.025, 1)
+	got := sb.String()
 	golden := filepath.Join("testdata", "metrics.golden")
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {

@@ -235,15 +235,16 @@ func (rt *Router) listPipelines(w http.ResponseWriter, r *http.Request) {
 	writeJSONStatus(w, http.StatusOK, out)
 }
 
-// unreadyOnTransportFailure is the same fast feedback the execute path gives
-// the scraper: a connect failure unreadies the node immediately; the scrape
-// loop restores it when /healthz answers again.
+// unreadyOnTransportFailure is the fast feedback both forwarding paths give
+// the scraper: a connect failure (a.err != nil, the caller's check) unreadies
+// the node immediately; the scrape loop restores it when /healthz answers
+// again.
 func (rt *Router) unreadyOnTransportFailure(ctx context.Context, a attempt) {
 	if a.node == nil || ctx.Err() != nil {
 		return
 	}
 	if a.node.ready.CompareAndSwap(true, false) {
-		rt.metrics.nodeUnready(a.node.name)
+		rt.metrics.nodeUnreadys.With(a.node.name).Inc()
 		rt.logf(routerLog{Msg: "node-unready", Node: a.node.name, Err: a.err.Error()})
 	}
 }
@@ -259,7 +260,7 @@ func (rt *Router) relayPipelineResponse(w http.ResponseWriter, start time.Time, 
 	w.WriteHeader(a.status)
 	w.Write(a.body)
 	rt.metrics.observeRequest(a.status, time.Since(start).Seconds())
-	rt.metrics.observeForward(a.node.name)
+	rt.metrics.nodeForwards.With(a.node.name).Inc()
 	rt.logf(routerLog{
 		Msg: "pipeline", Node: a.node.name, Key: key, Pipeline: id,
 		Status: a.status, MS: time.Since(start).Seconds() * 1e3, Attempts: 1,

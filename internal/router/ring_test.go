@@ -90,22 +90,3 @@ func TestShardKeyIgnoresDataShape(t *testing.T) {
 		t.Fatalf("different binaries share a key: %q", d)
 	}
 }
-
-func TestSumSeries(t *testing.T) {
-	exp := `# HELP mpud_queue_depth x
-# TYPE mpud_queue_depth gauge
-mpud_queue_depth{pool="RACER/MPU"} 3
-mpud_queue_depth{node="n1",pool="MIMDRAM/MPU"} 4
-mpud_queue_depth_fake 100
-mpud_inflight 7
-`
-	if v, ok := sumSeries(exp, "mpud_queue_depth"); !ok || v != 7 {
-		t.Fatalf("queue depth sum = %d, %v (want 7)", v, ok)
-	}
-	if v, ok := sumSeries(exp, "mpud_inflight"); !ok || v != 7 {
-		t.Fatalf("inflight sum = %d, %v (want 7)", v, ok)
-	}
-	if _, ok := sumSeries(exp, "mpud_missing"); ok {
-		t.Fatal("missing series reported found")
-	}
-}

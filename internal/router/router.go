@@ -6,10 +6,10 @@
 // cannot provide: per-tenant weighted-fair admission (stride scheduling over
 // bounded queues, 429 on saturation), bounded retry with hedging on 503 and
 // connect failure (a speculative duplicate after the tracked p95 latency,
-// loser canceled), and health/readiness tracking driven by each node's
-// /healthz plus the queue_depth and inflight gauges mpud already exports
-// (scrape → EWMA → least-loaded tiebreak within the hash's candidate set,
-// with a pool-autoscale advisory log under sustained depth).
+// loser canceled), and health/readiness tracking driven by one probe of each
+// node's /healthz, whose typed body (obs.NodeHealth) carries queue_depth and
+// inflight (probe → EWMA → least-loaded tiebreak within the hash's candidate
+// set, with a pool-autoscale advisory log under sustained depth).
 //
 // Hedging policy: only POST /v1/execute is ever hedged, because the
 // determinism contract makes it idempotent — the same request produces
@@ -27,6 +27,7 @@
 package router
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -86,7 +87,7 @@ type Config struct {
 	// tenants get weight 1.
 	Tenants map[string]int
 
-	// ScrapeInterval is the node health/metrics poll period. Default 250ms.
+	// ScrapeInterval is the node /healthz poll period. Default 250ms.
 	ScrapeInterval time.Duration
 
 	// AutoscaleDepth and AutoscaleSustain shape the pool-autoscale
@@ -248,7 +249,8 @@ func (rt *Router) Close() {
 // Hedging reports (hedges, hedge wins, retries) — the study drivers report
 // the hedge rate honestly alongside the p99 it buys.
 func (rt *Router) Hedging() (hedges, wins, retries uint64) {
-	return rt.metrics.counters()
+	m := rt.metrics
+	return uint64(m.hedges.Value()), uint64(m.hedgeWins.Value()), uint64(m.retries.Value())
 }
 
 // shardFields is the subset of the execute request the router reads: just
@@ -365,32 +367,27 @@ func (rt *Router) forward(ctx context.Context, body []byte, qos string, targets 
 				started++
 				outstanding++
 				hedged = true
-				rt.metrics.addHedge()
+				rt.metrics.hedges.Inc()
 			}
 		case a := <-results:
 			outstanding--
 			if !retryable(a) {
 				if hedged && a.idx == hedgeIdx {
 					hedgeWon = true
-					rt.metrics.hedgeWin()
+					rt.metrics.hedgeWins.Inc()
 				}
 				return a, started, hedged, hedgeWon
 			}
 			last = a
-			if a.err != nil && ctx.Err() == nil {
-				// Fast feedback: a connect failure unreadies the node now;
-				// the scrape loop restores it when /healthz answers again.
-				if a.node.ready.CompareAndSwap(true, false) {
-					rt.metrics.nodeUnready(a.node.name)
-					rt.logf(routerLog{Msg: "node-unready", Node: a.node.name, Err: a.err.Error()})
-				}
+			if a.err != nil {
+				rt.unreadyOnTransportFailure(ctx, a)
 			}
 			if started < len(targets) && retriesUsed < rt.cfg.Retries && ctx.Err() == nil {
 				launch(started)
 				started++
 				outstanding++
 				retriesUsed++
-				rt.metrics.addRetry()
+				rt.metrics.retries.Inc()
 				continue
 			}
 			if outstanding > 0 {
@@ -405,7 +402,7 @@ func (rt *Router) forward(ctx context.Context, body []byte, qos string, targets 
 
 // post forwards one attempt and feeds the p95 tracker on success.
 func (rt *Router) post(ctx context.Context, n *nodeState, body []byte, qos string) (status int, respBody []byte, retryAfter string, err error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, n.base+"/v1/execute", strings.NewReader(string(body)))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, n.base+"/v1/execute", bytes.NewReader(body))
 	if err != nil {
 		return 0, nil, "", err
 	}
@@ -464,8 +461,8 @@ func (rt *Router) handleExecute(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer rt.adm.release()
-	rt.metrics.addInflight(1)
-	defer rt.metrics.addInflight(-1)
+	rt.metrics.inflight.Inc()
+	defer rt.metrics.inflight.Add(-1)
 
 	key := shardKey(&sf)
 	targets := rt.targetsFor(key)
@@ -492,7 +489,7 @@ func (rt *Router) handleExecute(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(win.status)
 	w.Write(win.body)
 	rt.metrics.observeRequest(win.status, time.Since(start).Seconds())
-	rt.metrics.observeForward(win.node.name)
+	rt.metrics.nodeForwards.With(win.node.name).Inc()
 	rt.logf(routerLog{
 		Msg: "route", Tenant: tenant, Node: win.node.name, Key: key,
 		Status: win.status, MS: time.Since(start).Seconds() * 1e3,
@@ -586,13 +583,8 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	views := make([]nodeView, 0, len(rt.nodes))
-	for _, n := range rt.nodes {
-		views = append(views, nodeView{name: n.name, ready: n.ready.Load(), load: n.load(), depth: n.queueDepth.Load()})
-	}
-	sort.Slice(views, func(i, j int) bool { return views[i].name < views[j].name })
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	io.WriteString(w, rt.metrics.render(views, rt.adm.snapshot(), rt.hedgeDelay().Seconds(), rt.pinnedPipelines()))
+	rt.metrics.render(w, rt.nodes, rt.adm.snapshot(), rt.hedgeDelay().Seconds(), rt.pinnedPipelines())
 }
 
 // hedgeDelay is the current speculative-duplicate trigger: the tracked p95

@@ -382,16 +382,15 @@ func TestTenantSaturation(t *testing.T) {
 }
 
 // TestAutoscaleAdvisory drives the scraper against a fake node whose
-// /metrics reports sustained queue depth and pins the advisory log + metric.
+// /healthz reports sustained queue depth and pins the advisory log + metric.
+// The fake refuses every other path: a scrape round is one GET /healthz per
+// node, and the node's /metrics is never read.
 func TestAutoscaleAdvisory(t *testing.T) {
 	fake := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		switch r.URL.Path {
-		case "/healthz":
-			w.WriteHeader(http.StatusOK)
-			w.Write([]byte(`{"status":"ok"}`))
-		case "/metrics":
-			fmt.Fprint(w, "mpud_queue_depth{pool=\"RACER/MPU\"} 50\nmpud_inflight 10\n")
+		if r.URL.Path != "/healthz" {
+			t.Errorf("the router requested %s from a node; its probe is /healthz only", r.URL.Path)
 		}
+		w.Write([]byte(`{"status":"ok","queue_depth":50,"inflight":10}`))
 	}))
 	t.Cleanup(fake.Close)
 	var logs bytes.Buffer
@@ -421,15 +420,8 @@ func TestAutoscaleAdvisory(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	resp, err := http.Get(rts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var buf bytes.Buffer
-	buf.ReadFrom(resp.Body)
-	if !strings.Contains(buf.String(), "mpurouter_autoscale_advisories_total") {
-		t.Fatalf("metrics missing the advisory counter:\n%s", buf.String())
+	if text := getText(t, rts.URL+"/metrics"); !strings.Contains(text, "mpurouter_autoscale_advisories_total{node=") {
+		t.Fatalf("metrics missing the advisory counter:\n%s", text)
 	}
 	// One advisory per hot episode, not one per scrape: wait a few more
 	// scrapes and confirm the count did not explode.
@@ -451,14 +443,7 @@ func TestRouterMetricsExposition(t *testing.T) {
 	}, map[string]string{"X-Tenant": "alice"}); code != http.StatusOK {
 		t.Fatalf("execute: %d %s", code, body)
 	}
-	resp, err := http.Get(rts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var buf bytes.Buffer
-	buf.ReadFrom(resp.Body)
-	text := buf.String()
+	text := getText(t, rts.URL+"/metrics")
 	for _, series := range []string{
 		`mpurouter_requests_total{code="200"} 1`,
 		"mpurouter_inflight 0",

@@ -36,9 +36,7 @@ func waitInflight(t *testing.T, s *Server, n int64) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		s.metrics.mu.Lock()
-		got := s.metrics.inflight
-		s.metrics.mu.Unlock()
+		got := s.metrics.inflight.Value()
 		if got >= n {
 			return
 		}

@@ -1,363 +1,152 @@
 package serve
 
 import (
-	"fmt"
-	"sort"
+	"io"
 	"strconv"
-	"strings"
-	"sync"
+
+	"mpu/internal/obs"
 )
 
-// metrics is a hand-rolled Prometheus-text registry: the daemon is
-// stdlib-only, and the handful of series it exposes (request counters by
-// status code, queue-depth gauges, batch-size and latency histograms, and
-// trace-engine counters rolled up from machine.Stats) do not justify a
-// client library. Rendering is deterministic: series are emitted in a fixed
-// order with sorted label values.
+// metrics is the daemon's catalogue on the shared obs registry: request
+// counters by status code, queue-depth gauges, batch-size and latency
+// histograms, and trace-engine counters rolled up from machine.Stats.
+// Unlabelled series are bound once, here; the request path reaches them
+// through the handle. Declaration order is emission order, and
+// testdata/metrics.golden pins the result byte-for-byte.
 type metrics struct {
-	mu sync.Mutex
+	reg *obs.Registry
 
-	// node is the cluster node label ("" on a standalone daemon). Only the
-	// gauges carry it — multi-node scrapes need to distinguish live state
-	// per node, and keeping the counters label-free keeps single-node
-	// dashboards stable.
+	// node is the cluster node label ("" on a standalone daemon, which obs
+	// renders as no label at all). Only the gauges carry it — multi-node
+	// scrapes need to distinguish live state per node, and keeping the
+	// counters label-free keeps single-node dashboards stable.
 	node string
 
-	requests map[string]uint64 // HTTP status code → count
-	batches  uint64            // executed batches
-	drops    uint64            // admissions refused: queue full or draining
+	requests   *obs.Family[*obs.Int] // HTTP status code → count
+	drops      *obs.Int              // admissions refused: queue full or draining
+	inflight   *obs.Int              // admitted requests not yet answered
+	queueDepth *obs.Family[*obs.Int] // per pool, sampled at render time
+	batches    *obs.Int              // executed batches
+	batchSize  *obs.Histogram        // requests coalesced per executed batch
+	latency    *obs.Histogram        // request wall time, seconds (admission → response)
 
-	batchSize histogram // requests coalesced per executed batch
-	latency   histogram // request wall time, seconds (admission → response)
-
-	traceHits      uint64
-	traceMisses    uint64
-	traceFallbacks uint64
-	jitCompiles    uint64
-	jitReplays     uint64
-	roundsTotal    uint64
-
-	inflight int64 // admitted requests not yet answered
+	traceHits, traceMisses, traceFallbacks, jitCompiles, jitReplays, roundsTotal *obs.Int
 
 	// QoS plane: preemption accounting and per-class latency. The parked
 	// gauges track jobs sitting in pool parking lots (and their snapshot
 	// bytes); restore is the wall time of Machine.Restore on resumption.
-	preemptions   uint64
-	preemptSpills uint64
-	parkedJobs    int64
-	parkedBytes   int64
-	restore       histogram
-	classSeconds  map[string]*histogram // ClassLatency / ClassBatch
+	preemptions, preemptSpills *obs.Int
+	parkedJobs, parkedBytes    *obs.Int
+	restore                    *obs.Histogram
+	classSeconds               map[string]*obs.Histogram // ClassLatency / ClassBatch
 
 	// Pipeline session plane: live sessions, records streamed, park events
 	// (one per advance request — the snapshot written when the session's
 	// machine returns to the free list), and the bytes those parked
 	// snapshots currently hold.
-	sessionsOpen     int64
-	sessionRecords   uint64
-	sessionParks     uint64
-	sessionSnapBytes int64
+	sessionsOpen, sessionRecords, sessionParks, sessionSnapBytes *obs.Int
 }
 
 func newMetrics(node string) *metrics {
+	r := &obs.Registry{}
+	m := &metrics{reg: r, node: node}
+	counter := func(name, help string) *obs.Int { return r.Counter(name, help).With() }
+	gauge := func(name, help string) *obs.Int { return r.Gauge(name, help, "node").With(node) }
 	requestBounds := []float64{0.001, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10}
-	return &metrics{
-		node:      node,
-		requests:  map[string]uint64{},
-		batchSize: newHistogram([]float64{1, 2, 4, 8, 16, 32, 64}),
-		latency:   newHistogram(requestBounds),
-		restore:   newHistogram([]float64{0.00001, 0.0001, 0.001, 0.01, 0.1, 1}),
-		classSeconds: map[string]*histogram{
-			ClassBatch:   newHistogramPtr(requestBounds),
-			ClassLatency: newHistogramPtr(requestBounds),
-		},
-	}
-}
 
-func newHistogramPtr(bounds []float64) *histogram {
-	h := newHistogram(bounds)
-	return &h
-}
+	m.requests = r.Counter("mpud_requests_total", "Requests answered, by HTTP status code.", "code")
+	m.drops = counter("mpud_backpressure_total", "Admissions refused with 503 (queue full or draining).")
+	m.inflight = gauge("mpud_inflight", "Admitted requests not yet answered.")
+	m.queueDepth = r.Gauge("mpud_queue_depth", "Batches waiting in each pool's admission queue.", "node", "pool")
+	m.batches = counter("mpud_batches_total", "Coalesced batches executed.")
+	m.batchSize = r.Histogram("mpud_batch_size", "Requests coalesced into one SPMD run.", []float64{1, 2, 4, 8, 16, 32, 64}).With()
+	m.latency = r.Histogram("mpud_request_seconds", "Request wall time from admission to response.", requestBounds).With()
 
-// histogram is a cumulative-bucket histogram in the Prometheus exposition
-// sense: counts[i] counts observations ≤ bounds[i]; +Inf is implicit.
-type histogram struct {
-	bounds []float64
-	counts []uint64
-	sum    float64
-	n      uint64
-}
+	m.traceHits = counter("mpud_trace_hits_total", "Trace-engine replay hits rolled up from run stats.")
+	m.traceMisses = counter("mpud_trace_misses_total", "Trace-engine compile rounds rolled up from run stats.")
+	m.traceFallbacks = counter("mpud_trace_fallbacks_total", "Interpreted rounds (untraceable bodies) rolled up from run stats.")
+	m.jitCompiles = counter("mpud_jit_compiles_total", "Trace bodies JIT-compiled to closure chains, rolled up from run stats.")
+	m.jitReplays = counter("mpud_jit_replays_total", "Replay rounds served by JIT-compiled closure chains, rolled up from run stats.")
+	m.roundsTotal = counter("mpud_scheduler_rounds_total", "Machine scheduler rounds rolled up from run stats.")
 
-func newHistogram(bounds []float64) histogram {
-	return histogram{bounds: bounds, counts: make([]uint64, len(bounds))}
-}
+	m.preemptions = counter("mpud_preemptions_total", "Batch jobs parked at an ensemble boundary to admit latency work.")
+	m.preemptSpills = counter("mpud_preempt_spills_total", "Preemption boundaries where the parking lot was full and the job resumed in place.")
+	m.parkedJobs = gauge("mpud_parked_jobs", "Preempted batch jobs currently held in parking lots.")
+	m.parkedBytes = gauge("mpud_parked_bytes", "Snapshot bytes currently held in parking lots.")
+	m.restore = r.Histogram("mpud_restore_seconds", "Machine.Restore wall time when resuming a parked job.", []float64{0.00001, 0.0001, 0.001, 0.01, 0.1, 1}).With()
+	byClass := r.Histogram("mpud_class_request_seconds", "Request wall time from admission to response, by QoS class.", requestBounds, "class")
+	m.classSeconds = map[string]*obs.Histogram{ClassBatch: byClass.With(ClassBatch), ClassLatency: byClass.With(ClassLatency)}
 
-func (h *histogram) observe(v float64) {
-	for i, b := range h.bounds {
-		if v <= b {
-			h.counts[i]++
-		}
-	}
-	h.sum += v
-	h.n++
+	m.sessionsOpen = gauge("mpud_sessions", "Live pipeline sessions.")
+	m.sessionRecords = counter("mpud_session_records_total", "Records streamed through pipeline sessions.")
+	m.sessionParks = counter("mpud_session_parks_total", "Session snapshots parked as advance requests released their machines.")
+	m.sessionSnapBytes = gauge("mpud_session_snapshot_bytes", "Snapshot bytes currently held by parked pipeline sessions.")
+	return m
 }
 
 func (m *metrics) observeRequest(code int, seconds float64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.requests[strconv.Itoa(code)]++
-	m.latency.observe(seconds)
+	m.requests.With(strconv.Itoa(code)).Inc()
+	m.latency.Observe(seconds)
 }
 
 func (m *metrics) observeDrop(code int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.requests[strconv.Itoa(code)]++
-	m.drops++
+	m.requests.With(strconv.Itoa(code)).Inc()
+	m.drops.Inc()
 }
 
 func (m *metrics) observeBatch(size int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.batches++
-	m.batchSize.observe(float64(size))
+	m.batches.Inc()
+	m.batchSize.Observe(float64(size))
 }
 
 func (m *metrics) rollupStats(traceHits, traceMisses, traceFallbacks, jitCompiles, jitReplays, rounds uint64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.traceHits += traceHits
-	m.traceMisses += traceMisses
-	m.traceFallbacks += traceFallbacks
-	m.jitCompiles += jitCompiles
-	m.jitReplays += jitReplays
-	m.roundsTotal += rounds
-}
-
-func (m *metrics) addInflight(d int64) {
-	m.mu.Lock()
-	m.inflight += d
-	m.mu.Unlock()
+	m.traceHits.Add(int64(traceHits))
+	m.traceMisses.Add(int64(traceMisses))
+	m.traceFallbacks.Add(int64(traceFallbacks))
+	m.jitCompiles.Add(int64(jitCompiles))
+	m.jitReplays.Add(int64(jitReplays))
+	m.roundsTotal.Add(int64(rounds))
 }
 
 // observeClass records one answered request's wall time under its QoS class.
 func (m *metrics) observeClass(class string, seconds float64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if h, ok := m.classSeconds[class]; ok {
-		h.observe(seconds)
+		h.Observe(seconds)
 	}
 }
 
 // observePark counts one batch job preempted into a parking lot.
 func (m *metrics) observePark(bytes int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.preemptions++
-	m.parkedJobs++
-	m.parkedBytes += int64(bytes)
-}
-
-// observeSpill counts one preemption boundary where the parking lot was full.
-func (m *metrics) observeSpill() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.preemptSpills++
+	m.preemptions.Inc()
+	m.parkedJobs.Inc()
+	m.parkedBytes.Add(int64(bytes))
 }
 
 // observeUnpark removes one job from the parked gauges as a worker picks it up.
 func (m *metrics) observeUnpark(bytes int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.parkedJobs--
-	m.parkedBytes -= int64(bytes)
-}
-
-// observeSessionOpen moves the live-session gauge as sessions come and go.
-func (m *metrics) observeSessionOpen(d int64) {
-	m.mu.Lock()
-	m.sessionsOpen += d
-	m.mu.Unlock()
+	m.parkedJobs.Add(-1)
+	m.parkedBytes.Add(-int64(bytes))
 }
 
 // observeSessionPark counts one advance request parking its session:
 // records streamed, one park event, and the change in held snapshot bytes.
 func (m *metrics) observeSessionPark(records int, bytesDelta int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.sessionRecords += uint64(records)
-	m.sessionParks++
-	m.sessionSnapBytes += int64(bytesDelta)
+	m.sessionRecords.Add(int64(records))
+	m.sessionParks.Inc()
+	m.sessionSnapBytes.Add(int64(bytesDelta))
 }
 
 // observeSessionClose retires one session and releases its snapshot bytes.
 func (m *metrics) observeSessionClose(snapBytes int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.sessionsOpen--
-	m.sessionSnapBytes -= int64(snapBytes)
+	m.sessionsOpen.Add(-1)
+	m.sessionSnapBytes.Add(-int64(snapBytes))
 }
 
-// observeRestore records the wall time of one Machine.Restore on resumption.
-func (m *metrics) observeRestore(seconds float64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.restore.observe(seconds)
-}
-
-// queueDepth is sampled at render time from the live pools.
-type queueDepth struct {
-	pool  string
-	depth int
-}
-
-// render emits the Prometheus text exposition format.
-func (m *metrics) render(depths []queueDepth) string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var sb strings.Builder
-
-	sb.WriteString("# HELP mpud_requests_total Requests answered, by HTTP status code.\n")
-	sb.WriteString("# TYPE mpud_requests_total counter\n")
-	codes := make([]string, 0, len(m.requests))
-	for c := range m.requests {
-		codes = append(codes, c)
+// render samples the pool gauges (pool name → batches waiting) and emits the
+// Prometheus text exposition.
+func (m *metrics) render(w io.Writer, depths map[string]int) {
+	for pool, depth := range depths {
+		m.queueDepth.With(m.node, pool).Set(int64(depth))
 	}
-	sort.Strings(codes)
-	for _, c := range codes {
-		fmt.Fprintf(&sb, "mpud_requests_total{code=%q} %d\n", c, m.requests[c])
-	}
-
-	sb.WriteString("# HELP mpud_backpressure_total Admissions refused with 503 (queue full or draining).\n")
-	sb.WriteString("# TYPE mpud_backpressure_total counter\n")
-	fmt.Fprintf(&sb, "mpud_backpressure_total %d\n", m.drops)
-
-	sb.WriteString("# HELP mpud_inflight Admitted requests not yet answered.\n")
-	sb.WriteString("# TYPE mpud_inflight gauge\n")
-	if m.node != "" {
-		fmt.Fprintf(&sb, "mpud_inflight{node=%q} %d\n", m.node, m.inflight)
-	} else {
-		fmt.Fprintf(&sb, "mpud_inflight %d\n", m.inflight)
-	}
-
-	sb.WriteString("# HELP mpud_queue_depth Batches waiting in each pool's admission queue.\n")
-	sb.WriteString("# TYPE mpud_queue_depth gauge\n")
-	for _, d := range depths {
-		if m.node != "" {
-			fmt.Fprintf(&sb, "mpud_queue_depth{node=%q,pool=%q} %d\n", m.node, d.pool, d.depth)
-		} else {
-			fmt.Fprintf(&sb, "mpud_queue_depth{pool=%q} %d\n", d.pool, d.depth)
-		}
-	}
-
-	sb.WriteString("# HELP mpud_batches_total Coalesced batches executed.\n")
-	sb.WriteString("# TYPE mpud_batches_total counter\n")
-	fmt.Fprintf(&sb, "mpud_batches_total %d\n", m.batches)
-
-	renderHistogram(&sb, "mpud_batch_size", "Requests coalesced into one SPMD run.", &m.batchSize)
-	renderHistogram(&sb, "mpud_request_seconds", "Request wall time from admission to response.", &m.latency)
-
-	sb.WriteString("# HELP mpud_trace_hits_total Trace-engine replay hits rolled up from run stats.\n")
-	sb.WriteString("# TYPE mpud_trace_hits_total counter\n")
-	fmt.Fprintf(&sb, "mpud_trace_hits_total %d\n", m.traceHits)
-	sb.WriteString("# HELP mpud_trace_misses_total Trace-engine compile rounds rolled up from run stats.\n")
-	sb.WriteString("# TYPE mpud_trace_misses_total counter\n")
-	fmt.Fprintf(&sb, "mpud_trace_misses_total %d\n", m.traceMisses)
-	sb.WriteString("# HELP mpud_trace_fallbacks_total Interpreted rounds (untraceable bodies) rolled up from run stats.\n")
-	sb.WriteString("# TYPE mpud_trace_fallbacks_total counter\n")
-	fmt.Fprintf(&sb, "mpud_trace_fallbacks_total %d\n", m.traceFallbacks)
-	sb.WriteString("# HELP mpud_jit_compiles_total Trace bodies JIT-compiled to closure chains, rolled up from run stats.\n")
-	sb.WriteString("# TYPE mpud_jit_compiles_total counter\n")
-	fmt.Fprintf(&sb, "mpud_jit_compiles_total %d\n", m.jitCompiles)
-	sb.WriteString("# HELP mpud_jit_replays_total Replay rounds served by JIT-compiled closure chains, rolled up from run stats.\n")
-	sb.WriteString("# TYPE mpud_jit_replays_total counter\n")
-	fmt.Fprintf(&sb, "mpud_jit_replays_total %d\n", m.jitReplays)
-	sb.WriteString("# HELP mpud_scheduler_rounds_total Machine scheduler rounds rolled up from run stats.\n")
-	sb.WriteString("# TYPE mpud_scheduler_rounds_total counter\n")
-	fmt.Fprintf(&sb, "mpud_scheduler_rounds_total %d\n", m.roundsTotal)
-
-	sb.WriteString("# HELP mpud_preemptions_total Batch jobs parked at an ensemble boundary to admit latency work.\n")
-	sb.WriteString("# TYPE mpud_preemptions_total counter\n")
-	fmt.Fprintf(&sb, "mpud_preemptions_total %d\n", m.preemptions)
-
-	sb.WriteString("# HELP mpud_preempt_spills_total Preemption boundaries where the parking lot was full and the job resumed in place.\n")
-	sb.WriteString("# TYPE mpud_preempt_spills_total counter\n")
-	fmt.Fprintf(&sb, "mpud_preempt_spills_total %d\n", m.preemptSpills)
-
-	sb.WriteString("# HELP mpud_parked_jobs Preempted batch jobs currently held in parking lots.\n")
-	sb.WriteString("# TYPE mpud_parked_jobs gauge\n")
-	if m.node != "" {
-		fmt.Fprintf(&sb, "mpud_parked_jobs{node=%q} %d\n", m.node, m.parkedJobs)
-	} else {
-		fmt.Fprintf(&sb, "mpud_parked_jobs %d\n", m.parkedJobs)
-	}
-
-	sb.WriteString("# HELP mpud_parked_bytes Snapshot bytes currently held in parking lots.\n")
-	sb.WriteString("# TYPE mpud_parked_bytes gauge\n")
-	if m.node != "" {
-		fmt.Fprintf(&sb, "mpud_parked_bytes{node=%q} %d\n", m.node, m.parkedBytes)
-	} else {
-		fmt.Fprintf(&sb, "mpud_parked_bytes %d\n", m.parkedBytes)
-	}
-
-	renderHistogram(&sb, "mpud_restore_seconds", "Machine.Restore wall time when resuming a parked job.", &m.restore)
-	renderClassHistogram(&sb, "mpud_class_request_seconds", "Request wall time from admission to response, by QoS class.", m.classSeconds)
-
-	sb.WriteString("# HELP mpud_sessions Live pipeline sessions.\n")
-	sb.WriteString("# TYPE mpud_sessions gauge\n")
-	if m.node != "" {
-		fmt.Fprintf(&sb, "mpud_sessions{node=%q} %d\n", m.node, m.sessionsOpen)
-	} else {
-		fmt.Fprintf(&sb, "mpud_sessions %d\n", m.sessionsOpen)
-	}
-
-	sb.WriteString("# HELP mpud_session_records_total Records streamed through pipeline sessions.\n")
-	sb.WriteString("# TYPE mpud_session_records_total counter\n")
-	fmt.Fprintf(&sb, "mpud_session_records_total %d\n", m.sessionRecords)
-
-	sb.WriteString("# HELP mpud_session_parks_total Session snapshots parked as advance requests released their machines.\n")
-	sb.WriteString("# TYPE mpud_session_parks_total counter\n")
-	fmt.Fprintf(&sb, "mpud_session_parks_total %d\n", m.sessionParks)
-
-	sb.WriteString("# HELP mpud_session_snapshot_bytes Snapshot bytes currently held by parked pipeline sessions.\n")
-	sb.WriteString("# TYPE mpud_session_snapshot_bytes gauge\n")
-	if m.node != "" {
-		fmt.Fprintf(&sb, "mpud_session_snapshot_bytes{node=%q} %d\n", m.node, m.sessionSnapBytes)
-	} else {
-		fmt.Fprintf(&sb, "mpud_session_snapshot_bytes %d\n", m.sessionSnapBytes)
-	}
-
-	return sb.String()
-}
-
-// renderClassHistogram emits one histogram per QoS class under a shared
-// metric name, classes in sorted order.
-func renderClassHistogram(sb *strings.Builder, name, help string, classes map[string]*histogram) {
-	fmt.Fprintf(sb, "# HELP %s %s\n", name, help)
-	fmt.Fprintf(sb, "# TYPE %s histogram\n", name)
-	keys := make([]string, 0, len(classes))
-	for c := range classes {
-		keys = append(keys, c)
-	}
-	sort.Strings(keys)
-	for _, c := range keys {
-		h := classes[c]
-		for i, b := range h.bounds {
-			fmt.Fprintf(sb, "%s_bucket{class=%q,le=%q} %d\n", name, c, strconv.FormatFloat(b, 'g', -1, 64), h.counts[i])
-		}
-		fmt.Fprintf(sb, "%s_bucket{class=%q,le=\"+Inf\"} %d\n", name, c, h.n)
-		fmt.Fprintf(sb, "%s_sum{class=%q} %s\n", name, c, strconv.FormatFloat(h.sum, 'g', -1, 64))
-		fmt.Fprintf(sb, "%s_count{class=%q} %d\n", name, c, h.n)
-	}
-}
-
-func renderHistogram(sb *strings.Builder, name, help string, h *histogram) {
-	fmt.Fprintf(sb, "# HELP %s %s\n", name, help)
-	fmt.Fprintf(sb, "# TYPE %s histogram\n", name)
-	for i, b := range h.bounds {
-		fmt.Fprintf(sb, "%s_bucket{le=%q} %d\n", name, strconv.FormatFloat(b, 'g', -1, 64), h.counts[i])
-	}
-	fmt.Fprintf(sb, "%s_bucket{le=\"+Inf\"} %d\n", name, h.n)
-	fmt.Fprintf(sb, "%s_sum %s\n", name, strconv.FormatFloat(h.sum, 'g', -1, 64))
-	fmt.Fprintf(sb, "%s_count %d\n", name, h.n)
+	m.reg.WriteTo(w)
 }

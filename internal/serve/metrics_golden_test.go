@@ -22,15 +22,15 @@ func goldenMetrics() *metrics {
 	m.observeBatch(3)
 	m.observeBatch(1)
 	m.rollupStats(5, 2, 1, 3, 4, 100)
-	m.addInflight(2)
+	m.inflight.Add(2)
 	m.observeClass(ClassBatch, 0.03)
 	m.observeClass(ClassLatency, 0.004)
 	m.observePark(1000)
 	m.observePark(500)
-	m.observeSpill()
+	m.preemptSpills.Inc()
 	m.observeUnpark(1000)
-	m.observeRestore(0.0005)
-	m.observeSessionOpen(2)
+	m.restore.Observe(0.0005)
+	m.sessionsOpen.Add(2)
 	m.observeSessionPark(10, 4096)
 	m.observeSessionPark(5, 0)
 	m.observeSessionClose(2048)
@@ -39,15 +39,14 @@ func goldenMetrics() *metrics {
 
 // TestMetricsRenderGolden pins the full /metrics exposition byte-for-byte:
 // the series names, help text, label shapes, and emission order are a wire
-// contract — mpurouter scrapes mpud_queue_depth and mpud_inflight by name,
-// and dashboards key on the rest. Renaming or reordering a series must show
-// up as a reviewed golden diff, not a silent scrape break.
+// contract — bench's scrape and dashboards key on them. Renaming or
+// reordering a series must show up as a reviewed golden diff, not a silent
+// scrape break.
 // Regenerate with: go test ./internal/serve -run TestMetricsRenderGolden -update
 func TestMetricsRenderGolden(t *testing.T) {
-	got := goldenMetrics().render([]queueDepth{
-		{pool: "MIMDRAM/MPU", depth: 0},
-		{pool: "RACER/MPU", depth: 2},
-	})
+	var sb strings.Builder
+	goldenMetrics().render(&sb, map[string]int{"MIMDRAM/MPU": 0, "RACER/MPU": 2})
+	got := sb.String()
 	golden := filepath.Join("testdata", "metrics.golden")
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
@@ -71,9 +70,12 @@ func TestMetricsRenderGolden(t *testing.T) {
 // the gauges carry no node label (single-node dashboards key on the bare
 // series names).
 func TestMetricsRenderNoNode(t *testing.T) {
-	got := newMetrics("").render(nil)
+	var sb strings.Builder
+	newMetrics("").render(&sb, map[string]int{"RACER/MPU": 1})
+	got := sb.String()
 	for _, want := range []string{
 		"mpud_inflight 0\n",
+		"mpud_queue_depth{pool=\"RACER/MPU\"} 1\n",
 		"mpud_parked_jobs 0\n",
 		"mpud_parked_bytes 0\n",
 		"mpud_sessions 0\n",

@@ -49,6 +49,7 @@ import (
 	"mpu/internal/lint"
 	"mpu/internal/lint/comm"
 	"mpu/internal/machine"
+	"mpu/internal/obs"
 	"mpu/internal/workloads"
 )
 
@@ -375,7 +376,7 @@ type Server struct {
 	cfg      Config
 	mux      *http.ServeMux
 	pools    map[string]*pool
-	order    []string // deterministic pool iteration for /metrics, /healthz
+	order    []string // pool names, sorted: the /healthz inventory and Close order
 	metrics  *metrics
 	logger   *reqLogger
 	sess     *sessionManager
@@ -631,7 +632,7 @@ func (p *pool) park(w *workerState, b *batch, prep *workloads.Prepared, mt *metr
 			return false
 		}
 		if len(p.parked) >= p.maxParked {
-			mt.observeSpill()
+			mt.preemptSpills.Inc()
 			return false
 		}
 		return true
@@ -666,7 +667,7 @@ func (s *Server) resume(p *pool, w *workerState, pj *parkedJob) {
 		s.deliver(p, pj.b, errResult(http.StatusInternalServerError, err))
 		return
 	}
-	s.metrics.observeRestore(time.Since(t0).Seconds())
+	s.metrics.restore.Observe(time.Since(t0).Seconds())
 	pj.prep.Machine = w.m
 	res, parked := s.runKernel(p, w, pj.b, pj.prep)
 	if parked {
@@ -910,8 +911,8 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 		s.refuse(w, p, rq, start, "queue full")
 		return
 	}
-	s.metrics.addInflight(1)
-	defer s.metrics.addInflight(-1)
+	s.metrics.inflight.Inc()
+	defer s.metrics.inflight.Add(-1)
 
 	deadline := s.cfg.DefaultDeadline
 	if raw.DeadlineMS > 0 {
@@ -967,13 +968,13 @@ func (s *Server) finish(w http.ResponseWriter, p *pool, workload, class string, 
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	type health struct {
-		Status string   `json:"status"`
-		Node   string   `json:"node,omitempty"`
-		Pools  []string `json:"pools"`
-		UpSec  float64  `json:"up_sec"`
+	h := obs.NodeHealth{
+		Status: "ok", Node: s.cfg.NodeID, Pools: s.order, UpSec: time.Since(s.started).Seconds(),
+		Inflight: s.metrics.inflight.Value(),
 	}
-	h := health{Status: "ok", Node: s.cfg.NodeID, Pools: s.order, UpSec: time.Since(s.started).Seconds()}
+	for _, depth := range s.queueDepths() {
+		h.QueueDepth += int64(depth)
+	}
 	code := http.StatusOK
 	if s.Draining() {
 		h.Status = "draining"
@@ -982,13 +983,18 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, code, h)
 }
 
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	depths := make([]queueDepth, 0, len(s.order))
-	for _, name := range s.order {
-		depths = append(depths, queueDepth{pool: name, depth: s.pools[name].depth()})
+// queueDepths samples every pool's admission queue: pool name → batches waiting.
+func (s *Server) queueDepths() map[string]int {
+	depths := make(map[string]int, len(s.pools))
+	for name, p := range s.pools {
+		depths[name] = p.depth()
 	}
+	return depths
+}
+
+func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	io.WriteString(w, s.metrics.render(depths))
+	s.metrics.render(w, s.queueDepths())
 }
 
 func (s *Server) handleWorkloads(w http.ResponseWriter, r *http.Request) {

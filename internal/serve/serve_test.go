@@ -364,14 +364,20 @@ func TestHealthzAndWorkloads(t *testing.T) {
 		t.Fatalf("healthz %d", resp.StatusCode)
 	}
 	var h struct {
-		Status string   `json:"status"`
-		Pools  []string `json:"pools"`
+		Status     string   `json:"status"`
+		Pools      []string `json:"pools"`
+		QueueDepth *int64   `json:"queue_depth"` // pointers: present, not merely zero
+		Inflight   *int64   `json:"inflight"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
 		t.Fatal(err)
 	}
 	if h.Status != "ok" || len(h.Pools) != 1 || h.Pools[0] != "RACER/MPU" {
 		t.Fatalf("bad healthz: %+v", h)
+	}
+	// The two load fields mpurouter's probe reads: present, and 0 when idle.
+	if h.QueueDepth == nil || *h.QueueDepth != 0 || h.Inflight == nil || *h.Inflight != 0 {
+		t.Fatalf("idle healthz must carry queue_depth 0 and inflight 0: %+v", h)
 	}
 
 	resp2, err := http.Get(ts.URL + "/v1/workloads")

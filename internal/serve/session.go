@@ -275,7 +275,7 @@ func (s *Server) createSession(req *PipelineRequest) (*PipelineResponse, int, er
 		s.sess.sessions = map[string]*session{}
 	}
 	s.sess.sessions[id] = sess
-	s.metrics.observeSessionOpen(1)
+	s.metrics.sessionsOpen.Inc()
 	return &PipelineResponse{
 		ID: id, Backend: spec.Name, Mode: mode.String(),
 		MPUs: c.MPUs, Lanes: spec.Lanes, Hops: c.Hops, Nodes: c.Nodes,
