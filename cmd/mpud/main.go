@@ -124,7 +124,8 @@ func run(addr, pools string, queue int, deadline time.Duration, maxElements int,
 		return err
 	}
 	// Explicit timeouts on every edge: a slow or stalled client must not be
-	// able to pin a connection (repolint rule 4 enforces this shape).
+	// able to pin a connection (repolint's http-server-timeouts rule enforces
+	// this shape).
 	hs := &http.Server{
 		Handler:           srv,
 		ReadHeaderTimeout: 5 * time.Second,

@@ -365,9 +365,9 @@ func (g *generator) strictErr() error {
 	return nil
 }
 
-// listen puts h behind a loopback http.Server with the timeouts repolint
-// rule 4 requires and returns its base URL and a closer that waits for the
-// serve loop to exit.
+// listen puts h behind a loopback http.Server with the timeouts repolint's
+// http-server-timeouts rule requires and returns its base URL and a closer
+// that waits for the serve loop to exit.
 func listen(h http.Handler) (string, func(), error) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

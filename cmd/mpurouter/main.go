@@ -148,8 +148,9 @@ func run(addr, nodes string, candidates, retries int, hedge bool, hedgeMin, hedg
 	if err != nil {
 		return err
 	}
-	// Explicit timeouts on every edge, the repolint rule-4 shape shared with
-	// mpud: a stalled client must not pin a connection.
+	// Explicit timeouts on every edge, the shape repolint's
+	// http-server-timeouts rule requires and mpud shares: a stalled client
+	// must not pin a connection.
 	hs := &http.Server{
 		Handler:           rt,
 		ReadHeaderTimeout: 5 * time.Second,

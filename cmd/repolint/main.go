@@ -16,56 +16,17 @@
 //     layer; every other package must go through the vrf abstraction so
 //     capacity checks and energy accounting cannot be bypassed.
 //
-//  3. machine-stats-mutation — inside internal/machine, the machine-wide
-//     stats struct may only be written (or have its address taken) by the
-//     reduceStats merge. Everything on the execution path accumulates into
-//     the per-core local counters; a direct mutation of a `.stats` field
-//     would race under the parallel scheduler and break the byte-identical
-//     worker-count parity.
-//
-//  4. http-server-timeouts — no http.ListenAndServe/ListenAndServeTLS
+//  3. http-server-timeouts — no http.ListenAndServe/ListenAndServeTLS
 //     (they build servers with no timeouts at all), and every http.Server
 //     composite literal must set WriteTimeout plus ReadTimeout or
 //     ReadHeaderTimeout. mpud is a long-running daemon; a server without
 //     these lets one stalled client pin a connection forever. Test files
 //     are exempt (they use httptest).
 //
-//  5. jit-counter-mutation — inside internal/machine, the JITCompiles and
-//     JITReplays counters may only be written by the closure-compile path
-//     (compileJIT), the replay loop (replayRound), and the reduceStats
-//     merge. The counters are the observable contract that the JIT engaged;
-//     a write anywhere else could fake engagement without compiling, or
-//     double-charge a round.
-//
-//  6. rendezvous-state-mutation — inside internal/machine, the NoC matching
-//     state (waitSend/waitRecv/sendDst/recvSrc) may only be written by the
-//     core dispatch that parks on SEND/RECV (core.run), the barrier-phase
-//     matcher (rendezvous), the lifecycle resets (Reset, Rewind), and the
-//     snapshot restore path (Restore, decodeCore). The deadlock detector
-//     and the commlint soundness oracle both read this state as ground
-//     truth for who waits on whom; a write anywhere else could unblock a
-//     core without a matching transfer or fake a pending rendezvous that
-//     never existed.
-//
-//  7. snapshot-resume-state-mutation — inside internal/machine, the
-//     preemption resume state (the mid-ensemble ens cursor, the seg
-//     progress counter, and the machine-level midRun flag) may only be
-//     written by the execution path that advances it (core.run,
-//     runComputeEnsemble, runEnsembleRounds, Machine.Run), the lifecycle
-//     resets (Reset, Rewind), and the snapshot restore path (Restore,
-//     decodeCore). Snapshot/resume parity is byte-exact because exactly
-//     these writers agree on the cursor's meaning; a write anywhere else
-//     could fast-forward rounds that were never charged or mark a
-//     mid-flight run as quiesced.
-//
-//  8. session-state-mutation — inside internal/serve, the pipeline session
-//     table (the manager's `sessions` map) may only be written — assigned,
-//     inserted into, or deleted from — by the session manager's audited
-//     lifecycle paths: createSession, advanceSession, and closeSession.
-//     Every HTTP handler and metrics path reads the table under the manager
-//     mutex; a write anywhere else could install a session that was never
-//     admitted (bypassing the MaxSessions 503 and the 422 lint gate) or
-//     drop one whose parked snapshot is still live.
+// Who may write a struct field is not a rule here: a name-based allowlist is
+// walked past by an alias or a same-named method, while the differential
+// tests (TestTraceParity, FuzzJITParity, TestSnapshotResumeParity*,
+// TestPipelineLimits) fail on the forged write itself.
 //
 // Usage: repolint [root]   (default root ".")
 package main
@@ -152,21 +113,6 @@ func lintFile(path, rel string) ([]string, error) {
 	// Rule 1 exemption: the workloads package owns the seeding helpers.
 	inWorkloads := strings.HasPrefix(rel, "internal/workloads/")
 
-	// Rules 3, 5, 6, and 7: machine-stats-mutation, jit-counter-mutation,
-	// rendezvous-state-mutation, and snapshot-resume-state-mutation
-	// (non-test machine sources only).
-	if strings.HasPrefix(rel, "internal/machine/") && !strings.HasSuffix(rel, "_test.go") {
-		lintStatsMutation(file, addf)
-		lintJITCounterMutation(file, addf)
-		lintRendezvousMutation(file, addf)
-		lintSnapshotStateMutation(file, addf)
-	}
-
-	// Rule 8: session-state-mutation (non-test serve sources only).
-	if strings.HasPrefix(rel, "internal/serve/") && !strings.HasSuffix(rel, "_test.go") {
-		lintSessionTableMutation(file, addf)
-	}
-
 	randNames := map[string]bool{} // local names bound to math/rand
 	httpNames := map[string]bool{} // local names bound to net/http
 	for _, imp := range file.Imports {
@@ -196,7 +142,7 @@ func lintFile(path, rel string) ([]string, error) {
 		}
 	}
 
-	// Rule 4: http-server-timeouts (non-test files).
+	// Rule 3: http-server-timeouts (non-test files).
 	if len(httpNames) > 0 && !strings.HasSuffix(rel, "_test.go") {
 		lintHTTPServers(file, httpNames, addf)
 	}
@@ -227,7 +173,7 @@ func lintFile(path, rel string) ([]string, error) {
 	return findings, nil
 }
 
-// lintHTTPServers enforces rule 4: no bare http.ListenAndServe helpers, and
+// lintHTTPServers enforces rule 3: no bare http.ListenAndServe helpers, and
 // every http.Server literal names WriteTimeout plus a read-side timeout so a
 // stalled client cannot pin a connection on a long-running daemon.
 func lintHTTPServers(file *ast.File, httpNames map[string]bool, addf func(pos token.Pos, rule, format string, args ...any)) {
@@ -280,303 +226,4 @@ func lintHTTPServers(file *ast.File, httpNames map[string]bool, addf func(pos to
 		}
 		return true
 	})
-}
-
-// touchesJITCounter reports whether the expression's selector chain ends in
-// one of the trace-JIT counters (c.local.JITCompiles, st.JITReplays, ...).
-func touchesJITCounter(e ast.Expr) bool {
-	found := false
-	ast.Inspect(e, func(n ast.Node) bool {
-		if sel, ok := n.(*ast.SelectorExpr); ok &&
-			(sel.Sel.Name == "JITCompiles" || sel.Sel.Name == "JITReplays") {
-			found = true
-			return false
-		}
-		return true
-	})
-	return found
-}
-
-// jitCounterWriters are the only functions rule 5 lets mutate the JIT
-// counters: the closure-compile path, the replay loop that consumes compiled
-// programs, the stats merge, and the snapshot decoder that reinstates a
-// serialized Stats block verbatim.
-var jitCounterWriters = map[string]bool{
-	"compileJIT":  true,
-	"replayRound": true,
-	"reduceStats": true,
-	"decodeStats": true,
-}
-
-// lintJITCounterMutation enforces rule 5: within internal/machine, only the
-// designated writers may assign to or increment JITCompiles/JITReplays, so
-// the counters cannot report JIT engagement from anywhere but the compile
-// and replay paths themselves.
-func lintJITCounterMutation(file *ast.File, addf func(pos token.Pos, rule, format string, args ...any)) {
-	const explain = "— only compileJIT, replayRound, reduceStats, and decodeStats may write the JIT counters"
-	for _, decl := range file.Decls {
-		fn, ok := decl.(*ast.FuncDecl)
-		if !ok || jitCounterWriters[fn.Name.Name] || fn.Body == nil {
-			continue
-		}
-		ast.Inspect(fn.Body, func(n ast.Node) bool {
-			switch s := n.(type) {
-			case *ast.AssignStmt:
-				for _, lhs := range s.Lhs {
-					if touchesJITCounter(lhs) {
-						addf(lhs.Pos(), "jit-counter-mutation",
-							"%s assigns a JIT counter %s", fn.Name.Name, explain)
-					}
-				}
-			case *ast.IncDecStmt:
-				if touchesJITCounter(s.X) {
-					addf(s.X.Pos(), "jit-counter-mutation",
-						"%s increments a JIT counter %s", fn.Name.Name, explain)
-				}
-			}
-			return true
-		})
-	}
-}
-
-// rendezvousFields is the per-core NoC matching state rule 6 guards.
-var rendezvousFields = map[string]bool{
-	"waitSend": true,
-	"waitRecv": true,
-	"sendDst":  true,
-	"recvSrc":  true,
-}
-
-// touchesRendezvousState reports whether the expression's selector chain
-// ends in one of the rendezvous fields (c.waitSend, r.recvSrc, ...).
-func touchesRendezvousState(e ast.Expr) bool {
-	found := false
-	ast.Inspect(e, func(n ast.Node) bool {
-		if sel, ok := n.(*ast.SelectorExpr); ok && rendezvousFields[sel.Sel.Name] {
-			found = true
-			return false
-		}
-		return true
-	})
-	return found
-}
-
-// rendezvousWriters are the only functions rule 6 lets mutate the matching
-// state: the dispatch that parks a core on SEND/RECV, the barrier-phase
-// matcher that completes the transfer, the lifecycle resets, and the
-// snapshot restore path that reinstates serialized wait state.
-var rendezvousWriters = map[string]bool{
-	"run":        true,
-	"rendezvous": true,
-	"Reset":      true,
-	"Rewind":     true,
-	"Restore":    true,
-	"decodeCore": true,
-}
-
-// lintRendezvousMutation enforces rule 6: within internal/machine, only the
-// designated writers may assign to or increment the rendezvous fields, so
-// the wait-for relation the deadlock diagnostic and commlint verify against
-// cannot be forged from anywhere else.
-func lintRendezvousMutation(file *ast.File, addf func(pos token.Pos, rule, format string, args ...any)) {
-	const explain = "— only core.run, rendezvous, Reset, Rewind, and the snapshot restore path may write the NoC matching state"
-	for _, decl := range file.Decls {
-		fn, ok := decl.(*ast.FuncDecl)
-		if !ok || rendezvousWriters[fn.Name.Name] || fn.Body == nil {
-			continue
-		}
-		ast.Inspect(fn.Body, func(n ast.Node) bool {
-			switch s := n.(type) {
-			case *ast.AssignStmt:
-				for _, lhs := range s.Lhs {
-					if touchesRendezvousState(lhs) {
-						addf(lhs.Pos(), "rendezvous-state-mutation",
-							"%s assigns rendezvous state %s", fn.Name.Name, explain)
-					}
-				}
-			case *ast.IncDecStmt:
-				if touchesRendezvousState(s.X) {
-					addf(s.X.Pos(), "rendezvous-state-mutation",
-						"%s increments rendezvous state %s", fn.Name.Name, explain)
-				}
-			}
-			return true
-		})
-	}
-}
-
-// snapshotStateFields is the preemption resume state rule 7 guards: the
-// mid-ensemble cursor, the per-run segment progress counter, and the
-// machine-level mid-run flag.
-var snapshotStateFields = map[string]bool{
-	"ens":    true,
-	"seg":    true,
-	"midRun": true,
-}
-
-// touchesSnapshotState reports whether the expression's selector chain goes
-// through one of the resume-state fields (c.ens.round, c.seg, m.midRun, ...).
-func touchesSnapshotState(e ast.Expr) bool {
-	found := false
-	ast.Inspect(e, func(n ast.Node) bool {
-		if sel, ok := n.(*ast.SelectorExpr); ok && snapshotStateFields[sel.Sel.Name] {
-			found = true
-			return false
-		}
-		return true
-	})
-	return found
-}
-
-// snapshotStateWriters are the only functions rule 7 lets mutate the resume
-// state: the execution path that advances the cursor, the lifecycle resets,
-// and the snapshot restore path.
-var snapshotStateWriters = map[string]bool{
-	"run":                true,
-	"runComputeEnsemble": true,
-	"runEnsembleRounds":  true,
-	"Run":                true,
-	"Reset":              true,
-	"Rewind":             true,
-	"Restore":            true,
-	"decodeCore":         true,
-}
-
-// lintSnapshotStateMutation enforces rule 7: within internal/machine, only
-// the designated writers may assign to or increment the preemption resume
-// state, so a snapshot taken at an ensemble boundary always describes work
-// that was actually charged — nothing can fast-forward the round cursor or
-// flip the mid-run flag from outside the audited paths.
-func lintSnapshotStateMutation(file *ast.File, addf func(pos token.Pos, rule, format string, args ...any)) {
-	const explain = "— only the run path (core.run, runComputeEnsemble, runEnsembleRounds, Machine.Run), the resets (Reset, Rewind), and the restore path (Restore, decodeCore) may write the preemption resume state"
-	for _, decl := range file.Decls {
-		fn, ok := decl.(*ast.FuncDecl)
-		if !ok || snapshotStateWriters[fn.Name.Name] || fn.Body == nil {
-			continue
-		}
-		ast.Inspect(fn.Body, func(n ast.Node) bool {
-			switch s := n.(type) {
-			case *ast.AssignStmt:
-				for _, lhs := range s.Lhs {
-					if touchesSnapshotState(lhs) {
-						addf(lhs.Pos(), "snapshot-resume-state-mutation",
-							"%s assigns preemption resume state %s", fn.Name.Name, explain)
-					}
-				}
-			case *ast.IncDecStmt:
-				if touchesSnapshotState(s.X) {
-					addf(s.X.Pos(), "snapshot-resume-state-mutation",
-						"%s increments preemption resume state %s", fn.Name.Name, explain)
-				}
-			}
-			return true
-		})
-	}
-}
-
-// touchesSessionTable reports whether the expression's selector chain goes
-// through a field named "sessions" (s.sess.sessions, s.sess.sessions[id]).
-func touchesSessionTable(e ast.Expr) bool {
-	found := false
-	ast.Inspect(e, func(n ast.Node) bool {
-		if sel, ok := n.(*ast.SelectorExpr); ok && sel.Sel.Name == "sessions" {
-			found = true
-			return false
-		}
-		return true
-	})
-	return found
-}
-
-// sessionTableWriters are the only functions rule 8 lets mutate the session
-// table: the manager's audited create/advance/close lifecycle.
-var sessionTableWriters = map[string]bool{
-	"createSession":  true,
-	"advanceSession": true,
-	"closeSession":   true,
-}
-
-// lintSessionTableMutation enforces rule 8: within internal/serve, only the
-// session manager's lifecycle paths may assign to, insert into, or delete
-// from the sessions map — every other path reads it under the manager mutex.
-func lintSessionTableMutation(file *ast.File, addf func(pos token.Pos, rule, format string, args ...any)) {
-	const explain = "— only createSession, advanceSession, and closeSession may write the session table"
-	for _, decl := range file.Decls {
-		fn, ok := decl.(*ast.FuncDecl)
-		if !ok || sessionTableWriters[fn.Name.Name] || fn.Body == nil {
-			continue
-		}
-		ast.Inspect(fn.Body, func(n ast.Node) bool {
-			switch s := n.(type) {
-			case *ast.AssignStmt:
-				for _, lhs := range s.Lhs {
-					if touchesSessionTable(lhs) {
-						addf(lhs.Pos(), "session-state-mutation",
-							"%s assigns the session table %s", fn.Name.Name, explain)
-					}
-				}
-			case *ast.IncDecStmt:
-				if touchesSessionTable(s.X) {
-					addf(s.X.Pos(), "session-state-mutation",
-						"%s mutates the session table %s", fn.Name.Name, explain)
-				}
-			case *ast.CallExpr:
-				if id, ok := s.Fun.(*ast.Ident); ok && id.Name == "delete" && id.Obj == nil &&
-					len(s.Args) > 0 && touchesSessionTable(s.Args[0]) {
-					addf(s.Pos(), "session-state-mutation",
-						"%s deletes from the session table %s", fn.Name.Name, explain)
-				}
-			}
-			return true
-		})
-	}
-}
-
-// touchesStats reports whether the expression's selector chain goes through
-// a field named "stats" (c.m.stats.Cycles, m.stats, ...).
-func touchesStats(e ast.Expr) bool {
-	found := false
-	ast.Inspect(e, func(n ast.Node) bool {
-		if sel, ok := n.(*ast.SelectorExpr); ok && sel.Sel.Name == "stats" {
-			found = true
-			return false
-		}
-		return true
-	})
-	return found
-}
-
-// lintStatsMutation enforces rule 3: within internal/machine, only the
-// reduceStats merge may assign to the machine-wide stats struct or take its
-// address — the execution path must charge the per-core local counters.
-func lintStatsMutation(file *ast.File, addf func(pos token.Pos, rule, format string, args ...any)) {
-	const explain = "— accumulate into the core's local Stats; only reduceStats merges into m.stats"
-	for _, decl := range file.Decls {
-		fn, ok := decl.(*ast.FuncDecl)
-		if !ok || fn.Name.Name == "reduceStats" || fn.Body == nil {
-			continue
-		}
-		ast.Inspect(fn.Body, func(n ast.Node) bool {
-			switch s := n.(type) {
-			case *ast.AssignStmt:
-				for _, lhs := range s.Lhs {
-					if touchesStats(lhs) {
-						addf(lhs.Pos(), "machine-stats-mutation",
-							"%s assigns through .stats %s", fn.Name.Name, explain)
-					}
-				}
-			case *ast.IncDecStmt:
-				if touchesStats(s.X) {
-					addf(s.X.Pos(), "machine-stats-mutation",
-						"%s increments through .stats %s", fn.Name.Name, explain)
-				}
-			case *ast.UnaryExpr:
-				if s.Op == token.AND && touchesStats(s.X) {
-					addf(s.X.Pos(), "machine-stats-mutation",
-						"%s takes the address of .stats %s", fn.Name.Name, explain)
-				}
-			}
-			return true
-		})
-	}
 }

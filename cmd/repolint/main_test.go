@@ -43,85 +43,6 @@ import _ "mpu/internal/bitvec"
 	write(t, root, "internal/vrf/v.go", `package vrf
 import _ "mpu/internal/bitvec"
 `)
-	// Violations: writing or aliasing the machine-wide stats outside the
-	// reduction; allowed: the reduceStats merge itself and test files.
-	write(t, root, "internal/machine/stats.go", `package machine
-type Stats struct{ Cycles int64 }
-type Machine struct{ stats Stats }
-func (m *Machine) step()  { m.stats.Cycles++ }
-func (m *Machine) alias() { st := &m.stats; st.Cycles = 0 }
-func (m *Machine) reduceStats() *Stats {
-	m.stats = Stats{}
-	return &m.stats
-}
-`)
-	write(t, root, "internal/machine/stats_test.go", `package machine
-func poke(m *Machine) { m.stats.Cycles = 1 }
-`)
-	// Violations: JIT counters written outside the designated paths;
-	// allowed: compileJIT, replayRound, reduceStats, and test files.
-	write(t, root, "internal/machine/jit.go", `package machine
-type local struct{ JITCompiles, JITReplays uint64 }
-func sneak(l *local)       { l.JITCompiles++ }
-func fake(l *local)        { l.JITReplays = 99 }
-func compileJIT(l *local)  { l.JITCompiles++ }
-func replayRound(l *local) { l.JITReplays++ }
-`)
-	write(t, root, "internal/machine/jit_test.go", `package machine
-func pokeJIT(l *local) { l.JITReplays = 1 }
-`)
-	// Violations: rendezvous matching state written outside the designated
-	// writers; allowed: run, rendezvous, Reset, Rewind, reads, and tests.
-	write(t, root, "internal/machine/rdv.go", `package machine
-type core struct {
-	waitSend, waitRecv bool
-	sendDst, recvSrc   int
-}
-func forge(c *core)      { c.waitSend = false }
-func retarget(c *core)   { c.recvSrc++ }
-func peek(c *core) bool  { return c.waitRecv }
-func run(c *core)        { c.waitSend = true; c.sendDst = 1 }
-func rendezvous(c *core) { c.waitSend, c.waitRecv = false, false }
-func (c *core) Reset()   { c.sendDst, c.recvSrc = -1, -1 }
-`)
-	write(t, root, "internal/machine/rdv_test.go", `package machine
-func pokeRdv(c *core) { c.waitRecv = true }
-`)
-	// Violations: preemption resume state written outside the designated
-	// writers; allowed: the run path, resets, restore path, reads, tests.
-	write(t, root, "internal/machine/snapstate.go", `package machine
-type ensState struct{ round int }
-type core2 struct {
-	ens ensState
-	seg int64
-}
-type Machine2 struct{ midRun bool }
-func fastForward(c *core2)        { c.ens.round = 99 }
-func fakeProgress(c *core2)       { c.seg++ }
-func quiesce(m *Machine2)         { m.midRun = false }
-func observe(c *core2) int        { return c.ens.round }
-func runEnsembleRounds(c *core2)  { c.ens.round++; c.seg++ }
-func Reset(c *core2, m *Machine2) { c.ens = ensState{}; c.seg = 0; m.midRun = false }
-func Restore(m *Machine2)         { m.midRun = true }
-`)
-	write(t, root, "internal/machine/snapstate_test.go", `package machine
-func pokeSnap(c *core2) { c.seg = 7 }
-`)
-	// Violations: the session table written outside the manager's lifecycle
-	// paths; allowed: the audited writers, reads, and test files.
-	write(t, root, "internal/serve/sess.go", `package serve
-type session struct{ id string }
-type sessionManager struct{ sessions map[string]*session }
-func install(m *sessionManager, s *session) { m.sessions[s.id] = s }
-func evict(m *sessionManager, id string)    { delete(m.sessions, id) }
-func rebuild(m *sessionManager)             { m.sessions = map[string]*session{} }
-func count(m *sessionManager) int           { return len(m.sessions) }
-func createSession(m *sessionManager, s *session) { m.sessions[s.id] = s }
-func closeSession(m *sessionManager, id string)   { delete(m.sessions, id) }
-`)
-	write(t, root, "internal/serve/sess_test.go", `package serve
-func pokeSess(m *sessionManager) { m.sessions = nil }
-`)
 	// Violations: the no-timeout helper and a bare http.Server literal;
 	// allowed: a literal with explicit timeouts, and test files.
 	write(t, root, "cmd/bad/main.go", `package main
@@ -150,32 +71,17 @@ func helper() { http.ListenAndServe(":0", nil) }
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(findings) != 16 {
-		t.Fatalf("got %d findings, want 16:\n%s", len(findings), strings.Join(findings, "\n"))
+	if len(findings) != 4 {
+		t.Fatalf("got %d findings, want 4:\n%s", len(findings), strings.Join(findings, "\n"))
 	}
 	joined := strings.Join(findings, "\n")
-	for _, want := range []string{"rand-global-source", "bitvec-import", "machine-stats-mutation", "http-server-timeouts", "jit-counter-mutation", "rendezvous-state-mutation", "snapshot-resume-state-mutation", "session-state-mutation"} {
+	for _, want := range []string{"rand-global-source", "bitvec-import", "http-server-timeouts"} {
 		if !strings.Contains(joined, want) {
 			t.Errorf("missing %q finding:\n%s", want, joined)
 		}
 	}
-	if n := strings.Count(joined, "machine-stats-mutation"); n != 2 {
-		t.Errorf("got %d machine-stats-mutation findings, want 2 (increment + address-taking; reduceStats and tests exempt):\n%s", n, joined)
-	}
 	if n := strings.Count(joined, "http-server-timeouts"); n != 2 {
 		t.Errorf("got %d http-server-timeouts findings, want 2 (helper call + bare literal; timeouts and tests exempt):\n%s", n, joined)
-	}
-	if n := strings.Count(joined, "jit-counter-mutation"); n != 2 {
-		t.Errorf("got %d jit-counter-mutation findings, want 2 (increment + assignment; designated writers and tests exempt):\n%s", n, joined)
-	}
-	if n := strings.Count(joined, "rendezvous-state-mutation"); n != 2 {
-		t.Errorf("got %d rendezvous-state-mutation findings, want 2 (assignment + increment; designated writers, reads, and tests exempt):\n%s", n, joined)
-	}
-	if n := strings.Count(joined, "snapshot-resume-state-mutation"); n != 3 {
-		t.Errorf("got %d snapshot-resume-state-mutation findings, want 3 (cursor fast-forward + seg increment + midRun flip; designated writers, reads, and tests exempt):\n%s", n, joined)
-	}
-	if n := strings.Count(joined, "session-state-mutation"); n != 3 {
-		t.Errorf("got %d session-state-mutation findings, want 3 (insert + delete + reassign; audited writers, reads, and tests exempt):\n%s", n, joined)
 	}
 }
 

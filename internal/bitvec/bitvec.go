@@ -26,16 +26,6 @@ func New(lanes int) Plane {
 	return Plane{n: lanes, w: make([]uint64, (lanes+63)/64)}
 }
 
-// NewSlab returns count planes of the given lane width backed by one
-// contiguous allocation (plane i occupies words [i*w, (i+1)*w) of it for
-// w = ceil(lanes/64)).
-func NewSlab(lanes, count int) []Plane {
-	if lanes < 0 || count < 0 {
-		panic(fmt.Sprintf("bitvec: negative slab dimensions %d×%d", count, lanes))
-	}
-	return PlanesOver(lanes, count, make([]uint64, (lanes+63)/64*count))
-}
-
 // PlanesOver returns count planes of the given lane width aliasing an
 // existing backing slab (plane i occupies backing[i*w:(i+1)*w] for
 // w = ceil(lanes/64)). internal/vrf uses it to hang lazy plane views over a

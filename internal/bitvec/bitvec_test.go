@@ -354,8 +354,8 @@ func TestPopCountPatterns(t *testing.T) {
 	}
 }
 
-func TestNewSlab(t *testing.T) {
-	planes := NewSlab(100, 8)
+func TestPlanesOver(t *testing.T) {
+	planes := PlanesOver(100, 8, make([]uint64, 2*8))
 	if len(planes) != 8 {
 		t.Fatalf("len = %d", len(planes))
 	}
@@ -377,8 +377,8 @@ func TestNewSlab(t *testing.T) {
 	if planes[3].PopCount() != 100 {
 		t.Fatal("filled slab plane lost bits")
 	}
-	if got := NewSlab(10, 0); len(got) != 0 {
-		t.Fatalf("NewSlab(10, 0) = %d planes", len(got))
+	if got := PlanesOver(10, 0, nil); len(got) != 0 {
+		t.Fatalf("PlanesOver(10, 0) = %d planes", len(got))
 	}
 }
 

@@ -154,7 +154,9 @@ type Stats struct {
 	// to closure chains (on their first replayed round), JITReplays the
 	// replayed rounds, each of which runs a compiled chain (so it equals
 	// TraceHits). Only the closure-compile path and the replay loop write
-	// them (enforced by cmd/repolint's jit-counter-mutation rule).
+	// them; TestTraceParity and FuzzJITParity fail on a charge from anywhere
+	// else (a fallback round that counts a replay breaks JITReplays ==
+	// TraceHits).
 	JITCompiles uint64 `json:"jit_compiles"`
 	JITReplays  uint64 `json:"jit_replays"`
 
@@ -188,7 +190,6 @@ type Machine struct {
 	mesh   *noc.Mesh
 	nocCfg noc.Config
 	mpus   []*core
-	stats  Stats
 	limit  int // effective active VRFs per RFH
 
 	// expands memoizes decode per dynamic instruction: the recipe expansion
@@ -271,24 +272,32 @@ func expansionKernel(rops []micro.ResolvedOp, lanes int) *vrf.CompiledExec {
 	return c.(*vrf.CompiledExec)
 }
 
-// core is one MPU: precoder state, compute controller, DTC, and its VRFs.
-type core struct {
-	id      int
-	m       *Machine
-	prog    isa.Program
+// coreState is the part of one MPU's architectural state that is plain
+// values: what a snapshot writes first for every core. It is declared once
+// and embedded in both core and coreSnap, so Reset, Rewind and Restore each
+// set it with one whole-value assignment and a field added here cannot be
+// forgotten in one of the three. Everything else that writes a field of it is
+// the run path itself (core.run, the ensemble rounds, the barrier-phase
+// rendezvous), and what holds those writes to their meaning is the
+// differential suite: TestTraceParity and FuzzJITParity (engine = reference
+// interpreter), TestParallelMachine (any worker count), and
+// TestSnapshotResumeParity* with TestSnapshotCompatFixtures (paused,
+// snapshotted and resumed = uninterrupted, byte for byte).
+type coreState struct {
 	pc      int
 	cycles  int64
 	issue   int64 // cycles spent issuing micro-ops (front-end dynamic energy)
-	vrfs    map[controlpath.VRFAddr]*vrf.VRF
-	ras     *controlpath.ReturnStack
-	rcache  *controlpath.RecipeCache
-	pbuf    *controlpath.PlaybackBuffer
 	done    bool
 	blocked bool
-	// spare holds the register files Reset parked: storage for vrfAt to
-	// recycle, never machine state (Snapshot does not see it). It is bounded
-	// by Spec.VRFsPerMPU, the number of addresses checkAddr admits.
-	spare []*vrf.VRF
+	// Pending rendezvous: who this core waits on. The deadlock diagnostic and
+	// the commlint soundness oracle read it as ground truth.
+	sendDst  int
+	recvSrc  int
+	waitSend bool
+	waitRecv bool
+	// ens is the resumable mid-ensemble position after a preemption yield
+	// (preempt.go).
+	ens ensState
 	// local accumulates this core's share of the run statistics. Between
 	// communication points each core charges only its own local Stats, so
 	// scheduler goroutines never contend; Run merges the locals in
@@ -298,11 +307,22 @@ type core struct {
 	// sequence — including the order of float additions — independent of
 	// the worker count.
 	local Stats
-	// pending rendezvous state
-	sendDst  int
-	recvSrc  int
-	waitSend bool
-	waitRecv bool
+}
+
+// core is one MPU: precoder state, compute controller, DTC, and its VRFs.
+type core struct {
+	coreState
+	id     int
+	m      *Machine
+	prog   isa.Program
+	vrfs   map[controlpath.VRFAddr]*vrf.VRF
+	ras    *controlpath.ReturnStack
+	rcache *controlpath.RecipeCache
+	pbuf   *controlpath.PlaybackBuffer
+	// spare holds the register files Reset parked: storage for vrfAt to
+	// recycle, never machine state (Snapshot does not see it). It is bounded
+	// by Spec.VRFsPerMPU, the number of addresses checkAddr admits.
+	spare []*vrf.VRF
 
 	// decode caches the expansion entry per body pc (reset on program
 	// load), replacing a struct-keyed map probe per interpreted datapath
@@ -319,12 +339,9 @@ type core struct {
 	act []*vrf.VRF
 	tm  controlpath.TargetMap
 
-	// ens is the resumable mid-ensemble position after a preemption yield
-	// (preempt.go); seg counts this Run call's completed execution units so
-	// a yield never fires before the core has made progress. Both are
-	// serialized machine state: only the run path, Run, Reset, Rewind, and
-	// Restore may write them (cmd/repolint's snapshot-state rule).
-	ens ensState
+	// seg counts this Run call's completed execution units so a yield never
+	// fires before the core has made progress; Run zeroes it on entry and no
+	// snapshot carries it.
 	seg int64
 }
 
@@ -371,14 +388,14 @@ func New(cfg Config) (*Machine, error) {
 		jitMemo: trace.NewProgMemo()}
 	for i := 0; i < cfg.NumMPUs; i++ {
 		m.mpus = append(m.mpus, &core{
-			id:     i,
-			m:      m,
-			vrfs:   map[controlpath.VRFAddr]*vrf.VRF{},
-			ras:    controlpath.NewReturnStack(64),
-			rcache: controlpath.NewRecipeCache(cfg.Recipe),
-			pbuf:   controlpath.NewPlaybackBuffer(),
-			traces: trace.NewCache(),
-			done:   true, // no program yet
+			coreState: coreState{done: true}, // no program yet
+			id:        i,
+			m:         m,
+			vrfs:      map[controlpath.VRFAddr]*vrf.VRF{},
+			ras:       controlpath.NewReturnStack(64),
+			rcache:    controlpath.NewRecipeCache(cfg.Recipe),
+			pbuf:      controlpath.NewPlaybackBuffer(),
+			traces:    trace.NewCache(),
 		})
 	}
 	return m, nil
@@ -494,7 +511,9 @@ func (m *Machine) ReadVector(mpu int, a controlpath.VRFAddr, reg int) ([]uint64,
 
 // Run executes all loaded programs to completion and returns the statistics.
 // MPUs run concurrently in simulated time, synchronizing at SEND/RECV
-// rendezvous points.
+// rendezvous points. The returned Stats is the caller's: the machine holds no
+// reference to it and no later Run, Reset or Restore writes it again
+// (TestRunStatsNotAliased).
 //
 // The scheduler is phase-based: in the run phase every runnable core
 // executes until it finishes or blocks on a rendezvous — cores are
@@ -634,15 +653,13 @@ func (m *Machine) schedWorkers() int {
 	return w
 }
 
-// reduceStats merges the per-core statistics into the machine totals in
-// ascending core-ID order — the only place m.stats is written (enforced by
-// cmd/repolint's machine-stats-mutation rule). The fixed reduction order
-// makes the float energy sums bit-for-bit reproducible across worker counts,
-// the same discipline runBody's round-local accumulation applies within a
-// core.
+// reduceStats merges the per-core statistics, in ascending core-ID order,
+// into a new Stats the caller of Run owns; the machine keeps no totals. The
+// fixed reduction order makes the float energy sums bit-for-bit reproducible
+// across worker counts (TestParallelMachine), the same discipline runBody's
+// round-local accumulation applies within a core.
 func (m *Machine) reduceStats() *Stats {
-	m.stats = Stats{}
-	st := &m.stats
+	st := &Stats{}
 	for _, c := range m.mpus {
 		l := &c.local
 		st.PerMPUCycles = append(st.PerMPUCycles, c.cycles)
@@ -802,19 +819,19 @@ func (c *core) run() error {
 				return err
 			}
 		case isa.SEND:
-			c.waitSend = true
-			c.sendDst = int(in.Imm)
-			if c.sendDst < 0 || c.sendDst >= len(c.m.mpus) {
-				return fmt.Errorf("SEND to unknown mpu%d", c.sendDst)
+			// Validate, then mutate: a failed Run must leave state Snapshot
+			// can emit and Restore accepts (TestSnapshotAfterFailedRun).
+			dst := int(in.Imm)
+			if dst < 0 || dst >= len(c.m.mpus) {
+				return fmt.Errorf("SEND to unknown mpu%d", dst)
 			}
-			c.blocked = true
+			c.sendDst, c.waitSend, c.blocked = dst, true, true
 		case isa.RECV:
-			c.waitRecv = true
-			c.recvSrc = int(in.Imm)
-			if c.recvSrc < 0 || c.recvSrc >= len(c.m.mpus) {
-				return fmt.Errorf("RECV from unknown mpu%d", c.recvSrc)
+			src := int(in.Imm)
+			if src < 0 || src >= len(c.m.mpus) {
+				return fmt.Errorf("RECV from unknown mpu%d", src)
 			}
-			c.blocked = true
+			c.recvSrc, c.waitRecv, c.blocked = src, true, true
 		case isa.JUMP:
 			c.chargeControlRedirect()
 			if err := c.ras.Push(c.pc + 1); err != nil {
@@ -939,9 +956,8 @@ func (c *core) replayable(t *trace.Trace) bool {
 // machine-wide jitMemo dedupes the lowering by step-stream content, so a
 // Reset-recycled pool machine or a sibling SPMD core adopts the existing
 // chain; JITCompiles still counts every trace lowered (memo hits included)
-// so warm-pool stats stay byte-identical to a fresh machine's. This is one
-// of the two sanctioned writers of the JIT counters (cmd/repolint's
-// jit-counter-mutation rule).
+// so warm-pool stats stay byte-identical to a fresh machine's
+// (TestResetReuseMatchesFresh).
 func (c *core) compileJIT(tr *trace.Trace) {
 	tr.Prog = c.m.jitMemo.Compile(tr, c.m.cfg.Spec.Lanes)
 	if tr.Prog == nil {

@@ -1,10 +1,13 @@
 package machine
 
 // Reset returns the machine to its just-constructed state so a pooled
-// instance can be reused across LoadProgram calls. It is the one audited
-// place that recycles per-core run state:
+// instance can be reused across LoadProgram calls. It is the one place that
+// recycles per-core run state:
 //
-//   - program, pc, cycle and issue counters, and the done/blocked flags
+//   - coreState, assigned whole: pc, cycle and issue counters, the
+//     done/blocked flags, pending SEND/RECV rendezvous state, the
+//     mid-ensemble cursor and the per-core local Stats
+//   - the program
 //   - vector register files: every address is unmapped, so the next touch
 //     sees the register file a fresh machine would. The storage is parked
 //     on the core's spare list and vrfAt recycles it (vrf.Recycle clears
@@ -14,9 +17,8 @@ package machine
 //     mapped, at most VRFsPerMPU × 4372 × wpl × 8 B.
 //   - the return-address stack, recipe cache (contents AND stall/hit
 //     accounting), and playback-buffer overflow count
-//   - pending SEND/RECV rendezvous state
 //   - the pc-indexed decode cache and the compiled ensemble trace cache
-//   - the per-core local Stats and scratch buffers
+//   - the scratch buffers
 //
 // The only state that survives is the machine's configuration and two
 // content-keyed memos: the decoded-instruction memo (m.expands) and the JIT
@@ -33,10 +35,8 @@ func (m *Machine) Reset() {
 	m.preempt.Store(false)
 	m.midRun = false
 	for _, c := range m.mpus {
+		c.coreState = coreState{done: true} // no program
 		c.prog = nil
-		c.pc = 0
-		c.cycles = 0
-		c.issue = 0
 		for _, v := range c.vrfs {
 			if len(c.spare) < m.cfg.Spec.VRFsPerMPU() {
 				c.spare = append(c.spare, v)
@@ -46,20 +46,11 @@ func (m *Machine) Reset() {
 		c.ras.Reset()
 		c.rcache.Reset()
 		c.pbuf.Reset()
-		c.done = true
-		c.blocked = false
-		c.local = Stats{}
-		c.sendDst = 0
-		c.recvSrc = 0
-		c.waitSend = false
-		c.waitRecv = false
 		c.decode = nil
 		c.traces.Reset()
 		c.hdr = c.hdr[:0]
 		c.act = c.act[:0]
 		c.tm.Reset()
-		c.ens = ensState{}
-		c.seg = 0
 	}
 }
 
@@ -80,23 +71,12 @@ func (m *Machine) Rewind() {
 	m.preempt.Store(false)
 	m.midRun = false
 	for _, c := range m.mpus {
-		c.pc = 0
-		c.cycles = 0
-		c.issue = 0
+		c.coreState = coreState{done: len(c.prog) == 0}
 		c.ras.Reset()
 		c.rcache.ResetCounters()
 		c.pbuf.Reset()
-		c.done = len(c.prog) == 0
-		c.blocked = false
-		c.local = Stats{}
-		c.sendDst = 0
-		c.recvSrc = 0
-		c.waitSend = false
-		c.waitRecv = false
 		c.hdr = c.hdr[:0]
 		c.act = c.act[:0]
 		c.tm.Reset()
-		c.ens = ensState{}
-		c.seg = 0
 	}
 }

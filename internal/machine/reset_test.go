@@ -167,3 +167,41 @@ func TestResetClearsArchitecturalState(t *testing.T) {
 		}
 	}
 }
+
+// TestRunStatsNotAliased pins the ownership Run documents: the Stats it
+// returns is the caller's, so reusing the machine for another program never
+// writes it again.
+func TestRunStatsNotAliased(t *testing.T) {
+	m, err := machine.New(machine.Config{Spec: backends.RACER(), Mode: machine.ModeMPU})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(src string) *machine.Stats {
+		t.Helper()
+		prog, err := isa.Assemble(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Reset()
+		if err := m.LoadAll(prog); err != nil {
+			t.Fatal(err)
+		}
+		st, err := m.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	st1 := run("COMPUTE rfh0 vrf0\nADD r0 r1 r2\nCOMPUTE_DONE\n")
+	want := statsBytes(t, st1)
+	st2 := run("NOP\nNOP\n")
+	if st1 == st2 {
+		t.Error("two Runs returned the same *Stats")
+	}
+	if got := statsBytes(t, st1); !bytes.Equal(got, want) {
+		t.Errorf("the first run's Stats changed under a later run:\n was: %s\n now: %s", want, got)
+	}
+	if bytes.Equal(statsBytes(t, st2), want) {
+		t.Error("the two programs were meant to produce different Stats")
+	}
+}

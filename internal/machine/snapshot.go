@@ -26,11 +26,10 @@ import (
 //
 // What is deliberately NOT serialized: the machine-wide expansion and JIT
 // memos (pure content-keyed caches, rebuilt on demand and charged nowhere),
-// the pc-indexed decode cache (same), per-core scratch (act, tm, seg), and
-// m.stats (an output of reduceStats, not an input to execution). JIT'd
-// closure chains are recompiled on restore through the memo — compilation
-// is a pure function of the recorded steps and the lane geometry, so the
-// restored machine replays exactly as the snapshotted one did.
+// the pc-indexed decode cache (same), and per-core scratch (act, tm, seg).
+// JIT'd closure chains are recompiled on restore through the memo —
+// compilation is a pure function of the recorded steps and the lane geometry,
+// so the restored machine replays exactly as the snapshotted one did.
 
 // snapMagic versions the snapshot format; bump it on any layout change.
 const snapMagic = "MPUSNAP1"
@@ -91,9 +90,9 @@ func (m *Machine) fingerprint() []byte {
 // Restore overwrites the machine's architectural state from a snapshot
 // taken on an identically configured machine (fingerprint-checked; worker
 // count may differ). The stream is fully decoded and validated before any
-// machine state changes, so a failed Restore leaves the machine untouched.
-// Restore is one of the audited writers of rendezvous and snapshot-resume
-// core state (cmd/repolint rules 6 and 7).
+// machine state changes, so a failed Restore leaves the machine untouched
+// (TestRestoreRejects*); the decoded coreState is then assigned whole, the
+// same way Reset and Rewind set it.
 func (m *Machine) Restore(data []byte) error {
 	r, err := snap.NewReader(data)
 	if err != nil {
@@ -122,19 +121,9 @@ func (m *Machine) Restore(data []byte) error {
 
 	for i, c := range m.mpus {
 		cs := &snaps[i]
+		c.coreState = cs.coreState
 		c.prog = cs.prog
-		c.pc = cs.pc
-		c.cycles = cs.cycles
-		c.issue = cs.issue
-		c.done = cs.done
-		c.blocked = cs.blocked
-		c.sendDst = cs.sendDst
-		c.recvSrc = cs.recvSrc
-		c.waitSend = cs.waitSend
-		c.waitRecv = cs.waitRecv
-		c.ens = cs.ens
 		c.hdr = append(c.hdr[:0], cs.hdr...)
-		c.local = cs.local
 		c.ras.SetFrames(cs.frames) // length validated in decode
 		c.rcache.RestoreEntries(cs.rentries)
 		c.rcache.Hits = cs.rhits
@@ -157,7 +146,6 @@ func (m *Machine) Restore(data []byte) error {
 		}
 		c.act = c.act[:0]
 		c.tm.Reset()
-		c.seg = 0
 	}
 	m.midRun = midRun
 	m.preempt.Store(false)
@@ -167,19 +155,9 @@ func (m *Machine) Restore(data []byte) error {
 // coreSnap is one core's decoded state, held off to the side until the
 // whole stream validates.
 type coreSnap struct {
+	coreState
 	prog      isa.Program
-	pc        int
-	cycles    int64
-	issue     int64
-	done      bool
-	blocked   bool
-	sendDst   int
-	recvSrc   int
-	waitSend  bool
-	waitRecv  bool
-	ens       ensState
 	hdr       []controlpath.VRFAddr
-	local     Stats
 	frames    []int
 	rentries  []controlpath.ResidentEntry
 	rhits     uint64

@@ -153,46 +153,53 @@ func TestSnapshotResumeParity(t *testing.T) {
 }
 
 // TestSnapshotResumeParityRendezvous pins preemption across in-flight
-// SEND/RECV waits, which the SPMD kernels never reach: mpu0 computes
-// through a NOP prelude before sending, so mpu1 spends many preempted Run
-// calls blocked in RECV — that wait state rides through snapshot, restore,
-// and worker-count changes, and the rendezvous must still charge the same
-// cycles as the uninterrupted run.
+// SEND/RECV waits, which the SPMD kernels never reach, from both sides: with
+// the NOP prelude on mpu0 it computes before sending, so mpu1 spends many
+// preempted Run calls blocked in RECV; with the prelude on mpu1 it is mpu0
+// that sits blocked in SEND. Either wait state rides through snapshot,
+// restore, and worker-count changes, and the rendezvous must still charge the
+// same cycles as the uninterrupted run — a snapshot that drops or forges a
+// pending wait deadlocks the resumed run.
 func TestSnapshotResumeParityRendezvous(t *testing.T) {
-	var sb strings.Builder
-	sb.WriteString(strings.Repeat("NOP\n", 12))
-	sb.WriteString("SEND mpu1\nMOVE rfh0 rfh0\nMEMCPY vrf0 r0 vrf0 r0\nMOVE_DONE\nSEND_DONE\n")
-	sender, err := isa.Assemble(sb.String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	receiver, err := isa.Assemble("RECV mpu0\nNOP\n")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, mode := range []machine.Mode{machine.ModeMPU, machine.ModeBaseline} {
-		name := fmt.Sprintf("rendezvous/%s", mode)
-		cfg := machine.Config{Spec: backends.RACER(), Mode: mode, NumMPUs: 2, Workers: 1}
-		build := func() *machine.Machine {
-			m, err := machine.New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := m.LoadProgram(0, sender); err != nil {
-				t.Fatal(err)
-			}
-			if err := m.LoadProgram(1, receiver); err != nil {
-				t.Fatal(err)
-			}
-			return m
-		}
-		refM := build()
-		ref, err := refM.Run()
+	prelude := strings.Repeat("NOP\n", 12)
+	const send = "SEND mpu1\nMOVE rfh0 rfh0\nMEMCPY vrf0 r0 vrf0 r0\nMOVE_DONE\nSEND_DONE\n"
+	const recv = "RECV mpu0\nNOP\n"
+	for _, waiter := range []struct{ name, sender, receiver string }{
+		{"recv-waits", prelude + send, recv},
+		{"send-waits", send, prelude + recv},
+	} {
+		sender, err := isa.Assemble(waiter.sender)
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatal(err)
 		}
-		pre, preM := resumePreempted(t, name, build(), cfg)
-		requireSnapshotParity(t, name, ref, pre, refM, preM)
+		receiver, err := isa.Assemble(waiter.receiver)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, mode := range []machine.Mode{machine.ModeMPU, machine.ModeBaseline} {
+			name := fmt.Sprintf("rendezvous/%s/%s", waiter.name, mode)
+			cfg := machine.Config{Spec: backends.RACER(), Mode: mode, NumMPUs: 2, Workers: 1}
+			build := func() *machine.Machine {
+				m, err := machine.New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := m.LoadProgram(0, sender); err != nil {
+					t.Fatal(err)
+				}
+				if err := m.LoadProgram(1, receiver); err != nil {
+					t.Fatal(err)
+				}
+				return m
+			}
+			refM := build()
+			ref, err := refM.Run()
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			pre, preM := resumePreempted(t, name, build(), cfg)
+			requireSnapshotParity(t, name, ref, pre, refM, preM)
+		}
 	}
 }
 
@@ -265,6 +272,37 @@ func TestRestoreRejectsCorruption(t *testing.T) {
 	// that no mutation silently restores.
 	if corrupted != tried {
 		t.Errorf("%d of %d single-byte corruptions restored without error", tried-corrupted, tried)
+	}
+}
+
+// TestSnapshotAfterFailedRun pins validate-then-mutate in core.run: a Run that
+// fails on a SEND or RECV naming a core the machine does not have must leave
+// state Snapshot can emit and Restore accepts (the serve tier's advanceSession
+// parks with Snapshot after a failed Run by design).
+func TestSnapshotAfterFailedRun(t *testing.T) {
+	cfg := machine.Config{Spec: backends.RACER(), Mode: machine.ModeMPU, NumMPUs: 2, Workers: 1}
+	for _, op := range []isa.Op{isa.SEND, isa.RECV} {
+		m, err := machine.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.LoadAll(isa.Program{{Op: op, Imm: 7}}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.Run(); err == nil || !strings.Contains(err.Error(), "unknown mpu7") {
+			t.Fatalf("%s mpu7 on a 2-MPU machine: Run = %v, want an unknown-mpu error", op, err)
+		}
+		data := m.Snapshot()
+		twin, err := machine.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := twin.Restore(data); err != nil {
+			t.Fatalf("%s: snapshot taken after a failed Run does not restore: %v", op, err)
+		}
+		if !bytes.Equal(twin.Snapshot(), data) {
+			t.Errorf("%s: snapshot taken after a failed Run does not round-trip", op)
+		}
 	}
 }
 

@@ -715,7 +715,6 @@ func (s *Server) execute(p *pool, w *workerState, b *batch) (*batchResult, bool)
 	if err != nil {
 		return errResult(http.StatusInternalServerError, err), false
 	}
-	cp := *run
 	for _, d := range rq.raw.Dumps {
 		a := controlpath.VRFAddr{RFH: d.RFH, VRF: d.VRF}
 		vals, err := m.ReadVector(0, a, d.Reg)
@@ -724,7 +723,7 @@ func (s *Server) execute(p *pool, w *workerState, b *batch) (*batchResult, bool)
 		}
 		resp.Dumps = append(resp.Dumps, RegisterDump{RFH: d.RFH, VRF: d.VRF, Reg: d.Reg, Values: vals})
 	}
-	return s.sealResponse(p, b, &resp, &cp), false
+	return s.sealResponse(p, b, &resp, run), false
 }
 
 // runKernel drives a prepared kernel batch to completion, parking it when a

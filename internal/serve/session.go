@@ -167,9 +167,12 @@ type session struct {
 }
 
 // sessionManager owns the session table and the per-geometry free list of
-// machines that parked sessions resume onto. The sessions map is written
-// only by createSession, advanceSession, and closeSession (cmd/repolint
-// rule 8); every other path reads it under the mutex.
+// machines that parked sessions resume onto. The sessions map has two
+// writers, both under the mutex: createSession inserts after the MaxSessions
+// check, closeSession deletes and releases the snapshot bytes; every other
+// path reads it. TestPipelineLimits (the bound) and
+// TestPipelineSessionStreaming (the gauges return to zero on close) hold the
+// two to that.
 type sessionManager struct {
 	mu       sync.Mutex
 	sessions map[string]*session
@@ -179,7 +182,11 @@ type sessionManager struct {
 }
 
 func newSessionManager(maxIdle int) *sessionManager {
-	return &sessionManager{idle: map[string][]*machine.Machine{}, maxIdle: maxIdle}
+	return &sessionManager{
+		sessions: map[string]*session{},
+		idle:     map[string][]*machine.Machine{},
+		maxIdle:  maxIdle,
+	}
 }
 
 func sessionKey(spec *backends.Spec, mode machine.Mode, mpus int) string {
@@ -224,8 +231,8 @@ func (s *Server) releaseMachine(key string, m *machine.Machine) {
 	}
 }
 
-// createSession compiles the graph and installs the session. One of the
-// three audited writers of the session table (cmd/repolint rule 8).
+// createSession compiles the graph and installs the session — the table's
+// only insert, made after the MaxSessions check under the same lock.
 func (s *Server) createSession(req *PipelineRequest) (*PipelineResponse, int, error) {
 	mode, err := ParseMode(req.Mode)
 	if err != nil {
@@ -271,9 +278,6 @@ func (s *Server) createSession(req *PipelineRequest) (*PipelineResponse, int, er
 		id: id, key: sessionKey(spec, mode, c.MPUs),
 		spec: spec, mode: mode, compiled: c, nodeMPU: nodeMPU, created: time.Now(),
 	}
-	if s.sess.sessions == nil {
-		s.sess.sessions = map[string]*session{}
-	}
 	s.sess.sessions[id] = sess
 	s.metrics.sessionsOpen.Inc()
 	return &PipelineResponse{
@@ -284,9 +288,9 @@ func (s *Server) createSession(req *PipelineRequest) (*PipelineResponse, int, er
 
 // advanceSession streams one request's records through the session: claim,
 // restore (or first-load), then per record Rewind → write → Run → read, and
-// finally park the state and free the machine. One of the three audited
-// writers of the session table (cmd/repolint rule 8) — it claims and
-// releases the busy flag and swaps the parked snapshot.
+// finally park the state and free the machine. It never writes the session
+// table: under the manager mutex it claims and releases the session's busy
+// flag and swaps its parked snapshot.
 func (s *Server) advanceSession(id string, req *AdvanceRequest) (*AdvanceResponse, int, error) {
 	if len(req.Records) == 0 {
 		return nil, http.StatusBadRequest, fmt.Errorf("advance request carries no records")
@@ -425,8 +429,8 @@ func (s *Server) readDumps(m *machine.Machine, sess *session, refs []PipelineRef
 	return out, nil
 }
 
-// closeSession removes a session and releases its parked snapshot. One of
-// the three audited writers of the session table (cmd/repolint rule 8).
+// closeSession removes a session and releases its parked snapshot — the
+// table's only delete, refused while an advance holds the session.
 func (s *Server) closeSession(id string) (*SessionStatus, int, error) {
 	s.sess.mu.Lock()
 	sess := s.sess.sessions[id]

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
+	"strconv"
 	"sync"
 	"testing"
 
@@ -119,6 +120,9 @@ func TestPipelineSessionStreaming(t *testing.T) {
 	if !st.Parked || st.Busy || st.SnapshotBytes == 0 || st.Records != 3 {
 		t.Fatalf("status after request 1: %+v", st)
 	}
+	if got := scrapeMetric(t, ts.URL, "mpud_session_snapshot_bytes"); got != strconv.Itoa(st.SnapshotBytes) {
+		t.Fatalf("mpud_session_snapshot_bytes = %s with one parked session of %d bytes", got, st.SnapshotBytes)
+	}
 
 	// Requests 2..4: the resident accumulator carries across the
 	// park/restore boundary, and no record recompiles anything.
@@ -150,6 +154,13 @@ func TestPipelineSessionStreaming(t *testing.T) {
 	code, _, _ = doPipeline(t, http.MethodGet, ts.URL+"/v1/pipelines/"+pr.ID, nil)
 	if code != http.StatusNotFound {
 		t.Fatalf("closed session still resolves: %d", code)
+	}
+	// The table's one delete also releases what the session held: a session
+	// dropped any other way leaves its snapshot bytes counted forever.
+	for _, g := range []string{"mpud_sessions", "mpud_session_snapshot_bytes"} {
+		if got := scrapeMetric(t, ts.URL, g); got != "0" {
+			t.Errorf("%s = %s after the only session closed, want 0", g, got)
+		}
 	}
 }
 

@@ -210,17 +210,6 @@ func All() []*Kernel {
 	return out
 }
 
-// Names returns every kernel name in catalog order — the request-addressable
-// namespace the mpud service exposes at /v1/workloads.
-func Names() []string {
-	ks := All()
-	out := make([]string, len(ks))
-	for i, k := range ks {
-		out[i] = k.Name
-	}
-	return out
-}
-
 // ByName returns the named kernel or nil.
 func ByName(name string) *Kernel {
 	for _, k := range All() {

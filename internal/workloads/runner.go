@@ -275,19 +275,14 @@ func PrepareOn(m *machine.Machine, k *Kernel, cfg RunConfig) (*Prepared, error) 
 
 // Finish turns the stats of a completed run into a chip-level Result —
 // output checking, round/overflow scaling, external-memory streaming, and
-// energy totals. run must be the stats Machine.Run returned on completion
-// (not a preempted intermediate).
-func (p *Prepared) Finish(run *machine.Stats) (*Result, error) {
+// energy totals. st must be the stats Machine.Run returned on completion
+// (not a preempted intermediate); the Result keeps the pointer, which Run
+// handed over for good.
+func (p *Prepared) Finish(st *machine.Stats) (*Result, error) {
 	k, cfg, spec, m := p.k, p.cfg, p.cfg.Spec, p.Machine
 	units, simVRFs, simElems := p.units, p.simVRFs, p.simElems
 	share, vrfsNeeded := p.share, p.vrfsNeeded
 	overflow, roundScale := p.overflow, p.roundScale
-	// Run returns a pointer into the machine; a pooled machine's next request
-	// would overwrite it, so the Result carries a private copy. (Each Run
-	// rebuilds PerMPUCycles from nil, so the shallow copy shares nothing the
-	// machine will mutate.)
-	st := new(machine.Stats)
-	*st = *run
 
 	checked := 0
 	if cfg.Check {
