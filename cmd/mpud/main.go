@@ -32,9 +32,9 @@
 //	GET    /healthz           liveness, pool inventory, queue depth + inflight (503 while draining)
 //	GET    /metrics           Prometheus text exposition
 //
-// Pipeline sessions compile once and stream records across requests; the
-// session's machine state parks as a snapshot between requests, so sessions
-// never pin machines. -max-sessions bounds the table.
+// Pipeline sessions compile once and stream records across requests; a
+// session owns one machine from its first advance to its close, so what
+// sessions can hold is -max-sessions machines of at most 64 MPUs each.
 //
 // -pprof mounts net/http/pprof on a listener of its own (off by default;
 // keep it on loopback), so a profile is read off the daemon under real
@@ -342,7 +342,7 @@ func pipelineSmokeTest(base string) error {
 		return fmt.Errorf("advance 2: status %d: %s", code, out)
 	}
 	if a2.Summary.TraceMisses != 0 || a2.Summary.JITCompiles != 0 {
-		return fmt.Errorf("advance 2 recompiled (misses %d, compiles %d) — the session did not stay warm across the park",
+		return fmt.Errorf("advance 2 recompiled (misses %d, compiles %d) — the session did not stay warm across requests",
 			a2.Summary.TraceMisses, a2.Summary.JITCompiles)
 	}
 	if got := a2.Records[0].Dumps[0].Values[0]; got != 6 {
@@ -383,8 +383,8 @@ func pipelineSmokeTest(base string) error {
 	}
 	metrics, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if !bytes.Contains(metrics, []byte("mpud_session_records_total 3")) ||
-		!bytes.Contains(metrics, []byte("mpud_session_parks_total 2")) {
+	if !bytes.Contains(metrics, []byte("mpud_session_records_total 3\n")) ||
+		!bytes.Contains(metrics, []byte("mpud_sessions 0\n")) {
 		return fmt.Errorf("metrics did not account the session:\n%s", metrics)
 	}
 	fmt.Println("mpud: pipeline-smoke ok")

@@ -21,7 +21,7 @@
 // affinity: creates are placed by ring hash on the graph source, every
 // later verb for a session ID is forwarded single-attempt (never hedged,
 // never retried — advances are non-idempotent) to the node holding its
-// parked state, and GET /v1/pipelines merges every node's session list.
+// machine, and GET /v1/pipelines merges every node's session list.
 //
 // On SIGTERM/SIGINT the router drains: admission stops (503 + Retry-After),
 // in-flight forwards complete, then the scraper stops. Node drains are

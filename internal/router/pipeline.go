@@ -14,8 +14,8 @@ import (
 
 // Pipeline passthrough: the router relays the /v1/pipelines session plane to
 // the node set with session affinity. A pipeline session is everything
-// /v1/execute is not — stateful (resident accumulators and a parked snapshot
-// live on one node) and non-idempotent (an advance applies records; a
+// /v1/execute is not — stateful (the session's machine, resident accumulators
+// included, lives on one node) and non-idempotent (an advance applies records; a
 // duplicate in flight would double-apply them) — so the hedging and retry
 // machinery is deliberately bypassed: every pipeline verb is forwarded
 // exactly once, and a transport failure is relayed as 502, never re-sent.

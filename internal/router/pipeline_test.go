@@ -13,8 +13,8 @@ import (
 
 // pipeSource is a 2-node streaming graph with a resident accumulator: src
 // splits the record register, total folds it into r48. The accumulator
-// carrying across requests is the proof that the affine node's parked
-// snapshot — not a fresh compile — served every advance.
+// carrying across requests is the proof that the affine node's resident
+// machine — not a fresh compile — served every advance.
 const pipeSource = "src(Split) OUT -> IN total(Reduce)\n'1' -> REGS src\n'add' -> OP total\n"
 
 func pipeJSON(t *testing.T, method, url string, req any) (int, []byte, http.Header) {
@@ -137,13 +137,13 @@ func TestRouterPipelineAffinity(t *testing.T) {
 	}
 	var st struct {
 		Records uint64 `json:"records"`
-		Parked  bool   `json:"parked"`
+		Busy    bool   `json:"busy"`
 	}
 	if err := json.Unmarshal(body, &st); err != nil {
 		t.Fatal(err)
 	}
-	if st.Records != 12 || !st.Parked {
-		t.Fatalf("status: records=%d parked=%v, want 12/true", st.Records, st.Parked)
+	if st.Records != 12 || st.Busy {
+		t.Fatalf("status: records=%d busy=%v, want 12/false", st.Records, st.Busy)
 	}
 	code, body, _ = pipeJSON(t, http.MethodGet, rts.URL+"/v1/pipelines", nil)
 	if code != http.StatusOK || !strings.Contains(string(body), created.ID) {

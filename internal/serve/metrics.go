@@ -40,11 +40,8 @@ type metrics struct {
 	restore                    *obs.Histogram
 	classSeconds               map[string]*obs.Histogram // ClassLatency / ClassBatch
 
-	// Pipeline session plane: live sessions, records streamed, park events
-	// (one per advance request — the snapshot written when the session's
-	// machine returns to the free list), and the bytes those parked
-	// snapshots currently hold.
-	sessionsOpen, sessionRecords, sessionParks, sessionSnapBytes *obs.Int
+	// Pipeline session plane: live sessions and records streamed.
+	sessionsOpen, sessionRecords *obs.Int
 }
 
 func newMetrics(node string) *metrics {
@@ -79,8 +76,6 @@ func newMetrics(node string) *metrics {
 
 	m.sessionsOpen = gauge("mpud_sessions", "Live pipeline sessions.")
 	m.sessionRecords = counter("mpud_session_records_total", "Records streamed through pipeline sessions.")
-	m.sessionParks = counter("mpud_session_parks_total", "Session snapshots parked as advance requests released their machines.")
-	m.sessionSnapBytes = gauge("mpud_session_snapshot_bytes", "Snapshot bytes currently held by parked pipeline sessions.")
 	return m
 }
 
@@ -126,20 +121,6 @@ func (m *metrics) observePark(bytes int) {
 func (m *metrics) observeUnpark(bytes int) {
 	m.parkedJobs.Add(-1)
 	m.parkedBytes.Add(-int64(bytes))
-}
-
-// observeSessionPark counts one advance request parking its session:
-// records streamed, one park event, and the change in held snapshot bytes.
-func (m *metrics) observeSessionPark(records int, bytesDelta int) {
-	m.sessionRecords.Add(int64(records))
-	m.sessionParks.Inc()
-	m.sessionSnapBytes.Add(int64(bytesDelta))
-}
-
-// observeSessionClose retires one session and releases its snapshot bytes.
-func (m *metrics) observeSessionClose(snapBytes int) {
-	m.sessionsOpen.Add(-1)
-	m.sessionSnapBytes.Add(-int64(snapBytes))
 }
 
 // render samples the pool gauges (pool name → batches waiting) and emits the

@@ -30,10 +30,8 @@ func goldenMetrics() *metrics {
 	m.preemptSpills.Inc()
 	m.observeUnpark(1000)
 	m.restore.Observe(0.0005)
-	m.sessionsOpen.Add(2)
-	m.observeSessionPark(10, 4096)
-	m.observeSessionPark(5, 0)
-	m.observeSessionClose(2048)
+	m.sessionsOpen.Add(1)
+	m.sessionRecords.Add(15)
 	return m
 }
 
@@ -79,7 +77,6 @@ func TestMetricsRenderNoNode(t *testing.T) {
 		"mpud_parked_jobs 0\n",
 		"mpud_parked_bytes 0\n",
 		"mpud_sessions 0\n",
-		"mpud_session_snapshot_bytes 0\n",
 	} {
 		if !strings.Contains(got, want) {
 			t.Errorf("missing %q in node-less rendering", strings.TrimSpace(want))

@@ -269,9 +269,12 @@ type Response struct {
 // errorBody is every non-2xx JSON payload. Findings carries the lint report
 // when admission rejected the program statically (422), so clients see the
 // same machine-readable diagnostics `mpurun -lint -json` emits.
+// Applied is set only when an advance failed at a record: how many records
+// of that request completed before it (the session keeps their effect).
 type errorBody struct {
 	Error    string         `json:"error"`
 	Findings []lint.Finding `json:"findings,omitempty"`
+	Applied  *int           `json:"applied,omitempty"`
 }
 
 // poolMPUs is the core count of every pooled machine (MachineConfigFor
@@ -395,7 +398,7 @@ func New(cfg Config) (*Server, error) {
 		pools:   map[string]*pool{},
 		metrics: newMetrics(cfg.NodeID),
 		logger:  newReqLogger(cfg.Logs, cfg.NodeID),
-		sess:    newSessionManager(cfg.MaxSessions),
+		sess:    &sessionManager{sessions: map[string]*session{}},
 		started: time.Now(),
 	}
 	for _, ps := range cfg.Pools {

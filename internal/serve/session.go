@@ -27,20 +27,22 @@ import (
 // pins this with its trace_misses/jit_compiles summary, which a steady-state
 // session reports as zero).
 //
-// Sessions do not pin machines. Between requests the session's complete
-// architectural state is parked as a Machine.Snapshot and the machine
-// returns to a per-geometry free list, so MaxSessions sessions coexist with
-// far fewer live machines; the next advance restores the snapshot onto any
-// free machine of the same geometry (the fingerprint covers configuration,
-// not machine identity — the same property the QoS preemption plane relies
-// on). Admission failures reuse the /v1/execute taxonomy: a grammar or
+// A session owns its machine: the first advance builds it and loads the
+// compiled programs, every later advance runs on it where it stands, and
+// close drops it for the collector — state stays where it is computed, and
+// nothing is serialised between requests. What sessions can hold is bounded
+// by MaxSessions machines of at most MaxPipelineMPUs MPUs each (a live
+// six-MPU racer machine measured 397 KB of heap, its snapshot 270 KB: a
+// parked copy saved nothing the table bound does not already cap).
+// Admission failures reuse the /v1/execute taxonomy: a grammar or
 // component error is a 400, a graph the machine-level verifier rejects
 // (deadlocking composition, geometry overflow) is a 422 carrying the finding
 // report, and a full session table is 503 + Retry-After.
 
-// maxAdvanceRecords bounds one advance request; longer streams split across
-// requests (which is the intended shape — parking between requests is what
-// keeps sessions from pinning machines).
+// maxAdvanceRecords bounds one advance request, and with it how long one
+// request holds the session (a concurrent advance or close answers 409
+// meanwhile) and how large its response grows; longer streams split across
+// requests.
 const maxAdvanceRecords = 256
 
 // PipelineRequest is the POST /v1/pipelines body.
@@ -114,8 +116,7 @@ type RecordResult struct {
 // SessionSummary sums this request's per-record counters. TraceMisses and
 // JITCompiles are the recompilation account: a steady-state session (every
 // record after its first) reports both as zero — records ride entirely on
-// traces recorded and JIT'd during record one, across parks, restores, and
-// machine changes.
+// traces recorded and JIT'd during record one.
 type SessionSummary struct {
 	Records      int    `json:"records"`
 	TotalRecords uint64 `json:"total_records"` // session lifetime, including this request
@@ -136,99 +137,63 @@ type AdvanceResponse struct {
 // SessionStatus is the GET /v1/pipelines/{id} body and the element of the
 // GET /v1/pipelines listing.
 type SessionStatus struct {
-	ID            string           `json:"id"`
-	Backend       string           `json:"backend"`
-	Mode          string           `json:"mode"`
-	MPUs          int              `json:"mpus"`
-	Nodes         []fbp.PlacedNode `json:"nodes"`
-	Records       uint64           `json:"records"`
-	Parked        bool             `json:"parked"` // state held as a snapshot, no machine pinned
-	Busy          bool             `json:"busy"`
-	SnapshotBytes int              `json:"snapshot_bytes"`
-	AgeSec        float64          `json:"age_sec"`
+	ID      string           `json:"id"`
+	Backend string           `json:"backend"`
+	Mode    string           `json:"mode"`
+	MPUs    int              `json:"mpus"`
+	Nodes   []fbp.PlacedNode `json:"nodes"`
+	Records uint64           `json:"records"`
+	Busy    bool             `json:"busy"`
+	AgeSec  float64          `json:"age_sec"`
 }
 
-// session is one live pipeline: the compiled placement plus the parked
-// architectural state between requests. busy/snap/records are guarded by the
-// manager mutex; compiled/nodeMPU/spec are immutable after create.
+// session is one live pipeline: the compiled placement plus the machine its
+// state lives on. busy/records are guarded by the manager mutex; m belongs
+// to the request that holds busy; compiled/nodeMPU/spec are immutable after
+// create.
 type session struct {
 	id       string
-	key      string // machine geometry key (spec/mode/mpus)
 	spec     *backends.Spec
 	mode     machine.Mode
 	compiled *fbp.Compiled
 	nodeMPU  map[string]int
 	created  time.Time
 
-	busy    bool   // an advance request holds the session
-	loaded  bool   // programs have been loaded at least once
-	snap    []byte // parked state; nil before the first advance completes
-	records uint64 // lifetime records streamed
+	busy    bool             // an advance request holds the session
+	m       *machine.Machine // nil until the first advance builds and loads it
+	records uint64           // lifetime records streamed
 }
 
-// sessionManager owns the session table and the per-geometry free list of
-// machines that parked sessions resume onto. The sessions map has two
-// writers, both under the mutex: createSession inserts after the MaxSessions
-// check, closeSession deletes and releases the snapshot bytes; every other
+// sessionManager owns the session table. The sessions map has two writers,
+// both under the mutex: createSession inserts after the MaxSessions check,
+// closeSession deletes (and with the session goes its machine); every other
 // path reads it. TestPipelineLimits (the bound) and
-// TestPipelineSessionStreaming (the gauges return to zero on close) hold the
+// TestPipelineSessionStreaming (the gauge returns to zero on close) hold the
 // two to that.
 type sessionManager struct {
 	mu       sync.Mutex
 	sessions map[string]*session
-	idle     map[string][]*machine.Machine
-	maxIdle  int
 	nextID   uint64
 }
 
-func newSessionManager(maxIdle int) *sessionManager {
-	return &sessionManager{
-		sessions: map[string]*session{},
-		idle:     map[string][]*machine.Machine{},
-		maxIdle:  maxIdle,
-	}
-}
-
-func sessionKey(spec *backends.Spec, mode machine.Mode, mpus int) string {
-	return spec.Name + "/" + mode.String() + "/" + strconv.Itoa(mpus)
-}
-
-// sessionMachineConfig derives the machine configuration for a session's
-// geometry the same way the pools derive theirs, so snapshot fingerprints
-// agree across every machine the manager ever builds for that key.
-func (s *Server) sessionMachineConfig(spec *backends.Spec, mode machine.Mode, mpus int) machine.Config {
+// loadMachine builds the session's machine — configured the same way the
+// pools derive theirs, at the compiled placement's MPU count — and loads the
+// compiled programs: the first advance's one-time cost.
+func (s *Server) loadMachine(sess *session) (*machine.Machine, error) {
 	mc := workloads.MachineConfigFor(workloads.RunConfig{
-		Spec: spec, Mode: mode, Workers: s.cfg.MachineWorkers,
+		Spec: sess.spec, Mode: sess.mode, Workers: s.cfg.MachineWorkers,
 	})
-	mc.NumMPUs = mpus
-	return mc
-}
-
-// acquireMachine pops an idle machine for the geometry or builds a fresh
-// one. Idle machines may carry a previous tenant's state; both consumers
-// overwrite it wholesale (Reset+LoadProgram on a session's first advance,
-// Restore on every later one).
-func (s *Server) acquireMachine(sess *session) (*machine.Machine, error) {
-	s.sess.mu.Lock()
-	if ms := s.sess.idle[sess.key]; len(ms) > 0 {
-		m := ms[len(ms)-1]
-		s.sess.idle[sess.key] = ms[:len(ms)-1]
-		s.sess.mu.Unlock()
-		return m, nil
+	mc.NumMPUs = sess.compiled.MPUs
+	m, err := machine.New(mc)
+	if err != nil {
+		return nil, err
 	}
-	s.sess.mu.Unlock()
-	return machine.New(s.sessionMachineConfig(sess.spec, sess.mode, sess.compiled.MPUs))
-}
-
-// releaseMachine returns a machine to the free list (bounded; overflow is
-// dropped for the collector — building a machine is cheap, holding dozens of
-// idle ones is not).
-func (s *Server) releaseMachine(key string, m *machine.Machine) {
-	s.sess.mu.Lock()
-	defer s.sess.mu.Unlock()
-	if len(s.sess.idle[key]) < s.sess.maxIdle {
-		s.sess.idle[key] = append(s.sess.idle[key], m)
+	for mpu, p := range sess.compiled.Programs {
+		if err := m.LoadProgram(mpu, p); err != nil {
+			return nil, err
+		}
 	}
+	return m, nil
 }
 
 // createSession compiles the graph and installs the session — the table's
@@ -274,10 +239,7 @@ func (s *Server) createSession(req *PipelineRequest) (*PipelineResponse, int, er
 	if s.cfg.NodeID != "" {
 		id = s.cfg.NodeID + "-" + id
 	}
-	sess := &session{
-		id: id, key: sessionKey(spec, mode, c.MPUs),
-		spec: spec, mode: mode, compiled: c, nodeMPU: nodeMPU, created: time.Now(),
-	}
+	sess := &session{id: id, spec: spec, mode: mode, compiled: c, nodeMPU: nodeMPU, created: time.Now()}
 	s.sess.sessions[id] = sess
 	s.metrics.sessionsOpen.Inc()
 	return &PipelineResponse{
@@ -286,11 +248,21 @@ func (s *Server) createSession(req *PipelineRequest) (*PipelineResponse, int, er
 	}, http.StatusOK, nil
 }
 
+// recordError is an advance that failed at one record: the applied records
+// before it ran and the session keeps their effect, so the error envelope
+// tells the client where to resume.
+type recordError struct {
+	applied int
+	err     error
+}
+
+func (e *recordError) Error() string { return e.err.Error() }
+
 // advanceSession streams one request's records through the session: claim,
-// restore (or first-load), then per record Rewind → write → Run → read, and
-// finally park the state and free the machine. It never writes the session
+// build and load the machine if this is the first advance, then per record
+// Rewind → write → Run → read, and unclaim. It never writes the session
 // table: under the manager mutex it claims and releases the session's busy
-// flag and swaps its parked snapshot.
+// flag, which is what hands the machine from one request to the next.
 func (s *Server) advanceSession(id string, req *AdvanceRequest) (*AdvanceResponse, int, error) {
 	if len(req.Records) == 0 {
 		return nil, http.StatusBadRequest, fmt.Errorf("advance request carries no records")
@@ -309,64 +281,57 @@ func (s *Server) advanceSession(id string, req *AdvanceRequest) (*AdvanceRespons
 		return nil, http.StatusConflict, fmt.Errorf("session %q has an advance in flight", id)
 	}
 	sess.busy = true
-	snap, loaded := sess.snap, sess.loaded
 	s.sess.mu.Unlock()
 
-	unclaim := func() {
-		s.sess.mu.Lock()
-		sess.busy = false
-		s.sess.mu.Unlock()
-	}
-	m, err := s.acquireMachine(sess)
-	if err != nil {
-		unclaim()
-		return nil, http.StatusInternalServerError, err
-	}
-	switch {
-	case snap != nil:
-		// A failed Restore leaves the machine untouched, so it can safely go
-		// back to the free list while the session keeps its old snapshot.
-		if err := m.Restore(snap); err != nil {
-			s.releaseMachine(sess.key, m)
-			unclaim()
-			return nil, http.StatusInternalServerError, err
-		}
-	case !loaded:
-		m.Reset()
-		for mpu, p := range sess.compiled.Programs {
-			if err := m.LoadProgram(mpu, p); err != nil {
-				s.releaseMachine(sess.key, m)
-				unclaim()
-				return nil, http.StatusInternalServerError, err
-			}
-		}
-	}
-
 	resp := &AdvanceResponse{ID: id}
-	status := http.StatusOK
-	var reqErr error
+	status, err := s.runRecords(sess, req, resp)
+
+	// A bad record (wrong lane count, unknown node) costs that request, not
+	// the session: the machine keeps the state the stream reached.
+	s.sess.mu.Lock()
+	sess.records += uint64(resp.Summary.Records)
+	resp.Summary.TotalRecords = sess.records
+	sess.busy = false
+	s.sess.mu.Unlock()
+	s.metrics.sessionRecords.Add(int64(resp.Summary.Records))
+	if err != nil {
+		return nil, status, err
+	}
+	return resp, status, nil
+}
+
+// runRecords is the part of an advance that holds the session's machine;
+// the caller holds busy. A failed first load leaves the session without a
+// machine, and the next advance builds one again.
+func (s *Server) runRecords(sess *session, req *AdvanceRequest, resp *AdvanceResponse) (int, error) {
+	if sess.m == nil {
+		m, err := s.loadMachine(sess)
+		if err != nil {
+			return http.StatusInternalServerError, err
+		}
+		sess.m = m
+	}
+	m := sess.m
+	fail := func(status int, err error) (int, error) {
+		return status, &recordError{applied: resp.Summary.Records, err: err}
+	}
 	for _, rec := range req.Records {
 		m.Rewind()
-		if status, reqErr = s.applySets(m, sess, rec.Sets); reqErr != nil {
-			break
+		if status, err := s.applySets(m, sess, rec.Sets); err != nil {
+			return fail(status, err)
 		}
 		st, err := m.Run()
 		if err != nil {
-			status, reqErr = http.StatusInternalServerError, err
-			break
+			return fail(http.StatusInternalServerError, err)
 		}
 		rr := RecordResult{}
-		if rr.Dumps, reqErr = s.readDumps(m, sess, rec.Dumps); reqErr != nil {
-			status = http.StatusBadRequest
-			break
+		if rr.Dumps, err = s.readDumps(m, sess, rec.Dumps); err != nil {
+			return fail(http.StatusBadRequest, err)
 		}
 		if req.Stats {
-			b, err := json.Marshal(st)
-			if err != nil {
-				status, reqErr = http.StatusInternalServerError, err
-				break
+			if rr.Stats, err = json.Marshal(st); err != nil {
+				return fail(http.StatusInternalServerError, err)
 			}
-			rr.Stats = b
 		}
 		resp.Records = append(resp.Records, rr)
 		resp.Summary.Records++
@@ -377,25 +342,7 @@ func (s *Server) advanceSession(id string, req *AdvanceRequest) (*AdvanceRespons
 		resp.Summary.JITReplays += st.JITReplays
 		s.metrics.rollupStats(st.TraceHits, st.TraceMisses, st.TraceFallbacks, st.JITCompiles, st.JITReplays, st.Rounds)
 	}
-
-	// Park whatever state the stream reached — also on a record error, so a
-	// bad record (wrong lane count, unknown node) costs that request, not
-	// the session.
-	newSnap := m.Snapshot()
-	s.releaseMachine(sess.key, m)
-	s.sess.mu.Lock()
-	delta := len(newSnap) - len(sess.snap)
-	sess.snap = newSnap
-	sess.loaded = true
-	sess.records += uint64(resp.Summary.Records)
-	resp.Summary.TotalRecords = sess.records
-	sess.busy = false
-	s.sess.mu.Unlock()
-	s.metrics.observeSessionPark(resp.Summary.Records, delta)
-	if reqErr != nil {
-		return nil, status, reqErr
-	}
-	return resp, status, nil
+	return http.StatusOK, nil
 }
 
 func (s *Server) applySets(m *machine.Machine, sess *session, sets []PipelineSet) (int, error) {
@@ -429,40 +376,45 @@ func (s *Server) readDumps(m *machine.Machine, sess *session, refs []PipelineRef
 	return out, nil
 }
 
-// closeSession removes a session and releases its parked snapshot — the
+// closeSession removes a session, and with it the machine it owned — the
 // table's only delete, refused while an advance holds the session.
 func (s *Server) closeSession(id string) (*SessionStatus, int, error) {
 	s.sess.mu.Lock()
+	defer s.sess.mu.Unlock()
 	sess := s.sess.sessions[id]
 	if sess == nil {
-		s.sess.mu.Unlock()
 		return nil, http.StatusNotFound, fmt.Errorf("no session %q", id)
 	}
 	if sess.busy {
-		s.sess.mu.Unlock()
 		return nil, http.StatusConflict, fmt.Errorf("session %q has an advance in flight", id)
 	}
 	delete(s.sess.sessions, id)
-	st := sess.status()
-	s.sess.mu.Unlock()
-	s.metrics.observeSessionClose(st.SnapshotBytes)
-	return st, http.StatusOK, nil
+	s.metrics.sessionsOpen.Add(-1)
+	return sess.status(), http.StatusOK, nil
+}
+
+// sessionStatus reports a live session's status, nil for an unknown id.
+func (s *Server) sessionStatus(id string) *SessionStatus {
+	s.sess.mu.Lock()
+	defer s.sess.mu.Unlock()
+	if sess := s.sess.sessions[id]; sess != nil {
+		return sess.status()
+	}
+	return nil
 }
 
 // status renders the session's externally visible state; call with the
 // manager mutex held.
 func (sess *session) status() *SessionStatus {
 	return &SessionStatus{
-		ID:            sess.id,
-		Backend:       sess.spec.Name,
-		Mode:          sess.mode.String(),
-		MPUs:          sess.compiled.MPUs,
-		Nodes:         sess.compiled.Nodes,
-		Records:       sess.records,
-		Parked:        sess.snap != nil && !sess.busy,
-		Busy:          sess.busy,
-		SnapshotBytes: len(sess.snap),
-		AgeSec:        time.Since(sess.created).Seconds(),
+		ID:      sess.id,
+		Backend: sess.spec.Name,
+		Mode:    sess.mode.String(),
+		MPUs:    sess.compiled.MPUs,
+		Nodes:   sess.compiled.Nodes,
+		Records: sess.records,
+		Busy:    sess.busy,
+		AgeSec:  time.Since(sess.created).Seconds(),
 	}
 }
 
@@ -525,13 +477,7 @@ func (s *Server) handlePipelineID(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	switch r.Method {
 	case http.MethodGet:
-		s.sess.mu.Lock()
-		sess := s.sess.sessions[id]
-		var st *SessionStatus
-		if sess != nil {
-			st = sess.status()
-		}
-		s.sess.mu.Unlock()
+		st := s.sessionStatus(id)
 		if st == nil {
 			writeJSON(w, http.StatusNotFound, errorBody{Error: fmt.Sprintf("no session %q", id)})
 			return
@@ -539,7 +485,13 @@ func (s *Server) handlePipelineID(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, st)
 	case http.MethodPost:
 		// Advancing an existing session is admitted work, so it keeps
-		// flowing during a drain; only new sessions are refused.
+		// flowing during a drain; only new sessions are refused. An unknown
+		// id is refused before its body (up to 64 MiB) is read.
+		if s.sessionStatus(id) == nil {
+			s.finishPipeline(w, id, "advance", start, http.StatusNotFound,
+				errResult(http.StatusNotFound, fmt.Errorf("no session %q", id)))
+			return
+		}
 		var req AdvanceRequest
 		body := http.MaxBytesReader(w, r.Body, 64<<20)
 		if err := json.NewDecoder(body).Decode(&req); err != nil {
@@ -566,14 +518,20 @@ func (s *Server) handlePipelineID(w http.ResponseWriter, r *http.Request) {
 }
 
 // pipelineError renders an error into the shared errorBody envelope,
-// attaching the finding report on 422s exactly as /v1/execute does.
+// attaching the finding report on 422s exactly as /v1/execute does, and the
+// applied count when an advance stopped at a record.
 func pipelineError(status int, err error) *batchResult {
+	eb := errorBody{Error: err.Error()}
 	var adm *admissionError
-	if errors.As(err, &adm) {
-		body, _ := json.Marshal(errorBody{Error: adm.Error(), Findings: adm.report.Findings})
-		return &batchResult{status: status, body: body}
+	var rec *recordError
+	switch {
+	case errors.As(err, &adm):
+		eb.Findings = adm.report.Findings
+	case errors.As(err, &rec):
+		eb.Applied = &rec.applied
 	}
-	return errResult(status, err)
+	body, _ := json.Marshal(eb)
+	return &batchResult{status: status, body: body}
 }
 
 func jsonResult(status int, v any) *batchResult {

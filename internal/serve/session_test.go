@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
-	"strconv"
+	"os"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -13,7 +15,7 @@ import (
 
 // streamSource is the smallest resident pipeline: Split forwards each
 // record's r0 to a Reduce whose accumulator (r48) persists across records —
-// and, because sessions park between requests, across HTTP requests too.
+// and, because the session keeps its machine, across HTTP requests too.
 const streamSource = `
 src(Split) OUT -> IN total(Reduce)
 '1' -> REGS src
@@ -71,9 +73,9 @@ func advancePipeline(t *testing.T, url, id string, req AdvanceRequest) *AdvanceR
 }
 
 // TestPipelineSessionStreaming is the session plane's end-to-end contract:
-// one compile, then records streamed across separate HTTP requests with the
-// machine released between them, a resident accumulator surviving the
-// park/restore cycle, and zero recompilation after the first request.
+// one compile, then records streamed across separate HTTP requests, a
+// resident accumulator carrying from one to the next, and zero recompilation
+// after the first request.
 func TestPipelineSessionStreaming(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	pr := createPipeline(t, ts.URL, PipelineRequest{Source: streamSource, Backend: "racer"})
@@ -108,7 +110,7 @@ func TestPipelineSessionStreaming(t *testing.T) {
 		t.Fatalf("accumulator after request 1 = %d, want 6", got)
 	}
 
-	// The machine is parked between requests: no session pins one.
+	// Between requests the session is idle and has counted its records.
 	code, body, _ := doPipeline(t, http.MethodGet, ts.URL+"/v1/pipelines/"+pr.ID, nil)
 	if code != http.StatusOK {
 		t.Fatalf("status %d: %s", code, body)
@@ -117,15 +119,12 @@ func TestPipelineSessionStreaming(t *testing.T) {
 	if err := json.Unmarshal(body, &st); err != nil {
 		t.Fatal(err)
 	}
-	if !st.Parked || st.Busy || st.SnapshotBytes == 0 || st.Records != 3 {
+	if st.Busy || st.Records != 3 {
 		t.Fatalf("status after request 1: %+v", st)
 	}
-	if got := scrapeMetric(t, ts.URL, "mpud_session_snapshot_bytes"); got != strconv.Itoa(st.SnapshotBytes) {
-		t.Fatalf("mpud_session_snapshot_bytes = %s with one parked session of %d bytes", got, st.SnapshotBytes)
-	}
 
-	// Requests 2..4: the resident accumulator carries across the
-	// park/restore boundary, and no record recompiles anything.
+	// Requests 2..4: the resident accumulator carries across the request
+	// boundary, and no record recompiles anything.
 	want := uint64(6)
 	for r := 2; r <= 4; r++ {
 		ar = advancePipeline(t, ts.URL, pr.ID, AdvanceRequest{
@@ -155,12 +154,9 @@ func TestPipelineSessionStreaming(t *testing.T) {
 	if code != http.StatusNotFound {
 		t.Fatalf("closed session still resolves: %d", code)
 	}
-	// The table's one delete also releases what the session held: a session
-	// dropped any other way leaves its snapshot bytes counted forever.
-	for _, g := range []string{"mpud_sessions", "mpud_session_snapshot_bytes"} {
-		if got := scrapeMetric(t, ts.URL, g); got != "0" {
-			t.Errorf("%s = %s after the only session closed, want 0", g, got)
-		}
+	// The table's one delete is also the gauge's one decrement.
+	if got := scrapeMetric(t, ts.URL, "mpud_sessions"); got != "0" {
+		t.Errorf("mpud_sessions = %s after the only session closed, want 0", got)
 	}
 }
 
@@ -275,9 +271,9 @@ func TestPipelineLimits(t *testing.T) {
 	}
 }
 
-// TestPipelineSessionParity: a record streamed through a parked-and-restored
-// session answers with the same dump values as the same records streamed in
-// one request — parking is invisible to results.
+// TestPipelineSessionParity: records streamed one per request answer with
+// the same dump values and the same machine.Stats bytes as the same records
+// streamed in one request — request boundaries are invisible to results.
 func TestPipelineSessionParity(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	one := createPipeline(t, ts.URL, PipelineRequest{Source: streamSource, Backend: "racer"})
@@ -296,21 +292,239 @@ func TestPipelineSessionParity(t *testing.T) {
 	}
 
 	// Session one: all six in one request. Session two: one per request.
-	all := advancePipeline(t, ts.URL, one.ID, AdvanceRequest{Records: records})
+	all := advancePipeline(t, ts.URL, one.ID, AdvanceRequest{Records: records, Stats: true})
 	var split []RecordResult
 	for _, r := range records {
-		ar := advancePipeline(t, ts.URL, two.ID, AdvanceRequest{Records: []PipelineRecord{r}})
+		ar := advancePipeline(t, ts.URL, two.ID, AdvanceRequest{Records: []PipelineRecord{r}, Stats: true})
 		split = append(split, ar.Records...)
+	}
+	if len(split) != len(records) {
+		t.Fatalf("split stream answered %d records", len(split))
 	}
 	for i := range records {
 		a, _ := json.Marshal(all.Records[i].Dumps)
 		b, _ := json.Marshal(split[i].Dumps)
 		if !bytes.Equal(a, b) {
-			t.Fatalf("record %d diverged across park boundaries:\none: %s\nsix: %s", i, a, b)
+			t.Fatalf("record %d diverged across request boundaries:\none: %s\nsix: %s", i, a, b)
+		}
+		if a, b := all.Records[i].Stats, split[i].Stats; len(a) == 0 || !bytes.Equal(a, b) {
+			t.Fatalf("record %d stats diverged across request boundaries:\none: %s\nsix: %s", i, a, b)
 		}
 	}
-	if len(split) != len(records) {
-		t.Fatalf("split stream answered %d records", len(split))
+}
+
+// TestPipelineSessionApplied: an advance that fails at record k says how many
+// records before it were applied, the session counts exactly those, and a
+// client that resends from the failing record on ends where an undisturbed
+// stream does.
+func TestPipelineSessionApplied(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	whole := createPipeline(t, ts.URL, PipelineRequest{Source: streamSource, Backend: "racer"})
+	broken := createPipeline(t, ts.URL, PipelineRequest{Source: streamSource, Backend: "racer"})
+	record := func(node string, base uint64) PipelineRecord {
+		vals := make([]uint64, whole.Lanes)
+		for i := range vals {
+			vals[i] = base + uint64(i)
+		}
+		return PipelineRecord{
+			Sets:  []PipelineSet{{Node: node, Reg: 0, Values: vals}},
+			Dumps: []PipelineRef{{Node: "total", Reg: 48}},
+		}
+	}
+	good := []PipelineRecord{record("src", 1), record("src", 20), record("src", 300)}
+	want, _ := json.Marshal(advancePipeline(t, ts.URL, whole.ID, AdvanceRequest{Records: good}).Records[2].Dumps)
+
+	code, body, _ := doPipeline(t, http.MethodPost, ts.URL+"/v1/pipelines/"+broken.ID, AdvanceRequest{
+		Records: []PipelineRecord{good[0], record("ghost", 20), good[2]},
+	})
+	var eb errorBody
+	if err := json.Unmarshal(body, &eb); err != nil {
+		t.Fatalf("error body %q: %v", body, err)
+	}
+	if code != http.StatusBadRequest || eb.Applied == nil || *eb.Applied != 1 {
+		t.Fatalf("advance with a bad 2nd record: %d %s, want 400 with \"applied\":1", code, body)
+	}
+	var st SessionStatus
+	_, body, _ = doPipeline(t, http.MethodGet, ts.URL+"/v1/pipelines/"+broken.ID, nil)
+	if err := json.Unmarshal(body, &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.Records != 1 || st.Busy {
+		t.Fatalf("status after the failed advance: %+v, want 1 record and not busy", st)
+	}
+	ar := advancePipeline(t, ts.URL, broken.ID, AdvanceRequest{Records: good[1:]})
+	if got, _ := json.Marshal(ar.Records[1].Dumps); !bytes.Equal(got, want) {
+		t.Fatalf("resent stream ends on %s, the undisturbed one on %s", got, want)
+	}
+	if ar.Summary.TotalRecords != 3 {
+		t.Fatalf("total records = %d after the resend, want 3", ar.Summary.TotalRecords)
+	}
+
+	// Errors that stop before any record carry no applied count.
+	_, body, _ = doPipeline(t, http.MethodPost, ts.URL+"/v1/pipelines/"+broken.ID, AdvanceRequest{})
+	if bytes.Contains(body, []byte("applied")) {
+		t.Fatalf("an empty advance reports applied: %s", body)
+	}
+}
+
+// TestPipelineSessionUnknownID: an advance to an id that does not resolve is
+// refused before its body is read — a body that would not even parse still
+// answers 404, not 400.
+func TestPipelineSessionUnknownID(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	resp, err := http.Post(ts.URL+"/v1/pipelines/nope", "application/json", strings.NewReader("{not json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("unknown id with an unparsable body: %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestPipelineSessionResident: a session's machine stays where it is between
+// advances, so a warm advance allocates what its records and response need
+// and nothing proportional to the machine — the six-MPU etl machine's
+// snapshot alone is 270 KB, more than twice the budget here.
+func TestPipelineSessionResident(t *testing.T) {
+	src, err := os.ReadFile("../../examples/pipelines/etl.fbp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, _ := newTestServer(t, Config{})
+	pr, status, err := s.createSession(&PipelineRequest{Source: string(src), Backend: "racer"})
+	if err != nil {
+		t.Fatalf("create: %d %v", status, err)
+	}
+	const records, advances = 8, 50
+	req := &AdvanceRequest{Records: make([]PipelineRecord, records)}
+	fold := make([]uint64, pr.Lanes) // what one advance adds to each lane of total
+	for r := range req.Records {
+		r0, r1 := make([]uint64, pr.Lanes), make([]uint64, pr.Lanes)
+		for l := range r0 {
+			r0[l], r1[l] = uint64(r*pr.Lanes+l), uint64(3*l+r)
+			fold[l] += max(r0[l]+r1[l], r0[l]^r1[l])
+		}
+		req.Records[r].Sets = []PipelineSet{{Node: "src", Reg: 0, Values: r0}, {Node: "src", Reg: 1, Values: r1}}
+	}
+	req.Records[records-1].Dumps = []PipelineRef{{Node: "total", Reg: 48}}
+
+	if _, status, err := s.advanceSession(pr.ID, req); err != nil { // warm: records traces, compiles
+		t.Fatalf("warm advance: %d %v", status, err)
+	}
+	var before, after runtime.MemStats
+	var last *AdvanceResponse
+	runtime.ReadMemStats(&before)
+	for i := 0; i < advances; i++ {
+		ar, status, err := s.advanceSession(pr.ID, req)
+		if err != nil {
+			t.Fatalf("advance %d: %d %v", i, status, err)
+		}
+		if ar.Summary.TraceMisses != 0 || ar.Summary.JITCompiles != 0 {
+			t.Fatalf("advance %d recompiled: %+v", i, ar.Summary)
+		}
+		last = ar
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / advances; per >= 128<<10 {
+		t.Errorf("a warm advance of %d records allocates %d bytes, want < 128 KiB", records, per)
+	}
+	got := last.Records[records-1].Dumps[0].Values
+	for l := range fold {
+		if want := fold[l] * (advances + 1); got[l] != want {
+			t.Fatalf("lane %d: total %d after %d advances, scalar fold %d", l, got[l], advances+1, want)
+		}
+	}
+}
+
+// TestPipelineSessionsConcurrent: sessions advanced side by side — with a
+// reader polling the listing and every status, and a second writer racing
+// one session's owner — keep their machines apart. A contended advance
+// answers 409 (nothing applied) or 200 (applied whole), so each session's
+// final total is the fold of exactly the advances that answered 200.
+func TestPipelineSessionsConcurrent(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	const sessions, rounds = 4, 25
+	var ids [sessions]string
+	lanes := 0
+	for i := range ids {
+		pr := createPipeline(t, ts.URL, PipelineRequest{Source: streamSource, Backend: "racer"})
+		ids[i], lanes = pr.ID, pr.Lanes
+	}
+	advance := func(base uint64) AdvanceRequest {
+		vals := make([]uint64, lanes)
+		for l := range vals {
+			vals[l] = base
+		}
+		rec := PipelineRecord{Sets: []PipelineSet{{Node: "src", Reg: 0, Values: vals}}}
+		return AdvanceRequest{Records: []PipelineRecord{rec, rec}}
+	}
+	// writer advances session i `rounds` times and returns what it applied.
+	writer := func(i int, base uint64) (applied uint64) {
+		for n := 0; n < rounds; n++ {
+			code, body, _ := doPipeline(t, http.MethodPost, ts.URL+"/v1/pipelines/"+ids[i], advance(base))
+			switch code {
+			case http.StatusOK:
+				applied += 2 * base
+			case http.StatusConflict:
+			default:
+				t.Errorf("session %d: advance answered %d: %s", i, code, body)
+			}
+		}
+		return applied
+	}
+
+	var applied [sessions + 1]uint64 // the last slot is session 0's second writer
+	var writers, reader sync.WaitGroup
+	for i := 0; i <= sessions; i++ {
+		writers.Add(1)
+		go func() {
+			defer writers.Done()
+			applied[i] = writer(i%sessions, uint64(i+1))
+		}()
+	}
+	stop := make(chan struct{})
+	reader.Add(1)
+	go func() {
+		defer reader.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			paths := []string{"/v1/pipelines"}
+			for _, id := range ids {
+				paths = append(paths, "/v1/pipelines/"+id)
+			}
+			for _, p := range paths {
+				if code, body, _ := doPipeline(t, http.MethodGet, ts.URL+p, nil); code != http.StatusOK {
+					t.Errorf("GET %s: %d %s", p, code, body)
+				}
+			}
+		}
+	}()
+	writers.Wait()
+	close(stop)
+	reader.Wait()
+	applied[0] += applied[sessions]
+
+	for i, id := range ids {
+		final := advance(0)
+		final.Records[1].Dumps = []PipelineRef{{Node: "total", Reg: 48}}
+		ar := advancePipeline(t, ts.URL, id, final)
+		if got := ar.Records[1].Dumps[0].Values[0]; got != applied[i] {
+			t.Errorf("session %d: total %d, fold of the applied advances %d", i, got, applied[i])
+		}
+		if i > 0 && applied[i] != 2*rounds*uint64(i+1) {
+			t.Errorf("session %d: uncontended advances were refused (applied %d)", i, applied[i])
+		}
+		if code, body, _ := doPipeline(t, http.MethodDelete, ts.URL+"/v1/pipelines/"+id, nil); code != http.StatusOK {
+			t.Errorf("close %s: %d %s", id, code, body)
+		}
+	}
+	if got := scrapeMetric(t, ts.URL, "mpud_sessions"); got != "0" {
+		t.Errorf("mpud_sessions = %s after every session closed, want 0", got)
 	}
 }
 
