@@ -86,7 +86,9 @@ race-short:
 # oracle cross-checks commlint against the real scheduler: verdict-clean
 # program sets must run, flagged ones must deadlock. The FBP oracles check that the pipeline parser never
 # panics and that every graph the compiler accepts is deadlock-free by
-# construction (lint-clean and actually runs).
+# construction (lint-clean and actually runs). The lane codec's oracle
+# decodes every body into the server's request type and into a plain
+# []uint64 mirror and requires the same values and the same errors.
 fuzz:
 	$(GO) test -fuzz=FuzzLintSoundness -fuzztime=30s ./internal/isa
 	$(GO) test -fuzz=FuzzJITParity -fuzztime=30s ./internal/machine
@@ -94,6 +96,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzSnapshotRoundTrip -fuzztime=30s -fuzzminimizetime=2s ./internal/machine
 	$(GO) test -fuzz=FuzzFBPParse -fuzztime=30s ./internal/fbp
 	$(GO) test -fuzz=FuzzPipelineSoundness -fuzztime=30s ./internal/fbp
+	$(GO) test -fuzz=FuzzLanesDecode -fuzztime=30s ./internal/serve
 
 # check is the pre-merge gate: build + vet + full test suite + repo lint +
 # staticcheck + govulncheck (each when installed). Run `make race` (full
@@ -142,7 +145,8 @@ cluster-smoke:
 
 # End-to-end pipeline check (also in CI): compile a .fbp graph in-process,
 # open a persistent session against a self-hosted daemon, stream records
-# across requests (parked between them), and verify the accumulator.
+# across requests (the session's machine resident between them), and verify
+# the accumulator.
 pipeline-smoke:
 	$(GO) run ./cmd/mpud -pipeline-smoke -quiet
 

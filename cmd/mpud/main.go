@@ -7,9 +7,11 @@
 // Usage:
 //
 //	mpud [-addr :8080] [-pools racer:mpu:2,mimdram:mpu:1] [-queue 64]
-//	     [-deadline 30s] [-max-elements 1048576]
-//	     [-j N] [-node-id node0] [-quiet]
+//	     [-deadline 30s] [-max-elements 1048576] [-node-id node0] [-quiet]
 //	     [-nopreempt] [-max-parked 8] [-pprof 127.0.0.1:6060]
+//
+// There is no worker flag: the daemon's parallelism is across requests, and a
+// session machine picks its own schedule (docs/SERVE.md, "No worker knob").
 //
 // Coalescing needs no setting: a request identical to one that is queued,
 // running or parked shares that run, and no request ever waits for a twin
@@ -74,7 +76,6 @@ func main() {
 	queue := flag.Int("queue", 64, "admission queue depth per pool, in batches")
 	deadline := flag.Duration("deadline", 30*time.Second, "default per-request deadline")
 	maxElements := flag.Int("max-elements", 1<<20, "per-request element cap for workload runs")
-	jobs := flag.Int("j", 0, "machine scheduler workers per pool machine (0 = one per CPU)")
 	nodeID := flag.String("node-id", "", "cluster node label on /metrics gauges and request logs (empty = standalone)")
 	quiet := flag.Bool("quiet", false, "suppress JSON request logs")
 	nopreempt := flag.Bool("nopreempt", false, "disable ensemble-boundary preemption (latency keeps queue priority only)")
@@ -85,13 +86,13 @@ func main() {
 	pipelineSmoke := flag.Bool("pipeline-smoke", false, "self-test the session plane: create, stream, 422 check, close, drain, exit")
 	flag.Parse()
 
-	if err := run(*addr, *pools, *queue, *deadline, *maxElements, *jobs, *nodeID, *quiet, *nopreempt, *maxParked, *maxSessions, *pprofAddr, *smoke, *pipelineSmoke); err != nil {
+	if err := run(*addr, *pools, *queue, *deadline, *maxElements, *nodeID, *quiet, *nopreempt, *maxParked, *maxSessions, *pprofAddr, *smoke, *pipelineSmoke); err != nil {
 		fmt.Fprintf(os.Stderr, "mpud: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run(addr, pools string, queue int, deadline time.Duration, maxElements int, jobs int, nodeID string, quiet, nopreempt bool, maxParked, maxSessions int, pprofAddr string, smoke, pipelineSmoke bool) error {
+func run(addr, pools string, queue int, deadline time.Duration, maxElements int, nodeID string, quiet, nopreempt bool, maxParked, maxSessions int, pprofAddr string, smoke, pipelineSmoke bool) error {
 	specs, err := serve.ParsePoolSpecs(pools)
 	if err != nil {
 		return err
@@ -105,7 +106,6 @@ func run(addr, pools string, queue int, deadline time.Duration, maxElements int,
 		QueueDepth:      queue,
 		MaxElements:     maxElements,
 		DefaultDeadline: deadline,
-		MachineWorkers:  jobs,
 		NodeID:          nodeID,
 		NoPreempt:       nopreempt,
 		MaxParked:       maxParked,

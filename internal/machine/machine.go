@@ -635,6 +635,11 @@ func (m *Machine) waiters() []comm.Waiter {
 	return ws
 }
 
+// SetWorkers sets Config.Workers for the Runs that follow. Statistics do not
+// depend on it, so a machine may change schedule between runs; it must not
+// be called while Run executes.
+func (m *Machine) SetWorkers(n int) { m.cfg.Workers = n }
+
 // schedWorkers resolves the effective run-phase worker count: an explicit
 // Config.Workers wins, 0 means one per CPU, and the result is capped at the
 // core count. A machine writing an execution log always runs sequentially so

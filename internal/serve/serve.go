@@ -81,11 +81,6 @@ type Config struct {
 	// RetryAfter is the hint returned with 503 responses. Default 1s.
 	RetryAfter time.Duration
 
-	// MachineWorkers is forwarded to each pool machine's scheduler
-	// (kernel requests simulate one MPU, so this only matters for
-	// submitted multi-MPU binaries).
-	MachineWorkers int
-
 	// NodeID labels this daemon in a multi-node cluster: when non-empty it
 	// appears as a node="..." label on the /metrics gauges and as a "node"
 	// field in the JSON request log, so a router scraping several mpuds can
@@ -228,10 +223,10 @@ type Request struct {
 
 // RegisterSet preloads one vector register on MPU 0 before a binary run.
 type RegisterSet struct {
-	RFH    uint8    `json:"rfh"`
-	VRF    uint8    `json:"vrf"`
-	Reg    int      `json:"reg"`
-	Values []uint64 `json:"values"`
+	RFH    uint8 `json:"rfh"`
+	VRF    uint8 `json:"vrf"`
+	Reg    int   `json:"reg"`
+	Values Lanes `json:"values"`
 }
 
 // RegisterRef names one vector register to read back after a binary run.
@@ -424,9 +419,7 @@ func New(cfg Config) (*Server, error) {
 			open:       map[string]*batch{},
 		}
 		p.cond = sync.NewCond(&p.mu)
-		mc := workloads.MachineConfigFor(workloads.RunConfig{
-			Spec: spec, Mode: ps.Mode, Workers: cfg.MachineWorkers,
-		})
+		mc := workloads.MachineConfigFor(workloads.RunConfig{Spec: spec, Mode: ps.Mode})
 		for i := 0; i < size; i++ {
 			m, err := machine.New(mc)
 			if err != nil {
@@ -691,7 +684,6 @@ func (s *Server) execute(p *pool, w *workerState, b *batch) (*batchResult, bool)
 			TotalElements: rq.raw.Elements,
 			Seed:          rq.raw.Seed,
 			Check:         rq.raw.Check,
-			Workers:       s.cfg.MachineWorkers,
 		})
 		if err != nil {
 			return errResult(http.StatusInternalServerError, err), false

@@ -69,11 +69,11 @@ type PipelineResponse struct {
 // runs. RFH/VRF address within the node's MPU (streaming components read
 // record registers at rfh 0, vrf 0).
 type PipelineSet struct {
-	Node   string   `json:"node"`
-	RFH    uint8    `json:"rfh"`
-	VRF    uint8    `json:"vrf"`
-	Reg    int      `json:"reg"`
-	Values []uint64 `json:"values"`
+	Node   string `json:"node"`
+	RFH    uint8  `json:"rfh"`
+	VRF    uint8  `json:"vrf"`
+	Reg    int    `json:"reg"`
+	Values Lanes  `json:"values"`
 }
 
 // PipelineRef names one vector register on a named node to read back after a
@@ -178,11 +178,10 @@ type sessionManager struct {
 
 // loadMachine builds the session's machine — configured the same way the
 // pools derive theirs, at the compiled placement's MPU count — and loads the
-// compiled programs: the first advance's one-time cost.
+// compiled programs: the first advance's one-time cost. It starts out running
+// its phases on the advancing goroutine (fanOutMicroOps).
 func (s *Server) loadMachine(sess *session) (*machine.Machine, error) {
-	mc := workloads.MachineConfigFor(workloads.RunConfig{
-		Spec: sess.spec, Mode: sess.mode, Workers: s.cfg.MachineWorkers,
-	})
+	mc := workloads.MachineConfigFor(workloads.RunConfig{Spec: sess.spec, Mode: sess.mode, Workers: 1})
 	mc.NumMPUs = sess.compiled.MPUs
 	m, err := machine.New(mc)
 	if err != nil {
@@ -195,6 +194,15 @@ func (s *Server) loadMachine(sess *session) (*machine.Machine, error) {
 	}
 	return m, nil
 }
+
+// fanOutMicroOps is the modelled work per rendezvous, in a session's first
+// record, from which its machine fans run phases out to one goroutine per
+// CPU; the stats it is read from are the same at any worker count. Below it
+// a phase costs less than the fan-out: etl.fbp (≈ 860 micro-ops per
+// rendezvous) advances twice as fast inline, editdistance_ring.fbp
+// (≈ 53,000) and llmencode.fbp (≈ 10 million) faster fanned out
+// (docs/PERF.md, "Which session machines fan out").
+const fanOutMicroOps = 1 << 13
 
 // createSession compiles the graph and installs the session — the table's
 // only insert, made after the MaxSessions check under the same lock.
@@ -323,6 +331,9 @@ func (s *Server) runRecords(sess *session, req *AdvanceRequest, resp *AdvanceRes
 		st, err := m.Run()
 		if err != nil {
 			return fail(http.StatusInternalServerError, err)
+		}
+		if sess.records == 0 && resp.Summary.Records == 0 && st.MicroOps/(st.Sends+1) >= fanOutMicroOps {
+			m.SetWorkers(0) // the first record's phases are long: one worker per CPU
 		}
 		rr := RecordResult{}
 		if rr.Dumps, err = s.readDumps(m, sess, rec.Dumps); err != nil {
