@@ -58,9 +58,11 @@ race:
 # The concurrency-sensitive packages only (the sweep worker pool, the linter
 # the machine calls from strict mode, and the metrics registry both daemons
 # observe into — its hammer binds series, observes and renders at once) plus
-# the engine-vs-interpreter parity difftest, whose replay path shares
-# compiled traces and memoized recipe expansions across sweep workers, the
-# concurrent-decode test of the process-wide kernel memo, the
+# two rounds running one shared compiled kernel at once (its group scratch
+# must stay on each caller's stack), the engine-vs-interpreter parity
+# difftest, whose replay path shares compiled traces and memoized recipe
+# expansions across sweep workers, the concurrent-decode test of the
+# process-wide kernel memo, the
 # parallel-scheduler parity difftest, which fans cores out across scheduler
 # goroutines, the register-file recycling oracles (no residue after Reset,
 # bounded spare list, reuse after a wide kernel), the serve-layer parity,
@@ -72,6 +74,7 @@ race:
 # writes a core's state, a JIT counter or the session table.
 race-short:
 	$(GO) test -race -timeout 30m ./internal/sweep ./internal/lint ./internal/obs
+	$(GO) test -race -timeout 30m -run 'TestRunCompiledGroupsConcurrent' ./internal/vrf
 	$(GO) test -race -timeout 30m -run 'TestTraceParity|TestJITParityRandom|TestExpandConcurrent|TestParallelMachine|TestParallelDeadlock|TestSnapshotResumeParity|TestSnapshotCompatFixtures|TestRunStatsNotAliased|TestNoResidueAfterReset|TestSpareListBounded|TestResetReuseMatchesFresh' ./internal/machine
 	$(GO) test -race -timeout 30m -run 'TestServeParity|TestServeIsolation|TestServePool|TestServePreempt|TestServeNoPreempt|TestParkedGauges|TestServeJoin|TestServeLateArrival|TestBatchingCoalesces|TestPipelineSession|TestPipelineLimits' ./internal/serve
 	$(GO) test -race -timeout 30m -run 'TestRouterParity|TestRollingDrain|TestFairAdmission|TestRouterPipeline|TestNodeLoadContract' ./internal/router

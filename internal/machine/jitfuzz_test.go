@@ -30,9 +30,11 @@ import (
 	"mpu/internal/machine"
 )
 
-// fuzzVRFs activates four VRFs per ensemble; with ActiveVRFsOverride 1 the
-// scheduler splits them into four rounds — one recording, three replaying.
-const fuzzVRFs = 4
+// fuzzVRFs activates five VRFs per ensemble, one per RFH, so with
+// ActiveVRFsOverride 1 each ensemble is one round: a group of four that
+// runs the 4-wide kernels plus a one-VRF remainder. The looped shape's
+// per-lane countdowns give the VRFs of the group different masks.
+const fuzzVRFs = 5
 
 // fuzzRegs bounds the register window the generated bodies touch (and the
 // harness seeds).

@@ -972,8 +972,9 @@ func (c *core) compileJIT(tr *trace.Trace) {
 }
 
 // replayRound applies a compiled body to one round's activated VRFs: the
-// data-mutating steps run per VRF, and every cost counter advances by the
-// precomputed delta — O(1) accounting regardless of dynamic body length.
+// data-mutating steps run micro-op-major over groups of the batch
+// (trace.Prog.Run), and every cost counter advances by the precomputed delta
+// — O(1) accounting regardless of dynamic body length.
 func (c *core) replayRound(t *trace.Trace, batch []*vrf.VRF) {
 	st := &c.local
 	if t.Prog == nil {
@@ -996,12 +997,10 @@ func (c *core) replayRound(t *trace.Trace, batch []*vrf.VRF) {
 	st.MicroOps += t.MicroOpsPerVRF * uint64(len(batch))
 	st.DatapathEnergyPJ += t.EnergyPerVRF * float64(len(batch))
 	// The closure chain mutates the same words in the same order under the
-	// same mask as an interpreted round (pinned by TestTraceParity and
-	// FuzzJITParity).
+	// same mask as an interpreted round, on each VRF of the batch (pinned by
+	// TestTraceParity and FuzzJITParity).
 	st.JITReplays++
-	for _, v := range batch {
-		t.Prog.Run(v)
-	}
+	t.Prog.Run(batch)
 }
 
 // findComputeDone returns the linear distance from start to the matching
@@ -1068,9 +1067,7 @@ func (c *core) runBody(start int, batch []*vrf.VRF, rec *trace.Recorder) (int, e
 					v.ExecAllResolved(e.rops)
 				}
 			} else {
-				for _, v := range batch {
-					v.RunCompiled(e.kern)
-				}
+				vrf.RunCompiledGroups(e.kern, batch)
 			}
 			n := int64(len(e.ops))
 			exec := int64(float64(n*int64(spec.CyclesPerMicroOp)) * c.m.cfg.ComputeScale)

@@ -381,6 +381,64 @@ func TestTenantSaturation(t *testing.T) {
 	}
 }
 
+// TestTenantCap: X-Tenant is unauthenticated, so a client can name a new
+// tenant on every request. 5,000 distinct names leave at most
+// maxUnlistedTenants + 1 tenant states and series per tenant family — the
+// overflow shares tenant="other" — while a configured tenant keeps its own,
+// and every request is still answered 200 or 429.
+func TestTenantCap(t *testing.T) {
+	cluster := startCluster(t, 1, nil)
+	rt, rts := startRouter(t, cluster, func(c *Config) {
+		c.Hedge = false
+		c.Tenants = map[string]int{"listed": 2}
+	})
+	const names, workers = 5000, 8
+	body := []byte(`{"workload":"vecadd","backend":"racer","elements":64}`)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; i < names; i += workers {
+				tenant := fmt.Sprintf("tenant-%d", i)
+				if i == names-1 {
+					tenant = "listed"
+				}
+				hr, _ := http.NewRequest(http.MethodPost, rts.URL+"/v1/execute", bytes.NewReader(body))
+				hr.Header.Set("X-Tenant", tenant)
+				resp, err := http.DefaultClient.Do(hr)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusTooManyRequests {
+					t.Errorf("%s: status %d", tenant, resp.StatusCode)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	rt.adm.mu.Lock()
+	states := len(rt.adm.tenants)
+	rt.adm.mu.Unlock()
+	// The unlisted cap, "other", and the configured tenant.
+	if limit := maxUnlistedTenants + 2; states > limit {
+		t.Errorf("%d tenant states after %d distinct names, want at most %d", states, names, limit)
+	}
+	text := getText(t, rts.URL+"/metrics")
+	for _, family := range []string{"mpurouter_tenant_granted_total{", "mpurouter_tenant_rejected_total{"} {
+		if n := strings.Count(text, "\n"+family); n > maxUnlistedTenants+2 {
+			t.Errorf("%d %s series, want at most %d", n, family, maxUnlistedTenants+2)
+		}
+		for _, tenant := range []string{otherTenant, "listed"} {
+			if !strings.Contains(text, family+`tenant="`+tenant+`"}`) {
+				t.Errorf("no %s series for tenant %q", family, tenant)
+			}
+		}
+	}
+}
+
 // TestAutoscaleAdvisory drives the scraper against a fake node whose
 // /healthz reports sustained queue depth and pins the advisory log + metric.
 // The fake refuses every other path: a scrape round is one GET /healthz per

@@ -27,6 +27,7 @@ type fairAdmission struct {
 	waiting   int            // total waiters across tenants
 	weights   map[string]int // configured weights; absent tenants get 1
 	tenants   map[string]*tenantState
+	unlisted  int     // tenants in the map without a configured weight, otherTenant aside
 	vtime     float64 // pass of the most recent grant: the virtual clock
 }
 
@@ -48,6 +49,17 @@ type waiter struct {
 // algorithm only needs ratios.
 const strideScale = 1 << 16
 
+// maxUnlistedTenants caps the distinct tenant names without a configured
+// weight that get their own state. X-Tenant is an unauthenticated header:
+// every new name would otherwise add a tenant that dispatchLocked scans on
+// each release and a series to both mpurouter_tenant_* families. Names past
+// the cap share otherTenant's state, queue and series; configured tenants
+// always keep their own.
+const maxUnlistedTenants = 64
+
+// otherTenant is the one tenant the overflow past maxUnlistedTenants shares.
+const otherTenant = "other"
+
 func newFairAdmission(maxSlots, waitBound int, weights map[string]int) *fairAdmission {
 	if maxSlots <= 0 {
 		maxSlots = 256
@@ -66,6 +78,13 @@ func newFairAdmission(maxSlots, waitBound int, weights map[string]int) *fairAdmi
 func (a *fairAdmission) tenant(name string) *tenantState {
 	ts, ok := a.tenants[name]
 	if !ok {
+		_, listed := a.weights[name]
+		if !listed && name != otherTenant {
+			if a.unlisted >= maxUnlistedTenants {
+				return a.tenant(otherTenant)
+			}
+			a.unlisted++
+		}
 		w := a.weights[name]
 		if w <= 0 {
 			w = 1

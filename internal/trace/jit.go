@@ -11,14 +11,21 @@ import "mpu/internal/vrf"
 // steps become direct method calls. Replaying a round is then a tight loop
 // of direct calls with zero allocation.
 //
-// Every lane geometry compiles, so the Prog is the only replay engine: it
-// touches the same words the interpreter would, in the same order, under
-// the same mask.
+// A round runs micro-op-major within groups: a body whose streams have
+// 4-wide bodies replays four VRFs at a time, each step applied to all four
+// before the next (exec steps through vrf.RunCompiledGroups, mask steps in
+// a loop). Any other body replays one VRF at a time, so a wide round's
+// directories are each walked once while in cache. Every lane geometry
+// compiles, so the Prog is the only replay engine: on each VRF it touches
+// the same words the interpreter would, in the same order, under the same
+// mask.
 
-// Prog is a JIT-compiled body: the closure chain that replays Steps.
+// Prog is a JIT-compiled body: the closure chain that replays Steps over
+// one round's activated VRFs.
 type Prog struct {
-	steps []func(v *vrf.VRF)
-	ops   uint64 // total micro-ops per execution, across all exec steps
+	steps []func(vs []*vrf.VRF)
+	ops   uint64 // total micro-ops per VRF per execution, across all exec steps
+	width int    // VRFs replayed together: the widest exec step's group width
 }
 
 // CompileJIT lowers a compiled trace for VRFs of the given lane count. It
@@ -26,9 +33,11 @@ type Prog struct {
 // or an unknown micro-op kind.
 func CompileJIT(t *Trace, lanes int) *Prog {
 	t.Flatten()
-	p := &Prog{steps: make([]func(v *vrf.VRF), 0, len(t.Steps))}
+	p := &Prog{steps: make([]func(vs []*vrf.VRF), 0, len(t.Steps)), width: 1}
 	for i := range t.Steps {
 		s := &t.Steps[i]
+		r := int(s.Arg)
+		var each func(v *vrf.VRF)
 		switch s.Kind {
 		case StepExec:
 			c := vrf.CompileResolved(s.Ops, lanes)
@@ -36,28 +45,39 @@ func CompileJIT(t *Trace, lanes int) *Prog {
 				return nil
 			}
 			p.ops += c.Ops()
-			p.steps = append(p.steps, func(v *vrf.VRF) { v.RunCompiled(c) })
+			p.width = max(p.width, c.GroupWidth())
+			p.steps = append(p.steps, func(vs []*vrf.VRF) { vrf.RunCompiledGroups(c, vs) })
+			continue
 		case StepSetMaskCond:
-			p.steps = append(p.steps, (*vrf.VRF).SetMaskFromCond)
+			each = (*vrf.VRF).SetMaskFromCond
 		case StepSetMaskReg:
-			r := int(s.Arg)
-			p.steps = append(p.steps, func(v *vrf.VRF) { v.SetMaskFromReg(r) })
+			each = func(v *vrf.VRF) { v.SetMaskFromReg(r) }
 		case StepUnmask:
-			p.steps = append(p.steps, (*vrf.VRF).Unmask)
+			each = (*vrf.VRF).Unmask
 		case StepGetMask:
-			r := int(s.Arg)
-			p.steps = append(p.steps, func(v *vrf.VRF) { v.GetMaskInto(r) })
+			each = func(v *vrf.VRF) { v.GetMaskInto(r) }
 		default:
 			return nil
 		}
+		p.steps = append(p.steps, func(vs []*vrf.VRF) {
+			for _, v := range vs {
+				each(v)
+			}
+		})
 	}
 	return p
 }
 
-// Run applies the compiled body to one activated VRF.
-func (p *Prog) Run(v *vrf.VRF) {
-	for _, s := range p.steps {
-		s(v)
+// Run applies the compiled body to one round's activated VRFs, which must
+// be distinct: a group of the Prog's width at a time, and a remainder
+// smaller than that together.
+func (p *Prog) Run(vs []*vrf.VRF) {
+	for len(vs) > 0 {
+		n := min(p.width, len(vs))
+		for _, s := range p.steps {
+			s(vs[:n])
+		}
+		vs = vs[n:]
 	}
 }
 

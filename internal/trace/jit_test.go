@@ -52,45 +52,82 @@ func interpretSteps(tr *Trace, v *vrf.VRF) {
 	}
 }
 
+// racerBody is jitBody over RACER's kinds only, so its exec steps take the
+// 4-wide bodies: the mask steps give each VRF of a round its own mask.
+func racerBody() *Trace {
+	slot := func(reg, bit int) micro.Slot { return micro.Slot(reg*micro.SlotWordBits + bit) }
+	return &Trace{
+		Steps: []Step{
+			{Kind: StepExec, Ops: []micro.ResolvedOp{
+				{Kind: micro.NOR, Dst: slot(2, 0), A: slot(0, 0), B: slot(1, 0)},
+				{Kind: micro.NOR, Dst: slot(2, 1), A: slot(2, 0), B: slot(1, 1)},
+				{Kind: micro.CONDWR, A: slot(2, 1)},
+			}},
+			{Kind: StepSetMaskCond},
+			{Kind: StepExec, Ops: []micro.ResolvedOp{
+				{Kind: micro.COPY, Dst: slot(3, 0), A: slot(2, 0)},
+				{Kind: micro.SET1, Dst: slot(4, 0)},
+				{Kind: micro.SET0, Dst: slot(4, 1)},
+				{Kind: micro.NOR, Dst: slot(5, 0), A: slot(3, 0), B: slot(0, 1)},
+			}},
+			{Kind: StepGetMask, Arg: 6},
+			{Kind: StepUnmask},
+		},
+		MicroOpsPerVRF: 7,
+	}
+}
+
+// A compiled Prog over a round of five VRFs — one group of four plus a
+// remainder on RACER-kind bodies — leaves each VRF as the step interpreter
+// leaves it run alone.
 func TestCompileJITMatchesStepInterpreter(t *testing.T) {
-	tr := jitBody()
-	for _, lanes := range []int{48, 64, 65, 256} {
-		p := CompileJIT(tr, lanes)
-		if p == nil {
-			t.Fatalf("lanes=%d: CompileJIT declined a straight-line body", lanes)
-		}
-		if p.Ops() != tr.MicroOpsPerVRF {
-			t.Fatalf("lanes=%d: Prog.Ops() = %d, want %d", lanes, p.Ops(), tr.MicroOpsPerVRF)
-		}
-		vi, vj := vrf.New(lanes), vrf.New(lanes)
-		for _, v := range []*vrf.VRF{vi, vj} {
-			r := rand.New(rand.NewSource(99))
-			for reg := 0; reg <= 6; reg++ {
-				vals := make([]uint64, lanes)
-				for l := range vals {
-					vals[l] = r.Uint64()
-				}
-				v.WriteReg(reg, vals)
+	const round = 5
+	for name, tr := range map[string]*Trace{"mixed": jitBody(), "racer": racerBody()} {
+		for _, lanes := range []int{48, 64, 65, 256} {
+			p := CompileJIT(tr, lanes)
+			if p == nil {
+				t.Fatalf("%s lanes=%d: CompileJIT declined a straight-line body", name, lanes)
 			}
-		}
-		interpretSteps(tr, vi)
-		p.Run(vj)
-		if vi.MicroOps != vj.MicroOps {
-			t.Fatalf("lanes=%d: MicroOps %d vs %d", lanes, vi.MicroOps, vj.MicroOps)
-		}
-		for reg := 0; reg <= 6; reg++ {
-			a, b := vi.ReadReg(reg), vj.ReadReg(reg)
-			for l := range a {
-				if a[l] != b[l] {
-					t.Fatalf("lanes=%d: r%d lane %d: interp=%#x jit=%#x", lanes, reg, l, a[l], b[l])
-				}
+			if p.Ops() != tr.MicroOpsPerVRF {
+				t.Fatalf("%s lanes=%d: Prog.Ops() = %d, want %d", name, lanes, p.Ops(), tr.MicroOpsPerVRF)
 			}
-		}
-		am, bm := vi.MaskBits(), vj.MaskBits()
-		ac, bc := vi.CondBits(), vj.CondBits()
-		for l := 0; l < lanes; l++ {
-			if am[l] != bm[l] || ac[l] != bc[l] {
-				t.Fatalf("lanes=%d: mask/cond diverge at lane %d", lanes, l)
+			var vis, vjs []*vrf.VRF
+			for i := 0; i < round; i++ {
+				vi, vj := vrf.New(lanes), vrf.New(lanes)
+				for _, v := range []*vrf.VRF{vi, vj} {
+					r := rand.New(rand.NewSource(99 + int64(i)))
+					for reg := 0; reg <= 6; reg++ {
+						vals := make([]uint64, lanes)
+						for l := range vals {
+							vals[l] = r.Uint64()
+						}
+						v.WriteReg(reg, vals)
+					}
+				}
+				interpretSteps(tr, vi)
+				vis, vjs = append(vis, vi), append(vjs, vj)
+			}
+			p.Run(vjs)
+			for i, vi := range vis {
+				vj := vjs[i]
+				if vi.MicroOps != vj.MicroOps {
+					t.Fatalf("%s lanes=%d vrf %d: MicroOps %d vs %d", name, lanes, i, vi.MicroOps, vj.MicroOps)
+				}
+				for reg := 0; reg <= 6; reg++ {
+					a, b := vi.ReadReg(reg), vj.ReadReg(reg)
+					for l := range a {
+						if a[l] != b[l] {
+							t.Fatalf("%s lanes=%d vrf %d: r%d lane %d: interp=%#x jit=%#x", name, lanes, i, reg, l, a[l], b[l])
+						}
+					}
+				}
+				am, bm := vi.MaskBits(), vj.MaskBits()
+				ac, bc := vi.CondBits(), vj.CondBits()
+				for l := 0; l < lanes; l++ {
+					if am[l] != bm[l] || ac[l] != bc[l] {
+						t.Fatalf("%s lanes=%d vrf %d: mask/cond diverge at lane %d", name, lanes, i, l)
+					}
+				}
 			}
 		}
 	}
@@ -107,14 +144,21 @@ func TestCompileJITMalformedStream(t *testing.T) {
 	}
 }
 
-// Replay is the simulator's hot loop: one compiled round must not allocate.
+// Replay is the simulator's hot loop: one compiled round must not allocate,
+// with one VRF or with a grouped round of eight.
 func TestProgRunDoesNotAllocate(t *testing.T) {
-	tr := jitBody()
-	for _, lanes := range []int{48, 64, 256} {
-		p := CompileJIT(tr, lanes)
-		v := vrf.New(lanes)
-		if n := testing.AllocsPerRun(100, func() { p.Run(v) }); n != 0 {
-			t.Errorf("lanes=%d: Prog.Run allocates %v times per replay", lanes, n)
+	for _, tr := range []*Trace{jitBody(), racerBody()} {
+		for _, lanes := range []int{48, 64, 256} {
+			p := CompileJIT(tr, lanes)
+			for _, n := range []int{1, 8} {
+				vs := make([]*vrf.VRF, n)
+				for i := range vs {
+					vs[i] = vrf.New(lanes)
+				}
+				if a := testing.AllocsPerRun(100, func() { p.Run(vs) }); a != 0 {
+					t.Errorf("lanes=%d vrfs=%d: Prog.Run allocates %v times per replay", lanes, n, a)
+				}
+			}
 		}
 	}
 }

@@ -21,6 +21,13 @@ import (
 //     picks between them by inspecting the mask word at entry — legal
 //     because no micro-op writes the mask plane, so the mask is constant
 //     across the stream.
+//   - one word per plane, RACER's kinds only (NOR, COPY, SET0, SET1,
+//     CONDWR): each run also compiles to a 4-wide closure over the same
+//     packed operands, which applies every op to four VRFs' directories
+//     before it moves to the next. RunCompiledGroups runs a thermal round
+//     through it, four VRFs at a time: a NOR ripple chain on one VRF waits
+//     on the store its previous op made, and four independent chains
+//     overlap. Streams holding any other kind run one VRF at a time.
 //   - several words per plane (lanes > 64): the slab-kernel loop of
 //     execResolvedWide runs the stream as recorded. Its per-op dispatch is
 //     amortised over the words of a plane, and a fused closure chain at
@@ -32,12 +39,29 @@ import (
 type CompiledExec struct {
 	lanes int
 	k64   []kern64           // lanes <= 64: the fused closure chain
+	g64   []group64          // lanes <= 64, RACER's kinds only: the same runs, 4-wide; nil otherwise
 	rs    []micro.ResolvedOp // lanes > 64: the stream itself (shared with the caller, immutable)
 	dirty uint64             // the architectural registers the stream writes (VRF.dirty's bits)
 }
 
 // kern64 executes one fused run over a single-word directory under mask m.
 type kern64 func(ws []uint64, m uint64)
+
+// groupWidth is the number of VRFs a 4-wide body advances in lockstep: the
+// unroll width of its loop. Eight measured no faster than four on the
+// RACER kernels (docs/PERF.md, "Rounds run micro-op-major").
+const groupWidth = 4
+
+// group is one call's view of groupWidth distinct VRFs: their single-word
+// directories and the mask each runs under. It is passed by value, so it
+// lives on the caller's stack, never on the shared CompiledExec.
+type group struct {
+	ws [groupWidth]*[micro.NumSlots]uint64
+	m  [groupWidth]uint64
+}
+
+// group64 executes one fused run over a group's four directories.
+type group64 func(g group)
 
 // CompileResolved binds a resolved stream to the given lane count. No lane
 // count declines; nil means the stream holds a micro-op kind the executors
@@ -53,11 +77,30 @@ func CompileResolved(rs []micro.ResolvedOp, lanes int) *CompiledExec {
 		c.dirty |= regBit(rs[i].Dst) | regBit(rs[i].Dst2)
 	}
 	if lanes <= isa.WordBits {
+		grouped := racerKinds(rs)
 		for _, run := range micro.Runs(rs) {
-			c.k64 = append(c.k64, compileRun64(run.Kind, rs[run.Start:run.Start+run.Len]))
+			cols := packRun(run.Kind, rs[run.Start:run.Start+run.Len])
+			k := compileRun64(run.Kind, cols)
+			c.k64 = append(c.k64, k)
+			if grouped {
+				c.g64 = append(c.g64, compileGroup64(run.Kind, cols, k))
+			}
 		}
 	}
 	return c
+}
+
+// racerKinds reports whether every op of the stream has a 4-wide body: the
+// kinds recipe.ExpandResolved emits for RACER's NOR-only datapath.
+func racerKinds(rs []micro.ResolvedOp) bool {
+	for i := range rs {
+		switch rs[i].Kind {
+		case micro.NOR, micro.COPY, micro.SET0, micro.SET1, micro.CONDWR:
+		default:
+			return false
+		}
+	}
+	return true
 }
 
 // regBit is slot s's bit in a dirty bitmap: its architectural register's, or
@@ -71,6 +114,15 @@ func regBit(s micro.Slot) uint64 {
 
 // Ops reports the number of micro-ops one execution simulates.
 func (c *CompiledExec) Ops() uint64 { return uint64(len(c.rs)) }
+
+// GroupWidth reports how many VRFs RunCompiledGroups advances at once on
+// this stream: four where it has 4-wide bodies, else one.
+func (c *CompiledExec) GroupWidth() int {
+	if c.g64 != nil {
+		return groupWidth
+	}
+	return 1
+}
 
 // RunCompiled executes a compiled stream over the flat word directory with
 // the same semantics (and MicroOps accounting) as ExecAllResolved on the
@@ -92,6 +144,56 @@ func (v *VRF) RunCompiled(c *CompiledExec) {
 	v.MicroOps += c.Ops()
 }
 
+// RunCompiledGroups executes a compiled stream on every VRF of vs, with the
+// result RunCompiled gives on each in turn. A stream with 4-wide bodies runs
+// micro-op-major over groups of four while at least four VRFs remain; the
+// rest, and every other stream, run one VRF at a time. The VRFs must be
+// distinct — a thermal round activates each VRF once. Each VRF's mask is read
+// here, at the call: mask steps run between calls.
+func RunCompiledGroups(c *CompiledExec, vs []*VRF) {
+	for ; c.g64 != nil && len(vs) >= groupWidth; vs = vs[groupWidth:] {
+		var g group
+		for i, v := range vs[:groupWidth] {
+			if v.lanes != c.lanes {
+				panic("vrf: compiled stream executed on a VRF of different lane count")
+			}
+			v.dirty |= c.dirty
+			v.MicroOps += c.Ops()
+			g.ws[i] = (*[micro.NumSlots]uint64)(v.words)
+			g.m[i] = v.words[micro.SlotMask]
+		}
+		for _, k := range c.g64 {
+			k(g)
+		}
+	}
+	for _, v := range vs {
+		v.RunCompiled(c)
+	}
+}
+
+// runCols is one run's packed operand columns, shared by its one-VRF and
+// 4-wide closures; a column the kind does not read stays nil.
+type runCols struct{ d, a, b, c, d2 []micro.Slot }
+
+// packRun packs the operand columns a run of the given kind reads.
+func packRun(kind micro.Kind, ops []micro.ResolvedOp) runCols {
+	r := runCols{
+		d: packSlots(ops, func(r *micro.ResolvedOp) micro.Slot { return r.Dst }),
+		a: packSlots(ops, func(r *micro.ResolvedOp) micro.Slot { return r.A }),
+	}
+	switch kind {
+	case micro.NOR, micro.AND, micro.OR, micro.XOR:
+		r.b = packSlots(ops, func(r *micro.ResolvedOp) micro.Slot { return r.B })
+	case micro.FADD:
+		r.d2 = packSlots(ops, func(r *micro.ResolvedOp) micro.Slot { return r.Dst2 })
+		fallthrough
+	case micro.MAJ, micro.MUX:
+		r.b = packSlots(ops, func(r *micro.ResolvedOp) micro.Slot { return r.B })
+		r.c = packSlots(ops, func(r *micro.ResolvedOp) micro.Slot { return r.C })
+	}
+	return r
+}
+
 // packSlots extracts one operand column of a run into a flat array.
 func packSlots(ops []micro.ResolvedOp, get func(*micro.ResolvedOp) micro.Slot) []micro.Slot {
 	out := make([]micro.Slot, len(ops))
@@ -104,12 +206,10 @@ func packSlots(ops []micro.ResolvedOp, get func(*micro.ResolvedOp) micro.Slot) [
 // compileRun64 builds the single-word closure for one same-kind run. Each
 // loop below is the corresponding execResolved64 case unrolled across the
 // run, with an unmasked variant selected when every lane is enabled.
-func compileRun64(kind micro.Kind, ops []micro.ResolvedOp) kern64 {
-	d := packSlots(ops, func(r *micro.ResolvedOp) micro.Slot { return r.Dst })
-	a := packSlots(ops, func(r *micro.ResolvedOp) micro.Slot { return r.A })
+func compileRun64(kind micro.Kind, cols runCols) kern64 {
+	d, a, b, cc, d2 := cols.d, cols.a, cols.b, cols.c, cols.d2
 	switch kind {
 	case micro.NOR:
-		b := packSlots(ops, func(r *micro.ResolvedOp) micro.Slot { return r.B })
 		return func(ws []uint64, m uint64) {
 			if m == ^uint64(0) {
 				for i, di := range d {
@@ -123,7 +223,6 @@ func compileRun64(kind micro.Kind, ops []micro.ResolvedOp) kern64 {
 			}
 		}
 	case micro.AND:
-		b := packSlots(ops, func(r *micro.ResolvedOp) micro.Slot { return r.B })
 		return func(ws []uint64, m uint64) {
 			if m == ^uint64(0) {
 				for i, di := range d {
@@ -137,7 +236,6 @@ func compileRun64(kind micro.Kind, ops []micro.ResolvedOp) kern64 {
 			}
 		}
 	case micro.OR:
-		b := packSlots(ops, func(r *micro.ResolvedOp) micro.Slot { return r.B })
 		return func(ws []uint64, m uint64) {
 			if m == ^uint64(0) {
 				for i, di := range d {
@@ -151,7 +249,6 @@ func compileRun64(kind micro.Kind, ops []micro.ResolvedOp) kern64 {
 			}
 		}
 	case micro.XOR:
-		b := packSlots(ops, func(r *micro.ResolvedOp) micro.Slot { return r.B })
 		return func(ws []uint64, m uint64) {
 			if m == ^uint64(0) {
 				for i, di := range d {
@@ -191,8 +288,6 @@ func compileRun64(kind micro.Kind, ops []micro.ResolvedOp) kern64 {
 			}
 		}
 	case micro.MAJ:
-		b := packSlots(ops, func(r *micro.ResolvedOp) micro.Slot { return r.B })
-		cc := packSlots(ops, func(r *micro.ResolvedOp) micro.Slot { return r.C })
 		return func(ws []uint64, m uint64) {
 			if m == ^uint64(0) {
 				for i, di := range d {
@@ -208,8 +303,6 @@ func compileRun64(kind micro.Kind, ops []micro.ResolvedOp) kern64 {
 			}
 		}
 	case micro.MUX:
-		b := packSlots(ops, func(r *micro.ResolvedOp) micro.Slot { return r.B })
-		cc := packSlots(ops, func(r *micro.ResolvedOp) micro.Slot { return r.C })
 		return func(ws []uint64, m uint64) {
 			if m == ^uint64(0) {
 				for i, di := range d {
@@ -223,9 +316,6 @@ func compileRun64(kind micro.Kind, ops []micro.ResolvedOp) kern64 {
 			}
 		}
 	case micro.FADD:
-		d2 := packSlots(ops, func(r *micro.ResolvedOp) micro.Slot { return r.Dst2 })
-		b := packSlots(ops, func(r *micro.ResolvedOp) micro.Slot { return r.B })
-		cc := packSlots(ops, func(r *micro.ResolvedOp) micro.Slot { return r.C })
 		return func(ws []uint64, m uint64) {
 			if m == ^uint64(0) {
 				for i, di := range d {
@@ -282,4 +372,72 @@ func compileRun64(kind micro.Kind, ops []micro.ResolvedOp) kern64 {
 		}
 	}
 	return nil
+}
+
+// compileGroup64 builds the 4-wide closure for one run of a RACER-kind
+// stream, given the run's one-VRF closure: for NOR and COPY, compileRun64's
+// loop with each op applied to the four directories in turn, every VRF under
+// its own mask. The unmasked loop runs only when all four masks are
+// all-ones.
+func compileGroup64(kind micro.Kind, cols runCols, one kern64) group64 {
+	d, a, b := cols.d, cols.a, cols.b
+	switch kind {
+	case micro.NOR:
+		return func(g group) {
+			w0, w1, w2, w3 := g.ws[0], g.ws[1], g.ws[2], g.ws[3]
+			m0, m1, m2, m3 := g.m[0], g.m[1], g.m[2], g.m[3]
+			_, _, _, _ = w0[0], w1[0], w2[0], w3[0] // one nil check each, outside the loops
+			a, b := a[:len(d)], b[:len(d)]
+			if m0&m1&m2&m3 == ^uint64(0) {
+				for i, di := range d {
+					ai, bi := a[i], b[i]
+					w0[di] = ^(w0[ai] | w0[bi])
+					w1[di] = ^(w1[ai] | w1[bi])
+					w2[di] = ^(w2[ai] | w2[bi])
+					w3[di] = ^(w3[ai] | w3[bi])
+				}
+				return
+			}
+			for i, di := range d {
+				ai, bi := a[i], b[i]
+				x0 := ^(w0[ai] | w0[bi])
+				x1 := ^(w1[ai] | w1[bi])
+				x2 := ^(w2[ai] | w2[bi])
+				x3 := ^(w3[ai] | w3[bi])
+				w0[di] = (w0[di] &^ m0) | (x0 & m0)
+				w1[di] = (w1[di] &^ m1) | (x1 & m1)
+				w2[di] = (w2[di] &^ m2) | (x2 & m2)
+				w3[di] = (w3[di] &^ m3) | (x3 & m3)
+			}
+		}
+	case micro.COPY:
+		return func(g group) {
+			w0, w1, w2, w3 := g.ws[0], g.ws[1], g.ws[2], g.ws[3]
+			m0, m1, m2, m3 := g.m[0], g.m[1], g.m[2], g.m[3]
+			_, _, _, _ = w0[0], w1[0], w2[0], w3[0]
+			a := a[:len(d)]
+			if m0&m1&m2&m3 == ^uint64(0) {
+				for i, di := range d {
+					ai := a[i]
+					w0[di], w1[di], w2[di], w3[di] = w0[ai], w1[ai], w2[ai], w3[ai]
+				}
+				return
+			}
+			for i, di := range d {
+				ai := a[i]
+				x0, x1, x2, x3 := w0[ai], w1[ai], w2[ai], w3[ai]
+				w0[di] = (w0[di] &^ m0) | (x0 & m0)
+				w1[di] = (w1[di] &^ m1) | (x1 & m1)
+				w2[di] = (w2[di] &^ m2) | (x2 & m2)
+				w3[di] = (w3[di] &^ m3) | (x3 & m3)
+			}
+		}
+	}
+	// SET0, SET1 and CONDWR runs are short and carry no dependency chain:
+	// each VRF runs the one-VRF closure in turn.
+	return func(g group) {
+		for i, ws := range g.ws {
+			one(ws[:], g.m[i])
+		}
+	}
 }

@@ -3,19 +3,34 @@ package vrf
 import (
 	"fmt"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 
 	"mpu/internal/micro"
 )
 
-// randResolved builds a random but well-formed resolved stream: every kind,
-// destinations never a constant or the mask plane, FADD outputs distinct.
-func randResolved(n int, rng *rand.Rand) []micro.ResolvedOp {
-	kinds := []micro.Kind{
+// allKinds is every micro-op kind; racerKindSet is the subset RACER's
+// recipes emit, the streams that take the 4-wide bodies.
+var (
+	allKinds = []micro.Kind{
 		micro.NOR, micro.AND, micro.OR, micro.XOR, micro.NOT, micro.COPY,
 		micro.MAJ, micro.MUX, micro.FADD, micro.SET0, micro.SET1,
 		micro.CONDWR, micro.MASKRD,
 	}
+	racerKindSet = []micro.Kind{micro.NOR, micro.COPY, micro.SET0, micro.SET1, micro.CONDWR}
+)
+
+// randResolved builds a random but well-formed resolved stream over every
+// kind.
+func randResolved(n int, rng *rand.Rand) []micro.ResolvedOp {
+	return randStream(n, allKinds, rng)
+}
+
+// randStream builds a random but well-formed resolved stream over the given
+// kinds: destinations never a constant or the mask plane, FADD outputs
+// distinct.
+func randStream(n int, kinds []micro.Kind, rng *rand.Rand) []micro.ResolvedOp {
 	// Writable slots: register bits, scratch bits, temps, cond.
 	writable := func() micro.Slot {
 		return micro.Slot(rng.Intn(int(micro.SlotCond) + 1))
@@ -96,58 +111,143 @@ func requireZeroTails(t *testing.T, name string, v *VRF) {
 
 // One storage, one result: at every lane geometry — a single lane, ragged
 // below, at and above one word, and SIMDRAM's four words — random streams
-// over all 13 micro-op kinds must leave the resolved executor and the
-// compiled replay kernel bit-identical to the plane reference executor
-// (Exec over bitvec.Plane), under all-ones, partial and empty masks, with
-// identical MicroOps and every tail bit still zero.
+// must leave the resolved executor and the compiled kernels bit-identical to
+// the plane reference executor (Exec over bitvec.Plane) run on each VRF
+// alone, with identical MicroOps and every tail bit still zero. The compiled
+// side runs a whole round through RunCompiledGroups: RACER-kind streams over
+// groups of four plus a remainder, all-kind streams one VRF at a time. Every
+// VRF has its own state; even trials run every VRF under an all-ones mask
+// (the 4-wide bodies' unmasked loops), odd trials cycle all-ones, partial
+// and empty masks across the VRFs of one group. A second, fresh round runs
+// the same stream under the same masks and must Recycle to what New leaves.
 func TestCompiledExecMatchesInterpreter(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for _, lanes := range []int{1, 48, 63, 64, 65, 100, 256} {
-		for _, mode := range []maskMode{maskAll, maskPartial, maskEmpty} {
-			name := fmt.Sprintf("lanes%d/%s", lanes, mode)
-			seen := map[micro.Kind]bool{}
-			for trial := 0; trial < 20; trial++ {
-				rs := randResolved(1+rng.Intn(60), rng)
-				ops := make([]micro.Op, len(rs))
-				for i, r := range rs {
-					ops[i] = r.Op()
-					seen[r.Kind] = true
-				}
-				c := CompileResolved(rs, lanes)
-				if c == nil {
-					t.Fatalf("%s: CompileResolved declined a well-formed stream", name)
-				}
-				if c.Ops() != uint64(len(rs)) {
-					t.Fatalf("%s: Ops() = %d, want %d", name, c.Ops(), len(rs))
-				}
-				ref, interp, compiled := New(lanes), New(lanes), New(lanes)
-				seed := rng.Int63()
-				for _, v := range []*VRF{ref, interp, compiled} {
-					randomize(v, rand.New(rand.NewSource(seed)), mode)
-				}
-
-				ref.ExecAll(ops)
-				interp.ExecAllResolved(rs)
-				compiled.RunCompiled(c)
-
-				for _, got := range []struct {
-					engine string
-					v      *VRF
-				}{{"resolved", interp}, {"compiled", compiled}} {
-					if got.v.MicroOps != ref.MicroOps {
-						t.Fatalf("%s: %s MicroOps %d, reference %d", name, got.engine, got.v.MicroOps, ref.MicroOps)
+		want := New(lanes)
+		for _, kinds := range [][]micro.Kind{allKinds, racerKindSet} {
+			for _, n := range []int{1, 3, 4, 5, 8, 9} {
+				name := fmt.Sprintf("lanes%d/kinds%d/vrfs%d", lanes, len(kinds), n)
+				seen := map[micro.Kind]bool{}
+				for trial := 0; trial < 12; trial++ {
+					rs := randStream(1+rng.Intn(60), kinds, rng)
+					ops := make([]micro.Op, len(rs))
+					for i, r := range rs {
+						ops[i] = r.Op()
+						seen[r.Kind] = true
 					}
-					for w := range ref.words {
-						if ref.words[w] != got.v.words[w] {
-							t.Fatalf("%s trial %d: word %d (slot %d): reference=%#x %s=%#x",
-								name, trial, w, w/ref.wpl, ref.words[w], got.engine, got.v.words[w])
+					c := CompileResolved(rs, lanes)
+					if c == nil {
+						t.Fatalf("%s: CompileResolved declined a well-formed stream", name)
+					}
+					if c.Ops() != uint64(len(rs)) {
+						t.Fatalf("%s: Ops() = %d, want %d", name, c.Ops(), len(rs))
+					}
+					refs, interps, compiled, fresh := make([]*VRF, n), make([]*VRF, n), make([]*VRF, n), make([]*VRF, n)
+					for i := range refs {
+						mode := maskAll
+						if trial%2 == 1 {
+							mode = maskMode((i + trial) % 3)
+						}
+						refs[i], interps[i], compiled[i], fresh[i] = New(lanes), New(lanes), New(lanes), New(lanes)
+						seed := rng.Int63()
+						for _, v := range []*VRF{refs[i], interps[i], compiled[i]} {
+							randomize(v, rand.New(rand.NewSource(seed)), mode)
+						}
+						copy(fresh[i].span(micro.SlotMask), refs[i].span(micro.SlotMask))
+						refs[i].ExecAll(ops)
+						interps[i].ExecAllResolved(rs)
+					}
+					RunCompiledGroups(c, compiled)
+					RunCompiledGroups(c, fresh)
+
+					for i, ref := range refs {
+						for _, got := range []struct {
+							engine string
+							v      *VRF
+						}{{"resolved", interps[i]}, {"compiled", compiled[i]}} {
+							if got.v.MicroOps != ref.MicroOps {
+								t.Fatalf("%s vrf %d: %s MicroOps %d, reference %d", name, i, got.engine, got.v.MicroOps, ref.MicroOps)
+							}
+							for w := range ref.words {
+								if ref.words[w] != got.v.words[w] {
+									t.Fatalf("%s trial %d vrf %d: word %d (slot %d): reference=%#x %s=%#x",
+										name, trial, i, w, w/ref.wpl, ref.words[w], got.engine, got.v.words[w])
+								}
+							}
+							requireZeroTails(t, name+"/"+got.engine, got.v)
+						}
+						f := fresh[i]
+						if f.MicroOps != ref.MicroOps {
+							t.Fatalf("%s vrf %d: fresh round MicroOps %d, reference %d", name, i, f.MicroOps, ref.MicroOps)
+						}
+						f.Recycle()
+						if !slices.Equal(f.words, want.words) || f.dirty != 0 || f.MicroOps != 0 {
+							t.Fatalf("%s trial %d vrf %d: recycled VRF differs from New (touched %v)", name, trial, i, f.TouchedRegs())
 						}
 					}
-					requireZeroTails(t, name+"/"+got.engine, got.v)
+				}
+				if len(seen) != len(kinds) {
+					t.Fatalf("%s: streams covered %d of %d micro-op kinds", name, len(seen), len(kinds))
 				}
 			}
-			if len(seen) != micro.NumKinds {
-				t.Fatalf("%s: streams covered %d of %d micro-op kinds", name, len(seen), micro.NumKinds)
+		}
+	}
+}
+
+// Exactly the RACER-kind streams at one word per plane get 4-wide bodies.
+func TestCompileResolvedGroups(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	racer, mixed := randStream(40, racerKindSet, rng), randResolved(40, rng)
+	for _, tc := range []struct {
+		rs      []micro.ResolvedOp
+		lanes   int
+		grouped bool
+	}{{racer, 1, true}, {racer, 64, true}, {racer, 65, false}, {racer, 256, false}, {mixed, 64, false}, {nil, 64, false}} {
+		if got := CompileResolved(tc.rs, tc.lanes).g64 != nil; got != tc.grouped {
+			t.Errorf("%d ops at lanes %d: grouped = %v, want %v", len(tc.rs), tc.lanes, got, tc.grouped)
+		}
+	}
+}
+
+// Two rounds on one process-wide kernel at once: the group scratch lives on
+// each caller's stack, so concurrent rounds (cores on scheduler goroutines,
+// requests on server workers) neither race nor see each other's VRFs. Run
+// under -race by make race-short.
+func TestRunCompiledGroupsConcurrent(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	c := CompileResolved(randStream(200, racerKindSet, rng), 64)
+	newSet := func(seed int64) []*VRF {
+		vs := make([]*VRF, 8)
+		for i := range vs {
+			vs[i] = New(64)
+			randomize(vs[i], rand.New(rand.NewSource(seed+int64(i))), maskMode(i%3))
+		}
+		return vs
+	}
+	const reps = 200
+	var got, ref [2][]*VRF
+	var wg sync.WaitGroup
+	start := make(chan struct{}) // both rounds begin together, so they overlap
+	for g := range got {
+		got[g], ref[g] = newSet(int64(100*g)), newSet(int64(100*g))
+		wg.Add(1)
+		go func(vs []*VRF) {
+			defer wg.Done()
+			<-start
+			for r := 0; r < reps; r++ {
+				RunCompiledGroups(c, vs)
+			}
+		}(got[g])
+	}
+	close(start)
+	wg.Wait()
+	for g := range ref {
+		for r := 0; r < reps; r++ {
+			RunCompiledGroups(c, ref[g])
+		}
+		for i := range ref[g] {
+			if !slices.Equal(got[g][i].words, ref[g][i].words) || got[g][i].MicroOps != ref[g][i].MicroOps {
+				t.Fatalf("goroutine %d vrf %d: concurrent round differs from the serial one", g, i)
 			}
 		}
 	}
@@ -164,16 +264,24 @@ func TestCompileResolvedUnknownKind(t *testing.T) {
 }
 
 // A compiled stream must never allocate during execution — the replay hot
-// loop runs millions of times per simulation.
+// loop runs millions of times per simulation — on one VRF or grouped over a
+// round of eight.
 func TestRunCompiledDoesNotAllocate(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for _, lanes := range []int{48, 64, 256} {
-		rs := randResolved(64, rng)
-		c := CompileResolved(rs, lanes)
-		v := New(lanes)
-		randomize(v, rng, maskPartial)
-		if n := testing.AllocsPerRun(100, func() { v.RunCompiled(c) }); n != 0 {
-			t.Errorf("lanes=%d: RunCompiled allocates %v times per run", lanes, n)
+		for _, kinds := range [][]micro.Kind{allKinds, racerKindSet} {
+			c := CompileResolved(randStream(64, kinds, rng), lanes)
+			vs := make([]*VRF, 8)
+			for i := range vs {
+				vs[i] = New(lanes)
+				randomize(vs[i], rng, maskMode(i%3))
+			}
+			if n := testing.AllocsPerRun(100, func() { vs[0].RunCompiled(c) }); n != 0 {
+				t.Errorf("lanes=%d kinds=%d: RunCompiled allocates %v times per run", lanes, len(kinds), n)
+			}
+			if n := testing.AllocsPerRun(100, func() { RunCompiledGroups(c, vs) }); n != 0 {
+				t.Errorf("lanes=%d kinds=%d: RunCompiledGroups allocates %v times per round", lanes, len(kinds), n)
+			}
 		}
 	}
 }

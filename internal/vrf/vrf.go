@@ -8,11 +8,13 @@
 // All of it is stored in one flat word directory, at every lane count.
 // Exec/ExecAll run micro-ops over bitvec.Plane views of that directory and
 // are the reference the tests compare against. ExecAllResolved and
-// RunCompiled work on the words directly: RunCompiled is what the machine
-// executes on every round, replayed or not, through the one kernel its lane
-// geometry favours (kernel.go); ExecAllResolved is the uncompiled per-op
-// executor, kept as the NoTrace reference interpreter the parity oracles
-// compare those kernels against.
+// RunCompiled work on the words directly: RunCompiled is the one-VRF
+// kernel, through the one loop its lane geometry favours (kernel.go), and
+// RunCompiledGroups is what the machine executes on every round, replayed or
+// not — RACER-kind streams four VRFs at a time, micro-op-major, the rest
+// through RunCompiled. ExecAllResolved is the uncompiled per-op executor,
+// kept as the NoTrace reference interpreter the parity oracles compare those
+// kernels against, one VRF at a time.
 //
 // Host data crosses into and out of the directory a 64×64 bit tile at a
 // time (WriteReg, ReadReg: one bitvec.Transpose64 per 64 lanes), and a VRF
