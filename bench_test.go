@@ -8,7 +8,6 @@ package mpu_test
 
 import (
 	"fmt"
-	"strings"
 	"testing"
 	"time"
 
@@ -274,12 +273,15 @@ var engineCases = []struct {
 // BenchmarkMachineRun measures one machine executing the largest kernel in
 // the suite (crc32) — the simulator hot path in isolation from the sweep
 // worker pool. The activation limit is pinned to 1 with two VRFs per RFH so
-// every ensemble schedules at least two rounds. crc32's body is dynamic, so
-// no round replays: /engine runs every round through the expansion kernels
-// and /notrace through the reference interpreter. At 64 lanes that is the
-// closure chain against the per-op switch — ahead where the recipe has
-// same-kind runs to fuse (racer), behind where it has none (mimdram); at
-// simdram's 256 both run the same slab kernels and the legs land together.
+// every ensemble schedules at least two rounds of eight. crc32's body is
+// dynamic, so no round replays: /engine runs every round through the
+// expansion kernels and /notrace through the reference interpreter. At 64
+// lanes that is the closure chain against the per-op switch — ahead where
+// the recipe has same-kind runs to fuse (racer), behind where it has none
+// (mimdram); at simdram's 256 both run the same slab kernels and the legs
+// land together. racer-3vrf is the sim-dynamic workload's shape: three VRFs,
+// one round of three, so its engine leg runs the 3-wide group bodies (`make
+// profile BENCH='MachineRun/racer-3vrf/engine'`).
 func BenchmarkMachineRun(b *testing.B) {
 	var largest *workloads.Kernel
 	var size int
@@ -292,14 +294,22 @@ func BenchmarkMachineRun(b *testing.B) {
 			largest, size = k, len(p)
 		}
 	}
-	const vrfs = 16
-	for _, spec := range []*mpu.Backend{mpu.RACER(), mpu.MIMDRAM(), mpu.DualityCache(), mpu.SIMDRAM()} {
+	for _, leg := range []struct {
+		name string
+		spec *mpu.Backend
+		vrfs int
+	}{
+		{"racer", mpu.RACER(), 16}, {"mimdram", mpu.MIMDRAM(), 16},
+		{"dualitycache", mpu.DualityCache(), 16}, {"simdram", mpu.SIMDRAM(), 16},
+		{"racer-3vrf", mpu.RACER(), 3},
+	} {
+		spec := leg.spec
 		cfg := workloads.RunConfig{
-			Spec: spec, Mode: 0, TotalElements: spec.BaselineUnits * spec.Lanes * vrfs,
-			Seed: 1, MaxSimVRFs: vrfs, ActiveVRFsOverride: 1,
+			Spec: spec, Mode: 0, TotalElements: spec.BaselineUnits * spec.Lanes * leg.vrfs,
+			Seed: 1, MaxSimVRFs: leg.vrfs, ActiveVRFsOverride: 1,
 		}
 		for _, bc := range engineCases {
-			b.Run(strings.ToLower(spec.Name)+"/"+bc.name, func(b *testing.B) {
+			b.Run(leg.name+"/"+bc.name, func(b *testing.B) {
 				c := cfg
 				c.NoTrace = bc.noTrace
 				b.ReportAllocs()

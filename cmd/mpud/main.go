@@ -61,12 +61,12 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"net/http/pprof"
 	"os"
 	"os/signal"
 	"syscall"
 	"time"
 
+	"mpu/internal/obs"
 	"mpu/internal/serve"
 )
 
@@ -143,21 +143,7 @@ func run(addr, pools string, queue int, deadline time.Duration, maxElements int,
 		if err != nil {
 			return fmt.Errorf("pprof: %w", err)
 		}
-		mux := http.NewServeMux()
-		mux.HandleFunc("/debug/pprof/", pprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		// The write timeout bounds the longest CPU profile or execution
-		// trace a client may ask for (pprof refuses longer ones up front).
-		ps := &http.Server{
-			Handler:           mux,
-			ReadHeaderTimeout: 5 * time.Second,
-			ReadTimeout:       30 * time.Second,
-			WriteTimeout:      2 * time.Minute,
-			IdleTimeout:       2 * time.Minute,
-		}
+		ps := obs.ProfilerServer()
 		defer ps.Close()
 		fmt.Printf("mpud: pprof on http://%s/debug/pprof/\n", pln.Addr())
 		go func() { errCh <- ps.Serve(pln) }()

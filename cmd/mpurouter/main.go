@@ -12,6 +12,7 @@
 //	          [-max-inflight 256] [-tenant-queue 128]
 //	          [-tenants alice=3,bob=1] [-scrape 250ms]
 //	          [-autoscale-depth 32] [-autoscale-sustain 8] [-quiet]
+//	          [-pprof 127.0.0.1:6061]
 //
 // Endpoints mirror mpud: POST /v1/execute (with X-Tenant and X-No-Hedge
 // request headers; responses carry X-Mpurouter-Node and
@@ -22,6 +23,11 @@
 // later verb for a session ID is forwarded single-attempt (never hedged,
 // never retried — advances are non-idempotent) to the node holding its
 // machine, and GET /v1/pipelines merges every node's session list.
+//
+// -pprof mounts net/http/pprof on a listener of its own, never on the
+// routing mux (off by default; keep it on loopback), so the routed path is
+// profiled under real traffic:
+// go tool pprof http://127.0.0.1:6061/debug/pprof/profile?seconds=30
 //
 // On SIGTERM/SIGINT the router drains: admission stops (503 + Retry-After),
 // in-flight forwards complete, then the scraper stops. Node drains are
@@ -50,6 +56,7 @@ import (
 	"time"
 
 	"mpu/internal/machine"
+	"mpu/internal/obs"
 	"mpu/internal/router"
 	"mpu/internal/serve"
 )
@@ -70,12 +77,13 @@ func main() {
 	autoDepth := flag.Int("autoscale-depth", 32, "queue depth that starts an autoscale-advisory episode (0 disables)")
 	autoSustain := flag.Int("autoscale-sustain", 8, "consecutive hot scrapes before the advisory fires")
 	quiet := flag.Bool("quiet", false, "suppress JSON routing logs")
+	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address, on its own listener (empty = off)")
 	smoke := flag.Bool("smoke", false, "self-test: in-process 2-node cluster, parity check, exit")
 	flag.Parse()
 
 	if err := run(*addr, *nodes, *candidates, *retries, *hedge, *hedgeMin, *hedgeMax,
 		*spill, *maxInflight, *tenantQueue, *tenants, *scrape, *autoDepth, *autoSustain,
-		*quiet, *smoke); err != nil {
+		*quiet, *pprofAddr, *smoke); err != nil {
 		fmt.Fprintf(os.Stderr, "mpurouter: %v\n", err)
 		os.Exit(1)
 	}
@@ -106,7 +114,7 @@ func parseTenants(s string) (map[string]int, error) {
 
 func run(addr, nodes string, candidates, retries int, hedge bool, hedgeMin, hedgeMax time.Duration,
 	spill float64, maxInflight, tenantQueue int, tenantSpec string, scrape time.Duration,
-	autoDepth, autoSustain int, quiet, smoke bool) error {
+	autoDepth, autoSustain int, quiet bool, pprofAddr string, smoke bool) error {
 	if smoke {
 		return smokeTest()
 	}
@@ -160,8 +168,19 @@ func run(addr, nodes string, candidates, retries int, hedge bool, hedgeMin, hedg
 	}
 	fmt.Printf("mpurouter: listening on %s (%d nodes)\n", ln.Addr(), len(nodeList))
 
-	errCh := make(chan error, 1)
+	errCh := make(chan error, 2) // one send per server
 	go func() { errCh <- hs.Serve(ln) }()
+
+	if pprofAddr != "" {
+		pln, err := net.Listen("tcp", pprofAddr)
+		if err != nil {
+			return fmt.Errorf("pprof: %w", err)
+		}
+		ps := obs.ProfilerServer()
+		defer ps.Close()
+		fmt.Printf("mpurouter: pprof on http://%s/debug/pprof/\n", pln.Addr())
+		go func() { errCh <- ps.Serve(pln) }()
+	}
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGTERM, syscall.SIGINT)

@@ -30,11 +30,12 @@ import (
 	"mpu/internal/machine"
 )
 
-// fuzzVRFs activates five VRFs per ensemble, one per RFH, so with
-// ActiveVRFsOverride 1 each ensemble is one round: a group of four that
-// runs the 4-wide kernels plus a one-VRF remainder. The looped shape's
-// per-lane countdowns give the VRFs of the group different masks.
-const fuzzVRFs = 5
+// fuzzVRFs activates seven VRFs per ensemble, one per RFH of RACER's eight,
+// so with ActiveVRFsOverride 1 each ensemble is one round: at one word per
+// plane, a group of four and a group of three run the group kernels. The
+// looped shape's per-lane countdowns give the VRFs of a group different
+// masks.
+const fuzzVRFs = 7
 
 // fuzzRegs bounds the register window the generated bodies touch (and the
 // harness seeds).
@@ -89,13 +90,13 @@ func fuzzBody(data []byte) []isa.Instr {
 	return body
 }
 
-// fuzzProgram wraps a body into an SPMD ensemble over fuzzVRFs register
-// files, mirroring workloads.BuildProgram's address layout. With loop set
+// fuzzProgram wraps a body into an SPMD ensemble over vrfs register files,
+// mirroring workloads.BuildProgram's address layout. With loop set
 // the body repeats while a lane's countdown is positive: the body may churn
 // the mask freely, so the live-lane mask is saved before it and restored
 // after, then live lanes decrement and those reaching zero retire.
-func fuzzProgram(spec *backends.Spec, body []isa.Instr, loop bool) (isa.Program, []controlpath.VRFAddr) {
-	addrs := make([]controlpath.VRFAddr, fuzzVRFs)
+func fuzzProgram(spec *backends.Spec, body []isa.Instr, loop bool, vrfs int) (isa.Program, []controlpath.VRFAddr) {
+	addrs := make([]controlpath.VRFAddr, vrfs)
 	var p isa.Program
 	for v := range addrs {
 		addrs[v] = controlpath.VRFAddr{
@@ -181,10 +182,11 @@ func fuzzRun(t *testing.T, spec *backends.Spec, prog isa.Program, addrs []contro
 	return st, planes
 }
 
-// checkJITParity runs one generated body, straight-line or looped, through
-// the oracle and reports how many (spec, recipe table) cells it compared —
-// zero when the linter rejected the program everywhere.
-func checkJITParity(t *testing.T, data []byte, loop bool) (compared int) {
+// checkJITParity runs one generated body, straight-line or looped, over
+// vrfs register files through the oracle and reports how many (spec, recipe
+// table) cells it compared — zero when the linter rejected the program
+// everywhere.
+func checkJITParity(t *testing.T, data []byte, loop bool, vrfs int) (compared int) {
 	t.Helper()
 	body := fuzzBody(data)
 	if len(body) == 0 {
@@ -198,7 +200,7 @@ func checkJITParity(t *testing.T, data []byte, loop bool) (compared int) {
 		{CapacityMicroOps: 1, PointerTable: true, TemplateLookup: true}, // recipe-cold fallback
 	}
 	for _, spec := range []*backends.Spec{backends.RACER(), backends.SIMDRAM(), fuzzSpec()} {
-		prog, addrs := fuzzProgram(spec, body, loop)
+		prog, addrs := fuzzProgram(spec, body, loop, vrfs)
 		if !lint.Lint(prog, lint.Options{Spec: spec}).Ok() {
 			continue
 		}
@@ -288,12 +290,13 @@ func FuzzJITParity(f *testing.F) {
 		f.Add(s.data, s.loop)
 	}
 	f.Fuzz(func(t *testing.T, data []byte, loop bool) {
-		checkJITParity(t, data, loop)
+		checkJITParity(t, data, loop, fuzzVRFs)
 	})
 }
 
 // TestJITParityRandom drives the same oracle from a deterministic PRNG so
-// plain `go test` exercises it without the fuzz engine.
+// plain `go test` exercises it without the fuzz engine. The seed corpus also
+// runs at six VRFs, a group of four and a group of two.
 func TestJITParityRandom(t *testing.T) {
 	n := 24
 	if testing.Short() {
@@ -304,12 +307,14 @@ func TestJITParityRandom(t *testing.T) {
 	for i := 0; i < n; i++ {
 		buf := make([]byte, 4*(1+rng.Intn(24)))
 		rng.Read(buf)
-		checkJITParity(t, buf, false)
-		looped += checkJITParity(t, buf, true)
+		checkJITParity(t, buf, false, fuzzVRFs)
+		looped += checkJITParity(t, buf, true, fuzzVRFs)
 	}
-	for _, s := range jitSeedCorpus() {
-		if checkJITParity(t, s.data, s.loop) == 0 {
-			t.Errorf("seed corpus body (loop=%v) was rejected by the linter on every spec", s.loop)
+	for _, vrfs := range []int{fuzzVRFs, 6} {
+		for _, s := range jitSeedCorpus() {
+			if checkJITParity(t, s.data, s.loop, vrfs) == 0 {
+				t.Errorf("seed corpus body (loop=%v, %d VRFs) was rejected by the linter on every spec", s.loop, vrfs)
+			}
 		}
 	}
 	if looped == 0 {

@@ -1,6 +1,7 @@
 // Package obs is the ops plane both serving tiers compile against: one
 // Prometheus-text registry (mpud and mpurouter declare their catalogues on
-// it) and the typed /healthz body the router's probe reads node load from.
+// it), the typed /healthz body the router's probe reads node load from, and
+// the profiler server both run behind -pprof.
 // Like internal/serve and internal/router it is stdlib-only — the handful of
 // series the two daemons expose do not justify a client library.
 //

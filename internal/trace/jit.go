@@ -12,13 +12,14 @@ import "mpu/internal/vrf"
 // of direct calls with zero allocation.
 //
 // A round runs micro-op-major within groups: a body whose streams have
-// 4-wide bodies replays four VRFs at a time, each step applied to all four
-// before the next (exec steps through vrf.RunCompiledGroups, mask steps in
-// a loop). Any other body replays one VRF at a time, so a wide round's
-// directories are each walked once while in cache. Every lane geometry
-// compiles, so the Prog is the only replay engine: on each VRF it touches
-// the same words the interpreter would, in the same order, under the same
-// mask.
+// group bodies replays up to four VRFs at a time — a round of three as one
+// group of three, one of six as four then two — each step applied to the
+// whole group before the next (exec steps through vrf.RunCompiledGroups,
+// mask steps in a loop). Any other body replays one VRF at a time, so a
+// wide round's directories are each walked once while in cache. Every lane
+// geometry compiles, so the Prog is the only replay engine: on each VRF it
+// touches the same words the interpreter would, in the same order, under
+// the same mask.
 
 // Prog is a JIT-compiled body: the closure chain that replays Steps over
 // one round's activated VRFs.

@@ -53,7 +53,7 @@ func interpretSteps(tr *Trace, v *vrf.VRF) {
 }
 
 // racerBody is jitBody over RACER's kinds only, so its exec steps take the
-// 4-wide bodies: the mask steps give each VRF of a round its own mask.
+// group bodies: the mask steps give each VRF of a round its own mask.
 func racerBody() *Trace {
 	slot := func(reg, bit int) micro.Slot { return micro.Slot(reg*micro.SlotWordBits + bit) }
 	return &Trace{
@@ -77,11 +77,11 @@ func racerBody() *Trace {
 	}
 }
 
-// A compiled Prog over a round of five VRFs — one group of four plus a
-// remainder on RACER-kind bodies — leaves each VRF as the step interpreter
+// A compiled Prog over a round of seven VRFs — a group of four and a group
+// of three on RACER-kind bodies — leaves each VRF as the step interpreter
 // leaves it run alone.
 func TestCompileJITMatchesStepInterpreter(t *testing.T) {
-	const round = 5
+	const round = 7
 	for name, tr := range map[string]*Trace{"mixed": jitBody(), "racer": racerBody()} {
 		for _, lanes := range []int{48, 64, 65, 256} {
 			p := CompileJIT(tr, lanes)

@@ -22,12 +22,14 @@ import (
 //     because no micro-op writes the mask plane, so the mask is constant
 //     across the stream.
 //   - one word per plane, RACER's kinds only (NOR, COPY, SET0, SET1,
-//     CONDWR): each run also compiles to a 4-wide closure over the same
-//     packed operands, which applies every op to four VRFs' directories
-//     before it moves to the next. RunCompiledGroups runs a thermal round
-//     through it, four VRFs at a time: a NOR ripple chain on one VRF waits
-//     on the store its previous op made, and four independent chains
-//     overlap. Streams holding any other kind run one VRF at a time.
+//     CONDWR): each run also compiles to a group closure over the same
+//     packed operands, which applies every op to two, three or four VRFs'
+//     directories before it moves to the next. RunCompiledGroups runs a
+//     thermal round through it in groups of up to four: a NOR ripple chain
+//     on one VRF waits on the store its previous op made, and independent
+//     chains overlap. Only a round of one VRF, or a last VRF left over
+//     after groups of four, runs alone. Streams holding any other kind run
+//     one VRF at a time.
 //   - several words per plane (lanes > 64): the slab-kernel loop of
 //     execResolvedWide runs the stream as recorded. Its per-op dispatch is
 //     amortised over the words of a plane, and a fused closure chain at
@@ -39,7 +41,7 @@ import (
 type CompiledExec struct {
 	lanes int
 	k64   []kern64           // lanes <= 64: the fused closure chain
-	g64   []group64          // lanes <= 64, RACER's kinds only: the same runs, 4-wide; nil otherwise
+	g64   []group64          // lanes <= 64, RACER's kinds only: the same runs, 2- to 4-wide; nil otherwise
 	rs    []micro.ResolvedOp // lanes > 64: the stream itself (shared with the caller, immutable)
 	dirty uint64             // the architectural registers the stream writes (VRF.dirty's bits)
 }
@@ -47,20 +49,29 @@ type CompiledExec struct {
 // kern64 executes one fused run over a single-word directory under mask m.
 type kern64 func(ws []uint64, m uint64)
 
-// groupWidth is the number of VRFs a 4-wide body advances in lockstep: the
-// unroll width of its loop. Eight measured no faster than four on the
-// RACER kernels (docs/PERF.md, "Rounds run micro-op-major").
+// groupWidth is the most VRFs a group body advances in lockstep: the unroll
+// width of its widest loop. Eight measured no faster than four on the RACER
+// kernels (docs/PERF.md, "Rounds run micro-op-major").
 const groupWidth = 4
 
-// group is one call's view of groupWidth distinct VRFs: their single-word
-// directories and the mask each runs under. It is passed by value, so it
-// lives on the caller's stack, never on the shared CompiledExec.
+// group is one call's view of n distinct VRFs, 2 <= n <= groupWidth: their
+// single-word directories and the mask each runs under, in the first n
+// slots. It is passed by value, so it lives on the caller's stack, never on
+// the shared CompiledExec.
 type group struct {
+	n  int
 	ws [groupWidth]*[micro.NumSlots]uint64
 	m  [groupWidth]uint64
 }
 
-// group64 executes one fused run over a group's four directories.
+// each runs a one-VRF closure on every VRF of the group in turn.
+func (g group) each(one kern64) {
+	for i, ws := range g.ws[:g.n] {
+		one(ws[:], g.m[i])
+	}
+}
+
+// group64 executes one fused run over a group's directories.
 type group64 func(g group)
 
 // CompileResolved binds a resolved stream to the given lane count. No lane
@@ -90,7 +101,7 @@ func CompileResolved(rs []micro.ResolvedOp, lanes int) *CompiledExec {
 	return c
 }
 
-// racerKinds reports whether every op of the stream has a 4-wide body: the
+// racerKinds reports whether every op of the stream has a group body: the
 // kinds recipe.ExpandResolved emits for RACER's NOR-only datapath.
 func racerKinds(rs []micro.ResolvedOp) bool {
 	for i := range rs {
@@ -115,8 +126,8 @@ func regBit(s micro.Slot) uint64 {
 // Ops reports the number of micro-ops one execution simulates.
 func (c *CompiledExec) Ops() uint64 { return uint64(len(c.rs)) }
 
-// GroupWidth reports how many VRFs RunCompiledGroups advances at once on
-// this stream: four where it has 4-wide bodies, else one.
+// GroupWidth reports the most VRFs RunCompiledGroups advances at once on
+// this stream: four where it has group bodies, else one.
 func (c *CompiledExec) GroupWidth() int {
 	if c.g64 != nil {
 		return groupWidth
@@ -145,15 +156,16 @@ func (v *VRF) RunCompiled(c *CompiledExec) {
 }
 
 // RunCompiledGroups executes a compiled stream on every VRF of vs, with the
-// result RunCompiled gives on each in turn. A stream with 4-wide bodies runs
-// micro-op-major over groups of four while at least four VRFs remain; the
-// rest, and every other stream, run one VRF at a time. The VRFs must be
-// distinct — a thermal round activates each VRF once. Each VRF's mask is read
-// here, at the call: mask steps run between calls.
+// result RunCompiled gives on each in turn. A stream with group bodies runs
+// micro-op-major while at least two VRFs remain, min(4, remaining) at a
+// time, so a round of 3 is one group and one of 6 is 4+2; a last single
+// VRF, and every VRF of any other stream, runs alone. The VRFs must be
+// distinct — a thermal round activates each VRF once. Each VRF's mask is
+// read here, at the call: mask steps run between calls.
 func RunCompiledGroups(c *CompiledExec, vs []*VRF) {
-	for ; c.g64 != nil && len(vs) >= groupWidth; vs = vs[groupWidth:] {
-		var g group
-		for i, v := range vs[:groupWidth] {
+	for c.g64 != nil && len(vs) >= 2 {
+		g := group{n: min(groupWidth, len(vs))}
+		for i, v := range vs[:g.n] {
 			if v.lanes != c.lanes {
 				panic("vrf: compiled stream executed on a VRF of different lane count")
 			}
@@ -165,6 +177,7 @@ func RunCompiledGroups(c *CompiledExec, vs []*VRF) {
 		for _, k := range c.g64 {
 			k(g)
 		}
+		vs = vs[g.n:]
 	}
 	for _, v := range vs {
 		v.RunCompiled(c)
@@ -172,7 +185,7 @@ func RunCompiledGroups(c *CompiledExec, vs []*VRF) {
 }
 
 // runCols is one run's packed operand columns, shared by its one-VRF and
-// 4-wide closures; a column the kind does not read stays nil.
+// group closures; a column the kind does not read stays nil.
 type runCols struct{ d, a, b, c, d2 []micro.Slot }
 
 // packRun packs the operand columns a run of the given kind reads.
@@ -374,44 +387,32 @@ func compileRun64(kind micro.Kind, cols runCols) kern64 {
 	return nil
 }
 
-// compileGroup64 builds the 4-wide closure for one run of a RACER-kind
-// stream, given the run's one-VRF closure: for NOR and COPY, compileRun64's
-// loop with each op applied to the four directories in turn, every VRF under
-// its own mask. The unmasked loop runs only when all four masks are
-// all-ones.
+// compileGroup64 builds the group closure for one run of a RACER-kind
+// stream, given the run's one-VRF closure: for NOR, compileRun64's loop with
+// each op applied to the group's directories in turn, every VRF under its
+// own mask, in a 4-, 3- or 2-wide loop by the group's size; for COPY, the
+// same at four. Each loop has an unmasked variant that runs only when every
+// mask of the group is all-ones.
 func compileGroup64(kind micro.Kind, cols runCols, one kern64) group64 {
 	d, a, b := cols.d, cols.a, cols.b
 	switch kind {
 	case micro.NOR:
 		return func(g group) {
-			w0, w1, w2, w3 := g.ws[0], g.ws[1], g.ws[2], g.ws[3]
-			m0, m1, m2, m3 := g.m[0], g.m[1], g.m[2], g.m[3]
-			_, _, _, _ = w0[0], w1[0], w2[0], w3[0] // one nil check each, outside the loops
-			a, b := a[:len(d)], b[:len(d)]
-			if m0&m1&m2&m3 == ^uint64(0) {
-				for i, di := range d {
-					ai, bi := a[i], b[i]
-					w0[di] = ^(w0[ai] | w0[bi])
-					w1[di] = ^(w1[ai] | w1[bi])
-					w2[di] = ^(w2[ai] | w2[bi])
-					w3[di] = ^(w3[ai] | w3[bi])
-				}
-				return
-			}
-			for i, di := range d {
-				ai, bi := a[i], b[i]
-				x0 := ^(w0[ai] | w0[bi])
-				x1 := ^(w1[ai] | w1[bi])
-				x2 := ^(w2[ai] | w2[bi])
-				x3 := ^(w3[ai] | w3[bi])
-				w0[di] = (w0[di] &^ m0) | (x0 & m0)
-				w1[di] = (w1[di] &^ m1) | (x1 & m1)
-				w2[di] = (w2[di] &^ m2) | (x2 & m2)
-				w3[di] = (w3[di] &^ m3) | (x3 & m3)
+			switch g.n {
+			case 4:
+				nor4(g, d, a, b)
+			case 3:
+				nor3(g, d, a, b)
+			default:
+				nor2(g, d, a, b)
 			}
 		}
 	case micro.COPY:
 		return func(g group) {
+			if g.n < groupWidth {
+				g.each(one)
+				return
+			}
 			w0, w1, w2, w3 := g.ws[0], g.ws[1], g.ws[2], g.ws[3]
 			m0, m1, m2, m3 := g.m[0], g.m[1], g.m[2], g.m[3]
 			_, _, _, _ = w0[0], w1[0], w2[0], w3[0]
@@ -435,9 +436,84 @@ func compileGroup64(kind micro.Kind, cols runCols, one kern64) group64 {
 	}
 	// SET0, SET1 and CONDWR runs are short and carry no dependency chain:
 	// each VRF runs the one-VRF closure in turn.
-	return func(g group) {
-		for i, ws := range g.ws {
-			one(ws[:], g.m[i])
+	return func(g group) { g.each(one) }
+}
+
+// nor4, nor3 and nor2 are the NOR group body's loops at each group size.
+// The directories are arrays, so one bounds check on an operand index
+// covers every VRF, and touching each directory once at entry hoists its
+// nil check out of the loops.
+func nor4(g group, d, a, b []micro.Slot) {
+	w0, w1, w2, w3 := g.ws[0], g.ws[1], g.ws[2], g.ws[3]
+	m0, m1, m2, m3 := g.m[0], g.m[1], g.m[2], g.m[3]
+	_, _, _, _ = w0[0], w1[0], w2[0], w3[0]
+	a, b = a[:len(d)], b[:len(d)]
+	if m0&m1&m2&m3 == ^uint64(0) {
+		for i, di := range d {
+			ai, bi := a[i], b[i]
+			w0[di] = ^(w0[ai] | w0[bi])
+			w1[di] = ^(w1[ai] | w1[bi])
+			w2[di] = ^(w2[ai] | w2[bi])
+			w3[di] = ^(w3[ai] | w3[bi])
 		}
+		return
+	}
+	for i, di := range d {
+		ai, bi := a[i], b[i]
+		x0 := ^(w0[ai] | w0[bi])
+		x1 := ^(w1[ai] | w1[bi])
+		x2 := ^(w2[ai] | w2[bi])
+		x3 := ^(w3[ai] | w3[bi])
+		w0[di] = (w0[di] &^ m0) | (x0 & m0)
+		w1[di] = (w1[di] &^ m1) | (x1 & m1)
+		w2[di] = (w2[di] &^ m2) | (x2 & m2)
+		w3[di] = (w3[di] &^ m3) | (x3 & m3)
+	}
+}
+
+func nor3(g group, d, a, b []micro.Slot) {
+	w0, w1, w2 := g.ws[0], g.ws[1], g.ws[2]
+	m0, m1, m2 := g.m[0], g.m[1], g.m[2]
+	_, _, _ = w0[0], w1[0], w2[0]
+	a, b = a[:len(d)], b[:len(d)]
+	if m0&m1&m2 == ^uint64(0) {
+		for i, di := range d {
+			ai, bi := a[i], b[i]
+			w0[di] = ^(w0[ai] | w0[bi])
+			w1[di] = ^(w1[ai] | w1[bi])
+			w2[di] = ^(w2[ai] | w2[bi])
+		}
+		return
+	}
+	for i, di := range d {
+		ai, bi := a[i], b[i]
+		x0 := ^(w0[ai] | w0[bi])
+		x1 := ^(w1[ai] | w1[bi])
+		x2 := ^(w2[ai] | w2[bi])
+		w0[di] = (w0[di] &^ m0) | (x0 & m0)
+		w1[di] = (w1[di] &^ m1) | (x1 & m1)
+		w2[di] = (w2[di] &^ m2) | (x2 & m2)
+	}
+}
+
+func nor2(g group, d, a, b []micro.Slot) {
+	w0, w1 := g.ws[0], g.ws[1]
+	m0, m1 := g.m[0], g.m[1]
+	_, _ = w0[0], w1[0]
+	a, b = a[:len(d)], b[:len(d)]
+	if m0&m1 == ^uint64(0) {
+		for i, di := range d {
+			ai, bi := a[i], b[i]
+			w0[di] = ^(w0[ai] | w0[bi])
+			w1[di] = ^(w1[ai] | w1[bi])
+		}
+		return
+	}
+	for i, di := range d {
+		ai, bi := a[i], b[i]
+		x0 := ^(w0[ai] | w0[bi])
+		x1 := ^(w1[ai] | w1[bi])
+		w0[di] = (w0[di] &^ m0) | (x0 & m0)
+		w1[di] = (w1[di] &^ m1) | (x1 & m1)
 	}
 }

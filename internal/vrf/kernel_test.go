@@ -11,7 +11,7 @@ import (
 )
 
 // allKinds is every micro-op kind; racerKindSet is the subset RACER's
-// recipes emit, the streams that take the 4-wide bodies.
+// recipes emit, the streams that take the group bodies.
 var (
 	allKinds = []micro.Kind{
 		micro.NOR, micro.AND, micro.OR, micro.XOR, micro.NOT, micro.COPY,
@@ -114,18 +114,21 @@ func requireZeroTails(t *testing.T, name string, v *VRF) {
 // must leave the resolved executor and the compiled kernels bit-identical to
 // the plane reference executor (Exec over bitvec.Plane) run on each VRF
 // alone, with identical MicroOps and every tail bit still zero. The compiled
-// side runs a whole round through RunCompiledGroups: RACER-kind streams over
-// groups of four plus a remainder, all-kind streams one VRF at a time. Every
-// VRF has its own state; even trials run every VRF under an all-ones mask
-// (the 4-wide bodies' unmasked loops), odd trials cycle all-ones, partial
-// and empty masks across the VRFs of one group. A second, fresh round runs
-// the same stream under the same masks and must Recycle to what New leaves.
+// side runs a whole round through RunCompiledGroups: RACER-kind streams in
+// groups of min(4, remaining) while two VRFs remain — rounds of 1 to 9 run a
+// 2- and a 3-wide group alone and behind a group of four (6 = 4+2, 7 =
+// 4+3), and a lone last VRF (5, 9) — all-kind streams one VRF at a time.
+// Every VRF has its own state; even trials run every VRF under an all-ones
+// mask (the group bodies' unmasked loops), odd trials cycle all-ones,
+// partial and empty masks across the VRFs of one group. A second, fresh
+// round runs the same stream under the same masks and must Recycle to what
+// New leaves.
 func TestCompiledExecMatchesInterpreter(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for _, lanes := range []int{1, 48, 63, 64, 65, 100, 256} {
 		want := New(lanes)
 		for _, kinds := range [][]micro.Kind{allKinds, racerKindSet} {
-			for _, n := range []int{1, 3, 4, 5, 8, 9} {
+			for n := 1; n <= 9; n++ {
 				name := fmt.Sprintf("lanes%d/kinds%d/vrfs%d", lanes, len(kinds), n)
 				seen := map[micro.Kind]bool{}
 				for trial := 0; trial < 12; trial++ {
@@ -194,7 +197,7 @@ func TestCompiledExecMatchesInterpreter(t *testing.T) {
 	}
 }
 
-// Exactly the RACER-kind streams at one word per plane get 4-wide bodies.
+// Exactly the RACER-kind streams at one word per plane get group bodies.
 func TestCompileResolvedGroups(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	racer, mixed := randStream(40, racerKindSet, rng), randResolved(40, rng)
@@ -211,13 +214,14 @@ func TestCompileResolvedGroups(t *testing.T) {
 
 // Two rounds on one process-wide kernel at once: the group scratch lives on
 // each caller's stack, so concurrent rounds (cores on scheduler goroutines,
-// requests on server workers) neither race nor see each other's VRFs. Run
-// under -race by make race-short.
+// requests on server workers) neither race nor see each other's VRFs. Each
+// round is seven VRFs, a group of four and one of three. Run under -race by
+// make race-short.
 func TestRunCompiledGroupsConcurrent(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	c := CompileResolved(randStream(200, racerKindSet, rng), 64)
 	newSet := func(seed int64) []*VRF {
-		vs := make([]*VRF, 8)
+		vs := make([]*VRF, 7)
 		for i := range vs {
 			vs[i] = New(64)
 			randomize(vs[i], rand.New(rand.NewSource(seed+int64(i))), maskMode(i%3))
@@ -265,7 +269,7 @@ func TestCompileResolvedUnknownKind(t *testing.T) {
 
 // A compiled stream must never allocate during execution — the replay hot
 // loop runs millions of times per simulation — on one VRF or grouped over a
-// round of eight.
+// round of two, three or eight.
 func TestRunCompiledDoesNotAllocate(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for _, lanes := range []int{48, 64, 256} {
@@ -279,8 +283,10 @@ func TestRunCompiledDoesNotAllocate(t *testing.T) {
 			if n := testing.AllocsPerRun(100, func() { vs[0].RunCompiled(c) }); n != 0 {
 				t.Errorf("lanes=%d kinds=%d: RunCompiled allocates %v times per run", lanes, len(kinds), n)
 			}
-			if n := testing.AllocsPerRun(100, func() { RunCompiledGroups(c, vs) }); n != 0 {
-				t.Errorf("lanes=%d kinds=%d: RunCompiledGroups allocates %v times per round", lanes, len(kinds), n)
+			for _, round := range []int{2, 3, 8} {
+				if n := testing.AllocsPerRun(100, func() { RunCompiledGroups(c, vs[:round]) }); n != 0 {
+					t.Errorf("lanes=%d kinds=%d: RunCompiledGroups allocates %v times per round of %d", lanes, len(kinds), n, round)
+				}
 			}
 		}
 	}

@@ -11,10 +11,10 @@
 // RunCompiled work on the words directly: RunCompiled is the one-VRF
 // kernel, through the one loop its lane geometry favours (kernel.go), and
 // RunCompiledGroups is what the machine executes on every round, replayed or
-// not — RACER-kind streams four VRFs at a time, micro-op-major, the rest
-// through RunCompiled. ExecAllResolved is the uncompiled per-op executor,
-// kept as the NoTrace reference interpreter the parity oracles compare those
-// kernels against, one VRF at a time.
+// not — RACER-kind streams micro-op-major in groups of two to four VRFs, a
+// lone VRF and every other stream through RunCompiled. ExecAllResolved is
+// the uncompiled per-op executor, kept as the NoTrace reference interpreter
+// the parity oracles compare those kernels against, one VRF at a time.
 //
 // Host data crosses into and out of the directory a 64×64 bit tile at a
 // time (WriteReg, ReadReg: one bitvec.Transpose64 per 64 lanes), and a VRF
