@@ -64,7 +64,10 @@ race:
 # expansions across sweep workers, the concurrent-decode test of the
 # process-wide kernel memo, the
 # parallel-scheduler parity difftest, which fans cores out across scheduler
-# goroutines, the register-file recycling oracles (no residue after Reset,
+# goroutines, the round fan-out parity difftest and helper-lifetime test,
+# which split a lone core's thermal rounds across a Run's helpers (every
+# round of two or more groups, the chunk floor lowered to 1), the
+# register-file recycling oracles (no residue after Reset,
 # bounded spare list, reuse after a wide kernel), the serve-layer parity,
 # cross-request isolation, warm-pool hammer, preemption/parking and
 # join-until-sealed tests, and the router's parity, drain, admission and
@@ -75,7 +78,7 @@ race:
 race-short:
 	$(GO) test -race -timeout 30m ./internal/sweep ./internal/lint ./internal/obs
 	$(GO) test -race -timeout 30m -run 'TestRunCompiledGroupsConcurrent' ./internal/vrf
-	$(GO) test -race -timeout 30m -run 'TestTraceParity|TestJITParityRandom|TestExpandConcurrent|TestParallelMachine|TestParallelDeadlock|TestSnapshotResumeParity|TestSnapshotCompatFixtures|TestRunStatsNotAliased|TestNoResidueAfterReset|TestSpareListBounded|TestResetReuseMatchesFresh' ./internal/machine
+	$(GO) test -race -timeout 30m -run 'TestTraceParity|TestJITParityRandom|TestExpandConcurrent|TestParallelMachine|TestParallelDeadlock|TestRoundFanOutParity|TestFanOutHelperLifetime|TestSnapshotResumeParity|TestSnapshotCompatFixtures|TestRunStatsNotAliased|TestNoResidueAfterReset|TestSpareListBounded|TestResetReuseMatchesFresh' ./internal/machine
 	$(GO) test -race -timeout 30m -run 'TestServeParity|TestServeIsolation|TestServePool|TestServePreempt|TestServeNoPreempt|TestParkedGauges|TestServeJoin|TestServeLateArrival|TestBatchingCoalesces|TestPipelineSession|TestPipelineLimits' ./internal/serve
 	$(GO) test -race -timeout 30m -run 'TestRouterParity|TestRollingDrain|TestFairAdmission|TestRouterPipeline|TestNodeLoadContract' ./internal/router
 	$(GO) test -race -timeout 30m -run 'TestPipelineParity' ./internal/fbp

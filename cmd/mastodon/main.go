@@ -36,7 +36,7 @@ func main() {
 	scale := flag.Int("scale", 1, "divide working-set sizes by N (1 = full evaluation scale)")
 	seed := flag.Int64("seed", 1, "input generator seed")
 	jobs := flag.Int("j", 0, "sweep worker count (0 = one per CPU, 1 = sequential)")
-	mjobs := flag.Int("mj", 0, "machine scheduler workers per sweep cell (0 = share the CPU budget with -j, 1 = sequential)")
+	mjobs := flag.Int("mj", 0, "goroutines per sweep cell's machine, for its MPUs or its thermal-round VRFs (0 = share the CPU budget with -j, 1 = sequential)")
 	csvDir := flag.String("csv", "", "also export machine-readable CSVs into this directory")
 	noTrace := flag.Bool("notrace", false, "disable the ensemble trace engine (interpret every scheduling round)")
 	fbpDir := flag.String("fbp", "examples/pipelines", "directory of .fbp graphs for the pipelines experiment")

@@ -53,7 +53,7 @@ func main() {
 	lintOnly := flag.Bool("lint", false, "preflight only: print the machine-level lint report and exit without running")
 	nolint := flag.Bool("nolint", false, "skip the static lint preflight")
 	notrace := flag.Bool("notrace", false, "disable the ensemble trace engine (interpret every scheduling round)")
-	jobs := flag.Int("j", 0, "machine scheduler workers running MPUs concurrently (0 = one per CPU, 1 = sequential)")
+	jobs := flag.Int("j", 0, "goroutines a run executes on: runnable MPUs, or a lone MPU's thermal-round VRFs (0 = one per CPU, 1 = sequential)")
 	jsonOut := flag.Bool("json", false, "print the run statistics as stable JSON instead of text")
 	csvDir := flag.String("csv", "", "also write the run statistics as CSV into this directory (created if missing)")
 	var sets, dumps repeatFlag

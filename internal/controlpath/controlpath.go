@@ -166,10 +166,13 @@ func (c *RecipeCache) ResetCounters() {
 	c.Hits, c.Misses, c.StallCycles = 0, 0, 0
 }
 
+// touch moves a resident opcode to the most recent end of the LRU order, in
+// place: an interpreted round calls it once per datapath instruction.
 func (c *RecipeCache) touch(opcode uint8) {
 	for i, op := range c.lru {
 		if op == opcode {
-			c.lru = append(append(c.lru[:i:i], c.lru[i+1:]...), opcode)
+			copy(c.lru[i:], c.lru[i+1:])
+			c.lru[len(c.lru)-1] = opcode
 			return
 		}
 	}

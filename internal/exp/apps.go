@@ -262,6 +262,7 @@ func AblationRecipeTable(opts Options) ([]AblationRecipeRow, error) {
 		{"pointer only", true, false},
 		{"neither", false, false},
 	}
+	mw := opts.machineWorkers()
 	return sweep.Map(opts.Workers, len(configs), func(i int) (AblationRecipeRow, error) {
 		c := configs[i]
 		rc := defaultRecipeCfg()
@@ -269,7 +270,7 @@ func AblationRecipeTable(opts Options) ([]AblationRecipeRow, error) {
 		rc.TemplateLookup = c.tmplCache
 		res, err := workloads.Run(k, workloads.RunConfig{
 			Spec: spec, Mode: machine.ModeMPU, TotalElements: n,
-			Seed: opts.Seed, RecipeCache: rc, NoTrace: opts.NoTrace,
+			Seed: opts.Seed, RecipeCache: rc, NoTrace: opts.NoTrace, Workers: mw,
 		})
 		if err != nil {
 			return AblationRecipeRow{}, err
@@ -305,11 +306,12 @@ func AblationThermal(opts Options) ([]AblationThermalRow, error) {
 	k := workloads.ByName("vecadd")
 	n := elementsFor(spec, opts.Scale)
 	limits := []int{1, 2, 4}
+	mw := opts.machineWorkers()
 	rows, err := sweep.Map(opts.Workers, len(limits), func(i int) (AblationThermalRow, error) {
 		res, err := workloads.Run(k, workloads.RunConfig{
 			Spec: spec, Mode: machine.ModeMPU, TotalElements: n,
 			Seed: opts.Seed, MaxSimVRFs: maxSimVRFs, ActiveVRFsOverride: limits[i],
-			NoTrace: opts.NoTrace,
+			NoTrace: opts.NoTrace, Workers: mw,
 		})
 		if err != nil {
 			return AblationThermalRow{}, err
@@ -356,10 +358,11 @@ func AblationDivergence(opts Options) ([]AblationDivergenceRow, error) {
 	k := workloads.ByName("gcd")
 	n := spec.MPUs * spec.Lanes * 32 // 32 VRFs per MPU share
 	limits := []int{1, 4}
+	mw := opts.machineWorkers()
 	return sweep.Map(opts.Workers, len(limits), func(i int) (AblationDivergenceRow, error) {
 		res, err := workloads.Run(k, workloads.RunConfig{
 			Spec: spec, Mode: machine.ModeMPU, TotalElements: n,
-			Seed: opts.Seed, ActiveVRFsOverride: limits[i], NoTrace: opts.NoTrace,
+			Seed: opts.Seed, ActiveVRFsOverride: limits[i], NoTrace: opts.NoTrace, Workers: mw,
 		})
 		if err != nil {
 			return AblationDivergenceRow{}, err

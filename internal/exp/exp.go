@@ -36,13 +36,13 @@ type Options struct {
 	Seed    int64
 	Workers int
 
-	// MachineWorkers sets the intra-machine scheduler fan-out for the
-	// multi-MPU cells (the apps and the MPU-count scaling sweep): scheduler
-	// goroutines executing cores concurrently between communication points.
-	// 0 divides GOMAXPROCS by the sweep worker count so the two levels of
-	// parallelism share one CPU budget (sweep.MachineWorkers); 1 forces the
-	// sequential core walk (the CLI's -mj 1). Statistics — and thus every
-	// rendered table and CSV — are byte-identical at any value.
+	// MachineWorkers sets the goroutines each cell's machine runs on
+	// (machine.Config.Workers): its cores between communication points, or
+	// the VRFs of a lone core's heavy thermal rounds. 0 divides GOMAXPROCS by
+	// the sweep worker count so the two levels of parallelism share one CPU
+	// budget (sweep.MachineWorkers); 1 runs each machine on its cell's
+	// goroutine (the CLI's -mj 1). Statistics — and thus every rendered
+	// table and CSV — are byte-identical at any value.
 	MachineWorkers int
 
 	// NoTrace forwards to machine.Config: disable the ensemble trace engine
@@ -116,6 +116,7 @@ func Fig1(opts Options) (*Fig1Result, error) {
 	spec := backends.RACER()
 	const iters = 4
 	bodies := []int{1, 2, 5, 10, 20, 40, 80}
+	mw := opts.machineWorkers()
 	points, err := sweep.Map(opts.Workers, len(bodies), func(i int) (Fig1Point, error) {
 		k := bodies[i]
 		prog, err := fig1Program(k, iters)
@@ -123,7 +124,7 @@ func Fig1(opts Options) (*Fig1Result, error) {
 			return Fig1Point{}, err
 		}
 		run := func(mode machine.Mode) (*machine.Stats, error) {
-			m, err := machine.New(machine.Config{Spec: spec, Mode: mode, NumMPUs: 1, NoTrace: opts.NoTrace})
+			m, err := machine.New(machine.Config{Spec: spec, Mode: mode, NumMPUs: 1, NoTrace: opts.NoTrace, Workers: mw})
 			if err != nil {
 				return nil, err
 			}

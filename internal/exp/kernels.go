@@ -64,20 +64,21 @@ func Fig12(opts Options) ([]*Fig12Result, error) {
 	specs := backends.All()
 	kernels := workloads.All()
 	nk := len(kernels)
+	mw := opts.machineWorkers()
 	type cell struct{ mpu, base *workloads.Result }
 	cells, err := sweep.Map(opts.Workers, len(specs)*nk, func(i int) (cell, error) {
 		spec, k := specs[i/nk], kernels[i%nk]
 		n := elementsFor(spec, opts.Scale)
 		mpu, err := workloads.Run(k, workloads.RunConfig{
 			Spec: spec, Mode: machine.ModeMPU, TotalElements: n,
-			Seed: opts.Seed, MaxSimVRFs: maxSimVRFs, NoTrace: opts.NoTrace,
+			Seed: opts.Seed, MaxSimVRFs: maxSimVRFs, NoTrace: opts.NoTrace, Workers: mw,
 		})
 		if err != nil {
 			return cell{}, fmt.Errorf("fig12 %s MPU:%s: %w", k.Name, spec.Name, err)
 		}
 		base, err := workloads.Run(k, workloads.RunConfig{
 			Spec: spec, Mode: machine.ModeBaseline, TotalElements: n,
-			Seed: opts.Seed, MaxSimVRFs: maxSimVRFs, NoTrace: opts.NoTrace,
+			Seed: opts.Seed, MaxSimVRFs: maxSimVRFs, NoTrace: opts.NoTrace, Workers: mw,
 			ComputeScale: baselineComputeScale(k),
 		})
 		if err != nil {
@@ -183,6 +184,7 @@ func Fig13(opts Options) ([]*Fig13Result, error) {
 	specs := backends.All()
 	kernels := workloads.All()
 	nk := len(kernels)
+	mw := opts.machineWorkers()
 	cells, err := sweep.Map(opts.Workers, len(specs)*nk, func(i int) (GPURow, error) {
 		spec, k := specs[i/nk], kernels[i%nk]
 		n := elementsFor(spec, opts.Scale)
@@ -192,14 +194,14 @@ func Fig13(opts Options) ([]*Fig13Result, error) {
 		}
 		mpu, err := workloads.Run(k, workloads.RunConfig{
 			Spec: spec, Mode: machine.ModeMPU, TotalElements: n,
-			Seed: opts.Seed, MaxSimVRFs: maxSimVRFs, NoTrace: opts.NoTrace,
+			Seed: opts.Seed, MaxSimVRFs: maxSimVRFs, NoTrace: opts.NoTrace, Workers: mw,
 		})
 		if err != nil {
 			return GPURow{}, err
 		}
 		base, err := workloads.Run(k, workloads.RunConfig{
 			Spec: spec, Mode: machine.ModeBaseline, TotalElements: n,
-			Seed: opts.Seed, MaxSimVRFs: maxSimVRFs, NoTrace: opts.NoTrace,
+			Seed: opts.Seed, MaxSimVRFs: maxSimVRFs, NoTrace: opts.NoTrace, Workers: mw,
 			ComputeScale: baselineComputeScale(k),
 		})
 		if err != nil {

@@ -11,3 +11,13 @@ func (m *Machine) ParkedVRFs() [][]*vrf.VRF {
 	}
 	return out
 }
+
+// SetChunkFloor sets the micro-op-words each chunk of a fanned-out round
+// must carry (FanOutMicroOps outside tests) and returns a function that
+// restores the previous floor. At 1 every round of two or more groups fans
+// out.
+func SetChunkFloor(n uint64) (restore func()) {
+	prev := chunkFloor
+	chunkFloor = n
+	return func() { chunkFloor = prev }
+}

@@ -1,0 +1,185 @@
+package machine_test
+
+// Round fan-out tests: splitting a thermal round's VRFs across a Run's
+// helper goroutines must be invisible in every reported number and every
+// byte of state, and the helpers must not outlive the Run that started them.
+// Both lower the chunk floor to 1, so every round of two or more groups
+// fans out, not only the ones heavy enough in production.
+
+import (
+	"bytes"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"runtime"
+	"slices"
+	"testing"
+	"time"
+
+	"mpu/internal/backends"
+	"mpu/internal/isa"
+	"mpu/internal/machine"
+	"mpu/internal/workloads"
+)
+
+const (
+	fanVRFs   = 16 // two rounds of 8 at one active VRF per RFH: one recorded, one replayed
+	fanActive = 1
+)
+
+// fanConfig is the run every fan-out test makes of kernel k: one MPU whose
+// rounds hold two RACER groups or eight one-VRF ones.
+func fanConfig(k *workloads.Kernel, spec *backends.Spec, mode machine.Mode, workers int) workloads.RunConfig {
+	return workloads.RunConfig{
+		Spec: spec, Mode: mode, Seed: 1,
+		TotalElements: spec.BaselineUnits * spec.Lanes * fanVRFs,
+		MaxSimVRFs:    fanVRFs, ActiveVRFsOverride: fanActive, Workers: workers,
+	}
+}
+
+// fanOutAll lowers the chunk floor to 1 and makes sure two goroutines can
+// run at once, undoing both when the test ends.
+func fanOutAll(t *testing.T) {
+	t.Cleanup(machine.SetChunkFloor(1))
+	prev := runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0)))
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
+// fanState is everything a run leaves to compare: its Stats JSON, every
+// register of every VRF the kernel activates, and the snapshot bytes.
+type fanState struct {
+	stats, snap []byte
+	regs        [][]uint64
+}
+
+func fanRun(t *testing.T, k *workloads.Kernel, spec *backends.Spec, mode machine.Mode, workers int) fanState {
+	t.Helper()
+	cfg := fanConfig(k, spec, mode, workers)
+	m, err := machine.New(workloads.MachineConfigFor(cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := workloads.RunOn(m, k, cfg)
+	if err != nil {
+		t.Fatalf("%s on %s/%s (workers %d): %v", k.Name, spec.Name, mode, workers, err)
+	}
+	var s fanState
+	if s.stats, err = json.Marshal(res.Stats); err != nil {
+		t.Fatal(err)
+	}
+	s.snap = m.Snapshot()
+	_, addrs, err := workloads.BuildProgram(k, spec, fanVRFs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range addrs {
+		for r := 0; r < isa.NumRegs; r++ {
+			v, err := m.ReadVector(0, a, r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.regs = append(s.regs, v)
+		}
+	}
+	return s
+}
+
+// TestRoundFanOutParity runs every shipped kernel on each back end in both
+// modes on one goroutine and on two, and requires the same Stats JSON,
+// registers and snapshot bytes.
+func TestRoundFanOutParity(t *testing.T) {
+	fanOutAll(t)
+	specs := []*backends.Spec{backends.RACER(), backends.MIMDRAM(), backends.DualityCache(), backends.SIMDRAM()}
+	for _, spec := range specs {
+		for _, mode := range []machine.Mode{machine.ModeMPU, machine.ModeBaseline} {
+			for _, k := range workloads.All() {
+				name := fmt.Sprintf("%s/%s/%s", k.Name, spec.Name, mode)
+				seq := fanRun(t, k, spec, mode, 1)
+				par := fanRun(t, k, spec, mode, 2)
+				if !bytes.Equal(seq.stats, par.stats) {
+					t.Errorf("%s: stats diverge between one goroutine and two:\nseq: %s\npar: %s", name, seq.stats, par.stats)
+				}
+				if !slices.EqualFunc(seq.regs, par.regs, slices.Equal[[]uint64]) {
+					t.Errorf("%s: registers diverge between one goroutine and two", name)
+				}
+				if !bytes.Equal(seq.snap, par.snap) {
+					t.Errorf("%s: snapshots diverge between one goroutine and two", name)
+				}
+			}
+		}
+	}
+}
+
+// settled fails the test unless the goroutine count returns to base: the
+// helpers have all returned by the time Run does, so this only waits out
+// their last instructions.
+func settled(t *testing.T, what string, base int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: %d goroutines after Run, %d before", what, runtime.NumGoroutine(), base)
+		}
+		runtime.Gosched()
+	}
+}
+
+// TestFanOutHelperLifetime ends a fanned-out Run in each way a Run ends —
+// finished, preempted between rounds, and failed — and requires the
+// goroutine count to fall back to its value before the Run. The preempted
+// run is also snapshotted, restored and resumed at every round boundary and
+// must finish byte-identical to an undisturbed one.
+func TestFanOutHelperLifetime(t *testing.T) {
+	fanOutAll(t)
+	spec := backends.RACER()
+	k := workloads.ByName("vecmul")
+	rc := fanConfig(k, spec, machine.ModeMPU, 2)
+	cfg := workloads.MachineConfigFor(rc)
+	prepared := func() *machine.Machine {
+		m, err := machine.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := workloads.PrepareOn(m, k, rc); err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+
+	base := runtime.NumGoroutine()
+	ref := prepared()
+	refStats, err := ref.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	settled(t, "finished run", base)
+
+	m := prepared()
+	m.Preempt()
+	if _, err := m.Run(); !errors.Is(err, machine.ErrPreempted) {
+		t.Fatalf("preempted run: %v, want ErrPreempted", err)
+	}
+	settled(t, "preempted run", base)
+	got, gotM := resumePreempted(t, "vecmul", m, cfg)
+	settled(t, "resumed runs", base)
+	requireSnapshotParity(t, "vecmul", refStats, got, ref, gotM)
+
+	// A body that multiplies on every VRF of the round, then returns with
+	// no call pending: the round fans out, then faults.
+	fault, err := machine.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog := isa.Program{}
+	for rfh := 0; rfh < spec.RFHsPerMPU; rfh++ {
+		prog = append(prog, isa.Instr{Op: isa.COMPUTE, A: uint8(rfh)})
+	}
+	prog = append(prog, isa.Mul(0, 1, 2), isa.Instr{Op: isa.RETURN}, isa.Instr{Op: isa.COMPUTEDONE})
+	if err := fault.LoadAll(prog); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fault.Run(); !errors.Is(err, machine.ErrEnsembleFault) {
+		t.Fatalf("faulting run: %v, want an ensemble fault", err)
+	}
+	settled(t, "failed run", base)
+}

@@ -95,12 +95,15 @@ type Config struct {
 	// violation — loaded programs proved clean must not trip those guards.
 	Strict bool
 
-	// Workers bounds the scheduler goroutines that execute cores
-	// concurrently between communication points. 0 means one per CPU
-	// (runtime.GOMAXPROCS), 1 forces the sequential scheduler; the count is
-	// capped at NumMPUs either way. Statistics are byte-identical at any
-	// worker count — callers nesting machines inside a sweep should divide
-	// GOMAXPROCS between the two levels (see sweep.MachineWorkers).
+	// Workers bounds the goroutines one Run executes on. 0 means one per
+	// CPU (runtime.GOMAXPROCS), 1 runs everything on the calling goroutine.
+	// A run phase with several runnable cores spends the budget on cores; a
+	// phase with one runnable core spends it on that core's thermal rounds,
+	// whose VRFs it splits into chunks of at least FanOutMicroOps
+	// micro-op-words (fanout.go). So a one-MPU machine uses it too.
+	// Statistics are byte-identical at any worker count — callers nesting
+	// machines inside a sweep should divide GOMAXPROCS between the two
+	// levels (see sweep.MachineWorkers).
 	Workers int
 
 	// NoTrace selects the reference interpreter: no round records or
@@ -224,6 +227,12 @@ type Machine struct {
 	// (per-core local Stats are preserved, not zeroed). Cleared by Run,
 	// Reset, Rewind, and Restore.
 	midRun bool
+
+	// crew holds the Run's round helpers (fanout.go). fan points at it while
+	// a run phase has one runnable core and the budget allows a helper, and
+	// is nil otherwise; that core's rounds read it. Neither is machine state.
+	crew crew
+	fan  *crew
 }
 
 // expandEntry is one decoded datapath instruction: its recipe expansion,
@@ -386,6 +395,7 @@ func New(cfg Config) (*Machine, error) {
 	m := &Machine{cfg: cfg, mesh: mesh, nocCfg: nc, limit: limit,
 		expands: map[isa.Instr]*expandEntry{},
 		jitMemo: trace.NewProgMemo()}
+	m.crew.wpl = uint64((cfg.Spec.Lanes + isa.WordBits - 1) / isa.WordBits)
 	for i := 0; i < cfg.NumMPUs; i++ {
 		m.mpus = append(m.mpus, &core{
 			coreState: coreState{done: true}, // no program yet
@@ -517,15 +527,21 @@ func (m *Machine) ReadVector(mpu int, a controlpath.VRFAddr, reg int) ([]uint64,
 //
 // The scheduler is phase-based: in the run phase every runnable core
 // executes until it finishes or blocks on a rendezvous — cores are
-// independent between communication points, so with Config.Workers > 1 the
-// run phase fans them out across a bounded goroutine pool; in the barrier
-// phase (always single-threaded) pending SEND/RECV pairs are matched and
-// completed in ascending sender-ID order. Each core's execution — and thus
-// its charge sequence into its local Stats — depends only on its own
-// program and the deterministic barrier sequence, so the reduced statistics
-// are byte-identical at any worker count.
+// independent between communication points, so with Config.Workers > 1 a
+// run phase of several runnable cores fans them out across a bounded
+// goroutine pool, and a run phase of one hands the budget to that core's
+// thermal rounds, whose VRFs are independent too (fanout.go); in the
+// barrier phase (always single-threaded) pending SEND/RECV pairs are
+// matched and completed in ascending sender-ID order. Each core's execution
+// — and thus its charge sequence into its local Stats — depends only on its
+// own program and the deterministic barrier sequence, so the reduced
+// statistics are byte-identical at any worker count. Round helpers start at
+// the first round that fans out and exit before Run returns, however it
+// returns.
 func (m *Machine) Run() (*Stats, error) {
-	workers := m.schedWorkers()
+	workers := m.workers()
+	m.crew.limit = workers - 1
+	defer m.crew.stop()
 	if !m.midRun {
 		for _, c := range m.mpus {
 			c.local = Stats{}
@@ -555,7 +571,11 @@ func (m *Machine) Run() (*Stats, error) {
 		// Run phase. On error both schedules surface the diagnostic of the
 		// lowest-ID failing core: runnable is in ID order, and sweep.Each
 		// reports the lowest failing index.
+		m.fan = nil
 		if workers <= 1 || len(runnable) == 1 {
+			if workers > 1 {
+				m.fan = &m.crew
+			}
 			for _, c := range runnable {
 				if err := c.run(); err != nil {
 					return nil, m.faultf(fmt.Errorf("mpu%d: %w", c.id, err))
@@ -640,17 +660,15 @@ func (m *Machine) waiters() []comm.Waiter {
 // be called while Run executes.
 func (m *Machine) SetWorkers(n int) { m.cfg.Workers = n }
 
-// schedWorkers resolves the effective run-phase worker count: an explicit
-// Config.Workers wins, 0 means one per CPU, and the result is capped at the
-// core count. A machine writing an execution log always runs sequentially so
-// the log lines keep their deterministic interleaving.
-func (m *Machine) schedWorkers() int {
+// workers resolves a Run's goroutine budget: an explicit Config.Workers
+// wins and 0 means one per CPU. A phase of several runnable cores runs at
+// most one goroutine per core (sweep.Each caps it); a phase of one gives the
+// rest to the core's rounds. A machine writing an execution log always runs
+// on one goroutine so the log lines keep their deterministic interleaving.
+func (m *Machine) workers() int {
 	w := m.cfg.Workers
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
-	}
-	if w > len(m.mpus) {
-		w = len(m.mpus)
 	}
 	if m.cfg.Trace != nil {
 		w = 1
@@ -973,8 +991,9 @@ func (c *core) compileJIT(tr *trace.Trace) {
 
 // replayRound applies a compiled body to one round's activated VRFs: the
 // data-mutating steps run micro-op-major over groups of the batch
-// (trace.Prog.Run), and every cost counter advances by the precomputed delta
-// — O(1) accounting regardless of dynamic body length.
+// (trace.Prog.Run, split across the Run's helpers when the round is big
+// enough), and every cost counter advances by the precomputed delta — O(1)
+// accounting regardless of dynamic body length.
 func (c *core) replayRound(t *trace.Trace, batch []*vrf.VRF) {
 	st := &c.local
 	if t.Prog == nil {
@@ -1000,7 +1019,7 @@ func (c *core) replayRound(t *trace.Trace, batch []*vrf.VRF) {
 	// same mask as an interpreted round, on each VRF of the batch (pinned by
 	// TestTraceParity and FuzzJITParity).
 	st.JITReplays++
-	t.Prog.Run(batch)
+	c.m.fan.replay(t.Prog, batch)
 }
 
 // findComputeDone returns the linear distance from start to the matching
@@ -1067,7 +1086,7 @@ func (c *core) runBody(start int, batch []*vrf.VRF, rec *trace.Recorder) (int, e
 					v.ExecAllResolved(e.rops)
 				}
 			} else {
-				vrf.RunCompiledGroups(e.kern, batch)
+				c.m.fan.groups(e.kern, batch)
 			}
 			n := int64(len(e.ops))
 			exec := int64(float64(n*int64(spec.CyclesPerMicroOp)) * c.m.cfg.ComputeScale)

@@ -179,7 +179,7 @@ type sessionManager struct {
 // loadMachine builds the session's machine — configured the same way the
 // pools derive theirs, at the compiled placement's MPU count — and loads the
 // compiled programs: the first advance's one-time cost. It starts out running
-// its phases on the advancing goroutine (fanOutMicroOps).
+// its phases on the advancing goroutine (see runRecords).
 func (s *Server) loadMachine(sess *session) (*machine.Machine, error) {
 	mc := workloads.MachineConfigFor(workloads.RunConfig{Spec: sess.spec, Mode: sess.mode, Workers: 1})
 	mc.NumMPUs = sess.compiled.MPUs
@@ -194,15 +194,6 @@ func (s *Server) loadMachine(sess *session) (*machine.Machine, error) {
 	}
 	return m, nil
 }
-
-// fanOutMicroOps is the modelled work per rendezvous, in a session's first
-// record, from which its machine fans run phases out to one goroutine per
-// CPU; the stats it is read from are the same at any worker count. Below it
-// a phase costs less than the fan-out: etl.fbp (≈ 860 micro-ops per
-// rendezvous) advances twice as fast inline, editdistance_ring.fbp
-// (≈ 53,000) and llmencode.fbp (≈ 10 million) faster fanned out
-// (docs/PERF.md, "Which session machines fan out").
-const fanOutMicroOps = 1 << 13
 
 // createSession compiles the graph and installs the session — the table's
 // only insert, made after the MaxSessions check under the same lock.
@@ -332,8 +323,15 @@ func (s *Server) runRecords(sess *session, req *AdvanceRequest, resp *AdvanceRes
 		if err != nil {
 			return fail(http.StatusInternalServerError, err)
 		}
-		if sess.records == 0 && resp.Summary.Records == 0 && st.MicroOps/(st.Sends+1) >= fanOutMicroOps {
-			m.SetWorkers(0) // the first record's phases are long: one worker per CPU
+		// The first record picks the schedule from its modelled work per
+		// rendezvous, which is the same at any worker count: below
+		// machine.FanOutMicroOps a phase costs less than handing it out
+		// (etl.fbp, ≈ 860 micro-ops, advances twice as fast inline), above it
+		// one worker per CPU pays (editdistance_ring.fbp, ≈ 53,000;
+		// llmencode.fbp, ≈ 10 million; docs/PERF.md, "Which session machines
+		// fan out").
+		if sess.records == 0 && resp.Summary.Records == 0 && st.MicroOps/(st.Sends+1) >= machine.FanOutMicroOps {
+			m.SetWorkers(0)
 		}
 		rr := RecordResult{}
 		if rr.Dumps, err = s.readDumps(m, sess, rec.Dumps); err != nil {

@@ -82,6 +82,10 @@ func (p *Prog) Run(vs []*vrf.VRF) {
 	}
 }
 
+// Width reports how many VRFs Run advances together: the widest exec
+// step's group width.
+func (p *Prog) Width() int { return p.width }
+
 // Ops reports the micro-ops one execution simulates (accounting
 // cross-check; equals the trace's MicroOpsPerVRF).
 func (p *Prog) Ops() uint64 { return p.ops }

@@ -56,11 +56,11 @@ type RunConfig struct {
 	// replay-many trace engine and interpret every scheduling round.
 	NoTrace bool
 
-	// Workers forwards to machine.Config: scheduler goroutines executing
-	// cores concurrently between communication points (0 = one per CPU,
-	// 1 = sequential). Kernel runs simulate a single MPU, so this only
-	// matters for callers that raise NumMPUs; it is plumbed so sweeps can
-	// hand machines their share of the CPU budget uniformly.
+	// Workers forwards to machine.Config: the goroutines one Run executes
+	// on (0 = one per CPU, 1 = the calling goroutine only). A kernel run
+	// simulates a single MPU, so it spends them on the VRFs of thermal
+	// rounds heavy enough to split (machine.FanOutMicroOps); sweeps hand
+	// each machine its share of the CPU budget here (sweep.MachineWorkers).
 	Workers int
 }
 
