@@ -69,9 +69,10 @@ race:
 # round of two or more groups, the chunk floor lowered to 1), the
 # register-file recycling oracles (no residue after Reset,
 # bounded spare list, reuse after a wide kernel), the serve-layer parity,
-# cross-request isolation, warm-pool hammer, preemption/parking and
-# join-until-sealed tests, and the router's parity, drain, admission and
-# node-load-contract tests — fast enough for every CI run. The machine and
+# cross-request isolation, warm-pool hammer, preemption/parking (including a
+# parked machine resuming on the other worker) and join-until-sealed tests,
+# and the router's parity, drain, admission and node-load-contract tests —
+# fast enough for every CI run. The machine and
 # serve lists contain every test CHANGES.md's PR 21 mutation table names:
 # they, not a lint rule, are what fails when something outside the run path
 # writes a core's state, a JIT counter or the session table.
@@ -79,7 +80,7 @@ race-short:
 	$(GO) test -race -timeout 30m ./internal/sweep ./internal/lint ./internal/obs
 	$(GO) test -race -timeout 30m -run 'TestRunCompiledGroupsConcurrent' ./internal/vrf
 	$(GO) test -race -timeout 30m -run 'TestTraceParity|TestJITParityRandom|TestExpandConcurrent|TestParallelMachine|TestParallelDeadlock|TestRoundFanOutParity|TestFanOutHelperLifetime|TestSnapshotResumeParity|TestSnapshotCompatFixtures|TestRunStatsNotAliased|TestNoResidueAfterReset|TestSpareListBounded|TestResetReuseMatchesFresh' ./internal/machine
-	$(GO) test -race -timeout 30m -run 'TestServeParity|TestServeIsolation|TestServePool|TestServePreempt|TestServeNoPreempt|TestParkedGauges|TestServeJoin|TestServeLateArrival|TestBatchingCoalesces|TestPipelineSession|TestPipelineLimits' ./internal/serve
+	$(GO) test -race -timeout 30m -run 'TestServeParity|TestServeIsolation|TestServePool|TestServePreemptParity|TestServePreemptHandoff|TestServeNoPreempt|TestParkedGauges|TestServeJoin|TestServeLateArrival|TestBatchingCoalesces|TestPipelineSession|TestPipelineLimits' ./internal/serve
 	$(GO) test -race -timeout 30m -run 'TestRouterParity|TestRollingDrain|TestFairAdmission|TestRouterPipeline|TestNodeLoadContract' ./internal/router
 	$(GO) test -race -timeout 30m -run 'TestPipelineParity' ./internal/fbp
 

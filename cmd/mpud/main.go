@@ -20,8 +20,8 @@
 // QoS: the X-QoS request header selects a class — "latency" (strict queue
 // priority; preempts running batch jobs at ensemble boundaries) or "batch"
 // (the default). -nopreempt keeps the priority queues but never interrupts a
-// running job; -max-parked bounds each pool's parking lot of preempted-job
-// snapshots.
+// running job; -max-parked bounds each pool's parking lot of preempted jobs,
+// each of which keeps its machine.
 //
 // Endpoints:
 //
@@ -79,7 +79,7 @@ func main() {
 	nodeID := flag.String("node-id", "", "cluster node label on /metrics gauges and request logs (empty = standalone)")
 	quiet := flag.Bool("quiet", false, "suppress JSON request logs")
 	nopreempt := flag.Bool("nopreempt", false, "disable ensemble-boundary preemption (latency keeps queue priority only)")
-	maxParked := flag.Int("max-parked", 8, "parking-lot bound per pool for preempted-job snapshots")
+	maxParked := flag.Int("max-parked", 8, "parking-lot bound per pool for preempted jobs (each keeps its machine)")
 	maxSessions := flag.Int("max-sessions", 8, "live pipeline session bound (/v1/pipelines)")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address, on its own listener (empty = off)")
 	smoke := flag.Bool("smoke", false, "self-test: serve on a random port, run one request, drain, exit")
@@ -243,8 +243,7 @@ func smokeTest(base string) error {
 
 // pipelineSmokeSource is the resident-accumulator stream the pipeline smoke
 // drives: Split forwards each record's r0 into a Reduce whose r48 total
-// persists across records and across the park/restore boundary between
-// requests.
+// persists across records and across the requests that carry them.
 const pipelineSmokeSource = "src(Split) OUT -> IN total(Reduce)\n'1' -> REGS src\n'add' -> OP total\n"
 
 // pipelineSmokeTest is the session plane's end-to-end exercise run by

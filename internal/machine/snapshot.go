@@ -40,8 +40,10 @@ const snapMagic = "MPUSNAP1"
 const rasDepth = 64
 
 // Snapshot serializes the machine's architectural state. It must not be
-// called while Run executes; the intended sequence is Run → ErrPreempted →
-// Snapshot (or any quiesced point between runs).
+// called while Run executes: take it after Run returns ErrPreempted, or at any
+// quiesced point between runs. mpud does not call it (a parked job keeps its
+// machine, and so does a session); its users are the parity and compat tests,
+// bench's codec probes, and a future durable session log.
 func (m *Machine) Snapshot() []byte {
 	w := snap.NewWriter()
 	w.String(snapMagic)

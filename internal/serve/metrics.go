@@ -32,13 +32,10 @@ type metrics struct {
 
 	traceHits, traceMisses, traceFallbacks, jitCompiles, jitReplays, roundsTotal *obs.Int
 
-	// QoS plane: preemption accounting and per-class latency. The parked
-	// gauges track jobs sitting in pool parking lots (and their snapshot
-	// bytes); restore is the wall time of Machine.Restore on resumption.
-	preemptions, preemptSpills *obs.Int
-	parkedJobs, parkedBytes    *obs.Int
-	restore                    *obs.Histogram
-	classSeconds               map[string]*obs.Histogram // ClassLatency / ClassBatch
+	// QoS plane: preemption accounting, the jobs (each holding its machine)
+	// sitting in pool parking lots, and per-class latency.
+	preemptions, preemptSpills, parkedJobs *obs.Int
+	classSeconds                           map[string]*obs.Histogram // ClassLatency / ClassBatch
 
 	// Pipeline session plane: live sessions and records streamed.
 	sessionsOpen, sessionRecords *obs.Int
@@ -69,8 +66,6 @@ func newMetrics(node string) *metrics {
 	m.preemptions = counter("mpud_preemptions_total", "Batch jobs parked at an ensemble boundary to admit latency work.")
 	m.preemptSpills = counter("mpud_preempt_spills_total", "Preemption boundaries where the parking lot was full and the job resumed in place.")
 	m.parkedJobs = gauge("mpud_parked_jobs", "Preempted batch jobs currently held in parking lots.")
-	m.parkedBytes = gauge("mpud_parked_bytes", "Snapshot bytes currently held in parking lots.")
-	m.restore = r.Histogram("mpud_restore_seconds", "Machine.Restore wall time when resuming a parked job.", []float64{0.00001, 0.0001, 0.001, 0.01, 0.1, 1}).With()
 	byClass := r.Histogram("mpud_class_request_seconds", "Request wall time from admission to response, by QoS class.", requestBounds, "class")
 	m.classSeconds = map[string]*obs.Histogram{ClassBatch: byClass.With(ClassBatch), ClassLatency: byClass.With(ClassLatency)}
 
@@ -111,17 +106,13 @@ func (m *metrics) observeClass(class string, seconds float64) {
 }
 
 // observePark counts one batch job preempted into a parking lot.
-func (m *metrics) observePark(bytes int) {
+func (m *metrics) observePark() {
 	m.preemptions.Inc()
 	m.parkedJobs.Inc()
-	m.parkedBytes.Add(int64(bytes))
 }
 
-// observeUnpark removes one job from the parked gauges as a worker picks it up.
-func (m *metrics) observeUnpark(bytes int) {
-	m.parkedJobs.Add(-1)
-	m.parkedBytes.Add(-int64(bytes))
-}
+// observeUnpark removes one job from the parked gauge as a worker picks it up.
+func (m *metrics) observeUnpark() { m.parkedJobs.Add(-1) }
 
 // render samples the pool gauges (pool name → batches waiting) and emits the
 // Prometheus text exposition.

@@ -25,11 +25,10 @@ func goldenMetrics() *metrics {
 	m.inflight.Add(2)
 	m.observeClass(ClassBatch, 0.03)
 	m.observeClass(ClassLatency, 0.004)
-	m.observePark(1000)
-	m.observePark(500)
+	m.observePark()
+	m.observePark()
 	m.preemptSpills.Inc()
-	m.observeUnpark(1000)
-	m.restore.Observe(0.0005)
+	m.observeUnpark()
 	m.sessionsOpen.Add(1)
 	m.sessionRecords.Add(15)
 	return m
@@ -75,7 +74,6 @@ func TestMetricsRenderNoNode(t *testing.T) {
 		"mpud_inflight 0\n",
 		"mpud_queue_depth{pool=\"RACER/MPU\"} 1\n",
 		"mpud_parked_jobs 0\n",
-		"mpud_parked_bytes 0\n",
 		"mpud_sessions 0\n",
 	} {
 		if !strings.Contains(got, want) {

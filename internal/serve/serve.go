@@ -19,13 +19,12 @@
 // (interactive, strict queue priority) and "batch" (the default). When a
 // latency request arrives and every pool worker is busy, the scheduler asks
 // the longest-running preemptible batch job to yield at its next ensemble
-// boundary; the job's complete architectural state is captured with
-// Machine.Snapshot into a bounded in-memory parking lot, the latency request
-// runs on the freed machine, and the parked job is restored (on any pool
-// machine — the snapshot fingerprint covers configuration, not worker
-// identity) and resumed. Preemption extends rather than weakens the
-// determinism contract: a parked-and-resumed run answers with byte-identical
-// machine.Stats to an uninterrupted one.
+// boundary; the job parks with its machine, exactly as Run left it, in a
+// bounded parking lot, the worker takes a fresh machine for the latency
+// request, and whichever worker frees up first adopts the parked machine and
+// resumes the run. Nothing is serialised. Preemption extends rather than
+// weakens the determinism contract: a parked-and-resumed run answers with
+// byte-identical machine.Stats to an uninterrupted one.
 package serve
 
 import (
@@ -99,9 +98,10 @@ type Config struct {
 	// a running batch job.
 	NoPreempt bool
 
-	// MaxParked bounds each pool's parking lot of preempted batch jobs
-	// (snapshots held in memory). When the lot is full a preempted job
-	// resumes in place and the miss is counted as a spill. Default 8.
+	// MaxParked bounds each pool's parking lot of preempted batch jobs, each
+	// holding its machine, so a pool has at most Size+MaxParked machines.
+	// When the lot is full a preempted job resumes in place and the miss is
+	// counted as a spill. Default 8.
 	MaxParked int
 
 	// MaxSessions bounds the live pipeline sessions (/v1/pipelines). A full
@@ -316,9 +316,11 @@ type batch struct {
 }
 
 // workerState is the scheduler's view of one executor goroutine and its
-// warm machine. All fields except m are guarded by the pool mutex; the
-// preemption path may call m.Preempt (an atomic flag) while the worker's
-// Run is in flight.
+// warm machine. Every field is guarded by the pool mutex, with one
+// exception: the worker's own goroutine reads m without it, because only
+// that goroutine writes m (park hands the worker a fresh machine, take gives
+// it a parked one). The preemption path may call m.Preempt (an atomic flag)
+// while the worker's Run is in flight.
 type workerState struct {
 	m           *machine.Machine
 	busy        bool      // between take and the next take
@@ -327,13 +329,12 @@ type workerState struct {
 	started     time.Time // when the current job was taken
 }
 
-// parkedJob is one preempted batch job: its (still joinable) batch, the
-// prepared-run bookkeeping needed to finish it, and the machine snapshot to
-// resume from.
+// parkedJob is one preempted batch job: its (still joinable) batch and the
+// prepared run, whose Machine is paused at the ensemble boundary where it
+// yielded and is adopted whole by the worker that resumes it.
 type parkedJob struct {
 	b    *batch
 	prep *workloads.Prepared
-	snap []byte
 }
 
 // pool is one (backend, mode) warm machine pool: Size pre-built machines,
@@ -343,6 +344,7 @@ type pool struct {
 	name string
 	spec *backends.Spec
 	mode machine.Mode
+	mc   machine.Config // what every pool machine is built from
 
 	queueDepth int  // shared bound across both class queues
 	maxParked  int  // parking-lot bound, in jobs
@@ -413,15 +415,15 @@ func New(cfg Config) (*Server, error) {
 			name:       name,
 			spec:       spec,
 			mode:       ps.Mode,
+			mc:         workloads.MachineConfigFor(workloads.RunConfig{Spec: spec, Mode: ps.Mode}),
 			queueDepth: cfg.QueueDepth,
 			maxParked:  cfg.MaxParked,
 			preempt:    !cfg.NoPreempt,
 			open:       map[string]*batch{},
 		}
 		p.cond = sync.NewCond(&p.mu)
-		mc := workloads.MachineConfigFor(workloads.RunConfig{Spec: spec, Mode: ps.Mode})
 		for i := 0; i < size; i++ {
-			m, err := machine.New(mc)
+			m, err := machine.New(p.mc)
 			if err != nil {
 				return nil, fmt.Errorf("serve: pool %s: %w", name, err)
 			}
@@ -521,6 +523,7 @@ func (p *pool) take(w *workerState) (*batch, *parkedJob) {
 		if len(p.parked) > 0 {
 			pj := p.parked[0]
 			p.parked = p.parked[1:]
+			w.m = pj.prep.Machine // the worker's own machine is dropped
 			w.busy, w.started = true, time.Now()
 			w.preemptible = p.preempt // a resumed batch job can be parked again
 			return nil, pj
@@ -611,60 +614,38 @@ func (p *pool) preemptForLatency() {
 	}
 }
 
-// park moves a preempted batch job off the worker's machine into the pool's
-// parking lot. Called after Run returned ErrPreempted at an ensemble
-// boundary; returns false when the job should simply resume in place —
-// either the latency burst that triggered the preemption was already
-// absorbed by another worker, or the lot is full (counted as a spill).
-//
-// The snapshot is megabytes for a large job, so it is encoded between two
-// holds of the pool mutex, not under one — admit, take and the /metrics depth
-// read never wait for it — and the decision is re-checked before the append.
+// park moves a preempted batch job, machine and all, into the pool's
+// parking lot and hands the worker a fresh machine for the latency work.
+// Called after Run returned ErrPreempted at an ensemble boundary; returns
+// false when the job should simply resume in place — the latency burst that
+// triggered the preemption was already absorbed by another worker, the lot
+// is full (counted as a spill), or no fresh machine could be built.
 func (p *pool) park(w *workerState, b *batch, prep *workloads.Prepared, mt *metrics) bool {
-	// wanted reports, with p.mu held, whether the job should leave its
-	// machine, and counts the spill when a full lot is why not.
-	wanted := func() bool {
-		if len(p.latQ) == 0 {
-			return false
-		}
-		if len(p.parked) >= p.maxParked {
-			mt.preemptSpills.Inc()
-			return false
-		}
-		return true
-	}
-	p.mu.Lock()
-	w.preempting = false
-	ok := wanted()
-	p.mu.Unlock()
-	if !ok {
-		return false
-	}
-	snap := prep.Machine.Snapshot()
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if !wanted() {
+	w.preempting = false
+	if len(p.latQ) == 0 {
 		return false
 	}
-	p.parked = append(p.parked, &parkedJob{b: b, prep: prep, snap: snap})
-	mt.observePark(len(snap))
+	if len(p.parked) >= p.maxParked {
+		mt.preemptSpills.Inc()
+		return false
+	}
+	m, err := machine.New(p.mc)
+	if err != nil {
+		return false
+	}
+	w.m = m
+	p.parked = append(p.parked, &parkedJob{b: b, prep: prep})
+	mt.observePark()
 	p.cond.Signal()
 	return true
 }
 
-// resume restores a parked job onto this worker's machine and runs it to
-// completion (or parks it again at the next preemption point). Any pool
-// machine can host the restore: the snapshot fingerprint pins machine
-// configuration, not worker identity.
+// resume runs a parked job, whose machine take already gave this worker, to
+// completion (or parks it again at the next preemption point).
 func (s *Server) resume(p *pool, w *workerState, pj *parkedJob) {
-	s.metrics.observeUnpark(len(pj.snap))
-	t0 := time.Now()
-	if err := w.m.Restore(pj.snap); err != nil {
-		s.deliver(p, pj.b, errResult(http.StatusInternalServerError, err))
-		return
-	}
-	s.metrics.restore.Observe(time.Since(t0).Seconds())
-	pj.prep.Machine = w.m
+	s.metrics.observeUnpark()
 	res, parked := s.runKernel(p, w, pj.b, pj.prep)
 	if parked {
 		return
@@ -728,8 +709,8 @@ func (s *Server) execute(p *pool, w *workerState, b *batch) (*batchResult, bool)
 func (s *Server) runKernel(p *pool, w *workerState, b *batch, prep *workloads.Prepared) (*batchResult, bool) {
 	for {
 		// A preemption request that landed before this run started was
-		// cleared by the Reset inside PrepareOn (or by Restore); re-arm it
-		// so the run yields at its first ensemble boundary.
+		// cleared by the Reset inside PrepareOn; re-arm it so the run
+		// yields at its first ensemble boundary.
 		p.mu.Lock()
 		if w.preempting {
 			prep.Machine.Preempt()
