@@ -66,20 +66,30 @@ race:
 # parallel-scheduler parity difftest, which fans cores out across scheduler
 # goroutines, the round fan-out parity difftest and helper-lifetime test,
 # which split a lone core's thermal rounds across a Run's helpers (every
-# round of two or more groups, the chunk floor lowered to 1), the
+# round of two or more groups, the chunk floor lowered to 1, helpers that
+# park between rounds), the preempt-every-instruction difftest, which pauses
+# interpreted rounds between two instructions while their rounds fan out, the
 # register-file recycling oracles (no residue after Reset,
 # bounded spare list, reuse after a wide kernel), the serve-layer parity,
 # cross-request isolation, warm-pool hammer, preemption/parking (including a
 # parked machine resuming on the other worker) and join-until-sealed tests,
 # and the router's parity, drain, admission and node-load-contract tests —
-# fast enough for every CI run. The machine and
+# fast enough for every CI run. TestPreemptEveryInstruction and
+# TestSnapshotResumeParity visit every instruction boundary of the kernels
+# they run and get processes of their own, one per back end for the latter,
+# which bounds each process's memory and its share of the timeout. The
+# machine and
 # serve lists contain every test CHANGES.md's PR 21 mutation table names:
 # they, not a lint rule, are what fails when something outside the run path
 # writes a core's state, a JIT counter or the session table.
 race-short:
 	$(GO) test -race -timeout 30m ./internal/sweep ./internal/lint ./internal/obs
 	$(GO) test -race -timeout 30m -run 'TestRunCompiledGroupsConcurrent' ./internal/vrf
-	$(GO) test -race -timeout 30m -run 'TestTraceParity|TestJITParityRandom|TestExpandConcurrent|TestParallelMachine|TestParallelDeadlock|TestRoundFanOutParity|TestFanOutHelperLifetime|TestSnapshotResumeParity|TestSnapshotCompatFixtures|TestRunStatsNotAliased|TestNoResidueAfterReset|TestSpareListBounded|TestResetReuseMatchesFresh' ./internal/machine
+	$(GO) test -race -timeout 30m -run 'TestTraceParity|TestJITParityRandom|TestExpandConcurrent|TestParallelMachine|TestParallelDeadlock|TestRoundFanOutParity|TestFanOutHelperLifetime|TestSnapshotResumeParityRendezvous|TestSnapshotCompatFixtures|TestRunStatsNotAliased|TestNoResidueAfterReset|TestSpareListBounded|TestResetReuseMatchesFresh' ./internal/machine
+	$(GO) test -race -timeout 30m -run '^TestPreemptEveryInstruction$$' ./internal/machine
+	$(GO) test -race -timeout 30m -run '^TestSnapshotResumeParity$$/^RACER$$' ./internal/machine
+	$(GO) test -race -timeout 30m -run '^TestSnapshotResumeParity$$/^MIMDRAM$$' ./internal/machine
+	$(GO) test -race -timeout 30m -run '^TestSnapshotResumeParity$$/^DualityCache$$' ./internal/machine
 	$(GO) test -race -timeout 30m -run 'TestServeParity|TestServeIsolation|TestServePool|TestServePreemptParity|TestServePreemptHandoff|TestServeNoPreempt|TestParkedGauges|TestServeJoin|TestServeLateArrival|TestBatchingCoalesces|TestPipelineSession|TestPipelineLimits' ./internal/serve
 	$(GO) test -race -timeout 30m -run 'TestRouterParity|TestRollingDrain|TestFairAdmission|TestRouterPipeline|TestNodeLoadContract' ./internal/router
 	$(GO) test -race -timeout 30m -run 'TestPipelineParity' ./internal/fbp

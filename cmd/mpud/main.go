@@ -18,7 +18,7 @@
 // to arrive (docs/SERVE.md, "Batching").
 //
 // QoS: the X-QoS request header selects a class — "latency" (strict queue
-// priority; preempts running batch jobs at ensemble boundaries) or "batch"
+// priority; preempts running batch jobs at instruction boundaries) or "batch"
 // (the default). -nopreempt keeps the priority queues but never interrupts a
 // running job; -max-parked bounds each pool's parking lot of preempted jobs,
 // each of which keeps its machine.
@@ -78,7 +78,7 @@ func main() {
 	maxElements := flag.Int("max-elements", 1<<20, "per-request element cap for workload runs")
 	nodeID := flag.String("node-id", "", "cluster node label on /metrics gauges and request logs (empty = standalone)")
 	quiet := flag.Bool("quiet", false, "suppress JSON request logs")
-	nopreempt := flag.Bool("nopreempt", false, "disable ensemble-boundary preemption (latency keeps queue priority only)")
+	nopreempt := flag.Bool("nopreempt", false, "disable instruction-boundary preemption (latency keeps queue priority only)")
 	maxParked := flag.Int("max-parked", 8, "parking-lot bound per pool for preempted jobs (each keeps its machine)")
 	maxSessions := flag.Int("max-sessions", 8, "live pipeline session bound (/v1/pipelines)")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address, on its own listener (empty = off)")

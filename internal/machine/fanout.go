@@ -27,23 +27,53 @@ import (
 // faster fanned out (docs/PERF.md, "Which session machines fan out").
 const FanOutMicroOps = 1 << 13
 
+// helperSpins is how many times a helper that finds no chunk to claim
+// looks again before it parks on the crew's wake channel: about 40 µs on a
+// 2-vCPU KVM guest with go1.24. A parked helper hands its CPU back to the Go
+// scheduler, which polls the network when a CPU runs out of goroutines, so
+// a latency request's bytes are read at once instead of at sysmon's next
+// poll, about 10 ms apart; a helper spinning on runtime.Gosched sits in the
+// global run queue, which the scheduler reads before it polls. But waking a
+// parked helper there took longer than most chunks run, so a helper keeps
+// looking through the gaps between one interpreted round's kernel calls
+// (p90 21 µs for gcd on RACER) and parks only in longer ones (docs/PERF.md,
+// "A latency request waits one instruction").
+const helperSpins = 20000
+
 // chunkFloor is FanOutMicroOps as the round split reads it; tests lower it
 // so that every round of two or more groups fans out.
 var chunkFloor uint64 = FanOutMicroOps
 
+// spinLimit is helperSpins as help reads it; tests lower it so that a helper
+// parks whenever it finds no chunk to claim.
+var spinLimit = helperSpins
+
+// wakeCap bounds a crew's helpers: the wake channel holds a token for each.
+const wakeCap = 1 << 10
+
 // crew is one Run's helper goroutines for the rounds of a lone runnable
-// core. A helper starts at the first round that fans out and lives until
+// core. A helper starts at the first round that fans out and serves until
 // Run returns, whether it finished, yielded to a preemption or failed.
-// Neither side ever parks: a helper calls runtime.Gosched between chunks,
-// and the caller does the same while it waits for a claimed chunk or for the
-// helpers to exit, because waking a parked goroutine costs longer than most
-// rounds take.
+// Between rounds it looks for the next one up to spinLimit times, then
+// parks on wake until the caller offers a round or stops the crew. The
+// caller never parks: it calls runtime.Gosched while it waits for a chunk a
+// helper claimed, a short wait.
 type crew struct {
-	wpl   uint64       // 64-bit words per plane at the machine's lane count
-	limit int          // helpers this Run may start: its worker budget less the caller
-	live  atomic.Int64 // helpers started and not yet exited; only stop ends them
-	quit  atomic.Bool
-	job   atomic.Pointer[fanJob] // the round on offer; nil between rounds
+	wpl    uint64                 // 64-bit words per plane at the machine's lane count
+	limit  int                    // helpers this Run may start: its worker budget less the caller
+	live   atomic.Int64           // helpers started and not yet exited
+	parked atomic.Int64           // helpers that block on wake, or are about to
+	wake   chan struct{}          // buffered: a token sent before its helper blocks is not lost
+	quit   atomic.Bool            // set by stop; a helper that sees it exits
+	job    atomic.Pointer[fanJob] // the round on offer; nil between rounds
+}
+
+// begin readies the crew for a Run with the given worker budget. A helper
+// a previous Run parked and that has not yet seen that Run's stop serves
+// this Run instead of exiting.
+func (w *crew) begin(workers int) {
+	w.limit = min(workers-1, wakeCap)
+	w.quit.Store(false)
 }
 
 // fanJob is one kernel call's round, split into chunks of whole groups.
@@ -106,6 +136,7 @@ func (w *crew) run(j *fanJob) {
 		go w.help()
 	}
 	w.job.Store(j)
+	w.rouse()
 	for j.work() {
 	}
 	w.job.Store(nil)
@@ -114,28 +145,62 @@ func (w *crew) run(j *fanJob) {
 	}
 }
 
-// help is a helper's loop: claim chunks of the round on offer until Run
-// ends.
-func (w *crew) help() {
-	defer w.live.Add(-1)
-	for !w.quit.Load() {
-		if j := w.job.Load(); j == nil || !j.work() {
-			runtime.Gosched()
+// rouse wakes the parked helpers, for the round just offered or for stop.
+// The sends never block and allocate nothing; a helper counted as parked but
+// not yet blocked finds its token in the buffer.
+func (w *crew) rouse() {
+	for n := w.parked.Load(); n > 0; n-- {
+		select {
+		case w.wake <- struct{}{}:
+		default:
+			return
 		}
 	}
 }
 
-// stop ends the Run's helpers and waits for them to exit.
+// help is a helper's loop: claim chunks of the round on offer until the
+// crew stops, parking when no chunk has come for spinLimit looks.
+func (w *crew) help() {
+	defer w.live.Add(-1)
+	idle := 0
+	for !w.quit.Load() {
+		if j := w.job.Load(); j != nil && !j.claimed() && j.work() {
+			idle = 0
+			continue
+		}
+		if idle < spinLimit {
+			idle++
+			continue
+		}
+		idle = 0
+		// Count in before the last look: either rouse sees the count or
+		// this look sees the round it offered, or stop's quit.
+		w.parked.Add(1)
+		if j := w.job.Load(); (j == nil || j.claimed()) && !w.quit.Load() {
+			<-w.wake
+		}
+		w.parked.Add(-1)
+	}
+}
+
+// stop ends the Run's helpers. No helper touches a round once run has
+// returned, so stop only waits for the ones still looking for a round, which
+// see quit at once; it wakes the parked ones, which exit when they next run,
+// without waiting for them, since a parked goroutine takes longer to wake
+// than most Runs take.
 func (w *crew) stop() {
 	if w.live.Load() == 0 {
 		return
 	}
 	w.quit.Store(true)
-	for w.live.Load() > 0 {
+	w.rouse()
+	for w.live.Load() > w.parked.Load() {
 		runtime.Gosched()
 	}
-	w.quit.Store(false)
 }
+
+// claimed reports whether every chunk of the round has been claimed.
+func (j *fanJob) claimed() bool { return j.next.Load() >= int64(j.chunks) }
 
 // work claims one chunk and runs it, reporting false when none was left.
 // Chunk i covers groups [i·G/chunks, (i+1)·G/chunks) of the round's G, so a

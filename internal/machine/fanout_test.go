@@ -63,12 +63,20 @@ func fanRun(t *testing.T, k *workloads.Kernel, spec *backends.Spec, mode machine
 	if err != nil {
 		t.Fatalf("%s on %s/%s (workers %d): %v", k.Name, spec.Name, mode, workers, err)
 	}
+	return fanCollect(t, m, k, res.Stats)
+}
+
+// fanCollect reads what a finished fan-out run of kernel k on m leaves to
+// compare.
+func fanCollect(t *testing.T, m *machine.Machine, k *workloads.Kernel, st *machine.Stats) fanState {
+	t.Helper()
 	var s fanState
-	if s.stats, err = json.Marshal(res.Stats); err != nil {
+	var err error
+	if s.stats, err = json.Marshal(st); err != nil {
 		t.Fatal(err)
 	}
 	s.snap = m.Snapshot()
-	_, addrs, err := workloads.BuildProgram(k, spec, fanVRFs)
+	_, addrs, err := workloads.BuildProgram(k, m.Spec(), fanVRFs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,12 +133,16 @@ func settled(t *testing.T, what string, base int) {
 }
 
 // TestFanOutHelperLifetime ends a fanned-out Run in each way a Run ends —
-// finished, preempted between rounds, and failed — and requires the
-// goroutine count to fall back to its value before the Run. The preempted
-// run is also snapshotted, restored and resumed at every round boundary and
-// must finish byte-identical to an undisturbed one.
+// finished, preempted between rounds, preempted between two body
+// instructions, and failed — and requires the goroutine count to fall back
+// to its value before the Run. With no spin, every helper parks whenever it
+// finds no round on offer, so each of those Runs ends with helpers parked
+// between rounds. The preempted run is also snapshotted, restored and
+// resumed at every instruction boundary and must finish byte-identical to
+// an undisturbed one.
 func TestFanOutHelperLifetime(t *testing.T) {
 	fanOutAll(t)
+	t.Cleanup(machine.SetHelperSpins(0))
 	spec := backends.RACER()
 	k := workloads.ByName("vecmul")
 	rc := fanConfig(k, spec, machine.ModeMPU, 2)
@@ -163,6 +175,46 @@ func TestFanOutHelperLifetime(t *testing.T) {
 	got, gotM := resumePreempted(t, "vecmul", m, cfg)
 	settled(t, "resumed runs", base)
 	requireSnapshotParity(t, "vecmul", refStats, got, ref, gotM)
+
+	// gcd's rounds are interpreted: preempted once a helper has parked, the
+	// run yields between two body instructions, or now and then at a round
+	// boundary, which is resumed until a pause lands mid-round.
+	g := workloads.ByName("gcd")
+	grc := fanConfig(g, spec, machine.ModeMPU, 2)
+	gm, err := machine.New(workloads.MachineConfigFor(grc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := workloads.PrepareOn(gm, g, grc); err != nil {
+		t.Fatal(err)
+	}
+	for tries := 0; !gm.PausedMidRound(); tries++ {
+		if tries == 100 {
+			t.Fatal("no preemption landed inside a round")
+		}
+		stop := make(chan struct{})
+		go func() {
+			for gm.ParkedHelpers() == 0 {
+				select {
+				case <-stop:
+					return
+				default:
+					runtime.Gosched()
+				}
+			}
+			gm.Preempt()
+		}()
+		_, err := gm.Run()
+		close(stop)
+		if !errors.Is(err, machine.ErrPreempted) {
+			t.Fatalf("gcd run preempted once a helper parked: %v, want ErrPreempted", err)
+		}
+		settled(t, "run preempted with parked helpers", base)
+	}
+	if _, err := gm.Run(); err != nil {
+		t.Fatal(err)
+	}
+	settled(t, "finished run with parked helpers", base)
 
 	// A body that multiplies on every VRF of the round, then returns with
 	// no call pending: the round fans out, then faults.

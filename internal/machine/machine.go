@@ -220,7 +220,8 @@ type Machine struct {
 	// preempt is the cooperative-yield request flag (Preempt/ErrPreempted,
 	// preempt.go). It is the only machine field a foreign goroutine writes
 	// while Run executes, hence the atomic; cores poll it between
-	// instructions and between ensemble rounds.
+	// instructions, inside interpreted ensemble bodies too, and between
+	// ensemble rounds.
 	preempt atomic.Bool
 	// midRun records that the previous Run returned ErrPreempted: the next
 	// Run resumes the paused program instead of starting a fresh account
@@ -348,8 +349,9 @@ type core struct {
 	act []*vrf.VRF
 	tm  controlpath.TargetMap
 
-	// seg counts this Run call's completed execution units so a yield never
-	// fires before the core has made progress; Run zeroes it on entry and no
+	// seg counts this Run call's completed execution units (instructions,
+	// body instructions included, and replayed rounds) so a yield never fires
+	// before the core has made progress; Run zeroes it on entry and no
 	// snapshot carries it.
 	seg int64
 }
@@ -396,6 +398,7 @@ func New(cfg Config) (*Machine, error) {
 		expands: map[isa.Instr]*expandEntry{},
 		jitMemo: trace.NewProgMemo()}
 	m.crew.wpl = uint64((cfg.Spec.Lanes + isa.WordBits - 1) / isa.WordBits)
+	m.crew.wake = make(chan struct{}, wakeCap)
 	for i := 0; i < cfg.NumMPUs; i++ {
 		m.mpus = append(m.mpus, &core{
 			coreState: coreState{done: true}, // no program yet
@@ -536,11 +539,16 @@ func (m *Machine) ReadVector(mpu int, a controlpath.VRFAddr, reg int) ([]uint64,
 // — and thus its charge sequence into its local Stats — depends only on its
 // own program and the deterministic barrier sequence, so the reduced
 // statistics are byte-identical at any worker count. Round helpers start at
-// the first round that fans out and exit before Run returns, however it
-// returns.
+// the first round that fans out and stop when Run returns, however it
+// returns; one parked between rounds exits when it wakes, or serves the
+// next Run if that has begun.
+//
+// Preempt pauses a Run at its next instruction boundary: between two
+// instructions of an interpreted round, or between rounds that replay or
+// record, and Run returns ErrPreempted; the next Run continues from there.
 func (m *Machine) Run() (*Stats, error) {
 	workers := m.workers()
-	m.crew.limit = workers - 1
+	m.crew.begin(workers)
 	defer m.crew.stop()
 	if !m.midRun {
 		for _, c := range m.mpus {
@@ -607,7 +615,7 @@ func (m *Machine) Run() (*Stats, error) {
 		}
 		// Honor a pending preemption request after the barrier phase: every
 		// runnable core has reached a consistent pause point (yielded at an
-		// ensemble boundary, finished, or blocked on rendezvous). The check
+		// instruction boundary, finished, or blocked on rendezvous). The check
 		// precedes the deadlock test so a pause request on a stuck machine
 		// defers the diagnosis to the resuming Run rather than masking it.
 		if m.preempt.Load() {
@@ -799,18 +807,18 @@ func (c *core) decodeAt(pc int) (*expandEntry, error) {
 }
 
 // run executes instructions until the MPU finishes, blocks on rendezvous,
-// or yields to a pending preemption request at an ensemble boundary (a
+// or yields to a pending preemption request at an instruction boundary (a
 // yield leaves done and blocked false; Run surfaces it as ErrPreempted
 // after the barrier phase).
 func (c *core) run() error {
 	for !c.done && !c.blocked {
 		if c.ens.active {
-			// Resuming a preempted ensemble: finish its remaining rounds
-			// before decoding anything new.
+			// Resuming a preempted ensemble: finish its paused round and
+			// its remaining rounds before decoding anything new.
 			if c.shouldYield() {
 				return nil
 			}
-			if err := c.runEnsembleRounds(); err != nil {
+			if err := c.runEnsembleRounds(controlpath.Batches(c.hdr, c.m.limit)); err != nil {
 				return err
 			}
 			continue
@@ -930,9 +938,9 @@ func (c *core) offloadBody(hostPJ *float64) (lat int64, pj float64) {
 // instruction.
 //
 // The entry charges (header walk, playback-buffer probe, ensemble count)
-// happen exactly once here; the rounds themselves run in runEnsembleRounds
-// (preempt.go), which can yield between rounds and resume without repeating
-// them.
+// and the ensemble's log line happen exactly once here; the rounds
+// themselves run in runEnsembleRounds (preempt.go), which can yield between
+// rounds or between body instructions and resume without repeating them.
 func (c *core) runComputeEnsemble() error {
 	c.hdr = c.hdr[:0]
 	for c.pc < len(c.prog) && c.prog[c.pc].Op == isa.COMPUTE {
@@ -961,7 +969,9 @@ func (c *core) runComputeEnsemble() error {
 	}
 	c.local.Ensembles++
 	c.ens = ensState{active: true, bodyStart: bodyStart, bodyLen: bodyLen, fits: fits, endPC: bodyStart}
-	return c.runEnsembleRounds()
+	rounds := controlpath.Batches(c.hdr, c.m.limit)
+	c.tracef("ensemble: %d VRFs, %d instruction body, %d rounds", len(c.hdr), bodyLen, len(rounds))
+	return c.runEnsembleRounds(rounds)
 }
 
 // replayable reports whether a compiled body can replay this round: Baseline
@@ -1037,25 +1047,36 @@ func (c *core) findComputeDone(start int) (int, error) {
 	return 0, fmt.Errorf("compute ensemble at %d missing COMPUTE_DONE (%w)", start, ErrEnsembleFault)
 }
 
-// runBody interprets one replay of an ensemble body on the active batch,
+// runBody interprets one replay of an ensemble body on the active batch from
+// at (the body's first instruction, or where a paused round stopped),
 // returning the pc just past COMPUTE_DONE. A non-nil rec compiles the round
 // into a trace as a side effect (nil records nothing).
+//
+// A round without the recorder yields to a pending preemption before any of
+// its instructions: it stores its position in c.ens.at, sets c.ens.mid and
+// returns. Every instruction boundary leaves the architectural state
+// complete, as the paper's control path issues a body one instruction at a
+// time (§VI-B). A recording round runs to its end, since the recorder's
+// partial trace is not state.
 //
 // The two float-valued charges — datapath and host energy — accumulate into
 // round-local sums flushed once at COMPUTE_DONE. Float addition is not
 // associative, so charging them per instruction would make the O(1) replay
 // path (one addition per round) drift from the interpreter in the last ulps;
 // summing per round first makes both paths add bit-identical values.
-func (c *core) runBody(start int, batch []*vrf.VRF, rec *trace.Recorder) (int, error) {
+func (c *core) runBody(at bodyPos, batch []*vrf.VRF, rec *trace.Recorder) (int, error) {
 	spec := c.m.cfg.Spec
 	// NoTrace is the reference interpreter: the parity oracles compare the
 	// kernels every other configuration executes against it.
 	noTrace := c.m.cfg.NoTrace
 	st := &c.local
-	pc := start
-	steps := 0
-	var bodyPJ, hostPJ float64
+	pc, steps, bodyPJ, hostPJ := at.pc, at.steps, at.bodyPJ, at.hostPJ
 	for {
+		if rec == nil && c.shouldYield() {
+			c.ens.mid, c.ens.at = true, bodyPos{pc: pc, steps: steps, bodyPJ: bodyPJ, hostPJ: hostPJ}
+			return 0, nil
+		}
+		c.seg++
 		if pc < 0 || pc >= len(c.prog) {
 			return 0, fmt.Errorf("ensemble body ran past the program end (pc=%d) (%w)", pc, ErrEnsembleFault)
 		}

@@ -3,6 +3,7 @@ package machine
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"sort"
 
 	"mpu/internal/controlpath"
@@ -14,10 +15,10 @@ import (
 )
 
 // Machine snapshots serialize the complete architectural state — programs,
-// pc/cycle/issue counters, rendezvous and mid-ensemble resume state, the
-// per-core Stats account, return stacks, recipe-table residency and
-// counters, playback-buffer overflow counts, every allocated VRF's planes,
-// and the installed trace cache — to a versioned, checksummed binary
+// pc/cycle/issue counters, rendezvous, mid-ensemble and mid-round resume
+// state, the per-core Stats account, return stacks, recipe-table residency
+// and counters, playback-buffer overflow counts, every allocated VRF's
+// planes, and the installed trace cache — to a versioned, checksummed binary
 // stream. Restore rebuilds a compatible machine into exactly that state, so
 // snapshot → restore → resume produces Stats and register contents
 // byte-identical to an uninterrupted run (TestSnapshotResumeParity), and
@@ -31,8 +32,20 @@ import (
 // compilation is a pure function of the recorded steps and the lane geometry,
 // so the restored machine replays exactly as the snapshotted one did.
 
-// snapMagic versions the snapshot format; bump it on any layout change.
-const snapMagic = "MPUSNAP1"
+// The magic versions the snapshot format; bump it on any layout change. Two
+// layouts are current, and each state has exactly one of them:
+//
+//   - snapMagic, when no core is paused mid-round: the layout every snapshot
+//     had before preemption reached single instructions, byte for byte, so
+//     older streams and the snapcompat fixtures restore unchanged.
+//   - snapMagicMid, when some core paused between two instructions of an
+//     interpreted round: every core with an active ensemble adds a bool
+//     after its activation list and, when it is set, the round's position
+//     (pc, steps, then both energy accumulators as IEEE bits).
+const (
+	snapMagic    = "MPUSNAP1"
+	snapMagicMid = "MPUSNAP2"
+)
 
 // rasDepth is the per-core return-stack limit (New passes it to
 // NewReturnStack); Restore validates frame counts against it before
@@ -44,15 +57,34 @@ const rasDepth = 64
 // quiesced point between runs. mpud does not call it (a parked job keeps its
 // machine, and so does a session); its users are the parity and compat tests,
 // bench's codec probes, and a future durable session log.
-func (m *Machine) Snapshot() []byte {
+func (m *Machine) Snapshot() []byte { return m.encode(m.midRound()) }
+
+// encode writes the snapshot in the layout mid selects: snapMagicMid's
+// when set, snapMagic's otherwise.
+func (m *Machine) encode(mid bool) []byte {
 	w := snap.NewWriter()
-	w.String(snapMagic)
+	if mid {
+		w.String(snapMagicMid)
+	} else {
+		w.String(snapMagic)
+	}
 	w.Bytes(m.fingerprint())
 	w.Bool(m.midRun)
 	for _, c := range m.mpus {
-		c.encodeState(w)
+		c.encodeState(w, mid)
 	}
 	return w.Finish()
+}
+
+// midRound reports whether some core is paused between two instructions of
+// an interpreted round, which selects the snapshot layout.
+func (m *Machine) midRound() bool {
+	for _, c := range m.mpus {
+		if c.ens.mid {
+			return true
+		}
+	}
+	return false
 }
 
 // fingerprint captures the configuration a snapshot is only meaningful
@@ -100,25 +132,33 @@ func (m *Machine) Restore(data []byte) error {
 	if err != nil {
 		return err
 	}
-	if magic := r.String(); magic != snapMagic {
+	magic := r.String()
+	if magic != snapMagic && magic != snapMagicMid {
 		if err := r.Err(); err != nil {
 			return err
 		}
-		return fmt.Errorf("machine: snapshot magic %q, want %q", magic, snapMagic)
+		return fmt.Errorf("machine: snapshot magic %q, want %q or %q", magic, snapMagic, snapMagicMid)
 	}
+	mid := magic == snapMagicMid
 	fp := r.Bytes()
 	if r.Err() == nil && !bytes.Equal(fp, m.fingerprint()) {
 		return fmt.Errorf("machine: snapshot fingerprint does not match this machine's configuration (spec/mode/MPUs/limit/scale/engine)")
 	}
 	midRun := r.Bool()
 	snaps := make([]coreSnap, len(m.mpus))
+	paused := false
 	for i := range snaps {
-		if err := snaps[i].decodeCore(r, m); err != nil {
+		if err := snaps[i].decodeCore(r, m, mid); err != nil {
 			return err
 		}
+		paused = paused || snaps[i].ens.mid
 	}
 	if err := r.Close(); err != nil {
 		return err
+	}
+	if mid && !paused {
+		// The state would re-encode under snapMagic: not canonical.
+		return fmt.Errorf("machine: %s snapshot with no core paused mid-round", snapMagicMid)
 	}
 
 	for i, c := range m.mpus {
@@ -171,7 +211,7 @@ type coreSnap struct {
 	hadProg   []bool // per tentries entry: Prog was compiled when snapshotted
 }
 
-func (c *core) encodeState(w *snap.Writer) {
+func (c *core) encodeState(w *snap.Writer, mid bool) {
 	w.Bytes(isa.EncodeProgram(c.prog))
 	w.Int(c.pc)
 	w.I64(c.cycles)
@@ -193,6 +233,15 @@ func (c *core) encodeState(w *snap.Writer) {
 		for _, a := range c.hdr {
 			w.U8(a.RFH)
 			w.U8(a.VRF)
+		}
+		if mid {
+			w.Bool(c.ens.mid)
+			if c.ens.mid {
+				w.Int(c.ens.at.pc)
+				w.Int(c.ens.at.steps)
+				w.F64(c.ens.at.bodyPJ)
+				w.F64(c.ens.at.hostPJ)
+			}
 		}
 	}
 	encodeStats(w, &c.local)
@@ -234,7 +283,7 @@ func (c *core) encodeState(w *snap.Writer) {
 	}
 }
 
-func (cs *coreSnap) decodeCore(r *snap.Reader, m *Machine) error {
+func (cs *coreSnap) decodeCore(r *snap.Reader, m *Machine, mid bool) error {
 	progBytes := r.Bytes()
 	if err := r.Err(); err != nil {
 		return err
@@ -283,6 +332,20 @@ func (cs *coreSnap) decodeCore(r *snap.Reader, m *Machine) error {
 				}
 			}
 		}
+		if mid {
+			cs.ens.mid = r.Bool()
+		}
+		if cs.ens.mid {
+			at := &cs.ens.at
+			at.pc = r.Int()
+			at.steps = r.Int()
+			at.bodyPJ = r.F64()
+			at.hostPJ = r.F64()
+			if r.Err() == nil && (at.steps < 0 || at.steps > m.cfg.MaxSteps ||
+				!finite(at.bodyPJ) || !finite(at.hostPJ)) {
+				return fmt.Errorf("machine: snapshot mid-round position out of range")
+			}
+		}
 	}
 	if err := decodeStats(r, &cs.local); err != nil {
 		return err
@@ -294,6 +357,17 @@ func (cs *coreSnap) decodeCore(r *snap.Reader, m *Machine) error {
 	cs.frames = make([]int, nf)
 	for i := range cs.frames {
 		cs.frames[i] = r.Int()
+	}
+	if at := cs.ens.at; r.Err() == nil && cs.ens.mid {
+		// A paused round stands inside its body, or — with a call pending on
+		// the return stack — in a subroutine anywhere in the program.
+		lo, hi := cs.ens.bodyStart, cs.ens.bodyStart+cs.ens.bodyLen
+		if nf > 0 {
+			lo, hi = 0, len(prog)
+		}
+		if at.pc < lo || at.pc >= hi {
+			return fmt.Errorf("machine: snapshot mid-round pc %d outside [%d,%d)", at.pc, lo, hi)
+		}
 	}
 	nr := r.Len(9)
 	cs.rentries = make([]controlpath.ResidentEntry, nr)
@@ -356,6 +430,8 @@ func (cs *coreSnap) decodeCore(r *snap.Reader, m *Machine) error {
 	}
 	return r.Err()
 }
+
+func finite(f float64) bool { return !math.IsInf(f, 0) && !math.IsNaN(f) }
 
 func keyLess(a, b trace.Key) bool {
 	if a.BodyStart != b.BodyStart {

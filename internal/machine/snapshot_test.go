@@ -2,9 +2,9 @@ package machine_test
 
 // Snapshot/restore/resume parity difftest: preemption must be invisible in
 // every reported number and every byte of architectural state. Each kernel
-// runs twice — once uninterrupted, and once preempted at EVERY ensemble
-// boundary, with the machine serialized, discarded, and restored into a
-// freshly constructed machine (alternating worker counts, since snapshots
+// runs twice — once uninterrupted, and once preempted at EVERY instruction
+// boundary (inside interpreted rounds too), with the machine serialized,
+// discarded, and restored into a freshly constructed machine (alternating worker counts, since snapshots
 // are scheduler-portable) before each resume. The final Stats, their JSON
 // rendering, and a final post-run snapshot must be byte-identical across
 // the two runs. Every intermediate snapshot must also survive a
@@ -17,6 +17,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -67,7 +68,7 @@ func buildSnapKernelMachine(t *testing.T, k *workloads.Kernel, cfg machine.Confi
 
 // resumePreempted drives m to completion while preempting before every
 // segment: each Run call is immediately asked to yield at its first
-// ensemble boundary, the machine is snapshotted and thrown away, and a
+// instruction boundary, the machine is snapshotted and thrown away, and a
 // fresh machine — built with the next worker count in the rotation, since
 // the fingerprint deliberately excludes Workers — is restored from the
 // bytes and resumed. Returns the final stats and the machine that produced
@@ -134,21 +135,25 @@ func TestSnapshotResumeParity(t *testing.T) {
 	if testing.Short() {
 		specs = specs[:1]
 	}
+	// One subtest per back end, so that CI can run them as separate
+	// processes (make race-short).
 	for _, spec := range specs {
-		for _, mode := range modes {
-			for _, k := range workloads.All() {
-				name := fmt.Sprintf("%s/%s/%s", k.Name, spec.Name, mode)
-				cfg := machine.Config{Spec: spec, Mode: mode, NumMPUs: snapMPUs, Workers: 1}
-				refM := buildSnapKernelMachine(t, k, cfg)
-				ref, err := refM.Run()
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
+		t.Run(spec.Name, func(t *testing.T) {
+			for _, mode := range modes {
+				for _, k := range workloads.All() {
+					name := fmt.Sprintf("%s/%s/%s", k.Name, spec.Name, mode)
+					cfg := machine.Config{Spec: spec, Mode: mode, NumMPUs: snapMPUs, Workers: 1}
+					refM := buildSnapKernelMachine(t, k, cfg)
+					ref, err := refM.Run()
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					preM := buildSnapKernelMachine(t, k, cfg)
+					pre, preM := resumePreempted(t, name, preM, cfg)
+					requireSnapshotParity(t, name, ref, pre, refM, preM)
 				}
-				preM := buildSnapKernelMachine(t, k, cfg)
-				pre, preM := resumePreempted(t, name, preM, cfg)
-				requireSnapshotParity(t, name, ref, pre, refM, preM)
 			}
-		}
+		})
 	}
 }
 
@@ -275,6 +280,80 @@ func TestRestoreRejectsCorruption(t *testing.T) {
 	}
 }
 
+// pausedMidRound returns a one-MPU gcd machine paused between two body
+// instructions of an interpreted round.
+func pausedMidRound(t *testing.T, cfg machine.Config) *machine.Machine {
+	t.Helper()
+	m := buildSnapKernelMachine(t, workloads.ByName("gcd"), cfg)
+	for i := 0; !m.PausedMidRound(); i++ {
+		if i == 1000 {
+			t.Fatal("gcd never paused inside a round")
+		}
+		m.Preempt()
+		if _, err := m.Run(); !errors.Is(err, machine.ErrPreempted) {
+			t.Fatalf("expected preemption, got %v", err)
+		}
+	}
+	return m
+}
+
+// TestRestoreRejectsBadResumePoint pins the checks on a paused round's
+// position, the fields only the mid-round layout carries: a pc outside the
+// body (with no call pending), a step count below zero or above MaxSteps, a
+// non-finite energy accumulator, and a mid-round stream in which no core is
+// paused mid-round (it would re-encode in the other layout). Each is
+// refused, and the machine it was restored into is left untouched.
+func TestRestoreRejectsBadResumePoint(t *testing.T) {
+	cfg := machine.Config{Spec: backends.RACER(), Mode: machine.ModeMPU, NumMPUs: 1, Workers: 1}
+	// The unforged stream restores: each case below breaks one field.
+	if err := mustNew(t, cfg).Restore(pausedMidRound(t, cfg).Snapshot()); err != nil {
+		t.Fatalf("restoring a mid-round snapshot: %v", err)
+	}
+	streams := map[string][]byte{}
+	for name, forge := range map[string]func(pc, steps *int, bodyPJ, hostPJ *float64){
+		"pc on the ensemble header": func(pc, _ *int, _, _ *float64) { *pc = 0 },
+		"pc past the program":       func(pc, _ *int, _, _ *float64) { *pc = 1 << 20 },
+		"negative steps":            func(_, steps *int, _, _ *float64) { *steps = -1 },
+		"steps past MaxSteps":       func(_, steps *int, _, _ *float64) { *steps = 50_000_001 },
+		"NaN body energy":           func(_, _ *int, bodyPJ, _ *float64) { *bodyPJ = math.NaN() },
+		"infinite host energy":      func(_, _ *int, _, hostPJ *float64) { *hostPJ = math.Inf(1) },
+	} {
+		m := pausedMidRound(t, cfg)
+		m.ForgeResumePoint(forge)
+		streams[name] = m.Snapshot()
+	}
+	// Paused between rounds: the ensemble is active, no round is paused.
+	between := buildSnapKernelMachine(t, workloads.ByName("gcd"), cfg)
+	between.Preempt()
+	if _, err := between.Run(); !errors.Is(err, machine.ErrPreempted) {
+		t.Fatalf("expected preemption, got %v", err)
+	}
+	if between.PausedMidRound() {
+		t.Fatal("the first preemption paused inside a round")
+	}
+	streams["mid-round layout, no core mid-round"] = between.SnapshotMidLayout()
+
+	for name, data := range streams {
+		fresh := mustNew(t, cfg)
+		before := fresh.Snapshot()
+		if err := fresh.Restore(data); err == nil {
+			t.Errorf("%s: restore succeeded", name)
+		}
+		if !bytes.Equal(before, fresh.Snapshot()) {
+			t.Errorf("%s: failed restore mutated the machine", name)
+		}
+	}
+}
+
+func mustNew(t *testing.T, cfg machine.Config) *machine.Machine {
+	t.Helper()
+	m, err := machine.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
 // TestSnapshotAfterFailedRun pins validate-then-mutate in core.run: a Run that
 // fails on a SEND or RECV naming a core the machine does not have must leave
 // state Snapshot can emit and Restore accepts (the serve tier's advanceSession
@@ -324,6 +403,9 @@ func fuzzSpec() *backends.Spec {
 // of any machine state, so snapshot bytes are comparable for equality.
 func FuzzSnapshotRoundTrip(f *testing.F) {
 	cfg := machine.Config{Spec: fuzzSpec(), Mode: machine.ModeMPU, NumMPUs: 2, Workers: 1}
+	// A straight-line ensemble (recorded, then replayed) and a loop of two
+	// iterations, whose rounds are interpreted and pause between
+	// instructions.
 	prog, err := isa.Assemble(`
 		COMPUTE rfh0 vrf0
 		COMPUTE rfh0 vrf1
@@ -331,6 +413,18 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 		SUB r2 r1 r3
 		COMPUTE_DONE
 		NOP
+		COMPUTE rfh0 vrf0
+		COMPUTE rfh0 vrf1
+		INIT0 r4
+		INIT1 r5
+		ADD r5 r5 r6
+	loop:
+		SUB r6 r5 r6
+		CMPGT r6 r4
+		SETMASK cond
+		JUMP_COND loop
+		UNMASK
+		COMPUTE_DONE
 	`)
 	if err != nil {
 		f.Fatal(err)
@@ -360,6 +454,7 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 	}
 	m := build()
 	f.Add(m.Snapshot()) // loaded, not yet run
+	mids := 0
 	for i := 0; i < 1<<16; i++ {
 		m.Preempt()
 		if _, err := m.Run(); err == nil {
@@ -367,7 +462,13 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 		} else if !errors.Is(err, machine.ErrPreempted) {
 			f.Fatal(err)
 		}
-		f.Add(m.Snapshot()) // every boundary: mid-ensemble rounds, warm caches
+		if m.PausedMidRound() {
+			mids++
+		}
+		f.Add(m.Snapshot()) // every boundary: mid-ensemble and mid-round, warm caches
+	}
+	if mids == 0 {
+		f.Fatal("no seed snapshot holds a round paused between two instructions")
 	}
 	f.Add(m.Snapshot()) // completed run: full stats, installed traces
 	// Lane bit 48 set in a 48-lane plane: starts the mutator next to the

@@ -63,7 +63,7 @@ func newMetrics(node string) *metrics {
 	m.jitReplays = counter("mpud_jit_replays_total", "Replay rounds served by JIT-compiled closure chains, rolled up from run stats.")
 	m.roundsTotal = counter("mpud_scheduler_rounds_total", "Machine scheduler rounds rolled up from run stats.")
 
-	m.preemptions = counter("mpud_preemptions_total", "Batch jobs parked at an ensemble boundary to admit latency work.")
+	m.preemptions = counter("mpud_preemptions_total", "Batch jobs parked at an instruction boundary to admit latency work.")
 	m.preemptSpills = counter("mpud_preempt_spills_total", "Preemption boundaries where the parking lot was full and the job resumed in place.")
 	m.parkedJobs = gauge("mpud_parked_jobs", "Preempted batch jobs currently held in parking lots.")
 	byClass := r.Histogram("mpud_class_request_seconds", "Request wall time from admission to response, by QoS class.", requestBounds, "class")

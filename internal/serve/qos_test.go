@@ -123,7 +123,7 @@ func preemptOnce(t *testing.T, cfg Config, batchReq, latReq Request) (batchStats
 }
 
 // TestServePreemptParity is the serve-level acceptance bar: a batch run that
-// was preempted at an ensemble boundary, parked with its machine, and
+// was preempted at an instruction boundary, parked with its machine, and
 // resumed after a latency request answers with byte-identical
 // machine.Stats to the same request served uncontended. It runs under -race
 // in CI (make race-short).

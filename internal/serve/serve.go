@@ -18,8 +18,8 @@
 // QoS classes: the X-QoS header sorts requests into two classes — "latency"
 // (interactive, strict queue priority) and "batch" (the default). When a
 // latency request arrives and every pool worker is busy, the scheduler asks
-// the longest-running preemptible batch job to yield at its next ensemble
-// boundary; the job parks with its machine, exactly as Run left it, in a
+// the longest-running preemptible batch job to yield at its next
+// instruction boundary; the job parks with its machine, exactly as Run left it, in a
 // bounded parking lot, the worker takes a fresh machine for the latency
 // request, and whichever worker frees up first adopts the parked machine and
 // resumes the run. Nothing is serialised. Preemption extends rather than
@@ -93,7 +93,7 @@ type Config struct {
 	// machine.Stats, only wall time. Zero disables it.
 	DebugDelay time.Duration
 
-	// NoPreempt disables ensemble-boundary preemption: latency requests
+	// NoPreempt disables instruction-boundary preemption: latency requests
 	// still get strict queue priority over batch work, but never interrupt
 	// a running batch job.
 	NoPreempt bool
@@ -330,7 +330,7 @@ type workerState struct {
 }
 
 // parkedJob is one preempted batch job: its (still joinable) batch and the
-// prepared run, whose Machine is paused at the ensemble boundary where it
+// prepared run, whose Machine is paused at the instruction boundary where it
 // yielded and is adopted whole by the worker that resumes it.
 type parkedJob struct {
 	b    *batch
@@ -348,7 +348,7 @@ type pool struct {
 
 	queueDepth int  // shared bound across both class queues
 	maxParked  int  // parking-lot bound, in jobs
-	preempt    bool // ensemble-boundary preemption enabled
+	preempt    bool // instruction-boundary preemption enabled
 
 	mu      sync.Mutex
 	cond    *sync.Cond // signaled on new work and on close
@@ -567,7 +567,7 @@ func (s *Server) deliver(p *pool, b *batch, res *batchResult) {
 
 // admit joins an open identical batch or enqueues the request in its class
 // queue; a latency arrival that finds no idle worker asks the longest-running
-// preemptible batch job to yield at its next ensemble boundary. Joining
+// preemptible batch job to yield at its next instruction boundary. Joining
 // consumes no queue slot: backpressure is on distinct work.
 func (p *pool) admit(rq *execReq) (<-chan *batchResult, bool) {
 	ch := make(chan *batchResult, 1)
@@ -616,7 +616,7 @@ func (p *pool) preemptForLatency() {
 
 // park moves a preempted batch job, machine and all, into the pool's
 // parking lot and hands the worker a fresh machine for the latency work.
-// Called after Run returned ErrPreempted at an ensemble boundary; returns
+// Called after Run returned ErrPreempted at an instruction boundary; returns
 // false when the job should simply resume in place — the latency burst that
 // triggered the preemption was already absorbed by another worker, the lot
 // is full (counted as a spill), or no fresh machine could be built.
@@ -703,14 +703,14 @@ func (s *Server) execute(p *pool, w *workerState, b *batch) (*batchResult, bool)
 }
 
 // runKernel drives a prepared kernel batch to completion, parking it when a
-// preemption request lands at an ensemble boundary and the pool wants the
+// preemption request lands at an instruction boundary and the pool wants the
 // machine. Preemption is invisible in the response: a parked-and-resumed run
 // produces byte-identical stats to an uninterrupted one.
 func (s *Server) runKernel(p *pool, w *workerState, b *batch, prep *workloads.Prepared) (*batchResult, bool) {
 	for {
 		// A preemption request that landed before this run started was
 		// cleared by the Reset inside PrepareOn; re-arm it so the run
-		// yields at its first ensemble boundary.
+		// yields at its first instruction boundary.
 		p.mu.Lock()
 		if w.preempting {
 			prep.Machine.Preempt()
