@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race race-short repolint staticcheck govulncheck preflight fuzz check bench profile bench-compare serve-smoke cluster-smoke pipeline-smoke figures clean
+.PHONY: all build test vet race race-short race-resume repolint staticcheck govulncheck preflight fuzz check bench profile bench-compare serve-smoke cluster-smoke pipeline-smoke figures clean
 
 # Pinned staticcheck release — CI installs exactly this version so findings
 # are reproducible; locally the target is skipped (with a note) when the
@@ -67,32 +67,45 @@ race:
 # goroutines, the round fan-out parity difftest and helper-lifetime test,
 # which split a lone core's thermal rounds across a Run's helpers (every
 # round of two or more groups, the chunk floor lowered to 1, helpers that
-# park between rounds), the preempt-every-instruction difftest, which pauses
-# interpreted rounds between two instructions while their rounds fan out, the
+# park between rounds), the batched vector I/O parity test, which splits
+# every transfer of two or more VRFs across two goroutines, the
 # register-file recycling oracles (no residue after Reset,
 # bounded spare list, reuse after a wide kernel), the serve-layer parity,
 # cross-request isolation, warm-pool hammer, preemption/parking (including a
 # parked machine resuming on the other worker) and join-until-sealed tests,
 # and the router's parity, drain, admission and node-load-contract tests —
-# fast enough for every CI run. TestPreemptEveryInstruction and
-# TestSnapshotResumeParity visit every instruction boundary of the kernels
-# they run and get processes of their own, one per back end for the latter,
-# which bounds each process's memory and its share of the timeout. The
+# fast enough for every CI run. The
 # machine and
 # serve lists contain every test CHANGES.md's PR 21 mutation table names:
 # they, not a lint rule, are what fails when something outside the run path
-# writes a core's state, a JIT counter or the session table.
+# writes a core's state, a JIT counter or the session table. Timed on a
+# 2-vCPU, 8 GB KVM guest with go1.24: ≈ 15 min, 2.5 min for the lines
+# outside the machine line and 11.9 min for the machine line's tests run one
+# process each. As one process the machine line passed 5.8 GB RSS there, and
+# TestTraceParity and TestParallelMachine alone passed 4.7 GB unless
+# GOMEMLIMIT=1GiB held them to 4.2 and 3.6 GB.
 race-short:
 	$(GO) test -race -timeout 30m ./internal/sweep ./internal/lint ./internal/obs
 	$(GO) test -race -timeout 30m -run 'TestRunCompiledGroupsConcurrent' ./internal/vrf
-	$(GO) test -race -timeout 30m -run 'TestTraceParity|TestJITParityRandom|TestExpandConcurrent|TestParallelMachine|TestParallelDeadlock|TestRoundFanOutParity|TestFanOutHelperLifetime|TestSnapshotResumeParityRendezvous|TestSnapshotCompatFixtures|TestRunStatsNotAliased|TestNoResidueAfterReset|TestSpareListBounded|TestResetReuseMatchesFresh' ./internal/machine
+	$(GO) test -race -timeout 30m -run 'TestTraceParity|TestJITParityRandom|TestExpandConcurrent|TestParallelMachine|TestParallelDeadlock|TestRoundFanOutParity|TestFanOutHelperLifetime|TestSnapshotResumeParityRendezvous|TestSnapshotCompatFixtures|TestRunStatsNotAliased|TestNoResidueAfterReset|TestSpareListBounded|TestResetReuseMatchesFresh|TestVectorIOParity' ./internal/machine
+	$(GO) test -race -timeout 30m -run 'TestServeParity|TestServeIsolation|TestServePool|TestServePreemptParity|TestServePreemptHandoff|TestServeNoPreempt|TestParkedGauges|TestServeJoin|TestServeLateArrival|TestBatchingCoalesces|TestPipelineSession|TestPipelineLimits' ./internal/serve
+	$(GO) test -race -timeout 30m -run 'TestRouterParity|TestRollingDrain|TestFairAdmission|TestRouterPipeline|TestNodeLoadContract' ./internal/router
+	$(GO) test -race -timeout 30m -run 'TestPipelineParity' ./internal/fbp
+
+# The pause/resume difftests under the race detector, a CI job of their own:
+# TestPreemptEveryInstruction and TestSnapshotResumeParity visit every
+# instruction boundary of the kernels they run, which made them most of
+# race-short's time; the preempt difftest pauses interpreted rounds between
+# two instructions while their rounds fan out. Each gets a process of its
+# own, one per back end for the latter, which bounds each process's memory
+# and its share of the timeout. Timed on the same guest: ≈ 27 min
+# (TestPreemptEveryInstruction 511 s, RACER 354 s, MIMDRAM 425 s,
+# DualityCache 327 s; peak RSS 1.5 GB).
+race-resume:
 	$(GO) test -race -timeout 30m -run '^TestPreemptEveryInstruction$$' ./internal/machine
 	$(GO) test -race -timeout 30m -run '^TestSnapshotResumeParity$$/^RACER$$' ./internal/machine
 	$(GO) test -race -timeout 30m -run '^TestSnapshotResumeParity$$/^MIMDRAM$$' ./internal/machine
 	$(GO) test -race -timeout 30m -run '^TestSnapshotResumeParity$$/^DualityCache$$' ./internal/machine
-	$(GO) test -race -timeout 30m -run 'TestServeParity|TestServeIsolation|TestServePool|TestServePreemptParity|TestServePreemptHandoff|TestServeNoPreempt|TestParkedGauges|TestServeJoin|TestServeLateArrival|TestBatchingCoalesces|TestPipelineSession|TestPipelineLimits' ./internal/serve
-	$(GO) test -race -timeout 30m -run 'TestRouterParity|TestRollingDrain|TestFairAdmission|TestRouterPipeline|TestNodeLoadContract' ./internal/router
-	$(GO) test -race -timeout 30m -run 'TestPipelineParity' ./internal/fbp
 
 # Bounded runs of the differential oracles: random programs the linter
 # passes must execute without ensemble or capacity faults, and random

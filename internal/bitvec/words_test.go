@@ -137,7 +137,10 @@ func TestTranspose64(t *testing.T) {
 			tiles = append(tiles, one)
 		}
 	}
-	for i := 0; i < 200; i++ {
+	// The random-tile oracle: dense and sparse tiles against the bit-by-bit
+	// reference, enough of them that every stage's shift and mask is
+	// exercised at every row pair.
+	for i := 0; i < 1000; i++ {
 		var x [64]uint64
 		for j := range x {
 			x[j] = rng.Uint64()

@@ -22,6 +22,16 @@ func SetChunkFloor(n uint64) (restore func()) {
 	return func() { chunkFloor = prev }
 }
 
+// SetIOFloor sets the 64-lane tiles a host transfer must move before
+// WriteVectors and ReadVectors split it (hostIOTiles outside tests) and
+// returns a function that restores the previous floor. At 1 every transfer
+// of two or more VRFs splits.
+func SetIOFloor(n int) (restore func()) {
+	prev := ioFloor
+	ioFloor = n
+	return func() { ioFloor = prev }
+}
+
 // SetHelperSpins sets how many times a round helper looks for a chunk to
 // claim before it parks (helperSpins outside tests) and returns a function
 // that restores the previous bound. At 0 a helper parks whenever it finds

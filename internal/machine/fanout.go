@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"sync/atomic"
 
+	"mpu/internal/isa"
 	"mpu/internal/trace"
 	"mpu/internal/vrf"
 )
@@ -27,6 +28,20 @@ import (
 // faster fanned out (docs/PERF.md, "Which session machines fan out").
 const FanOutMicroOps = 1 << 13
 
+// hostIOTiles is the least host I/O worth splitting, in 64-lane tiles (one
+// bitvec.Transpose64 each): below it WriteVectors and ReadVectors run on the
+// caller, at or above it they split their VRFs into Config.Workers chunks
+// through sweep.Each. It was measured with BenchmarkWriteVectors (one
+// register after a Reset, so every VRF is recycled too) on a 2-vCPU KVM
+// guest with go1.24: starting and joining two goroutines costs about 4.5 µs,
+// but a split read slower than the caller alone up to 128 tiles (RACER 87 →
+// 125 µs) and won from 256 (192 → 145 µs; 1.4× at 512, 1.6× at 1024 and
+// 2048 on SIMDRAM). The floor sits at twice the crossover, so a transfer
+// splits only where it saves some 100 µs, and a RACER request at 4 Mi
+// elements (132 VRFs of one tile) stays on the caller (docs/PERF.md, "Host
+// I/O on every host core").
+const hostIOTiles = 512
+
 // helperSpins is how many times a helper that finds no chunk to claim
 // looks again before it parks on the crew's wake channel: about 40 µs on a
 // 2-vCPU KVM guest with go1.24. A parked helper hands its CPU back to the Go
@@ -43,6 +58,10 @@ const helperSpins = 20000
 // chunkFloor is FanOutMicroOps as the round split reads it; tests lower it
 // so that every round of two or more groups fans out.
 var chunkFloor uint64 = FanOutMicroOps
+
+// ioFloor is hostIOTiles as ioChunks reads it; tests lower it so that every
+// transfer of two or more VRFs splits.
+var ioFloor = hostIOTiles
 
 // spinLimit is helperSpins as help reads it; tests lower it so that a helper
 // parks whenever it finds no chunk to claim.
@@ -220,4 +239,15 @@ func (j *fanJob) work() bool {
 	}
 	j.done.Add(1)
 	return true
+}
+
+// ioChunks returns how many chunks a host transfer over n VRFs splits into:
+// one per worker, at most one per VRF, when the transfer moves at least
+// ioFloor tiles, else 1, which the caller runs itself.
+func (m *Machine) ioChunks(n int) int {
+	tiles := n * ((m.cfg.Spec.Lanes + isa.WordBits - 1) / isa.WordBits)
+	if n < 2 || tiles < ioFloor {
+		return 1
+	}
+	return min(m.workers(), n)
 }

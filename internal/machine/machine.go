@@ -100,7 +100,9 @@ type Config struct {
 	// A run phase with several runnable cores spends the budget on cores; a
 	// phase with one runnable core spends it on that core's thermal rounds,
 	// whose VRFs it splits into chunks of at least FanOutMicroOps
-	// micro-op-words (fanout.go). So a one-MPU machine uses it too.
+	// micro-op-words (fanout.go). So a one-MPU machine uses it too, and so
+	// does host I/O: WriteVectors and ReadVectors split a transfer of at
+	// least hostIOTiles 64-lane tiles into one chunk of VRFs per worker.
 	// Statistics are byte-identical at any worker count — callers nesting
 	// machines inside a sweep should divide GOMAXPROCS between the two
 	// levels (see sweep.MachineWorkers).
@@ -348,6 +350,9 @@ type core struct {
 	hdr []controlpath.VRFAddr
 	act []*vrf.VRF
 	tm  controlpath.TargetMap
+	// fresh is WriteVectors' scratch beside act, which also holds the VRFs
+	// it maps: whether each came off the spare list and needs Recycle.
+	fresh []bool
 
 	// seg counts this Run call's completed execution units (instructions,
 	// body instructions included, and replayed rounds) so a yield never fires
@@ -480,46 +485,163 @@ func (m *Machine) checkAddr(a controlpath.VRFAddr) error {
 // vrfAt returns the register file at a, mapping one on first touch: a
 // parked one recycled to the state vrf.New leaves, else a new one.
 func (c *core) vrfAt(a controlpath.VRFAddr) *vrf.VRF {
-	v, ok := c.vrfs[a]
-	if !ok {
-		if n := len(c.spare); n > 0 {
-			v, c.spare = c.spare[n-1], c.spare[:n-1]
-			v.Recycle()
-		} else {
-			v = vrf.New(c.m.cfg.Spec.Lanes)
-		}
-		c.vrfs[a] = v
+	v, spare := c.mapVRF(a)
+	if spare {
+		v.Recycle()
 	}
 	return v
 }
 
-// WriteVector loads host data into a vector register (outside kernel time).
-func (m *Machine) WriteVector(mpu int, a controlpath.VRFAddr, reg int, vals []uint64) error {
-	if mpu < 0 || mpu >= len(m.mpus) {
-		return fmt.Errorf("machine: MPU %d out of range", mpu)
+// mapVRF is vrfAt without the Recycle: it reports whether the register file
+// came off the spare list, in which case the caller must Recycle it before
+// anything reads it.
+func (c *core) mapVRF(a controlpath.VRFAddr) (v *vrf.VRF, spare bool) {
+	if v, ok := c.vrfs[a]; ok {
+		return v, false
 	}
-	if err := m.checkAddr(a); err != nil {
-		return err
+	if n := len(c.spare); n > 0 {
+		v, c.spare, spare = c.spare[n-1], c.spare[:n-1], true
+	} else {
+		v = vrf.New(c.m.cfg.Spec.Lanes)
 	}
-	if reg < 0 || reg >= isa.NumRegs {
-		return fmt.Errorf("machine: register %d out of range", reg)
-	}
-	m.mpus[mpu].vrfAt(a).WriteReg(reg, vals)
-	return nil
+	c.vrfs[a] = v
+	return v, spare
 }
 
-// ReadVector reads a vector register back to the host.
-func (m *Machine) ReadVector(mpu int, a controlpath.VRFAddr, reg int) ([]uint64, error) {
+// checkIO validates the arguments every vector transfer shares, in the
+// order the one-address case has always checked them, and returns the
+// core.
+func (m *Machine) checkIO(mpu int, addrs []controlpath.VRFAddr, reg int) (*core, error) {
 	if mpu < 0 || mpu >= len(m.mpus) {
 		return nil, fmt.Errorf("machine: MPU %d out of range", mpu)
 	}
-	if err := m.checkAddr(a); err != nil {
-		return nil, err
+	for _, a := range addrs {
+		if err := m.checkAddr(a); err != nil {
+			return nil, err
+		}
 	}
 	if reg < 0 || reg >= isa.NumRegs {
 		return nil, fmt.Errorf("machine: register %d out of range", reg)
 	}
-	return m.mpus[mpu].vrfAt(a).ReadReg(reg), nil
+	return m.mpus[mpu], nil
+}
+
+// WriteVector loads host data into a vector register (outside kernel time):
+// WriteVectors at one address.
+func (m *Machine) WriteVector(mpu int, a controlpath.VRFAddr, reg int, vals []uint64) error {
+	return m.WriteVectors(mpu, []controlpath.VRFAddr{a}, reg, vals)
+}
+
+// ReadVector reads a vector register back to the host: ReadVectors at one
+// address.
+func (m *Machine) ReadVector(mpu int, a controlpath.VRFAddr, reg int) ([]uint64, error) {
+	return m.ReadVectors(mpu, []controlpath.VRFAddr{a}, reg)
+}
+
+// WriteVectors loads host data into register reg of the VRFs at addrs on one
+// MPU (outside kernel time). vals is lane-major over addrs: the VRF at
+// addrs[i] gets vals[i·lanes : (i+1)·lanes], zero-padded where vals runs
+// short, so a short last slice, or none, leaves the rest of the register
+// zero. Every argument is checked before anything is written, and an error
+// leaves the machine as it was; an address may appear once.
+//
+// The VRFs are mapped on the caller in address order, as one WriteVector per
+// address would map them. Recycling a parked register file and transposing
+// the values into it touch that VRF only, so a transfer of at least
+// hostIOTiles 64-lane tiles splits its VRFs into Config.Workers chunks that
+// run at once (fanout.go); a smaller one runs on the caller.
+func (m *Machine) WriteVectors(mpu int, addrs []controlpath.VRFAddr, reg int, vals []uint64) error {
+	c, err := m.checkIO(mpu, addrs, reg)
+	if err != nil {
+		return err
+	}
+	lanes := m.cfg.Spec.Lanes
+	if len(vals) > len(addrs)*lanes {
+		return fmt.Errorf("machine: %d values exceed %d lanes", len(vals), len(addrs)*lanes)
+	}
+	if len(addrs) > 1 {
+		var small [8]uint64 // the 512 addresses of every shipped back end
+		seen := small[:]
+		if n := m.cfg.Spec.RFHsPerMPU * m.cfg.Spec.VRFsPerRFH; n > 64*len(small) {
+			seen = make([]uint64, (n+63)/64)
+		}
+		for _, a := range addrs {
+			i := int(a.RFH)*m.cfg.Spec.VRFsPerRFH + int(a.VRF)
+			if seen[i/64]>>(i%64)&1 == 1 {
+				return fmt.Errorf("machine: rfh%d vrf%d listed twice", a.RFH, a.VRF)
+			}
+			seen[i/64] |= 1 << (i % 64)
+		}
+	}
+	n := len(addrs)
+	if cap(c.act) < n {
+		c.act = make([]*vrf.VRF, n)
+	}
+	if cap(c.fresh) < n {
+		c.fresh = make([]bool, n)
+	}
+	vs, fresh := c.act[:n], c.fresh[:n]
+	for i, a := range addrs {
+		vs[i], fresh[i] = c.mapVRF(a)
+	}
+	if k := m.ioChunks(n); k > 1 {
+		_ = sweep.Each(k, k, func(i int) error {
+			storeVRFs(vs, fresh, reg, vals, i*n/k, (i+1)*n/k)
+			return nil
+		})
+	} else {
+		storeVRFs(vs, fresh, reg, vals, 0, n)
+	}
+	return nil
+}
+
+// storeVRFs is WriteVectors' work on VRFs [lo, hi): recycle the ones that
+// came off the spare list, then transpose each one's lanes of vals in.
+func storeVRFs(vs []*vrf.VRF, fresh []bool, reg int, vals []uint64, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		v := vs[i]
+		if fresh[i] {
+			v.Recycle()
+		}
+		lanes := v.Lanes()
+		v.WriteReg(reg, vals[min(i*lanes, len(vals)):min((i+1)*lanes, len(vals))])
+	}
+}
+
+// ReadVectors reads register reg of the VRFs at addrs on one MPU back to the
+// host, lane-major as WriteVectors takes it: the VRF at addrs[i] fills
+// [i·lanes, (i+1)·lanes) of the one slice returned. An address no program,
+// write or restore has mapped reads as zeros and stays unmapped, so a read
+// never changes the machine. The transfer splits across Config.Workers as
+// WriteVectors' does.
+func (m *Machine) ReadVectors(mpu int, addrs []controlpath.VRFAddr, reg int) ([]uint64, error) {
+	c, err := m.checkIO(mpu, addrs, reg)
+	if err != nil {
+		return nil, err
+	}
+	n := len(addrs)
+	out := make([]uint64, n*m.cfg.Spec.Lanes)
+	if k := m.ioChunks(n); k > 1 {
+		_ = sweep.Each(k, k, func(i int) error {
+			c.loadVRFs(addrs, reg, out, i*n/k, (i+1)*n/k)
+			return nil
+		})
+	} else {
+		c.loadVRFs(addrs, reg, out, 0, n)
+	}
+	return out, nil
+}
+
+// loadVRFs is ReadVectors' work on addrs[lo:hi]: transpose each mapped VRF's
+// register into its lanes of out, which start zero. It only reads the
+// core's map, so chunks run at once.
+func (c *core) loadVRFs(addrs []controlpath.VRFAddr, reg int, out []uint64, lo, hi int) {
+	lanes := c.m.cfg.Spec.Lanes
+	for i := lo; i < hi; i++ {
+		if v, ok := c.vrfs[addrs[i]]; ok {
+			v.ReadRegInto(reg, out[i*lanes:(i+1)*lanes])
+		}
+	}
 }
 
 // Run executes all loaded programs to completion and returns the statistics.

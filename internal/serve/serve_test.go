@@ -566,3 +566,23 @@ func TestRequestLogLines(t *testing.T) {
 type writerFunc func(p []byte) (int, error)
 
 func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
+
+// TestServeOversizedSet sends a preload with one value more than a VRF has
+// lanes: the request is refused with 400 and the server keeps serving.
+func TestServeOversizedSet(t *testing.T) {
+	prog, err := isa.Assemble("COMPUTE rfh0 vrf0\nADD r0 r1 r2\nCOMPUTE_DONE\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newTestServer(t, Config{Pools: onePool})
+	code, body, _ := postExecute(t, ts.URL, Request{
+		Binary: base64.StdEncoding.EncodeToString(isa.EncodeProgram(prog)), Backend: "racer",
+		Sets: []RegisterSet{{Reg: 0, Values: make([]uint64, 65)}},
+	})
+	if code != http.StatusBadRequest || !strings.Contains(string(body), "65 values exceed 64 lanes") {
+		t.Fatalf("oversized preload: status %d: %s", code, body)
+	}
+	if code, body, _ := postExecute(t, ts.URL, Request{Workload: "relu", Backend: "racer", Elements: 128, Seed: 1}); code != http.StatusOK {
+		t.Fatalf("the next request: status %d: %s", code, body)
+	}
+}

@@ -50,9 +50,10 @@ func MachineWorkers(requested, sweepWorkers int) int {
 // when workers != 1 (cells must not share mutable state).
 //
 // On failure Map stops issuing new indices, waits for in-flight calls,
-// and returns the error of the lowest failing index among the cells that
-// ran (with one worker this is exactly the first error a sequential run
-// reports).
+// and returns the error of the lowest failing index — with one worker
+// exactly the first error a sequential run reports. Indices are claimed in
+// order and a claimed index always runs, so every index below a failing
+// one runs too.
 func Map[T any](workers, n int, fn func(i int) (T, error)) ([]T, error) {
 	if n <= 0 {
 		return nil, nil
@@ -86,9 +87,9 @@ func Map[T any](workers, n int, fn func(i int) (T, error)) ([]T, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
+			for !stop.Load() {
 				i := int(next.Add(1))
-				if i >= n || stop.Load() {
+				if i >= n {
 					return
 				}
 				v, err := fn(i)

@@ -17,13 +17,16 @@
 // the parity oracles compare those kernels against, one VRF at a time.
 //
 // Host data crosses into and out of the directory a 64×64 bit tile at a
-// time (WriteReg, ReadReg: one bitvec.Transpose64 per 64 lanes), and a VRF
-// outlives the request that filled it: Recycle returns one to the state New
-// leaves by clearing only the registers its dirty bitmap names, so a pooled
-// machine neither re-allocates nor re-zeroes a whole directory per request.
-// Every writer into the directory therefore either marks the register it
-// writes dirty or writes only the always-reset tail (scratch, temps, cond,
-// constants, mask).
+// time (WriteReg, ReadReg, ReadRegInto: one bitvec.Transpose64 per 64
+// lanes), and a VRF outlives the request that filled it: Recycle returns one
+// to the state New leaves by clearing only the registers its dirty bitmap
+// names, so a pooled machine neither re-allocates nor re-zeroes a whole
+// directory per request. Every writer into the directory therefore either
+// marks the register it writes dirty or writes only the always-reset tail
+// (scratch, temps, cond, constants, mask). Each of these touches one VRF
+// only, so the machine splits a request's register files across its worker
+// budget and calls them on different VRFs at once (Machine.WriteVectors,
+// ReadVectors).
 package vrf
 
 import (
@@ -275,12 +278,24 @@ func (v *VRF) WriteWord(r, l int, x uint64) {
 	}
 }
 
-// ReadReg returns all lane values of register r. Each 64-lane tile is
-// gathered from the register's 64 planes and transposed back into lane
-// order; the planes' zero tails come out as lanes the copy drops.
+// ReadReg returns all lane values of register r.
 func (v *VRF) ReadReg(r int) []uint64 {
-	reg := v.regWords(r)
 	out := make([]uint64, v.lanes)
+	v.ReadRegInto(r, out)
+	return out
+}
+
+// ReadRegInto writes the lane values of register r into out, which must
+// hold at least the lane count. Each 64-lane tile is gathered from the
+// register's 64 planes and transposed back into lane order; the planes'
+// zero tails come out as lanes the copy drops. It only reads the VRF, so
+// any number of goroutines may read one VRF at once.
+func (v *VRF) ReadRegInto(r int, out []uint64) {
+	if len(out) < v.lanes {
+		panic(fmt.Sprintf("vrf: %d values cannot hold %d lanes", len(out), v.lanes))
+	}
+	reg := v.regWords(r)
+	out = out[:v.lanes]
 	var tile [isa.WordBits]uint64
 	for wi := 0; wi < v.wpl; wi++ {
 		for b := range tile {
@@ -289,7 +304,6 @@ func (v *VRF) ReadReg(r int) []uint64 {
 		bitvec.Transpose64(&tile)
 		copy(out[wi*isa.WordBits:], tile[:])
 	}
-	return out
 }
 
 // WriteReg stores vals into register r starting at lane 0; extra lanes are

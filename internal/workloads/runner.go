@@ -10,6 +10,7 @@ import (
 	"mpu/internal/gpumodel"
 	"mpu/internal/isa"
 	"mpu/internal/machine"
+	"mpu/internal/sweep"
 )
 
 // The chip executes kernels SPMD: every MPU (or, for Baseline, every
@@ -59,8 +60,12 @@ type RunConfig struct {
 	// Workers forwards to machine.Config: the goroutines one Run executes
 	// on (0 = one per CPU, 1 = the calling goroutine only). A kernel run
 	// simulates a single MPU, so it spends them on the VRFs of thermal
-	// rounds heavy enough to split (machine.FanOutMicroOps); sweeps hand
-	// each machine its share of the CPU budget here (sweep.MachineWorkers).
+	// rounds heavy enough to split (machine.FanOutMicroOps), and PrepareOn
+	// and Finish spend them on the host I/O around the run: the input
+	// scatter, the output gather (Machine.WriteVectors, ReadVectors) and
+	// the reference check, each split once it reaches 512 64-lane tiles.
+	// Sweeps hand each machine its share of the CPU budget here
+	// (sweep.MachineWorkers).
 	Workers int
 }
 
@@ -154,7 +159,6 @@ type Prepared struct {
 	units      int
 	share      int
 	vrfsNeeded int
-	simVRFs    int
 	simElems   int
 	overflow   float64
 	roundScale float64
@@ -242,18 +246,8 @@ func PrepareOn(m *machine.Machine, k *Kernel, cfg RunConfig) (*Prepared, error) 
 		return nil, fmt.Errorf("workloads: %s: generator produced %d registers, want %d", k.Name, len(inputs), k.Inputs)
 	}
 	for reg, vals := range inputs {
-		for v := 0; v < simVRFs; v++ {
-			lo := v * spec.Lanes
-			if lo >= len(vals) {
-				break
-			}
-			hi := lo + spec.Lanes
-			if hi > len(vals) {
-				hi = len(vals)
-			}
-			if err := m.WriteVector(0, addrs[v], reg, vals[lo:hi]); err != nil {
-				return nil, err
-			}
+		if err := m.WriteVectors(0, addrs, reg, vals); err != nil {
+			return nil, err
 		}
 	}
 
@@ -266,11 +260,34 @@ func PrepareOn(m *machine.Machine, k *Kernel, cfg RunConfig) (*Prepared, error) 
 		units:      units,
 		share:      share,
 		vrfsNeeded: vrfsNeeded,
-		simVRFs:    simVRFs,
 		simElems:   simElems,
 		overflow:   overflow,
 		roundScale: roundScale,
 	}, nil
+}
+
+// checkFloor is the least output, in elements, whose reference check
+// Finish splits across RunConfig.Workers: the machine's host I/O floor of
+// 512 64-lane tiles (hostIOTiles in internal/machine), a tile being 64
+// elements here.
+const checkFloor = 512 * 64
+
+// check compares elements [lo, hi) of out, the output register lane-major
+// over the simulated VRFs, with the scalar reference, and names the lowest
+// element that differs.
+func (p *Prepared) check(out []uint64, lo, hi int) error {
+	k, cfg := p.k, p.cfg
+	lane := make([]uint64, k.Inputs)
+	for idx := lo; idx < hi; idx++ {
+		for r := range lane {
+			lane[r] = p.inputs[r][idx]
+		}
+		if want := k.Ref(lane); out[idx] != want {
+			return fmt.Errorf("workloads: %s on %s/%s: element %d: got %#x, want %#x",
+				k.Name, cfg.Spec.Name, cfg.Mode, idx, out[idx], want)
+		}
+	}
+	return nil
 }
 
 // Finish turns the stats of a completed run into a chip-level Result —
@@ -280,34 +297,28 @@ func PrepareOn(m *machine.Machine, k *Kernel, cfg RunConfig) (*Prepared, error) 
 // handed over for good.
 func (p *Prepared) Finish(st *machine.Stats) (*Result, error) {
 	k, cfg, spec, m := p.k, p.cfg, p.cfg.Spec, p.Machine
-	units, simVRFs, simElems := p.units, p.simVRFs, p.simElems
+	units, simElems := p.units, p.simElems
 	share, vrfsNeeded := p.share, p.vrfsNeeded
 	overflow, roundScale := p.overflow, p.roundScale
 
 	checked := 0
 	if cfg.Check {
-		lane := make([]uint64, k.Inputs)
-		for v := 0; v < simVRFs; v++ {
-			out, err := m.ReadVector(0, p.addrs[v], k.Out)
-			if err != nil {
-				return nil, err
-			}
-			for l := 0; l < spec.Lanes; l++ {
-				idx := v*spec.Lanes + l
-				if idx >= simElems {
-					break
-				}
-				for r := range lane {
-					lane[r] = p.inputs[r][idx]
-				}
-				want := k.Ref(lane)
-				if out[l] != want {
-					return nil, fmt.Errorf("workloads: %s on %s/%s: element %d: got %#x, want %#x",
-						k.Name, spec.Name, cfg.Mode, idx, out[l], want)
-				}
-				checked++
-			}
+		out, err := m.ReadVectors(0, p.addrs, k.Out)
+		if err != nil {
+			return nil, err
 		}
+		if simElems < checkFloor {
+			err = p.check(out, 0, simElems)
+		} else {
+			chunks := sweep.Workers(cfg.Workers)
+			err = sweep.Each(chunks, chunks, func(i int) error {
+				return p.check(out, i*simElems/chunks, (i+1)*simElems/chunks)
+			})
+		}
+		if err != nil {
+			return nil, err
+		}
+		checked = simElems
 	}
 
 	// Replay rounds re-run the ensemble body but pay decode stalls only

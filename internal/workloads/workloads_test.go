@@ -1,6 +1,7 @@
 package workloads
 
 import (
+	"fmt"
 	"testing"
 
 	"mpu/internal/backends"
@@ -238,5 +239,61 @@ func TestMaxSimVRFsCap(t *testing.T) {
 	}
 	if res.Overflow != 4 {
 		t.Fatalf("overflow = %v, want 4", res.Overflow)
+	}
+}
+
+// TestCheckNamesLowestElement corrupts two output elements of a request
+// whose check splits into chunks, one in each half, and requires Finish to
+// name the lower one with the message a sequential check gives, at any
+// worker count.
+func TestCheckNamesLowestElement(t *testing.T) {
+	spec := backends.SIMDRAM()
+	k := ByName("vecadd")
+	const share = 40000 // elements per MPU: above checkFloor
+	for _, workers := range []int{1, 2} {
+		cfg := RunConfig{Spec: spec, Mode: machine.ModeMPU, TotalElements: spec.MPUs * share,
+			Seed: 5, Check: true, Workers: workers}
+		for _, bad := range [][]int{nil, {share - 1000}, {1000, share - 1000}} {
+			m, err := machine.New(MachineConfigFor(cfg))
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := PrepareOn(m, k, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p.simElems != share || share < checkFloor {
+				t.Fatalf("simulated %d elements, want %d above the floor %d", p.simElems, share, checkFloor)
+			}
+			st, err := m.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want string
+			for i := len(bad) - 1; i >= 0; i-- {
+				idx := bad[i]
+				a := p.addrs[idx/spec.Lanes]
+				out, err := m.ReadVector(0, a, k.Out)
+				if err != nil {
+					t.Fatal(err)
+				}
+				good := out[idx%spec.Lanes]
+				out[idx%spec.Lanes] ^= 1 << 7
+				if err := m.WriteVector(0, a, k.Out, out); err != nil {
+					t.Fatal(err)
+				}
+				want = fmt.Sprintf("workloads: vecadd on SIMDRAM/MPU: element %d: got %#x, want %#x",
+					idx, out[idx%spec.Lanes], good)
+			}
+			res, err := p.Finish(st)
+			switch {
+			case bad == nil && err != nil:
+				t.Fatalf("workers %d: clean run failed its check: %v", workers, err)
+			case bad == nil && res.CheckedLanes != share:
+				t.Fatalf("workers %d: checked %d lanes, want %d", workers, res.CheckedLanes, share)
+			case bad != nil && (err == nil || err.Error() != want):
+				t.Fatalf("workers %d, corrupt %v: error %v, want %q", workers, bad, err, want)
+			}
+		}
 	}
 }
