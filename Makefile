@@ -60,9 +60,10 @@ race:
 # observe into — its hammer binds series, observes and renders at once) plus
 # two rounds running one shared compiled kernel at once (its group scratch
 # must stay on each caller's stack), the engine-vs-interpreter parity
-# difftest, whose replay path shares compiled traces and memoized recipe
-# expansions across sweep workers, the concurrent-decode test of the
-# process-wide kernel memo, the
+# difftest, whose replay path runs the process-wide expansion kernels that
+# sweep workers share, the concurrent-decode test of the process-wide
+# kernel memo, the test that two cores of a Workers 2 machine record the
+# same kernel pointers, the
 # parallel-scheduler parity difftest, which fans cores out across scheduler
 # goroutines, the round fan-out parity difftest and helper-lifetime test,
 # which split a lone core's thermal rounds across a Run's helpers (every
@@ -87,7 +88,7 @@ race:
 race-short:
 	$(GO) test -race -timeout 30m ./internal/sweep ./internal/lint ./internal/obs
 	$(GO) test -race -timeout 30m -run 'TestRunCompiledGroupsConcurrent' ./internal/vrf
-	$(GO) test -race -timeout 30m -run 'TestTraceParity|TestJITParityRandom|TestExpandConcurrent|TestParallelMachine|TestParallelDeadlock|TestRoundFanOutParity|TestFanOutHelperLifetime|TestSnapshotResumeParityRendezvous|TestSnapshotCompatFixtures|TestRunStatsNotAliased|TestNoResidueAfterReset|TestSpareListBounded|TestResetReuseMatchesFresh|TestVectorIOParity' ./internal/machine
+	$(GO) test -race -timeout 30m -run 'TestTraceParity|TestJITParityRandom|TestExpandConcurrent|TestParallelMachine|TestParallelDeadlock|TestRoundFanOutParity|TestFanOutHelperLifetime|TestSnapshotResumeParityRendezvous|TestTraceRunsInstructionKernels|TestRunStatsNotAliased|TestNoResidueAfterReset|TestSpareListBounded|TestResetReuseMatchesFresh|TestVectorIOParity' ./internal/machine
 	$(GO) test -race -timeout 30m -run 'TestServeParity|TestServeIsolation|TestServePool|TestServePreemptParity|TestServePreemptHandoff|TestServeNoPreempt|TestParkedGauges|TestServeJoin|TestServeLateArrival|TestBatchingCoalesces|TestPipelineSession|TestPipelineLimits' ./internal/serve
 	$(GO) test -race -timeout 30m -run 'TestRouterParity|TestRollingDrain|TestFairAdmission|TestRouterPipeline|TestNodeLoadContract' ./internal/router
 	$(GO) test -race -timeout 30m -run 'TestPipelineParity' ./internal/fbp

@@ -16,9 +16,10 @@
 // N workers (0 = one per CPU; 1 = sequential); -mj sets the scheduler
 // workers running each cell's simulated MPUs concurrently between
 // communication points (0 = share the CPU budget with -j; 1 = sequential).
-// Output is byte-identical at any worker count. -notrace disables the
-// ensemble trace engine, forcing every scheduling round through the
-// interpreter — byte-identical, just slower (the parity is test-pinned).
+// Output is byte-identical at any worker count. -notrace runs the reference
+// interpreter: no ensemble traces and no compiled kernels, every scheduling
+// round through the per-op executor — byte-identical, just slower (the
+// parity is test-pinned).
 package main
 
 import (
@@ -38,7 +39,7 @@ func main() {
 	jobs := flag.Int("j", 0, "sweep worker count (0 = one per CPU, 1 = sequential)")
 	mjobs := flag.Int("mj", 0, "goroutines per sweep cell's machine, for its MPUs or its thermal-round VRFs (0 = share the CPU budget with -j, 1 = sequential)")
 	csvDir := flag.String("csv", "", "also export machine-readable CSVs into this directory")
-	noTrace := flag.Bool("notrace", false, "disable the ensemble trace engine (interpret every scheduling round)")
+	noTrace := flag.Bool("notrace", false, "run the reference interpreter: no ensemble traces and no compiled kernels (every round through the per-op executor)")
 	fbpDir := flag.String("fbp", "examples/pipelines", "directory of .fbp graphs for the pipelines experiment")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: mastodon [-scale N] [-seed S] [-j N] [-mj N] [-notrace] <experiment>...\n")

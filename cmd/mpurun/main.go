@@ -11,6 +11,9 @@
 // after it. The same binary is loaded into every MPU (SPMD). -j runs the
 // simulated MPUs on N scheduler goroutines between communication points
 // (0 = one per CPU, 1 = sequential); statistics are identical either way.
+// -notrace runs the reference interpreter: no ensemble traces and no
+// compiled kernels, every round through the per-op executor, with identical
+// statistics.
 //
 // A .fbp file compiles as a dataflow pipeline instead: each graph node
 // places on its own MPU (the compiler reports the placement; -mpus is
@@ -52,7 +55,7 @@ func main() {
 	stats := flag.Bool("stats", false, "print a static analysis of the binary before running")
 	lintOnly := flag.Bool("lint", false, "preflight only: print the machine-level lint report and exit without running")
 	nolint := flag.Bool("nolint", false, "skip the static lint preflight")
-	notrace := flag.Bool("notrace", false, "disable the ensemble trace engine (interpret every scheduling round)")
+	notrace := flag.Bool("notrace", false, "run the reference interpreter: no ensemble traces and no compiled kernels (every round through the per-op executor)")
 	jobs := flag.Int("j", 0, "goroutines a run executes on: runnable MPUs, or a lone MPU's thermal-round VRFs (0 = one per CPU, 1 = sequential)")
 	jsonOut := flag.Bool("json", false, "print the run statistics as stable JSON instead of text")
 	csvDir := flag.String("csv", "", "also write the run statistics as CSV into this directory (created if missing)")

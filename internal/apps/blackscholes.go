@@ -106,7 +106,8 @@ type BlackScholesConfig struct {
 	Seed    int64
 	Check   bool
 
-	// NoTrace forwards to machine.Config: interpret every scheduling round.
+	// NoTrace forwards to machine.Config: run the reference interpreter, with
+	// no ensemble traces and no compiled kernels.
 	NoTrace bool
 
 	// MachineWorkers forwards to machine.Config.Workers: scheduler

@@ -93,7 +93,8 @@ type EditDistanceConfig struct {
 	// ring grows.
 	Steps int
 
-	// NoTrace forwards to machine.Config: interpret every scheduling round.
+	// NoTrace forwards to machine.Config: run the reference interpreter, with
+	// no ensemble traces and no compiled kernels.
 	NoTrace bool
 
 	// MachineWorkers forwards to machine.Config.Workers: scheduler

@@ -190,7 +190,8 @@ type LLMEncodeConfig struct {
 	// sweep uses them to reach the full 512-MPU chip.
 	Groups int
 
-	// NoTrace forwards to machine.Config: interpret every scheduling round.
+	// NoTrace forwards to machine.Config: run the reference interpreter, with
+	// no ensemble traces and no compiled kernels.
 	NoTrace bool
 
 	// MachineWorkers forwards to machine.Config.Workers: scheduler

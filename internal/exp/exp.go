@@ -45,8 +45,8 @@ type Options struct {
 	// table and CSV — are byte-identical at any value.
 	MachineWorkers int
 
-	// NoTrace forwards to machine.Config: disable the ensemble trace engine
-	// and interpret every scheduling round (the CLI's -notrace).
+	// NoTrace forwards to machine.Config: run the reference interpreter, with
+	// no ensemble traces and no compiled kernels (the CLI's -notrace).
 	NoTrace bool
 }
 

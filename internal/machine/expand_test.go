@@ -2,13 +2,15 @@ package machine
 
 // Expansion kernels are process-wide: one compiled kernel per (capability
 // set, instruction, lane count), however many machines decode the
-// instruction and however they race to.
+// instruction and however they race to. A recorded trace holds those same
+// kernels, so a replayed round runs what an interpreted one does.
 
 import (
 	"testing"
 
 	"mpu/internal/backends"
 	"mpu/internal/isa"
+	"mpu/internal/trace"
 	"mpu/internal/vrf"
 )
 
@@ -90,5 +92,65 @@ func TestExpandConcurrentOnePointer(t *testing.T) {
 	}
 	if first == nil {
 		t.Fatal("expand returned no kernel")
+	}
+}
+
+// An SPMD body recorded on two cores of one machine at Workers 2, and on a
+// second such machine, holds in every exec step the kernel pointer the
+// instruction's decode entry holds: one kernel per instruction, process-wide,
+// and no per-trace compilation. race-short runs this under the detector.
+func TestTraceRunsInstructionKernels(t *testing.T) {
+	src := `
+		COMPUTE rfh0 vrf0
+		COMPUTE rfh0 vrf1
+		ADD r0 r1 r2
+		XOR r2 r1 r3
+		CMPGT r3 r0
+		SETMASK cond
+		SUB r3 r0 r4
+		UNMASK
+		COMPUTE_DONE
+	`
+	held := map[int]*vrf.CompiledExec{} // pc -> the first kernel seen there
+	for mi := 0; mi < 2; mi++ {
+		m, err := New(Config{Spec: backends.RACER(), Mode: ModeMPU, NumMPUs: 2, Workers: 2, ActiveVRFsOverride: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.LoadAll(mustAssemble(t, src)); err != nil {
+			t.Fatal(err)
+		}
+		st, err := m.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.TraceMisses != 2 || st.TraceHits != 2 {
+			t.Fatalf("machine %d: trace misses/hits = %d/%d, want 2/2 (one recorded and one replayed round per core)", mi, st.TraceMisses, st.TraceHits)
+		}
+		for ci, c := range m.mpus {
+			var execs int
+			for _, e := range c.traces.SnapshotEntries() {
+				if e.Tr == nil {
+					continue
+				}
+				for _, s := range e.Tr.Steps {
+					if s.Kind != trace.StepExec {
+						continue
+					}
+					execs++
+					d := c.decode[s.PC]
+					if d == nil || s.Kern == nil || s.Kern != d.kern {
+						t.Fatalf("machine %d core %d pc %d: step kernel %p, decode entry %+v", mi, ci, s.PC, s.Kern, d)
+					}
+					if k, ok := held[s.PC]; ok && k != s.Kern {
+						t.Errorf("machine %d core %d pc %d: kernel %p, another core holds %p", mi, ci, s.PC, s.Kern, k)
+					}
+					held[s.PC] = s.Kern
+				}
+			}
+			if execs != 4 {
+				t.Errorf("machine %d core %d: %d exec steps, want one per datapath instruction (4)", mi, ci, execs)
+			}
+		}
 	}
 }

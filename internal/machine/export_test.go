@@ -1,6 +1,9 @@
 package machine
 
-import "mpu/internal/vrf"
+import (
+	"mpu/internal/trace"
+	"mpu/internal/vrf"
+)
 
 // ParkedVRFs returns the register files Reset parked on each core's spare
 // list, indexed by core: what vrfAt will recycle into later requests.
@@ -58,7 +61,14 @@ func (m *Machine) BodyInstructions() uint64 {
 
 // PausedMidRound reports whether some core is paused between two
 // instructions of an interpreted round.
-func (m *Machine) PausedMidRound() bool { return m.midRound() }
+func (m *Machine) PausedMidRound() bool {
+	for _, c := range m.mpus {
+		if c.ens.mid {
+			return true
+		}
+	}
+	return false
+}
 
 // ForgeResumePoint rewrites core 0's paused-round position, which the next
 // Snapshot encodes unchecked: how tests build streams Restore must refuse.
@@ -67,7 +77,13 @@ func (m *Machine) ForgeResumePoint(f func(pc, steps *int, bodyPJ, hostPJ *float6
 	f(&at.pc, &at.steps, &at.bodyPJ, &at.hostPJ)
 }
 
-// SnapshotMidLayout encodes the machine in the mid-round layout whether or
-// not a core is paused mid-round; Snapshot would pick the other layout for a
-// machine with none.
-func (m *Machine) SnapshotMidLayout() []byte { return m.encode(true) }
+// ForgeTraces hands every trace installed on core 0 to f, in cache key
+// order, to rewrite; the next Snapshot encodes the result unchecked: how
+// tests build trace sections Restore must refuse.
+func (m *Machine) ForgeTraces(f func(t *trace.Trace)) {
+	for _, e := range m.mpus[0].traces.SnapshotEntries() {
+		if e.Tr != nil {
+			f(e.Tr)
+		}
+	}
+}

@@ -95,11 +95,11 @@ func (w *crew) begin(workers int) {
 	w.quit.Store(false)
 }
 
-// fanJob is one kernel call's round, split into chunks of whole groups.
-// Exactly one of kern and prog is set.
+// fanJob is one kernel call's or replay's round, split into chunks of whole
+// groups. Exactly one of kern and tr is set.
 type fanJob struct {
 	kern   *vrf.CompiledExec
-	prog   *trace.Prog
+	tr     *trace.Trace
 	vs     []*vrf.VRF
 	width  int // VRFs per group
 	chunks int
@@ -135,15 +135,15 @@ func (w *crew) groups(k *vrf.CompiledExec, vs []*vrf.VRF) {
 	vrf.RunCompiledGroups(k, vs)
 }
 
-// replay runs a compiled body over one round's VRFs, as trace.Prog.Run
+// replay runs a recorded body over one round's VRFs, as trace.Trace.Run
 // does. A round that forms fewer than two chunks is that plain call.
-func (w *crew) replay(p *trace.Prog, vs []*vrf.VRF) {
-	width := p.Width()
-	if n := w.split(p.Ops(), width, len(vs)); n >= 2 {
-		w.run(&fanJob{prog: p, vs: vs, width: width, chunks: n})
+func (w *crew) replay(t *trace.Trace, vs []*vrf.VRF) {
+	width := t.Width()
+	if n := w.split(t.MicroOpsPerVRF, width, len(vs)); n >= 2 {
+		w.run(&fanJob{tr: t, vs: vs, width: width, chunks: n})
 		return
 	}
-	p.Run(vs)
+	t.Run(vs)
 }
 
 // run offers j to the helpers, starting any the budget allows and the job
@@ -232,8 +232,8 @@ func (j *fanJob) work() bool {
 	}
 	g := (len(j.vs) + j.width - 1) / j.width
 	lo, hi := i*g/j.chunks*j.width, min((i+1)*g/j.chunks*j.width, len(j.vs))
-	if j.prog != nil {
-		j.prog.Run(j.vs[lo:hi])
+	if j.tr != nil {
+		j.tr.Run(j.vs[lo:hi])
 	} else {
 		vrf.RunCompiledGroups(j.kern, j.vs[lo:hi])
 	}

@@ -144,8 +144,8 @@ type Stats struct {
 
 	// Trace-engine round accounting. Every scheduling round increments
 	// exactly one of these while the engine is enabled: TraceHits replayed
-	// from a compiled trace, TraceMisses interpreted under the recorder
-	// that compiles one, TraceFallbacks interpreted because the body is
+	// from a recorded trace, TraceMisses interpreted under the recorder
+	// that records one, TraceFallbacks interpreted because the body is
 	// untraceable (dynamic control flow, playback spill, recording abort)
 	// or the recipe cache could not guarantee all-hit decode. They describe
 	// simulator execution strategy, not modeled hardware, and are excluded
@@ -154,13 +154,14 @@ type Stats struct {
 	TraceMisses    uint64 `json:"trace_misses"`
 	TraceFallbacks uint64 `json:"trace_fallbacks"`
 
-	// Trace-JIT accounting, same simulator-strategy caveat as the trace
-	// counters (excluded from parity): JITCompiles counts traces lowered
-	// to closure chains (on their first replayed round), JITReplays the
-	// replayed rounds, each of which runs a compiled chain (so it equals
-	// TraceHits). Only the closure-compile path and the replay loop write
-	// them; TestTraceParity and FuzzJITParity fail on a charge from anywhere
-	// else (a fallback round that counts a replay breaks JITReplays ==
+	// Replay accounting, same simulator-strategy caveat as the trace
+	// counters (excluded from parity): JITCompiles counts installed traces
+	// once each, on their first replayed round, and JITReplays the replayed
+	// rounds, each of which runs its trace's kernels (so it equals
+	// TraceHits). The JSON keys keep the names they had when a trace was
+	// compiled again for replay. Only replayRound writes them;
+	// TestTraceParity and FuzzJITParity fail on a charge from anywhere else
+	// (a fallback round that counts a replay breaks JITReplays ==
 	// TraceHits).
 	JITCompiles uint64 `json:"jit_compiles"`
 	JITReplays  uint64 `json:"jit_replays"`
@@ -211,14 +212,6 @@ type Machine struct {
 	expandsMu sync.Mutex
 	expands   map[isa.Instr]*expandEntry
 
-	// jitMemo caches JIT-compiled closure chains by step-stream content,
-	// under the same contract that lets expands survive Reset: a compiled
-	// program is a pure function of the recorded steps and the lane
-	// geometry, and charges nothing. A pooled machine that re-records a
-	// body after Reset, or several cores recording the same SPMD body,
-	// adopt one compilation instead of lowering per micro-op again.
-	jitMemo *trace.ProgMemo
-
 	// preempt is the cooperative-yield request flag (Preempt/ErrPreempted,
 	// preempt.go). It is the only machine field a foreign goroutine writes
 	// while Run executes, hence the atomic; cores poll it between
@@ -242,9 +235,9 @@ type Machine struct {
 // the slot-resolved form of the same stream, and the kernel compiled from
 // that form for the machine's lane count. Every round that is not a replay
 // — dynamic bodies, recording rounds, recipe-cold and spill fallbacks —
-// executes kern, the same kernel a replayed round runs; rops is what the
-// recorder copies into a trace and what the NoTrace reference interpreter
-// executes (its entries carry no kern).
+// executes kern, the same kernel a replayed round runs, since the recorder
+// puts kern itself into the trace; rops is what the NoTrace reference
+// interpreter executes (its entries carry no kern).
 type expandEntry struct {
 	ops  []micro.Op
 	rops []micro.ResolvedOp
@@ -293,7 +286,7 @@ func expansionKernel(rops []micro.ResolvedOp, lanes int) *vrf.CompiledExec {
 // rendezvous), and what holds those writes to their meaning is the
 // differential suite: TestTraceParity and FuzzJITParity (engine = reference
 // interpreter), TestParallelMachine (any worker count), and
-// TestSnapshotResumeParity* with TestSnapshotCompatFixtures (paused,
+// TestSnapshotResumeParity* and TestPreemptEveryInstruction (paused,
 // snapshotted and resumed = uninterrupted, byte for byte).
 type coreState struct {
 	pc      int
@@ -400,8 +393,7 @@ func New(cfg Config) (*Machine, error) {
 		}
 	}
 	m := &Machine{cfg: cfg, mesh: mesh, nocCfg: nc, limit: limit,
-		expands: map[isa.Instr]*expandEntry{},
-		jitMemo: trace.NewProgMemo()}
+		expands: map[isa.Instr]*expandEntry{}}
 	m.crew.wpl = uint64((cfg.Spec.Lanes + isa.WordBits - 1) / isa.WordBits)
 	m.crew.wake = make(chan struct{}, wakeCap)
 	for i := 0; i < cfg.NumMPUs; i++ {
@@ -419,7 +411,7 @@ func New(cfg Config) (*Machine, error) {
 	return m, nil
 }
 
-// traceEnabled reports whether the compile-once/replay-many engine is on:
+// traceEnabled reports whether the record-once/replay-many engine is on:
 // it is the default, switched off by NoTrace and while an execution log is
 // being written (the log must show every interpreted instruction).
 func (m *Machine) traceEnabled() bool {
@@ -1054,9 +1046,9 @@ func (c *core) offloadBody(hostPJ *float64) (lat int64, pj float64) {
 // replays once per round.
 //
 // When the trace engine is on, the first execution of a body the lint CFG
-// proves free of data-dependent branches runs under a recorder that compiles
-// it into a flat trace; later rounds replay the trace — data-mutating plane
-// ops plus one aggregated charge — instead of re-interpreting instruction by
+// proves free of data-dependent branches runs under a recorder that turns
+// it into a trace; later rounds replay the trace — its instructions' kernels
+// plus one aggregated charge — instead of re-interpreting instruction by
 // instruction.
 //
 // The entry charges (header walk, playback-buffer probe, ensemble count)
@@ -1096,7 +1088,7 @@ func (c *core) runComputeEnsemble() error {
 	return c.runEnsembleRounds(rounds)
 }
 
-// replayable reports whether a compiled body can replay this round: Baseline
+// replayable reports whether a recorded body can replay this round: Baseline
 // mode performs no recipe decode inside bodies, while ModeMPU additionally
 // requires every decode the body performs to hit the resident recipe table —
 // otherwise the trace's cycle delta (recorded stall-free) would hide real
@@ -1105,31 +1097,17 @@ func (c *core) replayable(t *trace.Trace) bool {
 	return c.m.cfg.Mode == ModeBaseline || c.rcache.ReplayAllHit(t.Lookups)
 }
 
-// compileJIT lowers an installed trace to its closure chain, called lazily
-// from replayRound on the body's first replayed round — bodies that never
-// replay (recipe-cold decode every round) are never lowered. The
-// machine-wide jitMemo dedupes the lowering by step-stream content, so a
-// Reset-recycled pool machine or a sibling SPMD core adopts the existing
-// chain; JITCompiles still counts every trace lowered (memo hits included)
-// so warm-pool stats stay byte-identical to a fresh machine's
-// (TestResetReuseMatchesFresh).
-func (c *core) compileJIT(tr *trace.Trace) {
-	tr.Prog = c.m.jitMemo.Compile(tr, c.m.cfg.Spec.Lanes)
-	if tr.Prog == nil {
-		panic("machine: recorded trace holds a step or micro-op kind the replay engine does not know")
-	}
-	c.local.JITCompiles++
-}
-
-// replayRound applies a compiled body to one round's activated VRFs: the
-// data-mutating steps run micro-op-major over groups of the batch
-// (trace.Prog.Run, split across the Run's helpers when the round is big
-// enough), and every cost counter advances by the precomputed delta — O(1)
-// accounting regardless of dynamic body length.
+// replayRound applies a recorded body to one round's activated VRFs: the
+// steps run their instructions' kernels micro-op-major over groups of the
+// batch (trace.Trace.Run, split across the Run's helpers when the round is
+// big enough), and every cost counter advances by the precomputed delta —
+// O(1) accounting regardless of dynamic body length. A trace's first
+// replayed round counts it in JITCompiles; nothing is compiled.
 func (c *core) replayRound(t *trace.Trace, batch []*vrf.VRF) {
 	st := &c.local
-	if t.Prog == nil {
-		c.compileJIT(t)
+	if !t.Replayed {
+		t.Replayed = true
+		st.JITCompiles++
 	}
 	if c.m.cfg.Mode == ModeMPU {
 		// All-hit decode (checked by replayable): charge the hits and touch
@@ -1147,11 +1125,11 @@ func (c *core) replayRound(t *trace.Trace, batch []*vrf.VRF) {
 	st.ComputeCycles += t.ComputeCycles
 	st.MicroOps += t.MicroOpsPerVRF * uint64(len(batch))
 	st.DatapathEnergyPJ += t.EnergyPerVRF * float64(len(batch))
-	// The closure chain mutates the same words in the same order under the
-	// same mask as an interpreted round, on each VRF of the batch (pinned by
+	// The kernels mutate the same words in the same order under the same
+	// mask as an interpreted round, on each VRF of the batch (pinned by
 	// TestTraceParity and FuzzJITParity).
 	st.JITReplays++
-	c.m.fan.replay(t.Prog, batch)
+	c.m.fan.replay(t, batch)
 }
 
 // findComputeDone returns the linear distance from start to the matching
@@ -1171,7 +1149,7 @@ func (c *core) findComputeDone(start int) (int, error) {
 
 // runBody interprets one replay of an ensemble body on the active batch from
 // at (the body's first instruction, or where a paused round stopped),
-// returning the pc just past COMPUTE_DONE. A non-nil rec compiles the round
+// returning the pc just past COMPUTE_DONE. A non-nil rec records the round
 // into a trace as a side effect (nil records nothing).
 //
 // A round without the recorder yields to a pending preemption before any of
@@ -1239,7 +1217,7 @@ func (c *core) runBody(at bodyPos, batch []*vrf.VRF, rec *trace.Recorder) (int, 
 			st.MicroOps += uint64(n) * uint64(len(batch))
 			perVRF := float64(n) * spec.MicroOpEnergyPJ * c.m.cfg.ComputeScale
 			bodyPJ += perVRF
-			rec.Exec(e.rops, exec, perVRF)
+			rec.Exec(pc, e.kern, exec, perVRF)
 			pc++
 
 		case in.Op == isa.SETMASK:

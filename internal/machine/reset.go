@@ -17,18 +17,17 @@ package machine
 //     mapped, at most VRFsPerMPU × 4372 × wpl × 8 B.
 //   - the return-address stack, recipe cache (contents AND stall/hit
 //     accounting), and playback-buffer overflow count
-//   - the pc-indexed decode cache and the compiled ensemble trace cache
+//   - the pc-indexed decode cache and the ensemble trace cache
 //   - the scratch buffers
 //
-// The only state that survives is the machine's configuration and two
-// content-keyed memos: the decoded-instruction memo (m.expands) and the JIT
-// program memo (m.jitMemo). Both cache pure functions — a recipe expansion
-// and its compiled kernel are decode work keyed by instruction bits (the
-// kernel itself lives in the process-wide kernels memo, no machine's state
-// at all), a compiled closure chain is keyed by the recorded step stream and
-// lane count — shared by pointer and charged nowhere, so keeping them warm
-// is what makes pool reuse profitable without perturbing statistics.
-// TestResetReuseMatchesFresh pins that a
+// The only state that survives is the machine's configuration and the
+// decoded-instruction memo (m.expands). It caches a pure function — a recipe
+// expansion and its compiled kernel are decode work keyed by instruction
+// bits, and the kernel itself lives in the process-wide kernels memo, no
+// machine's state at all — shared by pointer and charged nowhere, so
+// keeping it warm is what makes pool reuse profitable without perturbing
+// statistics. A trace recorded after Reset holds the same kernels, so
+// nothing is compiled again for it. TestResetReuseMatchesFresh pins that a
 // Reset+LoadAll+Run sequence on a used machine produces byte-identical
 // Stats to a fresh machine's run.
 func (m *Machine) Reset() {
@@ -56,8 +55,8 @@ func (m *Machine) Reset() {
 
 // Rewind re-arms every core to execute its loaded program again from the
 // top, keeping everything the completed run learned: vector register
-// contents, recipe-table residency, installed traces and their compiled
-// closure chains, and the decode caches. Where Reset models handing a
+// contents, recipe-table residency, installed traces, and the decode
+// caches. Where Reset models handing a
 // pooled machine to a new request (fresh-machine stats equivalence),
 // Rewind models the steady state of a resident kernel invoked again — the
 // next Run's ensemble rounds replay warm traces against a warm recipe

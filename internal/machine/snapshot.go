@@ -8,7 +8,7 @@ import (
 
 	"mpu/internal/controlpath"
 	"mpu/internal/isa"
-	"mpu/internal/micro"
+	"mpu/internal/recipe"
 	"mpu/internal/snap"
 	"mpu/internal/trace"
 	"mpu/internal/vrf"
@@ -25,27 +25,17 @@ import (
 // re-snapshotting a restored machine reproduces the input bytes
 // (FuzzSnapshotRoundTrip).
 //
-// What is deliberately NOT serialized: the machine-wide expansion and JIT
-// memos (pure content-keyed caches, rebuilt on demand and charged nowhere),
-// the pc-indexed decode cache (same), and per-core scratch (act, tm, seg).
-// JIT'd closure chains are recompiled on restore through the memo —
-// compilation is a pure function of the recorded steps and the lane geometry,
-// so the restored machine replays exactly as the snapshotted one did.
+// What is deliberately NOT serialized: the machine-wide expansion memo and
+// the process-wide kernels behind it (pure content-keyed caches, rebuilt on
+// demand and charged nowhere), the pc-indexed decode cache (same), and
+// per-core scratch (act, tm, seg). A trace's exec step is written as its
+// instruction's pc: Restore takes the kernel from that instruction's
+// decode, the same kernel the recording core's step held, so the restored
+// machine replays exactly as the snapshotted one did.
 
-// The magic versions the snapshot format; bump it on any layout change. Two
-// layouts are current, and each state has exactly one of them:
-//
-//   - snapMagic, when no core is paused mid-round: the layout every snapshot
-//     had before preemption reached single instructions, byte for byte, so
-//     older streams and the snapcompat fixtures restore unchanged.
-//   - snapMagicMid, when some core paused between two instructions of an
-//     interpreted round: every core with an active ensemble adds a bool
-//     after its activation list and, when it is set, the round's position
-//     (pc, steps, then both energy accumulators as IEEE bits).
-const (
-	snapMagic    = "MPUSNAP1"
-	snapMagicMid = "MPUSNAP2"
-)
+// snapMagic versions the snapshot format; bump it on any layout change.
+// Restore reads this one layout: a stream in an older one is refused.
+const snapMagic = "MPUSNAP3"
 
 // rasDepth is the per-core return-stack limit (New passes it to
 // NewReturnStack); Restore validates frame counts against it before
@@ -55,36 +45,17 @@ const rasDepth = 64
 // Snapshot serializes the machine's architectural state. It must not be
 // called while Run executes: take it after Run returns ErrPreempted, or at any
 // quiesced point between runs. mpud does not call it (a parked job keeps its
-// machine, and so does a session); its users are the parity and compat tests,
-// bench's codec probes, and a future durable session log.
-func (m *Machine) Snapshot() []byte { return m.encode(m.midRound()) }
-
-// encode writes the snapshot in the layout mid selects: snapMagicMid's
-// when set, snapMagic's otherwise.
-func (m *Machine) encode(mid bool) []byte {
+// machine, and so does a session); its users are the parity tests and bench's
+// codec probes.
+func (m *Machine) Snapshot() []byte {
 	w := snap.NewWriter()
-	if mid {
-		w.String(snapMagicMid)
-	} else {
-		w.String(snapMagic)
-	}
+	w.String(snapMagic)
 	w.Bytes(m.fingerprint())
 	w.Bool(m.midRun)
 	for _, c := range m.mpus {
-		c.encodeState(w, mid)
+		c.encodeState(w)
 	}
 	return w.Finish()
-}
-
-// midRound reports whether some core is paused between two instructions of
-// an interpreted round, which selects the snapshot layout.
-func (m *Machine) midRound() bool {
-	for _, c := range m.mpus {
-		if c.ens.mid {
-			return true
-		}
-	}
-	return false
 }
 
 // fingerprint captures the configuration a snapshot is only meaningful
@@ -106,7 +77,6 @@ func (m *Machine) fingerprint() []byte {
 	w.F64(m.cfg.ComputeScale)
 	w.Int(m.cfg.MaxSteps)
 	w.Bool(m.traceEnabled())
-	w.Bool(false) // the retired step-replay switch; kept so existing snapshots still match
 	w.Int(m.cfg.Recipe.CapacityMicroOps)
 	w.Bool(m.cfg.Recipe.PointerTable)
 	w.Bool(m.cfg.Recipe.TemplateLookup)
@@ -133,32 +103,25 @@ func (m *Machine) Restore(data []byte) error {
 		return err
 	}
 	magic := r.String()
-	if magic != snapMagic && magic != snapMagicMid {
+	if magic != snapMagic {
 		if err := r.Err(); err != nil {
 			return err
 		}
-		return fmt.Errorf("machine: snapshot magic %q, want %q or %q", magic, snapMagic, snapMagicMid)
+		return fmt.Errorf("machine: snapshot magic %q, want %q", magic, snapMagic)
 	}
-	mid := magic == snapMagicMid
 	fp := r.Bytes()
 	if r.Err() == nil && !bytes.Equal(fp, m.fingerprint()) {
 		return fmt.Errorf("machine: snapshot fingerprint does not match this machine's configuration (spec/mode/MPUs/limit/scale/engine)")
 	}
 	midRun := r.Bool()
 	snaps := make([]coreSnap, len(m.mpus))
-	paused := false
 	for i := range snaps {
-		if err := snaps[i].decodeCore(r, m, mid); err != nil {
+		if err := snaps[i].decodeCore(r, m); err != nil {
 			return err
 		}
-		paused = paused || snaps[i].ens.mid
 	}
 	if err := r.Close(); err != nil {
 		return err
-	}
-	if mid && !paused {
-		// The state would re-encode under snapMagic: not canonical.
-		return fmt.Errorf("machine: %s snapshot with no core paused mid-round", snapMagicMid)
 	}
 
 	for i, c := range m.mpus {
@@ -175,17 +138,6 @@ func (m *Machine) Restore(data []byte) error {
 		c.vrfs = cs.vrfs
 		c.decode = make([]*expandEntry, len(cs.prog))
 		c.traces.RestoreEntries(cs.tentries)
-		// Recompile the traces that were JIT'd when the snapshot was taken.
-		// The memoized lowering is a pure function of the step stream and
-		// lane count and charges nothing — JITCompiles already sits in the
-		// restored local Stats — so the resumed run neither lowers nor counts
-		// them a second time, exactly like the uninterrupted run.
-		for j := range cs.tentries {
-			if cs.hadProg[j] {
-				t := cs.tentries[j].Tr
-				t.Prog = m.jitMemo.Compile(t, m.cfg.Spec.Lanes) // non-nil: decode validated every kind
-			}
-		}
 		c.act = c.act[:0]
 		c.tm.Reset()
 	}
@@ -208,10 +160,9 @@ type coreSnap struct {
 	overflows uint64
 	vrfs      map[controlpath.VRFAddr]*vrf.VRF
 	tentries  []trace.CacheEntry
-	hadProg   []bool // per tentries entry: Prog was compiled when snapshotted
 }
 
-func (c *core) encodeState(w *snap.Writer, mid bool) {
+func (c *core) encodeState(w *snap.Writer) {
 	w.Bytes(isa.EncodeProgram(c.prog))
 	w.Int(c.pc)
 	w.I64(c.cycles)
@@ -234,14 +185,12 @@ func (c *core) encodeState(w *snap.Writer, mid bool) {
 			w.U8(a.RFH)
 			w.U8(a.VRF)
 		}
-		if mid {
-			w.Bool(c.ens.mid)
-			if c.ens.mid {
-				w.Int(c.ens.at.pc)
-				w.Int(c.ens.at.steps)
-				w.F64(c.ens.at.bodyPJ)
-				w.F64(c.ens.at.hostPJ)
-			}
+		w.Bool(c.ens.mid)
+		if c.ens.mid {
+			w.Int(c.ens.at.pc)
+			w.Int(c.ens.at.steps)
+			w.F64(c.ens.at.bodyPJ)
+			w.F64(c.ens.at.hostPJ)
 		}
 	}
 	encodeStats(w, &c.local)
@@ -283,7 +232,7 @@ func (c *core) encodeState(w *snap.Writer, mid bool) {
 	}
 }
 
-func (cs *coreSnap) decodeCore(r *snap.Reader, m *Machine, mid bool) error {
+func (cs *coreSnap) decodeCore(r *snap.Reader, m *Machine) error {
 	progBytes := r.Bytes()
 	if err := r.Err(); err != nil {
 		return err
@@ -332,9 +281,7 @@ func (cs *coreSnap) decodeCore(r *snap.Reader, m *Machine, mid bool) error {
 				}
 			}
 		}
-		if mid {
-			cs.ens.mid = r.Bool()
-		}
+		cs.ens.mid = r.Bool()
 		if cs.ens.mid {
 			at := &cs.ens.at
 			at.pc = r.Int()
@@ -414,10 +361,9 @@ func (cs *coreSnap) decodeCore(r *snap.Reader, m *Machine, mid bool) error {
 		return err
 	}
 	cs.tentries = make([]trace.CacheEntry, 0, nt)
-	cs.hadProg = make([]bool, 0, nt)
 	prevKey := trace.Key{}
 	for i := 0; i < nt; i++ {
-		e, hadProg, err := decodeTraceEntry(r, len(prog))
+		e, err := decodeTraceEntry(r, m, prog)
 		if err != nil {
 			return err
 		}
@@ -426,7 +372,6 @@ func (cs *coreSnap) decodeCore(r *snap.Reader, m *Machine, mid bool) error {
 		}
 		prevKey = e.Key
 		cs.tentries = append(cs.tentries, e)
-		cs.hadProg = append(cs.hadProg, hadProg)
 	}
 	return r.Err()
 }
@@ -530,15 +475,10 @@ func encodeTraceEntry(w *snap.Writer, e trace.CacheEntry) {
 	for i := range t.Steps {
 		s := &t.Steps[i]
 		w.U8(uint8(s.Kind))
-		w.U8(s.Arg)
-		w.Int(len(s.Ops))
-		for _, op := range s.Ops {
-			w.U8(uint8(op.Kind))
-			w.U16(uint16(op.Dst))
-			w.U16(uint16(op.Dst2))
-			w.U16(uint16(op.A))
-			w.U16(uint16(op.B))
-			w.U16(uint16(op.C))
+		if s.Kind == trace.StepExec {
+			w.Int(s.PC)
+		} else {
+			w.U8(s.Arg)
 		}
 	}
 	w.Int(t.EndPC)
@@ -561,13 +501,10 @@ func encodeTraceEntry(w *snap.Writer, e trace.CacheEntry) {
 	for _, op := range t.TouchOrder {
 		w.U8(op)
 	}
-	// Two bools for one fact: the format once told a concluded lowering
-	// attempt apart from a successful one, and no lowering fails any more.
-	w.Bool(t.Prog != nil)
-	w.Bool(t.Prog != nil)
+	w.Bool(t.Replayed)
 }
 
-func decodeTraceEntry(r *snap.Reader, progLen int) (trace.CacheEntry, bool, error) {
+func decodeTraceEntry(r *snap.Reader, m *Machine, prog isa.Program) (trace.CacheEntry, error) {
 	var e trace.CacheEntry
 	e.Key.BodyStart = r.Int()
 	e.Key.BodyLen = r.Int()
@@ -576,52 +513,44 @@ func decodeTraceEntry(r *snap.Reader, progLen int) (trace.CacheEntry, bool, erro
 	e.Done = r.Bool()
 	hasTr := r.Bool()
 	if err := r.Err(); err != nil {
-		return e, false, err
+		return e, err
 	}
-	if e.Key.BodyStart < 0 || e.Key.BodyLen < 0 || e.Key.BodyStart+e.Key.BodyLen > progLen {
-		return e, false, fmt.Errorf("machine: snapshot trace key outside the program")
+	if e.Key.BodyStart < 0 || e.Key.BodyLen < 0 || e.Key.BodyStart+e.Key.BodyLen > len(prog) {
+		return e, fmt.Errorf("machine: snapshot trace key outside the program")
 	}
 	if !hasTr {
-		return e, false, nil
+		return e, nil
 	}
 	t := &trace.Trace{}
-	ns := r.Len(3)
+	ns := r.Len(2)
 	if err := r.Err(); err != nil {
-		return e, false, err
+		return e, err
 	}
 	t.Steps = make([]trace.Step, ns)
+	var ops uint64
 	for i := range t.Steps {
 		s := &t.Steps[i]
 		s.Kind = trace.StepKind(r.U8())
-		s.Arg = r.U8()
-		if r.Err() == nil {
-			if s.Kind > trace.StepGetMask {
-				return e, false, fmt.Errorf("machine: snapshot trace step kind %d unknown", s.Kind)
-			}
-			if (s.Kind == trace.StepSetMaskReg || s.Kind == trace.StepGetMask) && int(s.Arg) >= isa.NumRegs {
-				return e, false, fmt.Errorf("machine: snapshot trace step register %d out of range", s.Arg)
-			}
+		if s.Kind == trace.StepExec {
+			s.PC = r.Int()
+		} else {
+			s.Arg = r.U8()
 		}
-		no := r.Len(11)
 		if err := r.Err(); err != nil {
-			return e, false, err
+			return e, err
 		}
-		if no > 0 {
-			s.Ops = make([]micro.ResolvedOp, no)
-			for j := range s.Ops {
-				op := &s.Ops[j]
-				op.Kind = micro.Kind(r.U8())
-				op.Dst = micro.Slot(r.U16())
-				op.Dst2 = micro.Slot(r.U16())
-				op.A = micro.Slot(r.U16())
-				op.B = micro.Slot(r.U16())
-				op.C = micro.Slot(r.U16())
-				if r.Err() == nil {
-					if err := validateResolvedOp(op); err != nil {
-						return e, false, err
-					}
-				}
+		switch {
+		case s.Kind > trace.StepGetMask:
+			return e, fmt.Errorf("machine: snapshot trace step kind %d unknown", s.Kind)
+		case s.Kind == trace.StepExec:
+			kern, err := m.stepKernel(prog, s.PC)
+			if err != nil {
+				return e, err
 			}
+			s.Kern = kern
+			ops += kern.Ops()
+		case (s.Kind == trace.StepSetMaskReg || s.Kind == trace.StepGetMask) && int(s.Arg) >= isa.NumRegs:
+			return e, fmt.Errorf("machine: snapshot trace step register %d out of range", s.Arg)
 		}
 	}
 	t.EndPC = r.Int()
@@ -630,13 +559,16 @@ func decodeTraceEntry(r *snap.Reader, progLen int) (trace.CacheEntry, bool, erro
 	t.Instructions = r.U64()
 	t.ComputeCycles = r.I64()
 	t.MicroOpsPerVRF = r.U64()
+	if r.Err() == nil && ops != t.MicroOpsPerVRF {
+		return e, fmt.Errorf("machine: snapshot trace steps run %d micro-ops per VRF, the trace charges %d", ops, t.MicroOpsPerVRF)
+	}
 	t.EnergyPerVRF = r.F64()
 	t.Offloads = r.U64()
 	t.OffloadCycles = r.I64()
 	t.HostEnergyPJ = r.F64()
 	nl := r.Len(9)
 	if err := r.Err(); err != nil {
-		return e, false, err
+		return e, err
 	}
 	if nl > 0 {
 		t.Lookups = make([]controlpath.LookupPair, nl)
@@ -647,7 +579,7 @@ func decodeTraceEntry(r *snap.Reader, progLen int) (trace.CacheEntry, bool, erro
 	t.NumLookups = r.U64()
 	nto := r.Len(1)
 	if err := r.Err(); err != nil {
-		return e, false, err
+		return e, err
 	}
 	if nto > 0 {
 		t.TouchOrder = make([]uint8, nto)
@@ -655,31 +587,23 @@ func decodeTraceEntry(r *snap.Reader, progLen int) (trace.CacheEntry, bool, erro
 			t.TouchOrder[i] = r.U8()
 		}
 	}
-	compiled := r.Bool()
-	hadProg := r.Bool()
-	if r.Err() == nil && hadProg != compiled {
-		return e, false, fmt.Errorf("machine: snapshot trace's two JIT-program flags disagree")
-	}
+	t.Replayed = r.Bool()
 	e.Tr = t
-	return e, hadProg, r.Err()
+	return e, r.Err()
 }
 
-// validateResolvedOp rejects resolved micro-ops no recorder could have
-// produced, mirroring micro.Resolve's guarantees: every slot addresses a
-// real plane below the (never operand-addressable) mask slot, and the
-// destinations never name a constant plane. Restored traces execute on the
-// unchecked fast path, so the stream is where the checking happens.
-func validateResolvedOp(op *micro.ResolvedOp) error {
-	if int(op.Kind) >= micro.NumKinds {
-		return fmt.Errorf("machine: snapshot micro-op kind %d unknown", op.Kind)
+// stepKernel returns the kernel a restored exec step runs: the one the
+// decode of the datapath instruction at pc holds, as on the recording core.
+func (m *Machine) stepKernel(prog isa.Program, pc int) (*vrf.CompiledExec, error) {
+	if pc < 0 || pc >= len(prog) || !recipe.IsDatapathOp(prog[pc].Op) {
+		return nil, fmt.Errorf("machine: snapshot trace step pc %d names no datapath instruction", pc)
 	}
-	for _, s := range [...]micro.Slot{op.Dst, op.Dst2, op.A, op.B, op.C} {
-		if s >= micro.SlotMask {
-			return fmt.Errorf("machine: snapshot micro-op slot %d out of range", s)
-		}
+	e, err := m.expand(prog[pc])
+	if err != nil {
+		return nil, err
 	}
-	if op.Dst == micro.SlotZero || op.Dst == micro.SlotOne || op.Dst2 == micro.SlotOne {
-		return fmt.Errorf("machine: snapshot micro-op writes a constant plane")
+	if e.kern == nil {
+		return nil, fmt.Errorf("machine: snapshot holds a trace, but this machine runs the reference interpreter")
 	}
-	return nil
+	return e.kern, nil
 }

@@ -14,9 +14,11 @@ package machine_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"reflect"
@@ -27,6 +29,7 @@ import (
 	"mpu/internal/controlpath"
 	"mpu/internal/isa"
 	"mpu/internal/machine"
+	"mpu/internal/trace"
 	"mpu/internal/workloads"
 )
 
@@ -278,6 +281,24 @@ func TestRestoreRejectsCorruption(t *testing.T) {
 	if corrupted != tried {
 		t.Errorf("%d of %d single-byte corruptions restored without error", tried-corrupted, tried)
 	}
+
+	// A stream under the first format's magic, resealed so that it passes
+	// the checksum: Restore reads one layout and refuses every older one.
+	magic := []byte("MPUSNAP")
+	i := bytes.Index(data, magic)
+	if i < 0 {
+		t.Fatal("no snapshot magic in the stream")
+	}
+	old := append([]byte(nil), data...)
+	old[i+len(magic)] = '1'
+	fresh := mustNew(t, cfg)
+	before := fresh.Snapshot()
+	if err := fresh.Restore(reseal(old)); err == nil || !strings.Contains(err.Error(), "MPUSNAP1") {
+		t.Errorf("restore of an MPUSNAP1 stream: %v, want a magic error", err)
+	}
+	if !bytes.Equal(before, fresh.Snapshot()) {
+		t.Error("failed restore of an MPUSNAP1 stream mutated the machine")
+	}
 }
 
 // pausedMidRound returns a one-MPU gcd machine paused between two body
@@ -298,11 +319,9 @@ func pausedMidRound(t *testing.T, cfg machine.Config) *machine.Machine {
 }
 
 // TestRestoreRejectsBadResumePoint pins the checks on a paused round's
-// position, the fields only the mid-round layout carries: a pc outside the
-// body (with no call pending), a step count below zero or above MaxSteps, a
-// non-finite energy accumulator, and a mid-round stream in which no core is
-// paused mid-round (it would re-encode in the other layout). Each is
-// refused, and the machine it was restored into is left untouched.
+// position: a pc outside the body (with no call pending), a step count
+// below zero or above MaxSteps, and a non-finite energy accumulator. Each
+// is refused, and the machine it was restored into is left untouched.
 func TestRestoreRejectsBadResumePoint(t *testing.T) {
 	cfg := machine.Config{Spec: backends.RACER(), Mode: machine.ModeMPU, NumMPUs: 1, Workers: 1}
 	// The unforged stream restores: each case below breaks one field.
@@ -322,22 +341,94 @@ func TestRestoreRejectsBadResumePoint(t *testing.T) {
 		m.ForgeResumePoint(forge)
 		streams[name] = m.Snapshot()
 	}
-	// Paused between rounds: the ensemble is active, no round is paused.
-	between := buildSnapKernelMachine(t, workloads.ByName("gcd"), cfg)
-	between.Preempt()
-	if _, err := between.Run(); !errors.Is(err, machine.ErrPreempted) {
-		t.Fatalf("expected preemption, got %v", err)
-	}
-	if between.PausedMidRound() {
-		t.Fatal("the first preemption paused inside a round")
-	}
-	streams["mid-round layout, no core mid-round"] = between.SnapshotMidLayout()
-
 	for name, data := range streams {
 		fresh := mustNew(t, cfg)
 		before := fresh.Snapshot()
 		if err := fresh.Restore(data); err == nil {
 			t.Errorf("%s: restore succeeded", name)
+		}
+		if !bytes.Equal(before, fresh.Snapshot()) {
+			t.Errorf("%s: failed restore mutated the machine", name)
+		}
+	}
+}
+
+// forgeProgram's body calls a subroutine, so its recorded trace has exec
+// steps on both sides of a JUMP: ADD at pc 5, SUB at pc 1, XOR at pc 7.
+const forgeProgram = `
+	JUMP main
+sub:
+	SUB r2 r1 r3
+	RETURN
+main:
+	COMPUTE rfh0 vrf0
+	COMPUTE rfh0 vrf1
+	ADD r0 r1 r2
+	JUMP sub
+	XOR r3 r0 r4
+	COMPUTE_DONE
+`
+
+// TestRestoreRejectsForgedTraceSteps pins the checks on a trace's steps: an
+// exec step must name a datapath instruction of the program, whose kernel
+// Restore takes from its decode, the kernels must run the micro-ops the
+// trace charges, and every step kind must be one a recorder writes. Each
+// forgery is refused, and the machine it was restored into is left
+// untouched.
+func TestRestoreRejectsForgedTraceSteps(t *testing.T) {
+	cfg := machine.Config{Spec: backends.RACER(), Mode: machine.ModeMPU, NumMPUs: 1, Workers: 1, ActiveVRFsOverride: 1}
+	prog, err := isa.Assemble(forgeProgram)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// recorded returns the snapshot of a run whose second round replayed the
+	// trace, after f rewrote the trace.
+	recorded := func(f func(tr *trace.Trace)) []byte {
+		m := mustNew(t, cfg)
+		if err := m.LoadAll(prog); err != nil {
+			t.Fatal(err)
+		}
+		st, err := m.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.TraceMisses != 1 || st.TraceHits != 1 {
+			t.Fatalf("trace misses/hits = %d/%d, want 1/1", st.TraceMisses, st.TraceHits)
+		}
+		m.ForgeTraces(f)
+		return m.Snapshot()
+	}
+	data := recorded(func(tr *trace.Trace) {
+		var pcs []int
+		for _, s := range tr.Steps {
+			pcs = append(pcs, s.PC)
+		}
+		if !reflect.DeepEqual(pcs, []int{5, 1, 7}) {
+			t.Fatalf("recorded exec steps at pcs %v, want [5 1 7]", pcs)
+		}
+	})
+	if err := mustNew(t, cfg).Restore(data); err != nil {
+		t.Fatalf("restoring the unforged stream: %v", err)
+	}
+	const badPC, badOps = "names no datapath instruction", "micro-ops per VRF"
+	for name, c := range map[string]struct {
+		forge func(tr *trace.Trace)
+		want  string
+	}{
+		"pc past the program":           {func(tr *trace.Trace) { tr.Steps[0].PC = len(prog) }, badPC},
+		"negative pc":                   {func(tr *trace.Trace) { tr.Steps[0].PC = -1 }, badPC},
+		"pc on a COMPUTE header":        {func(tr *trace.Trace) { tr.Steps[0].PC = 3 }, badPC},
+		"pc on a JUMP":                  {func(tr *trace.Trace) { tr.Steps[1].PC = 6 }, badPC},
+		"pc on COMPUTE_DONE":            {func(tr *trace.Trace) { tr.Steps[2].PC = 8 }, badPC},
+		"micro-ops short of the charge": {func(tr *trace.Trace) { tr.Steps = tr.Steps[:2] }, badOps},
+		"micro-ops past the charge":     {func(tr *trace.Trace) { tr.Steps = append(tr.Steps, tr.Steps[0]) }, badOps},
+		"unknown step kind":             {func(tr *trace.Trace) { tr.Steps[0].Kind = trace.StepGetMask + 1 }, "unknown"},
+	} {
+		forged := recorded(c.forge)
+		fresh := mustNew(t, cfg)
+		before := fresh.Snapshot()
+		if err := fresh.Restore(forged); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: restore: %v, want an error containing %q", name, err, c.want)
 		}
 		if !bytes.Equal(before, fresh.Snapshot()) {
 			t.Errorf("%s: failed restore mutated the machine", name)
@@ -381,6 +472,89 @@ func TestSnapshotAfterFailedRun(t *testing.T) {
 		}
 		if !bytes.Equal(twin.Snapshot(), data) {
 			t.Errorf("%s: snapshot taken after a failed Run does not round-trip", op)
+		}
+	}
+}
+
+// reseal recomputes a mutated stream's trailing checksum, so the mutation
+// reaches the decoder instead of dying at the integrity check.
+func reseal(data []byte) []byte {
+	h := fnv.New64a()
+	h.Write(data[:len(data)-8])
+	binary.LittleEndian.PutUint64(data[len(data)-8:], h.Sum64())
+	return data
+}
+
+// ghostLaneMutants returns one mutant of a 48-lane snapshot per plane word
+// equal to pattern, each with lane bit 48 — one past the last lane — set in
+// that word.
+func ghostLaneMutants(data []byte, pattern uint64) [][]byte {
+	var le [8]byte
+	binary.LittleEndian.PutUint64(le[:], pattern)
+	var mutants [][]byte
+	for off := 0; ; {
+		i := bytes.Index(data[off:], le[:])
+		if i < 0 {
+			return mutants
+		}
+		mut := append([]byte(nil), data...)
+		mut[off+i+6] |= 1 // bit 48 of the little-endian word
+		mutants = append(mutants, reseal(mut))
+		off += i + 8
+	}
+}
+
+// allLanes48 is a 48-lane plane with every lane set: each VRF's
+// constant-one plane and (unmasked) mask plane.
+const allLanes48 = uint64(1)<<48 - 1
+
+// TestRestoreRejectsGhostLanes pins the check a lane count that leaves a
+// tail needs: a set bit at or beyond the lane count in any plane is
+// refused, and the machine is left untouched.
+func TestRestoreRejectsGhostLanes(t *testing.T) {
+	cfg := machine.Config{Spec: fuzzSpec(), Mode: machine.ModeMPU, NumMPUs: 1, Workers: 1, ActiveVRFsOverride: 1}
+	m, err := machine.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := isa.Assemble("COMPUTE rfh0 vrf0\nCOMPUTE rfh0 vrf1\nADD r0 r1 r2\nCOMPUTE_DONE\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.LoadAll(prog); err != nil {
+		t.Fatal(err)
+	}
+	// A marker pattern locates one register plane in the stream: r5 bit 0.
+	const marker = uint64(0x0000_a5c3_96e1_5a3d)
+	vals := make([]uint64, cfg.Spec.Lanes)
+	for l := range vals {
+		vals[l] = marker >> uint(l) & 1
+	}
+	for v := 0; v < 2; v++ {
+		if err := m.WriteVector(0, controlpath.VRFAddr{VRF: uint8(v)}, 5, vals); err != nil {
+			t.Fatal(err)
+		}
+	}
+	data := m.Snapshot()
+	mutants := append(ghostLaneMutants(data, marker), ghostLaneMutants(data, allLanes48)...)
+	if len(mutants) != 6 { // per VRF: the marker plane, the one plane, the mask plane
+		t.Fatalf("located %d plane words to corrupt, want 6", len(mutants))
+	}
+
+	fresh, err := machine.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fresh.Restore(data); err != nil {
+		t.Fatalf("clean 48-lane snapshot: %v", err)
+	}
+	for i, mut := range mutants {
+		err := fresh.Restore(mut)
+		if err == nil || !strings.Contains(err.Error(), "beyond lane 48") {
+			t.Errorf("mutant %d: restore: %v, want a bits-beyond-lane-48 error", i, err)
+		}
+		if !bytes.Equal(fresh.Snapshot(), data) {
+			t.Fatalf("mutant %d: failed restore mutated the machine", i)
 		}
 	}
 }

@@ -22,8 +22,8 @@ import (
 //
 // Placement: a create is routed by ring hash on (backend, mode, source-hash),
 // the same cache-affinity argument as /v1/execute — identical pipeline graphs
-// land on the node whose trace caches and JIT memos already hold their
-// compiled programs. The session ID from the create response is then pinned
+// land on the node whose trace caches and expansion kernels already hold
+// their decoded programs. The session ID from the create response is then pinned
 // to that node in the affinity table, and every subsequent advance, status,
 // or close for the ID follows the pin. A DELETE (or a node-side 404, the
 // stale-mapping signal after a node restart) clears the pin.

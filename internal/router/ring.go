@@ -11,8 +11,8 @@ import (
 // hash, and its candidate set is the first distinct nodes from there. The
 // point of hashing on (backend, mode, program-hash) rather than the whole
 // request is cache affinity: identical programs — whatever their elements or
-// seed — land on the node whose batching coalescer, ProgMemo, and per-core
-// trace caches already hold them, so adding nodes shards the program working
+// seed — land on the node whose batching coalescer, expansion kernels, and
+// per-core trace caches already hold them, so adding nodes shards the program working
 // set instead of spraying it.
 type ring struct {
 	points []ringPoint // sorted by hash

@@ -1,8 +1,8 @@
 // Package router is the multi-node tier over mpud: an HTTP front end that
 // shards /v1/execute requests across N mpud nodes by consistent hashing on
 // (backend, mode, program-hash), so identical programs land on the node
-// whose batching coalescer, ProgMemo, and per-core trace caches already hold
-// them. Around the hash it layers the datacenter mechanics one daemon
+// whose batching coalescer, expansion kernels, and per-core trace caches
+// already hold them. Around the hash it layers the datacenter mechanics one daemon
 // cannot provide: per-tenant weighted-fair admission (stride scheduling over
 // bounded queues, 429 on saturation), bounded retry with hedging on 503 and
 // connect failure (a speculative duplicate after the tracked p95 latency,

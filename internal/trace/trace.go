@@ -1,15 +1,17 @@
-// Package trace implements the compile-once/replay-many execution engine
+// Package trace implements the record-once/replay-many execution engine
 // for compute-ensemble bodies. The Fig. 10 scheduler replays an ensemble
 // body once per thermal activation round; for the bodies the lint CFG
 // proves straight-line or statically resolvable (internal/lint.ClassifyBody)
 // every round executes the identical instruction path with identical
 // per-round costs. The machine therefore interprets such a body once, under
-// a Recorder that compiles it into a flat Trace — the fully resolved
-// micro-op stream with recipe expansions inlined (on first use: recording
-// only references them, Trace.Flatten copies) and JUMP/RETURN folded
-// away, plus the precomputed per-round cycle/energy/stat deltas — and
-// replays later rounds in O(1) accounting time: apply the data-mutating
-// steps to the round's activated VRFs and add the aggregated deltas.
+// a Recorder that turns it into a Trace — one step per data-mutating
+// instruction, each exec step holding the instruction's pc and the kernel
+// its decode already compiled, with JUMP/RETURN folded away, plus the
+// precomputed per-round cycle/energy/stat deltas — and replays later rounds
+// in O(1) accounting time: run the steps over the round's activated VRFs and
+// add the aggregated deltas. As the paper's compute controller reissues each
+// buffered instruction's recipe every round (§VI-B), a replay runs the
+// instructions' own kernels; nothing is compiled per body.
 //
 // Bodies with data-dependent control flow (JUMP_COND), bodies that spill
 // the playback buffer, and rounds whose recipe-cache residency cannot
@@ -20,10 +22,10 @@ import (
 	"sort"
 
 	"mpu/internal/controlpath"
-	"mpu/internal/micro"
+	"mpu/internal/vrf"
 )
 
-// Key identifies a compiled body within one core's program: the body entry
+// Key identifies a recorded body within one core's program: the body entry
 // pc and the lexical body length. The capability set and decode
 // configuration are fixed per machine, so they need no key bits; the cache
 // is invalidated wholesale when a new program is loaded.
@@ -36,8 +38,7 @@ type Key struct {
 type StepKind uint8
 
 const (
-	// StepExec applies a resolved micro-op stream (one or more consecutive
-	// datapath instructions, merged).
+	// StepExec runs one datapath instruction's kernel.
 	StepExec StepKind = iota
 	// StepSetMaskCond loads the lane mask from the conditional register.
 	StepSetMaskCond
@@ -49,21 +50,18 @@ const (
 	StepGetMask
 )
 
-// Step is one data-mutating operation of a compiled body.
+// Step is one data-mutating operation of a recorded body.
 type Step struct {
 	Kind StepKind
 	Arg  uint8
-	// Ops is a StepExec's flat micro-op stream, the one form the compiler,
-	// the memo and the snapshot codec read. A recorded step does not have it
-	// until Trace.Flatten builds it from refs.
-	Ops []micro.ResolvedOp
-	// refs is what the Recorder keeps instead: the merged instructions'
-	// expansions, by reference. The slices belong to the process-wide
-	// expansion memo and are never written through.
-	refs [][]micro.ResolvedOp
+	// PC and Kern are a StepExec's datapath instruction: its program
+	// counter, and the process-wide kernel its decode entry holds, shared by
+	// pointer and never written through.
+	PC   int
+	Kern *vrf.CompiledExec
 }
 
-// Trace is a compiled ensemble body: the replayable step stream plus the
+// Trace is a recorded ensemble body: the replayable step stream plus the
 // aggregated charge deltas one execution round costs. Integer deltas are
 // order-insensitive; the two float deltas (EnergyPerVRF, HostEnergyPJ) are
 // accumulated during recording in exactly the per-round order the
@@ -89,38 +87,64 @@ type Trace struct {
 	NumLookups uint64
 	TouchOrder []uint8
 
-	// Prog is the JIT-compiled form of Steps (jit.go), the closure chain
-	// replay runs. The machine compiles it lazily — on the body's first
-	// replayed round, not at install time — so bodies that never replay
-	// (recipe-cold decode every round) are never lowered; nil until then.
-	Prog *Prog
+	// Replayed is set on the trace's first replayed round, which counts
+	// the trace in Stats.JITCompiles.
+	Replayed bool
+
+	width int // VRFs Run advances together: the widest exec step's group width
 }
 
-// Flatten builds every recorded exec step's Ops, exact-size, from the
-// expansions the Recorder referenced. A body recorded and never replayed or
-// snapshotted never pays for the copy: the only callers are the readers of
-// Ops — the lowering on the body's first replayed round (ProgMemo.Compile,
-// CompileJIT) and the snapshot export (Cache.SnapshotEntries) — each on the
-// core that owns the trace. Idempotent.
-func (t *Trace) Flatten() {
-	for i := range t.Steps {
-		s := &t.Steps[i]
-		if s.refs == nil {
-			continue
+// Run applies the body's steps to one round's activated VRFs, which must be
+// distinct: a group of Width VRFs at a time, and a remainder smaller than
+// that together. Within a group each step runs on every VRF before the next
+// step starts — exec steps through vrf.RunCompiledGroups, mask steps VRF by
+// VRF — so each VRF sees the words, order and mask an interpreted round
+// gives it.
+func (t *Trace) Run(vs []*vrf.VRF) {
+	for len(vs) > 0 {
+		g := vs[:min(t.width, len(vs))]
+		for i := range t.Steps {
+			s := &t.Steps[i]
+			switch s.Kind {
+			case StepExec:
+				vrf.RunCompiledGroups(s.Kern, g)
+			case StepSetMaskCond:
+				for _, v := range g {
+					v.SetMaskFromCond()
+				}
+			case StepSetMaskReg:
+				for _, v := range g {
+					v.SetMaskFromReg(int(s.Arg))
+				}
+			case StepUnmask:
+				for _, v := range g {
+					v.Unmask()
+				}
+			case StepGetMask:
+				for _, v := range g {
+					v.GetMaskInto(int(s.Arg))
+				}
+			}
 		}
-		n := 0
-		for _, rops := range s.refs {
-			n += len(rops)
-		}
-		s.Ops = make([]micro.ResolvedOp, 0, n)
-		for _, rops := range s.refs {
-			s.Ops = append(s.Ops, rops...)
-		}
-		s.refs = nil
+		vs = vs[len(g):]
 	}
 }
 
-// Cache holds one core's compiled bodies, each entry carrying the
+// Width reports how many VRFs Run advances together: the widest exec
+// step's vrf.CompiledExec.GroupWidth.
+func (t *Trace) Width() int { return t.width }
+
+// seal computes the replay width from the steps' kernels.
+func (t *Trace) seal() {
+	t.width = 1
+	for i := range t.Steps {
+		if k := t.Steps[i].Kern; k != nil {
+			t.width = max(t.width, k.GroupWidth())
+		}
+	}
+}
+
+// Cache holds one core's recorded bodies, each entry carrying the
 // memoized CFG-classification verdict separately from the recording
 // outcome. The split matters for ineligible (dynamic) bodies: their
 // verdict is computed once and every later activation skips straight to
@@ -173,7 +197,7 @@ func (c *Cache) Lookup(k Key) (*Trace, bool) {
 	return e.tr, e.done
 }
 
-// Install records the outcome of a recording attempt: a compiled trace, or
+// Install records the outcome of a recording attempt: a recorded trace, or
 // nil to mark the body unreplayable.
 func (c *Cache) Install(k Key, t *Trace) {
 	e := c.entry(k)
@@ -255,24 +279,18 @@ func (r *Recorder) Lookup(opcode uint8, microOps int) {
 	r.last[opcode] = int(r.t.NumLookups)
 }
 
-// Exec records one datapath instruction: its resolved expansion, by
-// reference (merged into a preceding StepExec when adjacent), its execution
-// cycles, and its per-VRF energy. rops must stay unmodified for the life of
-// the trace; the machine passes the immutable process-wide expansion.
-func (r *Recorder) Exec(rops []micro.ResolvedOp, exec int64, perVRFPJ float64) {
+// Exec records one datapath instruction: a step holding its pc and kernel,
+// its execution cycles, and its per-VRF energy.
+func (r *Recorder) Exec(pc int, kern *vrf.CompiledExec, exec int64, perVRFPJ float64) {
 	if r == nil {
 		return
 	}
-	if n := len(r.t.Steps); n > 0 && r.t.Steps[n-1].Kind == StepExec {
-		r.t.Steps[n-1].refs = append(r.t.Steps[n-1].refs, rops)
-	} else {
-		r.t.Steps = append(r.t.Steps, Step{Kind: StepExec, refs: [][]micro.ResolvedOp{rops}})
-	}
-	n := int64(len(rops))
+	r.t.Steps = append(r.t.Steps, Step{Kind: StepExec, PC: pc, Kern: kern})
+	n := kern.Ops()
 	r.t.Cycles += exec
 	r.t.ComputeCycles += exec
-	r.t.Issue += n
-	r.t.MicroOpsPerVRF += uint64(n)
+	r.t.Issue += int64(n)
+	r.t.MicroOpsPerVRF += n
 	r.t.EnergyPerVRF += perVRFPJ
 }
 
@@ -323,6 +341,7 @@ func (r *Recorder) Finish(endPC int) *Trace {
 		return nil
 	}
 	r.t.EndPC = endPC
+	r.t.seal()
 	r.t.TouchOrder = make([]uint8, 0, len(r.last))
 	for op := range r.last {
 		r.t.TouchOrder = append(r.t.TouchOrder, op)

@@ -1,12 +1,12 @@
 package trace
 
 import (
-	"math/rand"
 	"reflect"
 	"runtime"
 	"testing"
 
 	"mpu/internal/micro"
+	"mpu/internal/vrf"
 )
 
 func TestNilRecorderIsInert(t *testing.T) {
@@ -15,7 +15,7 @@ func TestNilRecorderIsInert(t *testing.T) {
 	r.Instr()
 	r.Cycles(3)
 	r.Lookup(1, 2)
-	r.Exec(nil, 1, 0.5)
+	r.Exec(0, nil, 1, 0.5)
 	r.Mask(StepUnmask, 0)
 	r.Offload(10, 1)
 	r.Push()
@@ -28,18 +28,19 @@ func TestNilRecorderIsInert(t *testing.T) {
 func TestRecorderCompilesBody(t *testing.T) {
 	r := NewRecorder()
 	ops := []micro.ResolvedOp{{Kind: micro.COPY}, {Kind: micro.NOT}}
+	two, one := vrf.CompileResolved(ops, 64), vrf.CompileResolved(ops[:1], 64)
 
 	r.Instr()
 	r.Lookup(7, len(ops))
-	r.Exec(ops, 4, 1.5)
+	r.Exec(10, two, 4, 1.5)
 	r.Instr()
 	r.Lookup(9, 1)
-	r.Exec(ops[:1], 2, 0.5)
+	r.Exec(11, one, 2, 0.5)
 	r.Instr()
 	r.Mask(StepSetMaskReg, 3)
 	r.Instr()
 	r.Lookup(7, len(ops))
-	r.Exec(ops, 4, 1.5)
+	r.Exec(10, two, 4, 1.5)
 
 	tr := r.Finish(42)
 	if tr == nil {
@@ -68,97 +69,35 @@ func TestRecorderCompilesBody(t *testing.T) {
 	if want := []uint8{9, 7}; !reflect.DeepEqual(tr.TouchOrder, want) {
 		t.Errorf("TouchOrder = %v, want %v", tr.TouchOrder, want)
 	}
-	// Adjacent Execs merge; the mask step splits them.
-	if len(tr.Steps) != 3 || tr.Steps[0].Kind != StepExec || tr.Steps[1].Kind != StepSetMaskReg || tr.Steps[2].Kind != StepExec {
-		t.Fatalf("Steps = %+v, want [exec mask exec]", tr.Steps)
+	// One step per instruction, each exec step holding the kernel it was
+	// handed: adjacent instructions do not merge.
+	want := []Step{
+		{Kind: StepExec, PC: 10, Kern: two},
+		{Kind: StepExec, PC: 11, Kern: one},
+		{Kind: StepSetMaskReg, Arg: 3},
+		{Kind: StepExec, PC: 10, Kern: two},
 	}
-	tr.Flatten()
-	if len(tr.Steps[0].Ops) != 3 || len(tr.Steps[2].Ops) != 2 {
-		t.Errorf("merged op counts = %d/%d, want 3/2", len(tr.Steps[0].Ops), len(tr.Steps[2].Ops))
+	if !reflect.DeepEqual(tr.Steps, want) {
+		t.Fatalf("Steps = %+v, want %+v", tr.Steps, want)
 	}
-	if tr.Steps[1].Arg != 3 {
-		t.Errorf("mask step arg = %d, want 3", tr.Steps[1].Arg)
-	}
-}
-
-// The recorder keeps the process-wide expansion it is handed by reference, so
-// neither recording a merge nor flattening may write into it — spare capacity
-// included, which an in-place append would fill.
-func TestRecorderLeavesSharedExpansionIntact(t *testing.T) {
-	r := NewRecorder()
-	shared := append(make([]micro.ResolvedOp, 0, 8), micro.ResolvedOp{Kind: micro.COPY, Dst: 3})
-	before := append([]micro.ResolvedOp(nil), shared[:cap(shared)]...)
-	r.Exec(shared, 1, 0)
-	r.Exec([]micro.ResolvedOp{{Kind: micro.NOT}}, 1, 0)
-	r.Exec(shared, 1, 0)
-	tr := r.Finish(0)
-	tr.Flatten()
-	tr.Steps[0].Ops[0].Dst++ // the flat stream is the trace's own
-	if !reflect.DeepEqual(shared[:cap(shared)], before) {
-		t.Fatalf("shared expansion changed:\nbefore %v\nafter  %v", before, shared[:cap(shared)])
+	// The widest kernel sets the width: the COPY-only one has group bodies.
+	if tr.Width() != 4 {
+		t.Errorf("Width() = %d, want 4", tr.Width())
 	}
 }
 
-// Flatten yields exactly the stream the copying recorder used to build: each
-// exec step is the concatenation, in program order, of the expansions merged
-// into it, at exact size, and a second Flatten changes nothing.
-func TestFlattenMatchesCopyingRecorder(t *testing.T) {
-	r := rand.New(rand.NewSource(5))
-	expansions := make([][]micro.ResolvedOp, 6)
-	for i := range expansions {
-		expansions[i] = make([]micro.ResolvedOp, r.Intn(40)) // some empty
-		for j := range expansions[i] {
-			expansions[i][j] = micro.ResolvedOp{Kind: micro.Kind(r.Intn(8)), Dst: micro.Slot(r.Intn(1 << 12)), A: micro.Slot(i), B: micro.Slot(j)}
-		}
-	}
-	rec := NewRecorder()
-	var want []Step // what append-copying every expansion produced
-	for i := 0; i < 200; i++ {
-		if r.Intn(7) == 0 {
-			rec.Mask(StepGetMask, uint8(i))
-			want = append(want, Step{Kind: StepGetMask, Arg: uint8(i)})
-			continue
-		}
-		rops := expansions[r.Intn(len(expansions))]
-		rec.Exec(rops, 1, 0)
-		if n := len(want); n == 0 || want[n-1].Kind != StepExec {
-			want = append(want, Step{Kind: StepExec})
-		}
-		want[len(want)-1].Ops = append(want[len(want)-1].Ops, rops...)
-	}
-	tr := rec.Finish(0)
-	for pass := 0; pass < 2; pass++ {
-		tr.Flatten()
-		if !stepsEqual(tr.Steps, want) {
-			t.Fatalf("pass %d: flattened steps differ from the copied stream", pass)
-		}
-		for i := range tr.Steps {
-			if s := &tr.Steps[i]; cap(s.Ops) != len(s.Ops) {
-				t.Fatalf("pass %d: step %d: cap %d for %d micro-ops", pass, i, cap(s.Ops), len(s.Ops))
-			}
-		}
-	}
-	var ops uint64
-	for i := range tr.Steps {
-		ops += uint64(len(tr.Steps[i].Ops))
-	}
-	if ops != tr.MicroOpsPerVRF {
-		t.Fatalf("flat stream holds %d micro-ops, trace charges %d", ops, tr.MicroOpsPerVRF)
-	}
-}
-
-// Recording costs one slice header per datapath instruction, whatever the
+// Recording costs one step per datapath instruction, whatever the
 // expansion's length: a body that is recorded and never replayed (every
 // one-round request on a pooled machine) must not copy its micro-ops.
 func TestRecorderExecAllocatesPerInstruction(t *testing.T) {
 	const instrs = 64
-	record := func(rops []micro.ResolvedOp) func() {
+	record := func(kern *vrf.CompiledExec) func() {
 		return func() {
 			r := NewRecorder()
 			for i := 0; i < instrs; i++ {
-				r.Exec(rops, 1, 0)
+				r.Exec(i, kern, 1, 0)
 			}
-			if r.Finish(0) == nil {
+			if r.Finish(instrs) == nil {
 				t.Fatal("recording aborted")
 			}
 		}
@@ -173,13 +112,14 @@ func TestRecorderExecAllocatesPerInstruction(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		return (after.TotalAlloc - before.TotalAlloc) / runs
 	}
-	short, long := make([]micro.ResolvedOp, 1), make([]micro.ResolvedOp, 4096)
+	short := vrf.CompileResolved(make([]micro.ResolvedOp, 1), 256)
+	long := vrf.CompileResolved(make([]micro.ResolvedOp, 4096), 256)
 	if a, b := testing.AllocsPerRun(20, record(short)), testing.AllocsPerRun(20, record(long)); a != b {
 		t.Errorf("allocations follow the expansion length: %v for 1 micro-op, %v for 4096", a, b)
 	}
-	// The copying recorder moved instrs × 4096 × 12 B ≈ 3 MB here; by
-	// reference it is the recorder, its two maps and a grown slice of
-	// instrs 24-byte headers.
+	// Copying the micro-ops would move instrs × 4096 × 12 B ≈ 3 MB here; a
+	// step is the recorder, its two maps and a grown slice of instrs 24-byte
+	// steps.
 	if got := bytesPerRun(record(long)); got > 8<<10 {
 		t.Errorf("recording %d instructions of 4096 micro-ops allocated %d bytes, want at most 8 KiB", instrs, got)
 	}

@@ -11,9 +11,6 @@ import (
 // wholesale — registers, scratch, temps, cond, and the constant and mask
 // planes all live in one slab, so one copy captures everything. The dirty
 // bitmap is bookkeeping about those words, not state, and is not encoded.
-// The bool ahead of the words marked the flat layout when a second,
-// per-register layout existed; it stays in the stream as true so snapshots
-// of word-aligned geometries keep their bytes.
 //
 // A decode re-encodes byte-identically: it is a verbatim word copy that
 // rejects dirty tail bits instead of normalizing them.
@@ -21,7 +18,6 @@ import (
 // EncodeState appends the VRF's architectural state to w.
 func (v *VRF) EncodeState(w *snap.Writer) {
 	w.U64(v.MicroOps)
-	w.Bool(true)
 	for _, x := range v.words {
 		w.U64(x)
 	}
@@ -33,13 +29,6 @@ func (v *VRF) EncodeState(w *snap.Writer) {
 func (v *VRF) DecodeState(r *snap.Reader) error {
 	v.dirty = ^uint64(0)
 	v.MicroOps = r.U64()
-	flat := r.Bool()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if !flat {
-		return fmt.Errorf("vrf: snapshot uses the retired per-register plane layout")
-	}
 	// Bits at or beyond the lane count in a plane's last word would be ghost
 	// lanes: invisible to register reads, but counted by MaskAny/MaskPop and
 	// carried along by every word kernel.

@@ -53,8 +53,8 @@ type RunConfig struct {
 	// the default configuration.
 	RecipeCache controlpath.RecipeCacheConfig
 
-	// NoTrace forwards to machine.Config: disable the compile-once/
-	// replay-many trace engine and interpret every scheduling round.
+	// NoTrace forwards to machine.Config: run the reference interpreter, with
+	// no ensemble traces and no compiled kernels.
 	NoTrace bool
 
 	// Workers forwards to machine.Config: the goroutines one Run executes
