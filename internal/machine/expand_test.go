@@ -1,15 +1,18 @@
 package machine
 
-// Expansion kernels are process-wide: one compiled kernel per (capability
-// set, instruction, lane count), however many machines decode the
-// instruction and however they race to. A recorded trace holds those same
-// kernels, so a replayed round runs what an interpreted one does.
+// Decoded instructions are process-wide: one decode-table entry, and one
+// kernel, per (capability set, lane count, instruction), however many
+// machines decode the instruction and however they race to. A recorded trace
+// holds those same kernels, so a replayed round runs what an interpreted one
+// does.
 
 import (
+	"sync"
 	"testing"
 
 	"mpu/internal/backends"
 	"mpu/internal/isa"
+	"mpu/internal/recipe"
 	"mpu/internal/trace"
 	"mpu/internal/vrf"
 )
@@ -48,19 +51,26 @@ func TestExpansionKernelSharedAcrossMachines(t *testing.T) {
 			t.Errorf("%s (%d lanes) shares RACER's 64-lane kernel", spec.Name, spec.Lanes)
 		}
 	}
-	// The reference interpreter executes rops and compiles nothing.
+	// The reference interpreter executes rops and compiles nothing: an
+	// instruction only it has decoded has an entry with no kernel.
 	ref, err := New(Config{Spec: backends.RACER(), Mode: ModeMPU, NumMPUs: 1, NoTrace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e, err := ref.expand(in); err != nil || e.kern != nil || len(e.rops) == 0 {
-		t.Errorf("NoTrace expand: entry %+v, err %v; want a stream and no kernel", e, err)
+	if err := ref.LoadAll(isa.Program{isa.Compute(0, 0), isa.Mul(57, 58, 59), isa.ComputeDone()}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ref.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if e := ref.mpus[0].decode[1]; e == nil || e.kern != nil || len(e.rops) == 0 {
+		t.Errorf("NoTrace run: entry %+v; want a stream and no kernel", e)
 	}
 }
 
 // Eight machines decode one never-seen instruction at once; whichever
-// publishes first, all must leave with its pointer. race-short runs this
-// under the detector.
+// publishes first, all must leave with its entry and its one kernel.
+// race-short runs this under the detector.
 func TestExpandConcurrentOnePointer(t *testing.T) {
 	const workers = 8
 	in := isa.Mul(44, 45, 46)
@@ -69,7 +79,7 @@ func TestExpandConcurrentOnePointer(t *testing.T) {
 		ms[i] = newMachine(t, backends.RACER(), ModeMPU, 1)
 	}
 	start := make(chan struct{})
-	got := make(chan *vrf.CompiledExec, workers) // one send per worker
+	got := make(chan *expandEntry, workers) // one send per worker
 	for _, m := range ms {
 		m := m
 		go func() {
@@ -80,18 +90,74 @@ func TestExpandConcurrentOnePointer(t *testing.T) {
 				got <- nil
 				return
 			}
-			got <- e.kern
+			e.kernel()
+			got <- e
 		}()
 	}
 	close(start)
 	first := <-got
 	for i := 1; i < workers; i++ {
-		if k := <-got; k != first {
-			t.Errorf("concurrent expands diverged: kernels %p and %p", first, k)
+		if e := <-got; e != first {
+			t.Errorf("concurrent expands diverged: entries %p and %p", first, e)
 		}
 	}
-	if first == nil {
+	if first == nil || first.kern == nil {
 		t.Fatal("expand returned no kernel")
+	}
+}
+
+// Eight goroutines decode, compile and look up one small instruction set on
+// two back ends through a table that holds a few entries at a time, so
+// inserts, lookups and flushes interleave. Every entry must be the stream
+// and kernel its key names, whichever generation it came from. race-short
+// runs this under the detector.
+func TestDecodeTableHammer(t *testing.T) {
+	defer SetDecodeBudgets(4<<10, 4<<10)()
+	specs := []*backends.Spec{backends.RACER(), backends.DualityCache()}
+	var ins []isa.Instr
+	for r := 0; r < 8; r++ {
+		ins = append(ins, isa.Inv(r, r+8), isa.LShift(r, r+16))
+	}
+	type key struct {
+		spec string
+		in   isa.Instr
+	}
+	want := map[key]int{} // resolved stream length
+	for _, spec := range specs {
+		for _, in := range ins {
+			_, rops, err := recipe.ExpandResolved(spec.Caps, in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[key{spec.Name, in}] = len(rops)
+		}
+	}
+	before := DecodeTableStats().Flushes
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		ms := []*Machine{newMachine(t, specs[0], ModeMPU, 1), newMachine(t, specs[1], ModeMPU, 1)}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				m, in := ms[(i+w)%2], ins[(i*7+w)%len(ins)]
+				e, err := m.expand(in)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				n := want[key{m.cfg.Spec.Name, in}]
+				if len(e.rops) != n || (i%3 == 0 && e.kernel().Ops() != uint64(n)) {
+					t.Errorf("%s on %s: entry of %d ops, want %d", in.Op, m.cfg.Spec.Name, len(e.rops), n)
+					return
+				}
+				DecodeTableStats()
+			}
+		}()
+	}
+	wg.Wait()
+	if st := DecodeTableStats(); st.Flushes == before || st.Bytes > 4<<10 {
+		t.Errorf("table after the hammer: %+v (flushes before %d); want flushes and at most 4 KiB", st, before)
 	}
 }
 

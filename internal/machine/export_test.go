@@ -87,3 +87,6 @@ func (m *Machine) ForgeTraces(f func(t *trace.Trace)) {
 		}
 	}
 }
+
+// DecodeBudget is both decode budgets' default.
+const DecodeBudget = decodeBudget

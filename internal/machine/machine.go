@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"mpu/internal/backends"
@@ -24,7 +23,6 @@ import (
 	"mpu/internal/isa"
 	"mpu/internal/lint"
 	"mpu/internal/lint/comm"
-	"mpu/internal/micro"
 	"mpu/internal/noc"
 	"mpu/internal/recipe"
 	"mpu/internal/sweep"
@@ -32,19 +30,23 @@ import (
 	"mpu/internal/vrf"
 )
 
-// Sentinel fault classes, matchable with errors.Is. They tag exactly the
-// runtime guards the static linter (internal/lint) proves unreachable for
-// programs with no Error findings — the lint-soundness fuzz oracle in
-// internal/isa keys on them. Config-dependent failures (deadlock, runaway
-// loops, return-stack overflow from deep recursion, SEND to an MPU that was
-// not instantiated) are deliberately not tagged.
+// Sentinel fault classes, matchable with errors.Is. They tag the runtime
+// guards the static linter (internal/lint) proves unreachable for programs
+// with no Error findings, and the decode budget, which it does not model —
+// the lint-soundness fuzz oracle in internal/isa keys on them.
+// Config-dependent failures (deadlock, runaway loops, return-stack overflow
+// from deep recursion, SEND to an MPU that was not instantiated) are
+// deliberately not tagged.
 var (
 	// ErrEnsembleFault: ensemble bracketing or context violations — an
 	// instruction outside any ensemble, an illegal instruction inside a
 	// compute/transfer/SEND block, a missing *_DONE footer, or a RETURN
 	// popping an empty return-address stack.
 	ErrEnsembleFault = errors.New("ensemble structure fault")
-	// ErrCapacityFault: an RFH/VRF id beyond the back-end spec's geometry.
+	// ErrCapacityFault: an RFH/VRF id beyond the back-end spec's geometry,
+	// or a loaded program whose decoded instructions hold more than the
+	// decode budget (decodeAt), which takes more than 130 distinct
+	// instructions of the widest recipe.
 	ErrCapacityFault = errors.New("capacity fault")
 )
 
@@ -196,21 +198,8 @@ type Machine struct {
 	mesh   *noc.Mesh
 	nocCfg noc.Config
 	mpus   []*core
-	limit  int // effective active VRFs per RFH
-
-	// expands memoizes decode per dynamic instruction: the recipe expansion
-	// and, on every machine but the NoTrace reference interpreter, the
-	// kernel compiled from it. A dynamic loop re-executes the same
-	// instruction thousands of times across rounds and replays; re-running
-	// the gate-level expander each time dominated simulation wall clock.
-	// The cache is per machine (capability set and lane count are fixed at
-	// construction), so concurrent sweep cells contend on nothing but the
-	// process-wide memos behind it (recipe's expansions, kernels below). It
-	// is the one piece of machine state cores touch from concurrent
-	// scheduler goroutines, hence the mutex; entries are immutable once
-	// published, so lookups hand out shared pointers.
-	expandsMu sync.Mutex
-	expands   map[isa.Instr]*expandEntry
+	limit  int    // effective active VRFs per RFH
+	shape  uint64 // the decode-table key's back-end word (decodeShape)
 
 	// preempt is the cooperative-yield request flag (Preempt/ErrPreempted,
 	// preempt.go). It is the only machine field a foreign goroutine writes
@@ -229,52 +218,6 @@ type Machine struct {
 	// is nil otherwise; that core's rounds read it. Neither is machine state.
 	crew crew
 	fan  *crew
-}
-
-// expandEntry is one decoded datapath instruction: its recipe expansion,
-// the slot-resolved form of the same stream, and the kernel compiled from
-// that form for the machine's lane count. Every round that is not a replay
-// — dynamic bodies, recording rounds, recipe-cold and spill fallbacks —
-// executes kern, the same kernel a replayed round runs, since the recorder
-// puts kern itself into the trace; rops is what the NoTrace reference
-// interpreter executes (its entries carry no kern).
-type expandEntry struct {
-	ops  []micro.Op
-	rops []micro.ResolvedOp
-	kern *vrf.CompiledExec
-}
-
-// kernelKey identifies a compiled expansion process-wide: the resolved
-// stream recipe.ExpandResolved memoizes per (capability set, instruction) —
-// one canonical slice, named by its first element — and the lane geometry
-// the kernel is bound to.
-type kernelKey struct {
-	stream *micro.ResolvedOp
-	lanes  int
-}
-
-// kernels memoizes expansion kernels across every machine in the process,
-// living as long as the recipe.ExpandResolved entries they are compiled
-// from. A server or a sweep builds hundreds of machines over the same back
-// ends, and compiling a wide recipe costs as much as some twenty executions
-// of it, so a kernel is built on first decode, once, and every later
-// machine adopts the canonical pointer. Kernels are immutable, pure
-// functions of the key and charge nothing, so sharing them perturbs no
-// statistic and is not machine state (Reset and snapshots ignore it).
-var kernels sync.Map // kernelKey -> *vrf.CompiledExec
-
-// expansionKernel returns the process-wide kernel of a stream returned by
-// recipe.ExpandResolved, compiling it on first use.
-func expansionKernel(rops []micro.ResolvedOp, lanes int) *vrf.CompiledExec {
-	k := kernelKey{lanes: lanes}
-	if len(rops) > 0 {
-		k.stream = &rops[0]
-	}
-	if c, ok := kernels.Load(k); ok {
-		return c.(*vrf.CompiledExec)
-	}
-	c, _ := kernels.LoadOrStore(k, vrf.CompileResolved(rops, lanes))
-	return c.(*vrf.CompiledExec)
 }
 
 // coreState is the part of one MPU's architectural state that is plain
@@ -329,10 +272,13 @@ type core struct {
 	// by Spec.VRFsPerMPU, the number of addresses checkAddr admits.
 	spare []*vrf.VRF
 
-	// decode caches the expansion entry per body pc (reset on program
-	// load), replacing a struct-keyed map probe per interpreted datapath
-	// instruction with an index load.
-	decode []*expandEntry
+	// decode caches the decoded entry per body pc (reset on program load),
+	// replacing a table probe per interpreted datapath instruction with an
+	// index load. held is the set of distinct entries it holds and heldBytes
+	// their charge (decodeAt).
+	decode    []*expandEntry
+	held      map[*expandEntry]struct{}
+	heldBytes int64
 	// traces holds the core's compiled ensemble bodies.
 	traces *trace.Cache
 	// hdr, act, and tm are per-core scratch reused across ensembles to keep
@@ -392,8 +338,7 @@ func New(cfg Config) (*Machine, error) {
 			limit = cfg.Spec.VRFsPerRFH
 		}
 	}
-	m := &Machine{cfg: cfg, mesh: mesh, nocCfg: nc, limit: limit,
-		expands: map[isa.Instr]*expandEntry{}}
+	m := &Machine{cfg: cfg, mesh: mesh, nocCfg: nc, limit: limit, shape: decodeShape(cfg.Spec)}
 	m.crew.wpl = uint64((cfg.Spec.Lanes + isa.WordBits - 1) / isa.WordBits)
 	m.crew.wake = make(chan struct{}, wakeCap)
 	for i := 0; i < cfg.NumMPUs; i++ {
@@ -402,6 +347,7 @@ func New(cfg Config) (*Machine, error) {
 			id:        i,
 			m:         m,
 			vrfs:      map[controlpath.VRFAddr]*vrf.VRF{},
+			held:      map[*expandEntry]struct{}{},
 			ras:       controlpath.NewReturnStack(64),
 			rcache:    controlpath.NewRecipeCache(cfg.Recipe),
 			pbuf:      controlpath.NewPlaybackBuffer(),
@@ -449,7 +395,7 @@ func (m *Machine) LoadProgram(mpu int, p isa.Program) error {
 	c.pc = 0
 	c.done = len(p) == 0
 	// A new binary invalidates everything keyed by pc.
-	c.decode = make([]*expandEntry, len(p))
+	c.clearDecode(len(p))
 	c.traces.Reset()
 	return nil
 }
@@ -874,52 +820,6 @@ const (
 	frontendDynamicPJPerCycle = 71.72 // pJ per active issue cycle (71.72 mW at 1 GHz)
 )
 
-// expand returns the decoded recipe for in — the micro-op expansion, its
-// slot-resolved form and the kernel compiled from it — memoized for the
-// machine's capability set and lane count. The returned entry is shared and
-// must not be mutated. Cores call this from concurrent scheduler goroutines,
-// so the memo is mutex-guarded; when two cores race to expand the same
-// instruction the first published entry wins, keeping one canonical pointer
-// per instruction.
-func (m *Machine) expand(in isa.Instr) (*expandEntry, error) {
-	m.expandsMu.Lock()
-	e, ok := m.expands[in]
-	m.expandsMu.Unlock()
-	if ok {
-		return e, nil
-	}
-	ops, rops, err := recipe.ExpandResolved(m.cfg.Spec.Caps, in)
-	if err != nil {
-		return nil, err
-	}
-	e = &expandEntry{ops: ops, rops: rops}
-	if !m.cfg.NoTrace {
-		e.kern = expansionKernel(rops, m.cfg.Spec.Lanes)
-	}
-	m.expandsMu.Lock()
-	if prev, ok := m.expands[in]; ok {
-		e = prev
-	} else {
-		m.expands[in] = e
-	}
-	m.expandsMu.Unlock()
-	return e, nil
-}
-
-// decodeAt resolves the expansion entry for the datapath instruction at pc
-// through the per-core pc-indexed cache.
-func (c *core) decodeAt(pc int) (*expandEntry, error) {
-	if e := c.decode[pc]; e != nil {
-		return e, nil
-	}
-	e, err := c.m.expand(c.prog[pc])
-	if err != nil {
-		return nil, err
-	}
-	c.decode[pc] = e
-	return e, nil
-}
-
 // run executes instructions until the MPU finishes, blocks on rendezvous,
 // or yields to a pending preemption request at an instruction boundary (a
 // yield leaves done and blocked false; Run surfaces it as ErrPreempted
@@ -1199,8 +1099,8 @@ func (c *core) runBody(at bodyPos, batch []*vrf.VRF, rec *trace.Recorder) (int, 
 				return 0, err
 			}
 			if c.m.cfg.Mode == ModeMPU {
-				rec.Lookup(uint8(in.Op), len(e.ops))
-				c.cycles += c.rcache.Lookup(uint8(in.Op), len(e.ops))
+				rec.Lookup(uint8(in.Op), len(e.rops))
+				c.cycles += c.rcache.Lookup(uint8(in.Op), len(e.rops))
 			}
 			if noTrace {
 				for _, v := range batch {
@@ -1209,7 +1109,7 @@ func (c *core) runBody(at bodyPos, batch []*vrf.VRF, rec *trace.Recorder) (int, 
 			} else {
 				c.m.fan.groups(e.kern, batch)
 			}
-			n := int64(len(e.ops))
+			n := int64(len(e.rops))
 			exec := int64(float64(n*int64(spec.CyclesPerMicroOp)) * c.m.cfg.ComputeScale)
 			c.cycles += exec
 			c.issue += n

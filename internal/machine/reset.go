@@ -17,16 +17,16 @@ package machine
 //     mapped, at most VRFsPerMPU × 4372 × wpl × 8 B.
 //   - the return-address stack, recipe cache (contents AND stall/hit
 //     accounting), and playback-buffer overflow count
-//   - the pc-indexed decode cache and the ensemble trace cache
+//   - the pc-indexed decode cache, its program charge, and the ensemble
+//     trace cache
 //   - the scratch buffers
 //
-// The only state that survives is the machine's configuration and the
-// decoded-instruction memo (m.expands). It caches a pure function — a recipe
-// expansion and its compiled kernel are decode work keyed by instruction
-// bits, and the kernel itself lives in the process-wide kernels memo, no
-// machine's state at all — shared by pointer and charged nowhere, so
-// keeping it warm is what makes pool reuse profitable without perturbing
-// statistics. A trace recorded after Reset holds the same kernels, so
+// The only state that survives is the machine's configuration. Decoded
+// instructions live in the process-wide decode table (decode.go), no
+// machine's state at all: a recipe expansion and its compiled kernel are
+// pure functions of the instruction bits, shared by pointer and charged
+// nowhere, so a pooled machine's next request finds them warm without any
+// statistic moving. A trace recorded after Reset holds the same kernels, so
 // nothing is compiled again for it. TestResetReuseMatchesFresh pins that a
 // Reset+LoadAll+Run sequence on a used machine produces byte-identical
 // Stats to a fresh machine's run.
@@ -45,7 +45,7 @@ func (m *Machine) Reset() {
 		c.ras.Reset()
 		c.rcache.Reset()
 		c.pbuf.Reset()
-		c.decode = nil
+		c.clearDecode(0)
 		c.traces.Reset()
 		c.hdr = c.hdr[:0]
 		c.act = c.act[:0]

@@ -25,9 +25,9 @@ import (
 // re-snapshotting a restored machine reproduces the input bytes
 // (FuzzSnapshotRoundTrip).
 //
-// What is deliberately NOT serialized: the machine-wide expansion memo and
-// the process-wide kernels behind it (pure content-keyed caches, rebuilt on
-// demand and charged nowhere), the pc-indexed decode cache (same), and
+// What is deliberately NOT serialized: the process-wide decode table (a
+// pure content-keyed cache, rebuilt on demand and charged nowhere), the
+// pc-indexed decode cache and its program charge (same), and
 // per-core scratch (act, tm, seg). A trace's exec step is written as its
 // instruction's pc: Restore takes the kernel from that instruction's
 // decode, the same kernel the recording core's step held, so the restored
@@ -136,7 +136,7 @@ func (m *Machine) Restore(data []byte) error {
 		c.rcache.StallCycles = cs.rstall
 		c.pbuf.Overflows = cs.overflows
 		c.vrfs = cs.vrfs
-		c.decode = make([]*expandEntry, len(cs.prog))
+		c.clearDecode(len(cs.prog))
 		c.traces.RestoreEntries(cs.tentries)
 		c.act = c.act[:0]
 		c.tm.Reset()
@@ -598,12 +598,12 @@ func (m *Machine) stepKernel(prog isa.Program, pc int) (*vrf.CompiledExec, error
 	if pc < 0 || pc >= len(prog) || !recipe.IsDatapathOp(prog[pc].Op) {
 		return nil, fmt.Errorf("machine: snapshot trace step pc %d names no datapath instruction", pc)
 	}
+	if m.cfg.NoTrace {
+		return nil, fmt.Errorf("machine: snapshot holds a trace, but this machine runs the reference interpreter")
+	}
 	e, err := m.expand(prog[pc])
 	if err != nil {
 		return nil, err
 	}
-	if e.kern == nil {
-		return nil, fmt.Errorf("machine: snapshot holds a trace, but this machine runs the reference interpreter")
-	}
-	return e.kern, nil
+	return e.kernel(), nil
 }

@@ -48,7 +48,11 @@ func requireParity(t *testing.T, name string, eng, notrace *machine.Stats) {
 	}
 }
 
+// TestTraceParity runs its matrix through a decode table that empties itself
+// on every insert: no machine finds another's entry, and no result may move.
 func TestTraceParity(t *testing.T) {
+	defer machine.SetDecodeBudgets(1, machine.DecodeBudget)()
+	flushes := machine.DecodeTableStats().Flushes
 	var totalHits, totalJITReplays uint64
 	for _, spec := range backends.All() {
 		for _, mode := range []machine.Mode{machine.ModeMPU, machine.ModeBaseline} {
@@ -95,6 +99,9 @@ func TestTraceParity(t *testing.T) {
 	}
 	if totalJITReplays == 0 {
 		t.Error("no kernel round ran a JIT'd closure chain — the JIT never engaged")
+	}
+	if machine.DecodeTableStats().Flushes == flushes {
+		t.Error("the decode table was never emptied — the budget never engaged")
 	}
 }
 

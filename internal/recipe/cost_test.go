@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"mpu/internal/isa"
+	"mpu/internal/micro"
 )
 
 // TestRecipeCostGolden pins the micro-op counts of every datapath
@@ -41,9 +42,9 @@ func TestRecipeCostGolden(t *testing.T) {
 	}
 	for _, r := range rows {
 		got := [3]int{
-			Cost(capSets["racer"], r.in),
-			Cost(capSets["mimdram"], r.in),
-			Cost(capSets["dcache"], r.in),
+			opCount(capSets["racer"], r.in),
+			opCount(capSets["mimdram"], r.in),
+			opCount(capSets["dcache"], r.in),
 		}
 		want := [3]int{r.racer, r.mimdram, r.dcache}
 		if got != want {
@@ -71,7 +72,7 @@ func TestHeavyRecipeCostBounds(t *testing.T) {
 		{isa.Fuzzy(0, 1, 2), "racer", 500, 1_500},
 	}
 	for _, b := range bounds {
-		got := Cost(capSets[b.caps], b.in)
+		got := opCount(capSets[b.caps], b.in)
 		if got < b.min || got > b.max {
 			t.Errorf("%s on %s: %d micro-ops outside [%d,%d]", b.in.Op, b.caps, got, b.min, b.max)
 		}
@@ -92,4 +93,11 @@ func TestCostsDeterministic(t *testing.T) {
 			}
 		}
 	}
+}
+
+// opCount is the micro-op count of in's recipe under caps, 0 when in has
+// none.
+func opCount(caps micro.CapabilitySet, in isa.Instr) int {
+	ops, _ := Expand(caps, in)
+	return len(ops)
 }

@@ -448,9 +448,9 @@ func TestIsDatapathOp(t *testing.T) {
 // capability sets shrink the expansion.
 func TestExpansionScale(t *testing.T) {
 	add := isa.Add(0, 1, 2)
-	racer := Cost(capSets["racer"], add)
-	mimdram := Cost(capSets["mimdram"], add)
-	dcache := Cost(capSets["dcache"], add)
+	racer := opCount(capSets["racer"], add)
+	mimdram := opCount(capSets["mimdram"], add)
+	dcache := opCount(capSets["dcache"], add)
 	if racer < 500 {
 		t.Errorf("NOR-only ADD = %d micro-ops; expected hundreds", racer)
 	}
@@ -460,15 +460,15 @@ func TestExpansionScale(t *testing.T) {
 	if dcache > 3*64 {
 		t.Errorf("adder-augmented ADD = %d micro-ops; expected ~2/bit", dcache)
 	}
-	mul := Cost(capSets["racer"], isa.Mul(0, 1, 2))
+	mul := opCount(capSets["racer"], isa.Mul(0, 1, 2))
 	if mul < 10000 {
 		t.Errorf("NOR-only MUL = %d micro-ops; expected tens of thousands", mul)
 	}
 }
 
 func TestCostOfNonDatapathIsZero(t *testing.T) {
-	if got := Cost(capSets["racer"], isa.Nop()); got != 0 {
-		t.Errorf("Cost(NOP) = %d", got)
+	if got := opCount(capSets["racer"], isa.Nop()); got != 0 {
+		t.Errorf("NOP expands to %d micro-ops", got)
 	}
 }
 

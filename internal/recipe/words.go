@@ -425,12 +425,15 @@ func emitCas(e *expander, a, b word) {
 	e.release(swap)
 }
 
-// Cost returns the micro-op count of in's recipe under caps; it is used by
-// the control path for decode accounting and by the recipe-table model.
-func Cost(caps micro.CapabilitySet, in isa.Instr) int {
+// ExpandResolved is Expand plus the slot-resolved form of the same stream,
+// for executors that replay an expansion many times: the resolution (and
+// its constant-plane write verification) is paid once per expansion instead
+// of per execution. It memoizes nothing; the machine's decode table keeps
+// the resolved stream of each instruction it decodes.
+func ExpandResolved(caps micro.CapabilitySet, in isa.Instr) ([]micro.Op, []micro.ResolvedOp, error) {
 	ops, err := Expand(caps, in)
 	if err != nil {
-		return 0
+		return nil, nil, err
 	}
-	return len(ops)
+	return ops, micro.Resolve(ops), nil
 }

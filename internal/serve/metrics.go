@@ -4,6 +4,7 @@ import (
 	"io"
 	"strconv"
 
+	"mpu/internal/machine"
 	"mpu/internal/obs"
 )
 
@@ -39,6 +40,10 @@ type metrics struct {
 
 	// Pipeline session plane: live sessions and records streamed.
 	sessionsOpen, sessionRecords *obs.Int
+
+	// The process-wide decode table (machine.DecodeTableStats), sampled at
+	// render time.
+	decodeEntries, decodeBytes, decodeFlushes *obs.Int
 }
 
 func newMetrics(node string) *metrics {
@@ -71,6 +76,10 @@ func newMetrics(node string) *metrics {
 
 	m.sessionsOpen = gauge("mpud_sessions", "Live pipeline sessions.")
 	m.sessionRecords = counter("mpud_session_records_total", "Records streamed through pipeline sessions.")
+
+	m.decodeEntries = gauge("mpud_decode_table_entries", "Decoded instructions held in the process-wide decode table.")
+	m.decodeBytes = gauge("mpud_decode_table_bytes", "Bytes the decode table's entries retain.")
+	m.decodeFlushes = counter("mpud_decode_table_flushes_total", "Times the decode table was emptied to stay within its budget.")
 	return m
 }
 
@@ -114,11 +123,14 @@ func (m *metrics) observePark() {
 // observeUnpark removes one job from the parked gauge as a worker picks it up.
 func (m *metrics) observeUnpark() { m.parkedJobs.Add(-1) }
 
-// render samples the pool gauges (pool name → batches waiting) and emits the
-// Prometheus text exposition.
-func (m *metrics) render(w io.Writer, depths map[string]int) {
+// render samples the pool gauges (pool name → batches waiting) and the
+// decode table, and emits the Prometheus text exposition.
+func (m *metrics) render(w io.Writer, depths map[string]int, tab machine.DecodeTable) {
 	for pool, depth := range depths {
 		m.queueDepth.With(m.node, pool).Set(int64(depth))
 	}
+	m.decodeEntries.Set(tab.Entries)
+	m.decodeBytes.Set(tab.Bytes)
+	m.decodeFlushes.Set(tab.Flushes)
 	m.reg.WriteTo(w)
 }

@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"mpu/internal/machine"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite the metrics golden files")
@@ -42,7 +44,8 @@ func goldenMetrics() *metrics {
 // Regenerate with: go test ./internal/serve -run TestMetricsRenderGolden -update
 func TestMetricsRenderGolden(t *testing.T) {
 	var sb strings.Builder
-	goldenMetrics().render(&sb, map[string]int{"MIMDRAM/MPU": 0, "RACER/MPU": 2})
+	goldenMetrics().render(&sb, map[string]int{"MIMDRAM/MPU": 0, "RACER/MPU": 2},
+		machine.DecodeTable{Entries: 12, Bytes: 3 << 20, Flushes: 1})
 	got := sb.String()
 	golden := filepath.Join("testdata", "metrics.golden")
 	if *updateGolden {
@@ -68,7 +71,7 @@ func TestMetricsRenderGolden(t *testing.T) {
 // series names).
 func TestMetricsRenderNoNode(t *testing.T) {
 	var sb strings.Builder
-	newMetrics("").render(&sb, map[string]int{"RACER/MPU": 1})
+	newMetrics("").render(&sb, map[string]int{"RACER/MPU": 1}, machine.DecodeTable{})
 	got := sb.String()
 	for _, want := range []string{
 		"mpud_inflight 0\n",

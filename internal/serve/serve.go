@@ -1,6 +1,6 @@
 // Package serve turns the simulator into a long-running MPU-as-a-service
-// daemon: warm machine pools per (backend, mode) whose recipe-expansion
-// memos survive across requests, a bounded admission queue with 503
+// daemon: warm machine pools per (backend, mode) in front of the
+// process-wide decode table, a bounded admission queue with 503
 // backpressure, a single-flight coalescer that lets a request join an
 // identical one that is queued, running or parked and share its run,
 // per-request deadlines, and an observability plane
@@ -13,7 +13,7 @@
 // identical requests), or under concurrent load — the service layer
 // extension of the trace-parity and worker-count-parity discipline. The
 // warm path leans on Machine.Reset, which recycles everything a run can
-// observe while keeping the stats-neutral expansion memo.
+// observe; the decode table it leaves warm is stats-neutral.
 //
 // QoS classes: the X-QoS header sorts requests into two classes — "latency"
 // (interactive, strict queue priority) and "batch" (the default). When a
@@ -689,7 +689,7 @@ func (s *Server) execute(p *pool, w *workerState, b *batch) (*batchResult, bool)
 	}
 	run, err := m.Run()
 	if err != nil {
-		return errResult(http.StatusInternalServerError, err), false
+		return errResult(runStatus(err), err), false
 	}
 	for _, d := range rq.raw.Dumps {
 		a := controlpath.VRFAddr{RFH: d.RFH, VRF: d.VRF}
@@ -724,7 +724,7 @@ func (s *Server) runKernel(p *pool, w *workerState, b *batch, prep *workloads.Pr
 			continue // nothing to yield to (or no room): resume in place
 		}
 		if err != nil {
-			return errResult(http.StatusInternalServerError, err), false
+			return errResult(runStatus(err), err), false
 		}
 		res, err := prep.Finish(run)
 		if err != nil {
@@ -760,6 +760,15 @@ func (s *Server) sealResponse(p *pool, b *batch, resp *Response, st *machine.Sta
 		return errResult(http.StatusInternalServerError, err)
 	}
 	return &batchResult{status: http.StatusOK, body: body}
+}
+
+// runStatus answers a failed run: 422 when the program went past a
+// capacity limit (machine.ErrCapacityFault), 500 for any other fault.
+func runStatus(err error) int {
+	if errors.Is(err, machine.ErrCapacityFault) {
+		return http.StatusUnprocessableEntity
+	}
+	return http.StatusInternalServerError
 }
 
 func errResult(status int, err error) *batchResult {
@@ -969,7 +978,7 @@ func (s *Server) queueDepths() map[string]int {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.metrics.render(w, s.queueDepths())
+	s.metrics.render(w, s.queueDepths(), machine.DecodeTableStats())
 }
 
 func (s *Server) handleWorkloads(w http.ResponseWriter, r *http.Request) {

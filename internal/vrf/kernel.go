@@ -44,6 +44,7 @@ type CompiledExec struct {
 	g64   []group64          // lanes <= 64, RACER's kinds only: the same runs, 2- to 4-wide; nil otherwise
 	rs    []micro.ResolvedOp // lanes > 64: the stream itself (shared with the caller, immutable)
 	dirty uint64             // the architectural registers the stream writes (VRF.dirty's bits)
+	bytes int64              // what CompileResolved allocated (Bytes)
 }
 
 // kern64 executes one fused run over a single-word directory under mask m.
@@ -93,13 +94,25 @@ func CompileResolved(rs []micro.ResolvedOp, lanes int) *CompiledExec {
 			cols := packRun(run.Kind, rs[run.Start:run.Start+run.Len])
 			k := compileRun64(run.Kind, cols)
 			c.k64 = append(c.k64, k)
+			c.bytes += 2*int64(len(cols.d)+len(cols.a)+len(cols.b)+len(cols.c)+len(cols.d2)) + closureBytes
 			if grouped {
 				c.g64 = append(c.g64, compileGroup64(run.Kind, cols, k))
+				c.bytes += closureBytes
 			}
 		}
+		c.bytes += 8 * int64(cap(c.k64)+cap(c.g64))
 	}
 	return c
 }
+
+// closureBytes estimates one run closure: the function word and the captured
+// column headers, rounded up to the allocator's size class.
+const closureBytes = 96
+
+// Bytes reports what the kernel retains beyond the stream it was compiled
+// from: its 2-byte operand columns, its run closures and the 8-byte words
+// that list them.
+func (c *CompiledExec) Bytes() int64 { return c.bytes }
 
 // racerKinds reports whether every op of the stream has a group body: the
 // kinds recipe.ExpandResolved emits for RACER's NOR-only datapath.
