@@ -80,15 +80,16 @@ race:
 # serve lists contain every test CHANGES.md's PR 21 mutation table names:
 # they, not a lint rule, are what fails when something outside the run path
 # writes a core's state, a JIT counter or the session table. Timed on a
-# 2-vCPU, 8 GB KVM guest with go1.24: ≈ 15 min, 2.5 min for the lines
-# outside the machine line and 11.9 min for the machine line's tests run one
-# process each. As one process the machine line passed 5.8 GB RSS there, and
-# TestTraceParity and TestParallelMachine alone passed 4.7 GB unless
-# GOMEMLIMIT=1GiB held them to 4.2 and 3.6 GB.
+# 2-vCPU, 8 GB KVM guest with go1.24: ≈ 19 min, 1.7 min for the lines
+# outside the machine line and 17.1 min for the machine line's tests run one
+# process each (TestRoundFanOutParity 10.3 min of it, 1.8 GB peak). As one
+# process the machine line passed 5.8 GB RSS there, and TestTraceParity and
+# TestParallelMachine alone passed 4.7 GB unless GOMEMLIMIT=1GiB held them
+# to about 3 GB each.
 race-short:
 	$(GO) test -race -timeout 30m ./internal/sweep ./internal/lint ./internal/obs
 	$(GO) test -race -timeout 30m -run 'TestRunCompiledGroupsConcurrent' ./internal/vrf
-	$(GO) test -race -timeout 30m -run 'TestTraceParity|TestJITParityRandom|TestExpandConcurrent|TestDecodeTableHammer|TestParallelMachine|TestParallelDeadlock|TestRoundFanOutParity|TestFanOutHelperLifetime|TestSnapshotResumeParityRendezvous|TestTraceRunsInstructionKernels|TestRunStatsNotAliased|TestNoResidueAfterReset|TestSpareListBounded|TestResetReuseMatchesFresh|TestVectorIOParity' ./internal/machine
+	$(GO) test -race -timeout 30m -run 'TestTraceParity|TestJITParityRandom|TestExpandConcurrent|TestDecodeTableHammer|TestParallelMachine|TestParallelDeadlock|TestRoundSplitShape|TestRoundFanOutParity|TestFanOutHelperLifetime|TestSnapshotResumeParityRendezvous|TestTraceRunsInstructionKernels|TestRunStatsNotAliased|TestNoResidueAfterReset|TestSpareListBounded|TestResetReuseMatchesFresh|TestVectorIOParity' ./internal/machine
 	$(GO) test -race -timeout 30m -run 'TestServeParity|TestServeIsolation|TestServePool|TestServePreemptParity|TestServePreemptHandoff|TestServeNoPreempt|TestParkedGauges|TestServeJoin|TestServeLateArrival|TestBatchingCoalesces|TestPipelineSession|TestPipelineLimits' ./internal/serve
 	$(GO) test -race -timeout 30m -run 'TestRouterParity|TestRollingDrain|TestFairAdmission|TestRouterPipeline|TestNodeLoadContract' ./internal/router
 	$(GO) test -race -timeout 30m -run 'TestPipelineParity' ./internal/fbp

@@ -17,8 +17,9 @@ func (m *Machine) ParkedVRFs() [][]*vrf.VRF {
 
 // SetChunkFloor sets the micro-op-words each chunk of a fanned-out round
 // must carry (FanOutMicroOps outside tests) and returns a function that
-// restores the previous floor. At 1 every round of two or more groups fans
-// out.
+// restores the previous floor. At 1 every round of two or more full groups
+// fans out in whole groups, and every smaller round of three or more VRFs
+// into one VRF range per worker.
 func SetChunkFloor(n uint64) (restore func()) {
 	prev := chunkFloor
 	chunkFloor = n

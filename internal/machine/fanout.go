@@ -14,11 +14,13 @@ import (
 // VRFs are independent between mask steps: each kernel call touches only its
 // own VRF's words. So when a run phase has one runnable core, the budget
 // Config.Workers gives the run phase goes to that core's rounds instead:
-// each kernel call splits the round into chunks of whole groups, and the
-// calling goroutine and up to Workers−1 helpers claim chunks from one atomic
-// counter. Decode, accounting, recipe lookups and the recorder stay on the
-// caller, so no statistic, register or snapshot byte depends on the split
-// (TestRoundFanOutParity).
+// each kernel call splits the round into chunks, each a contiguous range of
+// its VRFs, and the calling goroutine and up to Workers−1 helpers claim
+// chunks from one atomic counter. A round of two or more full groups splits
+// at group boundaries; a smaller one of three or more VRFs splits into at
+// most one range per worker. Decode, accounting, recipe lookups and the
+// recorder stay on the caller, so no statistic, register or snapshot byte
+// depends on the split (TestRoundFanOutParity).
 
 // FanOutMicroOps is the least work worth handing to another goroutine, in
 // micro-op-words: micro-ops × VRFs × 64-bit words per plane. It is the
@@ -56,7 +58,8 @@ const hostIOTiles = 512
 const helperSpins = 20000
 
 // chunkFloor is FanOutMicroOps as the round split reads it; tests lower it
-// so that every round of two or more groups fans out.
+// so that every round of two or more full groups, and every smaller one of
+// three or more VRFs, fans out.
 var chunkFloor uint64 = FanOutMicroOps
 
 // ioFloor is hostIOTiles as ioChunks reads it; tests lower it so that every
@@ -85,6 +88,7 @@ type crew struct {
 	wake   chan struct{}          // buffered: a token sent before its helper blocks is not lost
 	quit   atomic.Bool            // set by stop; a helper that sees it exits
 	job    atomic.Pointer[fanJob] // the round on offer; nil between rounds
+	cuts   []int                  // split's result, reused round after round
 }
 
 // begin readies the crew for a Run with the given worker budget. A helper
@@ -95,41 +99,74 @@ func (w *crew) begin(workers int) {
 	w.quit.Store(false)
 }
 
-// fanJob is one kernel call's or replay's round, split into chunks of whole
-// groups. Exactly one of kern and tr is set.
+// fanJob is one kernel call's or replay's round, split into VRF ranges.
+// Exactly one of kern and tr is set.
 type fanJob struct {
-	kern   *vrf.CompiledExec
-	tr     *trace.Trace
-	vs     []*vrf.VRF
-	width  int // VRFs per group
-	chunks int
-	next   atomic.Int64 // chunks claimed
-	done   atomic.Int64 // chunks finished
+	kern *vrf.CompiledExec
+	tr   *trace.Trace
+	vs   []*vrf.VRF
+	cuts []int        // chunk i runs vs[cuts[i]:cuts[i+1]]
+	next atomic.Int64 // chunks claimed
+	done atomic.Int64 // chunks finished
 }
 
-// split returns how many chunks a round of n VRFs forms for a stream of ops
-// micro-ops per VRF run width VRFs per group. Each chunk holds whole groups
-// and at least chunkFloor micro-op-words of full ones. A nil crew (no
-// helper budget) forms none.
-func (w *crew) split(ops uint64, width, n int) int {
-	if w == nil || n < 2*width {
-		return 0 // no helper budget, or fewer than two full groups
+// split cuts a round of n VRFs, for a stream of ops micro-ops per VRF run
+// width VRFs per group, into contiguous VRF ranges and returns their bounds,
+// or nil when the round forms fewer than two: then it is one plain call. A
+// nil crew (no helper budget) forms none. The bounds live in the crew until
+// its next split.
+//
+//   - A round of two or more full groups forms chunks of whole groups, each
+//     carrying at least chunkFloor micro-op-words of full ones, and chunk i
+//     takes groups [i·G/chunks, (i+1)·G/chunks) of the round's G; their
+//     count is not capped at the worker budget, so helpers that finish early
+//     take more chunks.
+//   - A round of three VRFs up to one short of two full groups forms at most
+//     one range per worker, each carrying at least chunkFloor
+//     micro-op-words. The first range, which the caller claims unless a
+//     spinning helper is quicker, is the larger: three VRFs split 2+1 at two
+//     workers. vrf.RunCompiledGroups runs group bodies inside each range.
+//   - A round of two VRFs stays one group.
+func (w *crew) split(ops uint64, width, n int) []int {
+	if w == nil || ops == 0 {
+		return nil
 	}
-	group := ops * w.wpl * uint64(width)
-	if group == 0 {
-		return 0
+	perVRF := ops * w.wpl
+	cuts := w.cuts[:0]
+	switch {
+	case n >= 2*width:
+		group := perVRF * uint64(width)
+		per := (chunkFloor + group - 1) / group // full groups per chunk, at least
+		chunks := int(uint64(n/width) / per)
+		if chunks < 2 {
+			return nil
+		}
+		g := (n + width - 1) / width
+		for i := range chunks {
+			cuts = append(cuts, i*g/chunks*width)
+		}
+	case n >= 3:
+		least := (chunkFloor + perVRF - 1) / perVRF // VRFs per range, at least
+		chunks := min(w.limit+1, int(uint64(n)/least))
+		if chunks < 2 {
+			return nil
+		}
+		for i := range chunks {
+			cuts = append(cuts, n-(chunks-i)*n/chunks)
+		}
+	default:
+		return nil
 	}
-	per := (chunkFloor + group - 1) / group // full groups per chunk, at least
-	return int(uint64(n/width) / per)
+	w.cuts = append(cuts, n)
+	return w.cuts
 }
 
 // groups runs a compiled stream over one round's VRFs, as
 // vrf.RunCompiledGroups does. A round that forms fewer than two chunks is
 // that plain call.
 func (w *crew) groups(k *vrf.CompiledExec, vs []*vrf.VRF) {
-	width := k.GroupWidth()
-	if n := w.split(k.Ops(), width, len(vs)); n >= 2 {
-		w.run(&fanJob{kern: k, vs: vs, width: width, chunks: n})
+	if cuts := w.split(k.Ops(), k.GroupWidth(), len(vs)); cuts != nil {
+		w.run(&fanJob{kern: k, vs: vs, cuts: cuts})
 		return
 	}
 	vrf.RunCompiledGroups(k, vs)
@@ -138,19 +175,21 @@ func (w *crew) groups(k *vrf.CompiledExec, vs []*vrf.VRF) {
 // replay runs a recorded body over one round's VRFs, as trace.Trace.Run
 // does. A round that forms fewer than two chunks is that plain call.
 func (w *crew) replay(t *trace.Trace, vs []*vrf.VRF) {
-	width := t.Width()
-	if n := w.split(t.MicroOpsPerVRF, width, len(vs)); n >= 2 {
-		w.run(&fanJob{tr: t, vs: vs, width: width, chunks: n})
+	if cuts := w.split(t.MicroOpsPerVRF, t.Width(), len(vs)); cuts != nil {
+		w.run(&fanJob{tr: t, vs: vs, cuts: cuts})
 		return
 	}
 	t.Run(vs)
 }
 
 // run offers j to the helpers, starting any the budget allows and the job
-// can use, and works its chunks on the caller too. It returns once every
-// chunk is done; the caller only waits on chunks a running helper claimed.
+// can use, and works its chunks on the caller too. The caller claims right
+// after it offers the job, so it usually runs the first range, the larger
+// one of a small round's split. It returns once every chunk is done; the
+// caller only waits on chunks a running helper claimed.
 func (w *crew) run(j *fanJob) {
-	for w.live.Load() < int64(min(w.limit, j.chunks-1)) {
+	chunks := j.chunks()
+	for w.live.Load() < int64(min(w.limit, chunks-1)) {
 		w.live.Add(1)
 		go w.help()
 	}
@@ -159,7 +198,7 @@ func (w *crew) run(j *fanJob) {
 	for j.work() {
 	}
 	w.job.Store(nil)
-	for j.done.Load() < int64(j.chunks) {
+	for j.done.Load() < int64(chunks) {
 		runtime.Gosched()
 	}
 }
@@ -218,27 +257,33 @@ func (w *crew) stop() {
 	}
 }
 
+// chunks reports how many chunks the round forms.
+func (j *fanJob) chunks() int { return len(j.cuts) - 1 }
+
 // claimed reports whether every chunk of the round has been claimed.
-func (j *fanJob) claimed() bool { return j.next.Load() >= int64(j.chunks) }
+func (j *fanJob) claimed() bool { return j.next.Load() >= int64(j.chunks()) }
 
 // work claims one chunk and runs it, reporting false when none was left.
-// Chunk i covers groups [i·G/chunks, (i+1)·G/chunks) of the round's G, so a
-// group never straddles two chunks and each VRF sees what an undivided call
-// gives it.
 func (j *fanJob) work() bool {
 	i := int(j.next.Add(1)) - 1
-	if i >= j.chunks {
+	if i >= j.chunks() {
 		return false
 	}
-	g := (len(j.vs) + j.width - 1) / j.width
-	lo, hi := i*g/j.chunks*j.width, min((i+1)*g/j.chunks*j.width, len(j.vs))
+	j.chunk(i)
+	return true
+}
+
+// chunk runs claimed chunk i over its VRF range. Every VRF sees what an
+// undivided call gives it: the ranges are disjoint, and each VRF's ops run
+// in stream order under its own mask.
+func (j *fanJob) chunk(i int) {
+	vs := j.vs[j.cuts[i]:j.cuts[i+1]]
 	if j.tr != nil {
-		j.tr.Run(j.vs[lo:hi])
+		j.tr.Run(vs)
 	} else {
-		vrf.RunCompiledGroups(j.kern, j.vs[lo:hi])
+		vrf.RunCompiledGroups(j.kern, vs)
 	}
 	j.done.Add(1)
-	return true
 }
 
 // ioChunks returns how many chunks a host transfer over n VRFs splits into:

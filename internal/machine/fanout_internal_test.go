@@ -1,20 +1,79 @@
 package machine
 
 import (
+	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
 	"mpu/internal/backends"
 	"mpu/internal/isa"
+	"mpu/internal/recipe"
 	"mpu/internal/vrf"
 )
 
+// TestRoundSplitShape pins where crew.split cuts a round into VRF ranges, at
+// RACER's one word per plane and the production chunk floor. sim-dynamic's
+// rounds are three VRFs, and almost all their micro-ops are in gcd's RDIV
+// calls; crc32's largest call is 1,409 micro-ops.
+func TestRoundSplitShape(t *testing.T) {
+	caps := backends.RACER().Caps
+	count := func(in isa.Instr) uint64 {
+		_, rs, err := recipe.ExpandResolved(caps, in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return uint64(len(rs))
+	}
+	rdiv, mul, add := count(isa.RDiv(3, 4, 6)), count(isa.Mul(0, 1, 2)), count(isa.Add(0, 1, 2))
+	if rdiv != 127296 || mul != 50112 || add != 1345 {
+		t.Fatalf("RACER's RDIV, MUL and ADD expand to %d, %d and %d micro-ops, want 127296, 50112 and 1345", rdiv, mul, add)
+	}
+	const crc32 = 1409
+	for _, tc := range []struct {
+		name    string
+		workers int
+		ops     uint64
+		width   int
+		n       int
+		want    []int
+	}{
+		{"RDIV x3", 2, rdiv, 4, 3, []int{0, 2, 3}},
+		{"RDIV x2 stays one group", 2, rdiv, 4, 2, nil},
+		{"crc32 x3", 2, crc32, 4, 3, nil},
+		{"MUL x8 in whole groups", 2, mul, 4, 8, []int{0, 4, 8}},
+		{"RDIV x5", 2, rdiv, 4, 5, []int{0, 3, 5}},
+		{"RDIV x7", 2, rdiv, 4, 7, []int{0, 4, 7}},
+		{"RDIV x3 at 4 workers", 4, rdiv, 4, 3, []int{0, 1, 2, 3}},
+		{"RDIV x5 at 4 workers", 4, rdiv, 4, 5, []int{0, 2, 3, 4, 5}},
+		{"RDIV x3 at 1 worker", 1, rdiv, 4, 3, nil},
+		{"RDIV x1", 2, rdiv, 4, 1, nil},
+		{"x3 at the floor", 2, FanOutMicroOps, 4, 3, []int{0, 2, 3}},
+		{"x3 below the floor", 2, FanOutMicroOps - 1, 4, 3, nil},
+		{"ADD x8: a chunk needs two groups", 2, add, 4, 8, nil},
+		{"MUL x9 keeps group boundaries", 2, mul, 4, 9, []int{0, 4, 9}},
+		{"MUL x16 is not capped at the workers", 2, mul, 4, 16, []int{0, 4, 8, 12, 16}},
+		{"one-VRF groups: 769 x32", 2, 769, 1, 32, []int{0, 16, 32}},
+		{"one-VRF groups: MUL x2", 2, mul, 1, 2, []int{0, 1, 2}},
+	} {
+		w := &crew{wpl: 1}
+		w.begin(tc.workers)
+		if got := w.split(tc.ops, tc.width, tc.n); !slices.Equal(got, tc.want) {
+			t.Errorf("%s: split at %v, want %v", tc.name, got, tc.want)
+		}
+	}
+	if got := (*crew)(nil).split(rdiv, 4, 3); got != nil {
+		t.Errorf("a nil crew split at %v", got)
+	}
+}
+
 // TestOneChunkRoundAllocs pins the cost of a round too small to fan out on a
 // machine whose budget allows a helper: sim-dynamic's shape, three RACER VRFs
-// interpreted through a data-dependent loop. Every kernel call forms one
-// chunk and must be the plain vrf.RunCompiledGroups call, with no job, no
-// closure and no allocation.
+// interpreted through a data-dependent loop, of instructions too light for a
+// VRF range of their own (a division would split). Every kernel call forms
+// one chunk and must be the plain vrf.RunCompiledGroups call, with no job,
+// no closure and no allocation.
 func TestOneChunkRoundAllocs(t *testing.T) {
 	spec := backends.RACER()
 	m, err := New(Config{Spec: spec, Mode: ModeMPU, Workers: 2})
@@ -72,22 +131,37 @@ loop:
 }
 
 // TestFannedRoundAllocs pins the cost of a round that fans out, with helpers
-// that park between rounds: eight RACER VRFs (two groups) multiplied by one
-// kernel call, at a chunk floor of 1 and no spin, so the helper parks after
-// every call and the next call wakes it. The one allocation per call is its
+// that park between rounds: RACER VRFs multiplied by one kernel call, at a
+// chunk floor of 1 and no spin, so the helper parks after every call and the
+// next call wakes it. Eight VRFs split into two groups of four, three into
+// the VRF ranges [0,2) and [2,3). The one allocation per call is its
 // fanJob, as before helpers parked; the wake is a non-blocking send into a
-// channel New made.
+// channel New made, and the chunk bounds reuse the crew's slice.
 func TestFannedRoundAllocs(t *testing.T) {
 	defer SetChunkFloor(1)()
 	defer SetHelperSpins(0)()
 	defer runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0)))
+	for _, tc := range []struct {
+		vrfs int
+		cuts []int
+	}{
+		{8, []int{0, 4, 8}},
+		{3, []int{0, 2, 3}},
+	} {
+		t.Run(fmt.Sprintf("%dvrf", tc.vrfs), func(t *testing.T) {
+			fannedRoundAllocs(t, tc.vrfs, tc.cuts)
+		})
+	}
+}
+
+func fannedRoundAllocs(t *testing.T, vrfs int, cuts []int) {
 	spec := backends.RACER()
 	m, err := New(Config{Spec: spec, Mode: ModeMPU, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	prog := isa.Program{}
-	for rfh := 0; rfh < 8; rfh++ {
+	for rfh := 0; rfh < vrfs; rfh++ {
 		prog = append(prog, isa.Instr{Op: isa.COMPUTE, A: uint8(rfh)})
 	}
 	prog = append(prog, isa.Mul(0, 1, 2), isa.Instr{Op: isa.COMPUTEDONE})
@@ -100,7 +174,7 @@ func TestFannedRoundAllocs(t *testing.T) {
 		vals[i] = uint64(i*i + 3)
 	}
 	var batch []*vrf.VRF
-	for rfh := 0; rfh < 8; rfh++ {
+	for rfh := 0; rfh < vrfs; rfh++ {
 		v := c.vrfAt(addr(rfh, 0))
 		v.WriteReg(0, vals)
 		v.WriteReg(1, vals)
@@ -109,12 +183,15 @@ func TestFannedRoundAllocs(t *testing.T) {
 	m.crew.begin(m.workers())
 	m.fan = &m.crew
 	allocs := testing.AllocsPerRun(50, func() {
-		if _, err := c.runBody(bodyPos{pc: 8}, batch, nil); err != nil {
+		if _, err := c.runBody(bodyPos{pc: vrfs}, batch, nil); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs > 1 {
-		t.Errorf("a fanned-out 8-VRF round allocates %v times, want at most its fanJob", allocs)
+		t.Errorf("a fanned-out %d-VRF round allocates %v times, want at most its fanJob", vrfs, allocs)
+	}
+	if !slices.Equal(m.crew.cuts, cuts) {
+		t.Errorf("the %d-VRF round split at %v, want %v", vrfs, m.crew.cuts, cuts)
 	}
 	if m.crew.live.Load() != 1 {
 		t.Fatalf("%d helpers live, want 1", m.crew.live.Load())

@@ -3,8 +3,9 @@ package machine_test
 // Round fan-out tests: splitting a thermal round's VRFs across a Run's
 // helper goroutines must be invisible in every reported number and every
 // byte of state, and the helpers must not outlive the Run that started them.
-// Both lower the chunk floor to 1, so every round of two or more groups
-// fans out, not only the ones heavy enough in production.
+// Both lower the chunk floor to 1, so every round of two or more full groups,
+// and every smaller one of three or more VRFs, fans out, not only the ones
+// heavy enough in production.
 
 import (
 	"bytes"
@@ -27,13 +28,26 @@ const (
 	fanActive = 1
 )
 
+// fanSmallVRFs are the VRF counts whose second round is smaller than two
+// RACER groups: every back end has eight RFHs, so at one active VRF per RFH
+// 8+n VRFs form a round of 8, which records, then a round of n, which
+// replays (both interpret for a dynamic body): rounds of 3, 5 and 7.
+var fanSmallVRFs = []int{8 + 3, 8 + 5, 8 + 7}
+
+// fanSmallKernels run at fanSmallVRFs: straight-line bodies whose small
+// round replays — MUL-heavy, masked by a branch, a stencil — and dynamic
+// ones whose every round is interpreted, gcd's divisions being
+// sim-dynamic's. Every kernel runs at rounds of 8; the subset keeps the
+// race detector's run of the test within its CI budget.
+var fanSmallKernels = []string{"vecmul", "relu", "conv2d3x3", "gcd", "ibert-sqrt"}
+
 // fanConfig is the run every fan-out test makes of kernel k: one MPU whose
-// rounds hold two RACER groups or eight one-VRF ones.
-func fanConfig(k *workloads.Kernel, spec *backends.Spec, mode machine.Mode, workers int) workloads.RunConfig {
+// first rounds hold two RACER groups or eight one-VRF ones, over vrfs VRFs.
+func fanConfig(k *workloads.Kernel, spec *backends.Spec, mode machine.Mode, workers, vrfs int) workloads.RunConfig {
 	return workloads.RunConfig{
 		Spec: spec, Mode: mode, Seed: 1,
-		TotalElements: spec.BaselineUnits * spec.Lanes * fanVRFs,
-		MaxSimVRFs:    fanVRFs, ActiveVRFsOverride: fanActive, Workers: workers,
+		TotalElements: spec.BaselineUnits * spec.Lanes * vrfs,
+		MaxSimVRFs:    vrfs, ActiveVRFsOverride: fanActive, Workers: workers,
 	}
 }
 
@@ -52,9 +66,9 @@ type fanState struct {
 	regs        [][]uint64
 }
 
-func fanRun(t *testing.T, k *workloads.Kernel, spec *backends.Spec, mode machine.Mode, workers int) fanState {
+func fanRun(t *testing.T, k *workloads.Kernel, spec *backends.Spec, mode machine.Mode, workers, vrfs int) fanState {
 	t.Helper()
-	cfg := fanConfig(k, spec, mode, workers)
+	cfg := fanConfig(k, spec, mode, workers, vrfs)
 	m, err := machine.New(workloads.MachineConfigFor(cfg))
 	if err != nil {
 		t.Fatal(err)
@@ -63,12 +77,12 @@ func fanRun(t *testing.T, k *workloads.Kernel, spec *backends.Spec, mode machine
 	if err != nil {
 		t.Fatalf("%s on %s/%s (workers %d): %v", k.Name, spec.Name, mode, workers, err)
 	}
-	return fanCollect(t, m, k, res.Stats)
+	return fanCollect(t, m, k, vrfs, res.Stats)
 }
 
-// fanCollect reads what a finished fan-out run of kernel k on m leaves to
-// compare.
-func fanCollect(t *testing.T, m *machine.Machine, k *workloads.Kernel, st *machine.Stats) fanState {
+// fanCollect reads what a finished fan-out run of kernel k over vrfs VRFs on
+// m leaves to compare.
+func fanCollect(t *testing.T, m *machine.Machine, k *workloads.Kernel, vrfs int, st *machine.Stats) fanState {
 	t.Helper()
 	var s fanState
 	var err error
@@ -76,7 +90,7 @@ func fanCollect(t *testing.T, m *machine.Machine, k *workloads.Kernel, st *machi
 		t.Fatal(err)
 	}
 	s.snap = m.Snapshot()
-	_, addrs, err := workloads.BuildProgram(k, m.Spec(), fanVRFs)
+	_, addrs, err := workloads.BuildProgram(k, m.Spec(), vrfs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,25 +107,36 @@ func fanCollect(t *testing.T, m *machine.Machine, k *workloads.Kernel, st *machi
 }
 
 // TestRoundFanOutParity runs every shipped kernel on each back end in both
-// modes on one goroutine and on two, and requires the same Stats JSON,
+// modes on one goroutine and on two, over rounds of 8, and fanSmallKernels
+// over rounds of 3, 5 and 7 VRFs, and requires the same Stats JSON,
 // registers and snapshot bytes.
 func TestRoundFanOutParity(t *testing.T) {
 	fanOutAll(t)
 	specs := []*backends.Spec{backends.RACER(), backends.MIMDRAM(), backends.DualityCache(), backends.SIMDRAM()}
-	for _, spec := range specs {
-		for _, mode := range []machine.Mode{machine.ModeMPU, machine.ModeBaseline} {
-			for _, k := range workloads.All() {
-				name := fmt.Sprintf("%s/%s/%s", k.Name, spec.Name, mode)
-				seq := fanRun(t, k, spec, mode, 1)
-				par := fanRun(t, k, spec, mode, 2)
-				if !bytes.Equal(seq.stats, par.stats) {
-					t.Errorf("%s: stats diverge between one goroutine and two:\nseq: %s\npar: %s", name, seq.stats, par.stats)
-				}
-				if !slices.EqualFunc(seq.regs, par.regs, slices.Equal[[]uint64]) {
-					t.Errorf("%s: registers diverge between one goroutine and two", name)
-				}
-				if !bytes.Equal(seq.snap, par.snap) {
-					t.Errorf("%s: snapshots diverge between one goroutine and two", name)
+	var small []*workloads.Kernel
+	for _, name := range fanSmallKernels {
+		small = append(small, workloads.ByName(name))
+	}
+	for _, vrfs := range append([]int{fanVRFs}, fanSmallVRFs...) {
+		kernels := small
+		if vrfs == fanVRFs {
+			kernels = workloads.All()
+		}
+		for _, spec := range specs {
+			for _, mode := range []machine.Mode{machine.ModeMPU, machine.ModeBaseline} {
+				for _, k := range kernels {
+					name := fmt.Sprintf("%s/%s/%s/%dvrf", k.Name, spec.Name, mode, vrfs)
+					seq := fanRun(t, k, spec, mode, 1, vrfs)
+					par := fanRun(t, k, spec, mode, 2, vrfs)
+					if !bytes.Equal(seq.stats, par.stats) {
+						t.Errorf("%s: stats diverge between one goroutine and two:\nseq: %s\npar: %s", name, seq.stats, par.stats)
+					}
+					if !slices.EqualFunc(seq.regs, par.regs, slices.Equal[[]uint64]) {
+						t.Errorf("%s: registers diverge between one goroutine and two", name)
+					}
+					if !bytes.Equal(seq.snap, par.snap) {
+						t.Errorf("%s: snapshots diverge between one goroutine and two", name)
+					}
 				}
 			}
 		}
@@ -145,7 +170,7 @@ func TestFanOutHelperLifetime(t *testing.T) {
 	t.Cleanup(machine.SetHelperSpins(0))
 	spec := backends.RACER()
 	k := workloads.ByName("vecmul")
-	rc := fanConfig(k, spec, machine.ModeMPU, 2)
+	rc := fanConfig(k, spec, machine.ModeMPU, 2, fanVRFs)
 	cfg := workloads.MachineConfigFor(rc)
 	prepared := func() *machine.Machine {
 		m, err := machine.New(cfg)
@@ -180,7 +205,7 @@ func TestFanOutHelperLifetime(t *testing.T) {
 	// run yields between two body instructions, or now and then at a round
 	// boundary, which is resumed until a pause lands mid-round.
 	g := workloads.ByName("gcd")
-	grc := fanConfig(g, spec, machine.ModeMPU, 2)
+	grc := fanConfig(g, spec, machine.ModeMPU, 2, fanVRFs)
 	gm, err := machine.New(workloads.MachineConfigFor(grc))
 	if err != nil {
 		t.Fatal(err)

@@ -38,7 +38,7 @@ func preemptRun(t *testing.T, k *workloads.Kernel, cfg machine.Config, rc worklo
 		}
 		st, err := m.Run()
 		if err == nil {
-			return fanCollect(t, m, k, st), mids
+			return fanCollect(t, m, k, rc.MaxSimVRFs, st), mids
 		}
 		if !errors.Is(err, machine.ErrPreempted) {
 			t.Fatalf("run %d: %v", calls, err)
@@ -86,7 +86,7 @@ func TestPreemptEveryInstruction(t *testing.T) {
 				for _, kn := range v.kernels {
 					k := workloads.ByName(kn)
 					name := fmt.Sprintf("%s/%s/%s/%s", kn, spec.Name, mode, v.name)
-					rc := fanConfig(k, spec, mode, v.workers)
+					rc := fanConfig(k, spec, mode, v.workers, fanVRFs)
 					var logs [2]bytes.Buffer
 					run := func(preempt bool, log *bytes.Buffer) (fanState, int) {
 						cfg := workloads.MachineConfigFor(rc)

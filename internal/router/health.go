@@ -26,6 +26,7 @@ type nodeState struct {
 	// Scrape-loop-local state (single goroutine, no locking needed).
 	hotScrapes int  // consecutive scrapes with queue depth over the advisory threshold
 	advised    bool // advisory already logged for the current hot episode
+	missed     int  // consecutive probes that got no answer
 }
 
 func (n *nodeState) load() float64     { return math.Float64frombits(n.loadBits.Load()) }
@@ -43,9 +44,18 @@ func (n *nodeState) effLoad() float64 {
 // ewmaAlpha weights the newest scrape sample; ~3 scrapes to converge.
 const ewmaAlpha = 0.3
 
+// probeMisses is how many probes in a row must get no answer — a timeout
+// after one scrape interval, or a transport error — before the scraper
+// unreadies a node. One late answer is a busy host, not a down node: a
+// single node unreadied on it turns every admitted request into a 503 until
+// the next scrape. A node that answers non-200 (draining) is unreadied at
+// once, and a forward's connect failure still unreadies it at once.
+const probeMisses = 3
+
 // scrapeLoop polls every node's /healthz on the configured interval until
 // stop closes — one GET per node per round. Readiness is the status code (a
-// draining mpud answers 503 and is immediately routed around); the load score
+// draining mpud answers 503 and is immediately routed around; no answer
+// counts only from probeMisses probes in a row); the load score
 // is an EWMA of queue_depth + inflight from the typed body, used as the
 // least-loaded tiebreak inside a key's candidate set. Sustained queue
 // depth above the advisory threshold emits a pool-autoscale advisory log
@@ -78,6 +88,14 @@ func (rt *Router) scrapeNode(n *nodeState) {
 
 	wasReady := n.ready.Load()
 	status, health, decoded := rt.probe(ctx, n.base+"/healthz")
+	if status == 0 {
+		n.missed++
+		if wasReady && n.missed < probeMisses {
+			return // ready until the misses add up; the load keeps its value
+		}
+	} else {
+		n.missed = 0
+	}
 	ready := status == http.StatusOK
 	n.ready.Store(ready)
 	if wasReady && !ready {

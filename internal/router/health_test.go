@@ -170,3 +170,64 @@ func TestTenantLabelEscaping(t *testing.T) {
 		t.Logf("exposition:\n%s", text)
 	}
 }
+
+// TestProbeStallStaysReady: a probe that gets no answer within the scrape
+// interval is a busy host, not a down node. A node whose /healthz stalls
+// past the interval on one probe in three stays ready and keeps being routed
+// to; one that stops answering is unreadied once probeMisses probes in a row
+// got no answer. The interval is long enough that an answered probe lands
+// far inside it even on a loaded host: only the stalled ones may miss.
+func TestProbeStallStaysReady(t *testing.T) {
+	var probes, answered, executes atomic.Int64 // answered: the last probe answered
+	var dead atomic.Bool
+	fake := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/healthz" {
+			executes.Add(1)
+			w.Write([]byte(`{"ok":true}`))
+			return
+		}
+		n := probes.Add(1)
+		if dead.Load() || n%3 == 0 {
+			select { // past the interval: the scraper gives up on this probe
+			case <-r.Context().Done():
+			case <-time.After(2 * time.Second):
+			}
+			return
+		}
+		w.Write([]byte(`{"status":"ok"}`))
+		answered.Store(n)
+	}))
+	t.Cleanup(fake.Close)
+	rt, rts := startRouter(t, nil, func(c *Config) {
+		c.Nodes = []string{fake.URL}
+		c.ScrapeInterval = 100 * time.Millisecond
+		c.Hedge = false
+	})
+	req := map[string]any{"workload": "vecadd", "backend": "racer", "elements": 64}
+	for sent := int64(0); probes.Load() < 15; sent++ {
+		if code, body, _ := postJSON(t, rts.URL, req, nil); code != http.StatusOK {
+			t.Fatalf("request %d after %d probes, one in three stalled: %d %s", sent, probes.Load(), code, body)
+		}
+		if n := routerNodes(t, rts.URL)[0]; !n.Ready {
+			t.Fatalf("node unready after %d probes, one in three stalled: %+v", probes.Load(), n)
+		}
+		if executes.Load() != sent+1 {
+			t.Fatalf("%d requests reached the node, want %d", executes.Load(), sent+1)
+		}
+	}
+	name := routerNodes(t, rts.URL)[0].Name
+	if n := rt.metrics.nodeUnreadys.With(name).Value(); n != 0 {
+		t.Fatalf("%d ready-to-unready transitions on one stalled probe in three", n)
+	}
+
+	dead.Store(true)
+	for deadline := time.Now().Add(5 * time.Second); routerNodes(t, rts.URL)[0].Ready; {
+		if time.Now().After(deadline) {
+			t.Fatalf("node still ready after %d unanswered probes", probes.Load()-answered.Load())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if n := probes.Load() - answered.Load(); n < probeMisses {
+		t.Fatalf("node unreadied after %d unanswered probes, want at least %d", n, probeMisses)
+	}
+}

@@ -27,9 +27,12 @@ import (
 //     directories before it moves to the next. RunCompiledGroups runs a
 //     thermal round through it in groups of up to four: a NOR ripple chain
 //     on one VRF waits on the store its previous op made, and independent
-//     chains overlap. Only a round of one VRF, or a last VRF left over
-//     after groups of four, runs alone. Streams holding any other kind run
-//     one VRF at a time.
+//     chains overlap. Only a call over one VRF, or a last VRF left over
+//     after groups of four, runs alone; a call is a whole round, or one
+//     VRF range of a round internal/machine splits across host cores (a
+//     round of three runs as 2+1 on two of them, and the 2-VRF group and
+//     the lone VRF finish close together: BenchmarkRunCompiledGroups).
+//     Streams holding any other kind run one VRF at a time.
 //   - several words per plane (lanes > 64): the slab-kernel loop of
 //     execResolvedWide runs the stream as recorded. Its per-op dispatch is
 //     amortised over the words of a plane, and a fused closure chain at
