@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race race-short race-resume repolint staticcheck govulncheck preflight fuzz check bench profile bench-compare serve-smoke cluster-smoke pipeline-smoke figures clean
+.PHONY: all build test vet race race-short race-machine race-resume repolint staticcheck govulncheck preflight fuzz check bench profile bench-compare serve-smoke cluster-smoke pipeline-smoke figures clean
 
 # Pinned staticcheck release — CI installs exactly this version so findings
 # are reproducible; locally the target is skipped (with a note) when the
@@ -55,44 +55,53 @@ preflight:
 race:
 	$(GO) test -race -timeout 45m ./...
 
-# The concurrency-sensitive packages only (the sweep worker pool, the linter
-# the machine calls from strict mode, and the metrics registry both daemons
-# observe into — its hammer binds series, observes and renders at once) plus
-# two rounds running one shared compiled kernel at once (its group scratch
-# must stay on each caller's stack), the engine-vs-interpreter parity
-# difftest, whose replay path runs the process-wide expansion kernels that
-# sweep workers share, the concurrent-decode test of the process-wide
-# kernel memo, the test that two cores of a Workers 2 machine record the
-# same kernel pointers, the
-# parallel-scheduler parity difftest, which fans cores out across scheduler
-# goroutines, the round fan-out parity difftest and helper-lifetime test,
-# which split a lone core's thermal rounds across a Run's helpers (every
-# round of two or more groups, the chunk floor lowered to 1, helpers that
-# park between rounds), the batched vector I/O parity test, which splits
-# every transfer of two or more VRFs across two goroutines, the
-# register-file recycling oracles (no residue after Reset,
-# bounded spare list, reuse after a wide kernel), the serve-layer parity,
-# cross-request isolation, warm-pool hammer, preemption/parking (including a
-# parked machine resuming on the other worker) and join-until-sealed tests,
-# and the router's parity, drain, admission and node-load-contract tests —
-# fast enough for every CI run. The
-# machine and
-# serve lists contain every test CHANGES.md's PR 21 mutation table names:
-# they, not a lint rule, are what fails when something outside the run path
-# writes a core's state, a JIT counter or the session table. Timed on a
-# 2-vCPU, 8 GB KVM guest with go1.24: ≈ 19 min, 1.7 min for the lines
-# outside the machine line and 17.1 min for the machine line's tests run one
-# process each (TestRoundFanOutParity 10.3 min of it, 1.8 GB peak). As one
-# process the machine line passed 5.8 GB RSS there, and TestTraceParity and
-# TestParallelMachine alone passed 4.7 GB unless GOMEMLIMIT=1GiB held them
-# to about 3 GB each.
+# The concurrency-sensitive packages outside the machine: the sweep worker
+# pool, the linter the machine calls from strict mode, and the metrics
+# registry both daemons observe into (its hammer binds series, observes and
+# renders at once), two rounds running one shared compiled kernel at once
+# (its group scratch must stay on each caller's stack), the serve-layer
+# parity, cross-request isolation, warm-pool hammer, preemption/parking
+# (including a parked machine resuming on the other worker) and
+# join-until-sealed tests, the router's parity, drain, admission and
+# node-load-contract tests, and the FBP pipeline parity tests. The serve
+# list contains every serve test the mutation table in CHANGES.md names.
+# Timed on a 2-vCPU, 8 GB KVM guest with go1.24, one line after another as
+# CI runs them: 2.4 min in all — sweep/lint/obs 42 s (a cold race build
+# included; 0.2 GB peak RSS), vrf 3 s (0.1 GB), serve 19 s (0.6 GB),
+# router 15 s (0.2 GB), fbp 67 s (2.1 GB).
 race-short:
 	$(GO) test -race -timeout 30m ./internal/sweep ./internal/lint ./internal/obs
 	$(GO) test -race -timeout 30m -run 'TestRunCompiledGroupsConcurrent' ./internal/vrf
-	$(GO) test -race -timeout 30m -run 'TestTraceParity|TestJITParityRandom|TestExpandConcurrent|TestDecodeTableHammer|TestParallelMachine|TestParallelDeadlock|TestRoundSplitShape|TestRoundFanOutParity|TestFanOutHelperLifetime|TestSnapshotResumeParityRendezvous|TestTraceRunsInstructionKernels|TestRunStatsNotAliased|TestNoResidueAfterReset|TestSpareListBounded|TestResetReuseMatchesFresh|TestVectorIOParity' ./internal/machine
 	$(GO) test -race -timeout 30m -run 'TestServeParity|TestServeIsolation|TestServePool|TestServePreemptParity|TestServePreemptHandoff|TestServeNoPreempt|TestParkedGauges|TestServeJoin|TestServeLateArrival|TestBatchingCoalesces|TestPipelineSession|TestPipelineLimits' ./internal/serve
 	$(GO) test -race -timeout 30m -run 'TestRouterParity|TestRollingDrain|TestFairAdmission|TestRouterPipeline|TestNodeLoadContract' ./internal/router
 	$(GO) test -race -timeout 30m -run 'TestPipelineParity' ./internal/fbp
+
+# The machine's concurrency tests under the race detector, a CI job of their
+# own: the engine-vs-interpreter parity difftest, whose replay path runs the
+# process-wide decode table's kernels that sweep workers share; the
+# parallel-scheduler parity difftest, which fans cores out across scheduler
+# goroutines; the round fan-out parity difftest, which splits a lone core's
+# thermal rounds across a Run's helpers (every round of two or more groups,
+# the chunk floor lowered to 1); and, in the last line, the concurrent-decode
+# and decode-table hammer tests, the test that two cores of a Workers 2
+# machine record the same kernel pointers, the helper-lifetime test (helpers
+# that park between rounds), the batched vector I/O parity test, which
+# splits every transfer of two or more VRFs across two goroutines, and the
+# register-file recycling oracles (no residue after Reset, bounded spare
+# list, reuse after a wide kernel). Together they contain every machine test
+# the mutation table in CHANGES.md names: they, not a lint rule, are what
+# fails when something outside the run path writes a core's state or a JIT
+# counter. The same tests were one line of race-short until it was timed as
+# one process on a 2-vCPU, 8 GB KVM guest with go1.24: it had passed 5.2 GB
+# RSS, still rising, when it was stopped after 14.8 min. As four processes,
+# one after another, on the same guest: 17.2 min in all —
+# TestRoundFanOutParity 10.3 min (1.8 GB peak RSS), TestTraceParity 3.0 min
+# (3.2 GB), TestParallelMachine 2.6 min (3.8 GB), the rest 1.3 min (1.7 GB).
+race-machine:
+	$(GO) test -race -timeout 30m -run 'TestRoundFanOutParity' ./internal/machine
+	$(GO) test -race -timeout 30m -run 'TestTraceParity' ./internal/machine
+	$(GO) test -race -timeout 30m -run 'TestParallelMachine' ./internal/machine
+	$(GO) test -race -timeout 30m -run 'TestJITParityRandom|TestExpandConcurrent|TestDecodeTableHammer|TestParallelDeadlock|TestRoundSplitShape|TestFanOutHelperLifetime|TestSnapshotResumeParityRendezvous|TestTraceRunsInstructionKernels|TestRunStatsNotAliased|TestNoResidueAfterReset|TestSpareListBounded|TestResetReuseMatchesFresh|TestVectorIOParity' ./internal/machine
 
 # The pause/resume difftests under the race detector, a CI job of their own:
 # TestPreemptEveryInstruction and TestSnapshotResumeParity visit every

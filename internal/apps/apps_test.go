@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"mpu/internal/backends"
+	"mpu/internal/ezpim"
 	"mpu/internal/machine"
 )
 
@@ -22,7 +23,7 @@ func TestFixedPointHelpersAgainstRefs(t *testing.T) {
 	if got := refLn1pFx(Q / 4); got < 14000 || got > 15000 { // ln(1.25) ≈ 0.223
 		t.Errorf("ln1p(0.25) = %d/%d", got, Q)
 	}
-	if refISqrt(0) != 0 || refISqrt(1) != 1 || refISqrt(15) != 3 || refISqrt(16) != 4 {
+	if ezpim.RefISqrt(0) != 0 || ezpim.RefISqrt(1) != 1 || ezpim.RefISqrt(15) != 3 || ezpim.RefISqrt(16) != 4 {
 		t.Error("isqrt wrong")
 	}
 	if got := refSqrtFx(4 * Q); got != 2*Q {
@@ -87,6 +88,38 @@ func TestEditDistanceRingValidation(t *testing.T) {
 	}
 	if _, err := RunEditDistance(EditDistanceConfig{Spec: spec, MPUs: 9999}); err == nil {
 		t.Error("oversized ring accepted")
+	}
+}
+
+// TestConfigErrors: a configuration the apps cannot run is an error, not a
+// panic.
+func TestConfigErrors(t *testing.T) {
+	spec := backends.RACER()
+	err2 := func(_ any, err error) error { return err }
+	cases := []struct {
+		name string
+		err  error
+	}{
+		{"editdistance nil spec", err2(RunEditDistance(EditDistanceConfig{}))},
+		{"editdistance negative vrfs", err2(RunEditDistance(EditDistanceConfig{Spec: spec, VRFs: -1}))},
+		{"editdistance negative steps", err2(RunEditDistance(EditDistanceConfig{Spec: spec, Steps: -1}))},
+		{"editdistance negative ring", err2(RunEditDistance(EditDistanceConfig{Spec: spec, MPUs: -2}))},
+		{"editdistance build negative vrfs", err2(BuildEditDistancePrograms(EditDistanceConfig{Spec: spec, VRFs: -4}))},
+		{"llmencode nil spec", err2(RunLLMEncode(LLMEncodeConfig{}))},
+		{"llmencode negative vrfs", err2(RunLLMEncode(LLMEncodeConfig{Spec: spec, VRFs: -1}))},
+		{"llmencode negative workers", err2(RunLLMEncode(LLMEncodeConfig{Spec: spec, Workers: -1}))},
+		{"llmencode negative groups", err2(RunLLMEncode(LLMEncodeConfig{Spec: spec, Groups: -1}))},
+		{"llmencode build negative workers", err2(BuildLLMEncodePrograms(LLMEncodeConfig{Spec: spec, Workers: -3}))},
+		{"llmencode build negative vrfs", err2(BuildLLMEncodePrograms(LLMEncodeConfig{Spec: spec, VRFs: -2}))},
+		{"llmencode build nil spec", err2(BuildLLMEncodePrograms(LLMEncodeConfig{}))},
+		{"blackscholes nil spec", err2(RunBlackScholes(BlackScholesConfig{}))},
+		{"blackscholes build nil spec", err2(BuildBlackScholesPrograms(BlackScholesConfig{}))},
+		{"blackscholes oversized batch", err2(RunBlackScholes(BlackScholesConfig{Spec: spec, Options: (spec.VRFsPerMPU() + 1) * spec.Lanes}))},
+	}
+	for _, c := range cases {
+		if c.err == nil {
+			t.Errorf("%s: accepted", c.name)
+		}
 	}
 }
 

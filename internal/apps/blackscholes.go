@@ -5,7 +5,6 @@ import (
 	"math/rand"
 
 	"mpu/internal/backends"
-	"mpu/internal/controlpath"
 	"mpu/internal/ezpim"
 	"mpu/internal/isa"
 	"mpu/internal/machine"
@@ -117,93 +116,65 @@ type BlackScholesConfig struct {
 	MachineWorkers int
 }
 
-// bsLayout returns the VRF count and addresses for an option batch, or an
-// error when the batch exceeds one MPU's capacity.
-func bsLayout(cfg BlackScholesConfig) (int, []controlpath.VRFAddr, error) {
-	spec := cfg.Spec
-	lanes := spec.Lanes
+// bsVRFs returns the VRF count of an option batch, or an error when the
+// batch exceeds one MPU's capacity.
+func bsVRFs(cfg BlackScholesConfig) (int, error) {
+	if cfg.Spec == nil {
+		return 0, fmt.Errorf("apps: blackscholes needs a Spec")
+	}
+	lanes := cfg.Spec.Lanes
 	options := cfg.Options
 	if options <= 0 {
 		options = lanes
 	}
 	vrfs := (options + lanes - 1) / lanes
-	if vrfs > spec.VRFsPerMPU() {
-		return 0, nil, fmt.Errorf("apps: option batch needs %d VRFs per MPU, have %d", vrfs, spec.VRFsPerMPU())
+	if vrfs > cfg.Spec.VRFsPerMPU() {
+		return 0, fmt.Errorf("apps: option batch needs %d VRFs per MPU, have %d", vrfs, cfg.Spec.VRFsPerMPU())
 	}
-	addrs := make([]controlpath.VRFAddr, vrfs)
-	for v := range addrs {
-		addrs[v] = controlpath.VRFAddr{RFH: uint8(v % spec.RFHsPerMPU), VRF: uint8(v / spec.RFHsPerMPU)}
-	}
-	return vrfs, addrs, nil
+	return vrfs, nil
 }
 
-// buildBlackScholesBuilder constructs MPU0's (worker=false) or MPU1's
-// (worker=true) builder.
-func buildBlackScholesBuilder(spec *backends.Spec, vrfs int, addrs []controlpath.VRFAddr, worker bool) *ezpim.Builder {
-	b := ezpim.NewBuilder()
-	b.Ensemble(addrs, func() { emitBlackScholes(b) })
-	// Gather over every RFH pair at once: one MEMCPY per distinct VRF
-	// index moves that register for all pairs in the target map.
-	var pairs []controlpath.RFHPair
-	for r := 0; r < spec.RFHsPerMPU; r++ {
-		pairs = append(pairs, controlpath.RFHPair{Src: uint8(r), Dst: uint8(r)})
-	}
+// blackScholesBuilders emits MPU0's and MPU1's builders: both price their
+// half of the batch, then MPU1 gathers its prices into MPU0's staging
+// register r7 over every RFH pair at once (one MEMCPY per distinct VRF
+// index moves that register for all pairs in the map).
+func blackScholesBuilders(spec *backends.Spec, vrfs int) []*ezpim.Builder {
+	addrs, pairs := spreadLayout(spec, vrfs)
 	maxVRFID := (vrfs - 1) / spec.RFHsPerMPU
-	if worker {
-		// Send prices back to MPU0's staging register r7.
-		b.Send(0, pairs, func(t *ezpim.Transfer) {
-			for id := 0; id <= maxVRFID; id++ {
-				t.Copy(id, bsPrice, id, 7)
-			}
-		})
-	} else {
-		b.Recv(1)
+	builders := []*ezpim.Builder{ezpim.NewBuilder(), ezpim.NewBuilder()}
+	for _, b := range builders {
+		b.Ensemble(addrs, func() { emitBlackScholes(b) })
 	}
-	return b
+	builders[1].Send(0, pairs, func(t *ezpim.Transfer) {
+		for id := 0; id <= maxVRFID; id++ {
+			t.Copy(id, bsPrice, id, 7)
+		}
+	})
+	builders[0].Recv(1)
+	return builders
 }
 
 // BuildBlackScholesPrograms assembles the two MPU binaries (MPU0 first)
 // without running them.
 func BuildBlackScholesPrograms(cfg BlackScholesConfig) ([]isa.Program, error) {
-	vrfs, addrs, err := bsLayout(cfg)
+	vrfs, err := bsVRFs(cfg)
 	if err != nil {
 		return nil, err
 	}
-	return ezpim.ProgramSet([]*ezpim.Builder{
-		buildBlackScholesBuilder(cfg.Spec, vrfs, addrs, false),
-		buildBlackScholesBuilder(cfg.Spec, vrfs, addrs, true),
-	})
+	return ezpim.ProgramSet(blackScholesBuilders(cfg.Spec, vrfs))
 }
 
 // RunBlackScholes executes the application and verifies it.
 func RunBlackScholes(cfg BlackScholesConfig) (*Result, error) {
+	vrfs, err := bsVRFs(cfg)
+	if err != nil {
+		return nil, err
+	}
 	spec := cfg.Spec
 	lanes := spec.Lanes
-	vrfs, addrs, err := bsLayout(cfg)
+	addrs, _ := spreadLayout(spec, vrfs)
+	m, res, err := load(spec, cfg.Mode, cfg.NoTrace, cfg.MachineWorkers, blackScholesBuilders(spec, vrfs))
 	if err != nil {
-		return nil, err
-	}
-
-	b0 := buildBlackScholesBuilder(spec, vrfs, addrs, false)
-	b1 := buildBlackScholesBuilder(spec, vrfs, addrs, true)
-	p0, err := b0.Program()
-	if err != nil {
-		return nil, err
-	}
-	p1, err := b1.Program()
-	if err != nil {
-		return nil, err
-	}
-
-	m, err := machine.New(machine.Config{Spec: spec, Mode: cfg.Mode, NumMPUs: 2,
-		NoTrace: cfg.NoTrace, Workers: cfg.MachineWorkers})
-	if err != nil {
-		return nil, err
-	}
-	if err := m.LoadProgram(0, p0); err != nil {
-		return nil, err
-	}
-	if err := m.LoadProgram(1, p1); err != nil {
 		return nil, err
 	}
 
@@ -247,12 +218,10 @@ func RunBlackScholes(cfg BlackScholesConfig) (*Result, error) {
 		}
 	}
 
-	st, err := m.Run()
-	if err != nil {
+	if err := run(m, res, spec); err != nil {
 		return nil, err
 	}
 
-	checked := 0
 	if cfg.Check {
 		for mpu := 0; mpu < 2; mpu++ {
 			outReg := bsPrice
@@ -273,30 +242,14 @@ func RunBlackScholes(cfg BlackScholesConfig) (*Result, error) {
 					if got[l] != want {
 						return nil, fmt.Errorf("apps: blackscholes mpu%d lane %d: got %d, want %d", mpu, v*lanes+l, got[l], want)
 					}
-					checked++
+					res.Checked++
 				}
 			}
 		}
 	}
 
-	return &Result{
-		Name:        "BlackScholes",
-		Stats:       st,
-		Seconds:     st.TimeSeconds(spec.ClockGHz),
-		Joules:      st.TotalEnergyPJ() * 1e-12,
-		Checked:     checked,
-		MPUs:        2,
-		EzpimLines:  b0.SourceLines() + b1.SourceLines(),
-		AsmLines:    b0.EmittedInstructions() + b1.EmittedInstructions(),
-		Steps:       []string{"sqrt", "exp", "norm"},
-		Collectives: []string{"CDF gather"},
-	}, nil
-}
-
-func broadcastLanes(n int, v uint64) []uint64 {
-	out := make([]uint64, n)
-	for i := range out {
-		out[i] = v
-	}
-	return out
+	res.Name = "BlackScholes"
+	res.Steps = []string{"sqrt", "exp", "norm"}
+	res.Collectives = []string{"CDF gather"}
+	return res, nil
 }

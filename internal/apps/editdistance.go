@@ -5,7 +5,6 @@ import (
 	"math/rand"
 
 	"mpu/internal/backends"
-	"mpu/internal/controlpath"
 	"mpu/internal/ezpim"
 	"mpu/internal/isa"
 	"mpu/internal/machine"
@@ -106,6 +105,9 @@ type EditDistanceConfig struct {
 
 // normalize applies the ring defaults and checks chip capacity.
 func (cfg *EditDistanceConfig) normalize() error {
+	if cfg.Spec == nil {
+		return fmt.Errorf("apps: editdistance needs a Spec")
+	}
 	if cfg.MPUs == 0 {
 		cfg.MPUs = 8
 	}
@@ -124,58 +126,51 @@ func (cfg *EditDistanceConfig) normalize() error {
 	if cfg.VRFs == 0 {
 		cfg.VRFs = 4
 	}
-	if cfg.VRFs > cfg.Spec.VRFsPerMPU() {
-		return fmt.Errorf("apps: %d VRFs per MPU exceeds capacity", cfg.VRFs)
+	if cfg.VRFs < 1 || cfg.VRFs > cfg.Spec.VRFsPerMPU() {
+		return fmt.Errorf("apps: %d VRFs per MPU outside [1,%d]", cfg.VRFs, cfg.Spec.VRFsPerMPU())
 	}
 	return nil
 }
 
-// edLayout returns the per-MPU VRF addresses and the identity pair map.
-func edLayout(cfg EditDistanceConfig) ([]controlpath.VRFAddr, []controlpath.RFHPair) {
-	spec := cfg.Spec
-	addrs := make([]controlpath.VRFAddr, cfg.VRFs)
-	for v := range addrs {
-		addrs[v] = controlpath.VRFAddr{RFH: uint8(v % spec.RFHsPerMPU), VRF: uint8(v / spec.RFHsPerMPU)}
+// EmitEditDistanceMPU emits the program of ring position id into b: steps
+// systolic steps around a ring of mpus positions, each scoring the visiting
+// queries against vrfs resident-read VRFs and passing the queries on. Even
+// positions send before receiving, odd ones receive first (ring deadlock
+// avoidance, the lower-ID-sends-first rule of §V-B). RunEditDistance and
+// the FBP EDStep component both emit through it.
+func EmitEditDistanceMPU(b *ezpim.Builder, spec *backends.Spec, id, mpus, vrfs, steps int) {
+	addrs, pairs := spreadLayout(spec, vrfs)
+	maxVRFID := (vrfs - 1) / spec.RFHsPerMPU
+	next := (id + 1) % mpus
+	prev := (id + mpus - 1) % mpus
+	for step := 0; step < steps; step++ {
+		b.Ensemble(addrs, func() { emitEditStep(b) })
+		send := func() {
+			b.Send(next, pairs, func(t *ezpim.Transfer) {
+				for v := 0; v <= maxVRFID; v++ {
+					t.Copy(v, edQuery, v, edStage)
+				}
+			})
+		}
+		recv := func() { b.Recv(prev) }
+		if id%2 == 0 {
+			send()
+			recv()
+		} else {
+			recv()
+			send()
+		}
+		b.Ensemble(addrs, func() { b.Mov(edStage, edQuery) })
 	}
-	var pairs []controlpath.RFHPair
-	for r := 0; r < spec.RFHsPerMPU; r++ {
-		pairs = append(pairs, controlpath.RFHPair{Src: uint8(r), Dst: uint8(r)})
-	}
-	return addrs, pairs
 }
 
-// buildEditDistanceBuilders constructs one builder per ring position for a
-// normalized config: T = Steps systolic steps (MPUs for the full rotation);
-// even MPUs send before receiving, odd MPUs receive first (ring deadlock
-// avoidance, the lower-ID-sends-first rule of §V-B).
-func buildEditDistanceBuilders(cfg EditDistanceConfig) []*ezpim.Builder {
-	addrs, pairs := edLayout(cfg)
-	maxVRFID := (cfg.VRFs - 1) / cfg.Spec.RFHsPerMPU
+// editDistanceBuilders emits one builder per ring position of a normalized
+// config.
+func editDistanceBuilders(cfg EditDistanceConfig) []*ezpim.Builder {
 	builders := make([]*ezpim.Builder, cfg.MPUs)
-	for id := 0; id < cfg.MPUs; id++ {
-		b := ezpim.NewBuilder()
-		next := (id + 1) % cfg.MPUs
-		prev := (id + cfg.MPUs - 1) % cfg.MPUs
-		for step := 0; step < cfg.Steps; step++ {
-			b.Ensemble(addrs, func() { emitEditStep(b) })
-			send := func() {
-				b.Send(next, pairs, func(t *ezpim.Transfer) {
-					for v := 0; v <= maxVRFID; v++ {
-						t.Copy(v, edQuery, v, edStage)
-					}
-				})
-			}
-			recv := func() { b.Recv(prev) }
-			if id%2 == 0 {
-				send()
-				recv()
-			} else {
-				recv()
-				send()
-			}
-			b.Ensemble(addrs, func() { b.Mov(edStage, edQuery) })
-		}
-		builders[id] = b
+	for id := range builders {
+		builders[id] = ezpim.NewBuilder()
+		EmitEditDistanceMPU(builders[id], cfg.Spec, id, cfg.MPUs, cfg.VRFs, cfg.Steps)
 	}
 	return builders
 }
@@ -189,32 +184,20 @@ func BuildEditDistancePrograms(cfg EditDistanceConfig) ([]isa.Program, error) {
 	// ProgramSet runs the commlint composition over the finished ring, so a
 	// mis-phased send/recv schedule fails here with a counterexample rather
 	// than deadlocking the machine.
-	return ezpim.ProgramSet(buildEditDistanceBuilders(cfg))
+	return ezpim.ProgramSet(editDistanceBuilders(cfg))
 }
 
 // RunEditDistance executes the systolic application and verifies it.
 func RunEditDistance(cfg EditDistanceConfig) (*Result, error) {
-	spec := cfg.Spec
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
+	spec := cfg.Spec
 	lanes := spec.Lanes
-	addrs, _ := edLayout(cfg)
-	builders := buildEditDistanceBuilders(cfg)
-
-	m, err := machine.New(machine.Config{Spec: spec, Mode: cfg.Mode, NumMPUs: cfg.MPUs,
-		NoTrace: cfg.NoTrace, Workers: cfg.MachineWorkers})
+	addrs, _ := spreadLayout(spec, cfg.VRFs)
+	m, res, err := load(spec, cfg.Mode, cfg.NoTrace, cfg.MachineWorkers, editDistanceBuilders(cfg))
 	if err != nil {
 		return nil, err
-	}
-	for id, b := range builders {
-		p, err := b.Program()
-		if err != nil {
-			return nil, err
-		}
-		if err := m.LoadProgram(id, p); err != nil {
-			return nil, err
-		}
 	}
 
 	// Load reference chunks and initial queries.
@@ -243,12 +226,10 @@ func RunEditDistance(cfg EditDistanceConfig) (*Result, error) {
 		}
 	}
 
-	st, err := m.Run()
-	if err != nil {
+	if err := run(m, res, spec); err != nil {
 		return nil, err
 	}
 
-	checked := 0
 	if cfg.Check {
 		// Reference: the query batch starting at MPU q visits MPUs
 		// q, q+1, ... in order; chunk lane i of MPU id sees query lane i
@@ -274,27 +255,14 @@ func RunEditDistance(cfg EditDistanceConfig) (*Result, error) {
 					if got[l] != want[i] {
 						return nil, fmt.Errorf("apps: editdistance mpu%d lane %d: got %d, want %d", id, i, got[l], want[i])
 					}
-					checked++
+					res.Checked++
 				}
 			}
 		}
 	}
 
-	ez, asm := 0, 0
-	for _, b := range builders {
-		ez += b.SourceLines()
-		asm += b.EmittedInstructions()
-	}
-	return &Result{
-		Name:        "EditDistance",
-		Stats:       st,
-		Seconds:     st.TimeSeconds(spec.ClockGHz),
-		Joules:      st.TotalEnergyPJ() * 1e-12,
-		Checked:     checked,
-		MPUs:        cfg.MPUs,
-		EzpimLines:  ez,
-		AsmLines:    asm,
-		Steps:       []string{"bitwise comparisons"},
-		Collectives: []string{"systolic ring"},
-	}, nil
+	res.Name = "EditDistance"
+	res.Steps = []string{"bitwise comparisons"}
+	res.Collectives = []string{"systolic ring"}
+	return res, nil
 }

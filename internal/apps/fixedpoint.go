@@ -70,57 +70,19 @@ func refLn1pFx(z uint64) uint64 {
 	return z - z2/(2*Q) + z3/(3*Q)/Q
 }
 
-// emitISqrt emits out = floor(sqrt(x)) with the Newton loop (data-driven
-// divergence per lane). Clobbers s..s+3.
-func emitISqrt(b *ezpim.Builder, x, out, s int) {
-	zero, two, u, t := s, s+1, s+2, s+3
-	b.Init0(zero)
-	b.Const(two, 2)
-	b.Mov(x, out)
-	b.If(ezpim.Gt(x, zero), func() {
-		b.Div(x, out, t)
-		b.Add(out, t, t)
-		b.Div(t, two, t)
-		b.Mov(t, u)
-		b.While(ezpim.Lt(u, out), func() {
-			b.Mov(u, out)
-			b.Div(x, out, t)
-			b.Add(out, t, t)
-			b.Div(t, two, u)
-		})
-	}, func() {
-		b.Init0(out)
-	})
-}
-
-// refISqrt mirrors emitISqrt.
-func refISqrt(x uint64) uint64 {
-	if x == 0 {
-		return 0
-	}
-	s := x
-	u := (s + x/s) / 2
-	for u < s {
-		s = u
-		u = (s + x/s) / 2
-	}
-	return s
-}
-
 // emitSqrtFx emits out = sqrtFx(x) for Q16 x: floor(sqrt(x << 16)).
-// Clobbers s..s+3 and x is preserved via s+3 staging? No: x preserved —
-// the shift happens in a scratch register.
+// Clobbers s..s+4; x is preserved (the shift happens in s+4).
 func emitSqrtFx(b *ezpim.Builder, x, out, s int) {
 	sh := s + 4
 	b.Mov(x, sh)
 	for i := 0; i < 16; i++ {
 		b.LShift(sh, sh)
 	}
-	emitISqrt(b, sh, out, s)
+	ezpim.ISqrt(b, sh, out, s)
 }
 
 // refSqrtFx mirrors emitSqrtFx.
-func refSqrtFx(x uint64) uint64 { return refISqrt(x << 16) }
+func refSqrtFx(x uint64) uint64 { return ezpim.RefISqrt(x << 16) }
 
 // emitLogisticCDF emits out = N(d) ≈ Q·E/(E+Q) with E = expFx(1.702·d)
 // (the logistic approximation of the standard normal CDF; this is the
@@ -146,17 +108,7 @@ func refLogisticCDF(d uint64) uint64 {
 	return e * Q / (e + Q)
 }
 
-// emitAbsDiff emits out = |a - b| for signed values via predication.
-// Clobbers s.
-func emitAbsDiff(b *ezpim.Builder, a, bb, out, s int) {
-	b.Sub(a, bb, out)
-	b.Init0(s)
-	b.If(ezpim.Lt(out, s), func() {
-		b.Sub(bb, a, out)
-	}, nil)
-}
-
-// refAbsDiff mirrors emitAbsDiff.
+// refAbsDiff mirrors ezpim.AbsDiff.
 func refAbsDiff(a, b uint64) uint64 {
 	if int64(a-b) < 0 {
 		return b - a

@@ -72,18 +72,18 @@ func emitLLMBlock(b *ezpim.Builder) {
 	b.Div(mean, t, mean)
 	b.Init0(varr)
 	for i := 0; i < llmD; i++ {
-		emitAbsDiff(b, llmY+i, mean, s, s+1)
+		ezpim.AbsDiff(b, llmY+i, mean, s, s+1)
 		b.Mac(s, s, varr)
 	}
 	b.Const(t, llmD)
 	b.Div(varr, t, varr)
 	b.Inc(varr, varr) // +1 avoids a zero denominator
-	emitISqrt(b, varr, denom, s)
+	ezpim.ISqrt(b, varr, denom, s)
 	b.Inc(denom, denom)
 	// z_i = sign(y_i − mean) · |y_i − mean|·Q / denom, written back to llmY.
 	for i := 0; i < llmD; i++ {
 		y := llmY + i
-		emitAbsDiff(b, y, mean, s, s+1)
+		ezpim.AbsDiff(b, y, mean, s, s+1)
 		b.Mul(s, q, s)
 		b.Div(s, denom, s)
 		b.Init0(s + 1)
@@ -145,7 +145,7 @@ func refLLMBlock(x [llmD]uint64, w1, w2 [llmD][llmD]uint64) [llmD]uint64 {
 		varr += d * d
 	}
 	varr = varr/llmD + 1
-	denom := refISqrt(varr) + 1
+	denom := ezpim.RefISqrt(varr) + 1
 	var z [llmD]uint64
 	for i := 0; i < llmD; i++ {
 		v := refAbsDiff(y[i], mean) * q / denom
@@ -203,6 +203,9 @@ type LLMEncodeConfig struct {
 
 // normalize applies the config defaults and checks chip capacity.
 func (cfg *LLMEncodeConfig) normalize() error {
+	if cfg.Spec == nil {
+		return fmt.Errorf("apps: llmencode needs a Spec")
+	}
 	if cfg.Workers == 0 {
 		cfg.Workers = 3
 	}
@@ -215,12 +218,15 @@ func (cfg *LLMEncodeConfig) normalize() error {
 	if cfg.Groups < 0 {
 		return fmt.Errorf("apps: negative group count %d", cfg.Groups)
 	}
+	if cfg.Workers < 1 {
+		return fmt.Errorf("apps: negative worker count %d", cfg.Workers)
+	}
 	spec := cfg.Spec
 	if mpus := cfg.Groups * (cfg.Workers + 1); mpus > spec.MPUs {
 		return fmt.Errorf("apps: %d MPUs exceed chip capacity %d", mpus, spec.MPUs)
 	}
-	if cfg.VRFs > spec.RFHsPerMPU {
-		return fmt.Errorf("apps: token VRFs %d exceed the %d RF holders", cfg.VRFs, spec.RFHsPerMPU)
+	if cfg.VRFs < 1 || cfg.VRFs > spec.RFHsPerMPU {
+		return fmt.Errorf("apps: token VRFs %d outside [1,%d], the RF holders", cfg.VRFs, spec.RFHsPerMPU)
 	}
 	if cfg.Workers >= spec.VRFsPerRFH {
 		return fmt.Errorf("apps: %d workers exceed staging capacity", cfg.Workers)
@@ -228,65 +234,60 @@ func (cfg *LLMEncodeConfig) normalize() error {
 	return nil
 }
 
-// llmLayout returns the compute-VRF addresses and the identity RFH pair map
-// the collectives use.
-func llmLayout(cfg LLMEncodeConfig) ([]controlpath.VRFAddr, []controlpath.RFHPair) {
-	computeAddrs := make([]controlpath.VRFAddr, cfg.VRFs)
-	for v := range computeAddrs {
-		computeAddrs[v] = controlpath.VRFAddr{RFH: uint8(v), VRF: 0}
+// EmitLLMCoordinator emits into b the coordinator of the group whose MPUs
+// are base..base+workers: it broadcasts the weights and scatters batch w to
+// worker w (on MPU base+w), computes batch 0 over vrfs token VRFs, and
+// gathers the workers' results into staging column w. RunLLMEncode and the
+// FBP LLMCoord component both emit through it.
+func EmitLLMCoordinator(b *ezpim.Builder, base, workers, vrfs int) {
+	computeAddrs, pairs := ColumnLayout(vrfs)
+	for w := 1; w <= workers; w++ {
+		b.Send(base+w, pairs, func(t *ezpim.Transfer) {
+			for r := 0; r < 2*llmD*llmD; r++ {
+				t.Copy(0, llmW1+r, 0, llmW1+r) // broadcast W1/W2
+			}
+			for f := 0; f < llmD; f++ {
+				t.Copy(w, llmX+f, 0, llmX+f) // scatter batch w
+			}
+		})
 	}
-	var pairs []controlpath.RFHPair
-	for v := 0; v < cfg.VRFs; v++ {
-		pairs = append(pairs, controlpath.RFHPair{Src: uint8(v), Dst: uint8(v)})
+	b.Ensemble(computeAddrs, func() { emitLLMBlock(b) })
+	for w := 1; w <= workers; w++ {
+		b.Recv(base + w)
 	}
-	return computeAddrs, pairs
 }
 
-// buildLLMEncodeBuilders constructs one builder per participant MPU for a
-// normalized config, indexed by MPU id: group g's coordinator sits at
-// g·(Workers+1), its workers right behind it. Groups only ever message
-// within themselves, and every coordinator has the lowest id of its group,
-// so the lower-ID-sends-first rule holds chip-wide.
-func buildLLMEncodeBuilders(cfg LLMEncodeConfig) []*ezpim.Builder {
-	computeAddrs, pairs := llmLayout(cfg)
+// EmitLLMWorker emits into b worker w of the group whose coordinator sits on
+// MPU base: it receives the weights and its batch, runs the encoder block
+// over vrfs token VRFs, and sends the probabilities back into the
+// coordinator's staging column w. RunLLMEncode and the FBP LLMWorker
+// component both emit through it.
+func EmitLLMWorker(b *ezpim.Builder, base, w, vrfs int) {
+	computeAddrs, pairs := ColumnLayout(vrfs)
+	b.Recv(base)
+	b.Ensemble(computeAddrs, func() { emitLLMBlock(b) })
+	b.Send(base, pairs, func(t *ezpim.Transfer) {
+		for f := 0; f < llmD; f++ {
+			t.Copy(0, llmP+f, w, llmP+f) // gather
+		}
+	})
+}
+
+// llmEncodeBuilders emits one builder per participant MPU of a normalized
+// config, indexed by MPU id: group g's coordinator sits at g·(Workers+1),
+// its workers right behind it. Groups only ever message within themselves,
+// and every coordinator has the lowest id of its group, so the
+// lower-ID-sends-first rule holds chip-wide.
+func llmEncodeBuilders(cfg LLMEncodeConfig) []*ezpim.Builder {
 	per := cfg.Workers + 1
 	builders := make([]*ezpim.Builder, cfg.Groups*per)
-	for g := 0; g < cfg.Groups; g++ {
-		base := g * per
-
-		// Coordinator program: broadcast weights + scatter batches, compute
-		// its own batch (batch 0), gather results.
-		cb := ezpim.NewBuilder()
-		for w := 1; w <= cfg.Workers; w++ {
-			wID := w
-			cb.Send(base+w, pairs, func(t *ezpim.Transfer) {
-				for r := 0; r < 2*llmD*llmD; r++ {
-					t.Copy(0, llmW1+r, 0, llmW1+r) // broadcast W1/W2
-				}
-				for f := 0; f < llmD; f++ {
-					t.Copy(wID, llmX+f, 0, llmX+f) // scatter batch w
-				}
-			})
-		}
-		cb.Ensemble(computeAddrs, func() { emitLLMBlock(cb) })
-		for w := 1; w <= cfg.Workers; w++ {
-			cb.Recv(base + w)
-		}
-		builders[base] = cb
-
-		// Worker programs: receive weights+batch, compute, send results back
-		// into the coordinator's staging VRFs.
-		for w := 1; w <= cfg.Workers; w++ {
-			b := ezpim.NewBuilder()
-			b.Recv(base)
-			b.Ensemble(computeAddrs, func() { emitLLMBlock(b) })
-			wID := w
-			b.Send(base, pairs, func(t *ezpim.Transfer) {
-				for f := 0; f < llmD; f++ {
-					t.Copy(0, llmP+f, wID, llmP+f) // gather
-				}
-			})
-			builders[base+w] = b
+	for id := range builders {
+		builders[id] = ezpim.NewBuilder()
+		base, w := id-id%per, id%per
+		if w == 0 {
+			EmitLLMCoordinator(builders[id], base, cfg.Workers, cfg.VRFs)
+		} else {
+			EmitLLMWorker(builders[id], base, w, cfg.VRFs)
 		}
 	}
 	return builders
@@ -299,7 +300,7 @@ func BuildLLMEncodePrograms(cfg LLMEncodeConfig) ([]isa.Program, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
-	return ezpim.ProgramSet(buildLLMEncodeBuilders(cfg))
+	return ezpim.ProgramSet(llmEncodeBuilders(cfg))
 }
 
 // RunLLMEncode executes the encoder block across coordinator+worker groups.
@@ -308,33 +309,20 @@ func BuildLLMEncodePrograms(cfg LLMEncodeConfig) ([]isa.Program, error) {
 // single MEMCPY under the pair map {(v,v)} addresses all of them at once.
 // Each group's coordinator stages its batch w's tokens at (rfh v, vrf w).
 func RunLLMEncode(cfg LLMEncodeConfig) (*Result, error) {
-	spec := cfg.Spec
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
+	spec := cfg.Spec
 	per := cfg.Workers + 1 // participants per group
-	mpus := cfg.Groups * per
 	lanes := spec.Lanes
 
-	computeAddrs, _ := llmLayout(cfg)
+	computeAddrs, _ := ColumnLayout(cfg.VRFs)
 	stageAddr := func(batch, v int) controlpath.VRFAddr {
 		return controlpath.VRFAddr{RFH: uint8(v), VRF: uint8(batch)}
 	}
-	builders := buildLLMEncodeBuilders(cfg)
-
-	m, err := machine.New(machine.Config{Spec: spec, Mode: cfg.Mode, NumMPUs: mpus,
-		NoTrace: cfg.NoTrace, Workers: cfg.MachineWorkers})
+	m, res, err := load(spec, cfg.Mode, cfg.NoTrace, cfg.MachineWorkers, llmEncodeBuilders(cfg))
 	if err != nil {
 		return nil, err
-	}
-	for id, b := range builders {
-		p, err := b.Program()
-		if err != nil {
-			return nil, err
-		}
-		if err := m.LoadProgram(id, p); err != nil {
-			return nil, err
-		}
 	}
 
 	// Data: weights (small integers, shared by every group)
@@ -395,12 +383,10 @@ func RunLLMEncode(cfg LLMEncodeConfig) (*Result, error) {
 		}
 	}
 
-	st, err := m.Run()
-	if err != nil {
+	if err := run(m, res, spec); err != nil {
 		return nil, err
 	}
 
-	checked := 0
 	if cfg.Check {
 		for g := 0; g < cfg.Groups; g++ {
 			coord := g * per
@@ -429,28 +415,15 @@ func RunLLMEncode(cfg LLMEncodeConfig) (*Result, error) {
 									g, batch, tok, f, got[f][l], want[f])
 							}
 						}
-						checked++
+						res.Checked++
 					}
 				}
 			}
 		}
 	}
 
-	ez, asm := 0, 0
-	for _, b := range builders {
-		ez += b.SourceLines()
-		asm += b.EmittedInstructions()
-	}
-	return &Result{
-		Name:        "LLMEncode",
-		Stats:       st,
-		Seconds:     st.TimeSeconds(spec.ClockGHz),
-		Joules:      st.TotalEnergyPJ() * 1e-12,
-		Checked:     checked,
-		MPUs:        mpus,
-		EzpimLines:  ez,
-		AsmLines:    asm,
-		Steps:       []string{"matmul", "softmax", "layernorm", "relu"},
-		Collectives: []string{"broadcast", "scatter", "gather"},
-	}, nil
+	res.Name = "LLMEncode"
+	res.Steps = []string{"matmul", "softmax", "layernorm", "relu"}
+	res.Collectives = []string{"broadcast", "scatter", "gather"}
+	return res, nil
 }

@@ -97,6 +97,8 @@ func TestCompileTypedErrors(t *testing.T) {
 		{"backward edge", "a(Split) OUT -> IN b(Split)\nb OUT -> IN a", "must come from earlier nodes"},
 		{"odd ring", "a(EDStep) OUT -> IN b(EDStep) OUT -> IN c(EDStep)\nc OUT -> IN a", "must be even"},
 		{"llm bad placement", "c(LLMCoord) OUT[2] -> IN w1(LLMWorker)\nc OUT[1] -> IN w2(LLMWorker)\nw1 OUT -> IN[2] c\nw2 OUT -> IN[1] c", "staging column"},
+		{"ring vrfs mismatch", "ed0(EDStep) OUT -> IN ed1(EDStep)\ned1 OUT -> IN ed0\n'8' -> VRFS ed0\n'1' -> VRFS ed1", "node ed0: vrfs 8 here but 1 on ed1"},
+		{"group vrfs mismatch", "c(LLMCoord) OUT[1] -> IN w(LLMWorker)\nw OUT -> IN[1] c\n'2' -> VRFS c\n'1' -> VRFS w", "node c: vrfs 2 here but 1 on w"},
 		{"merge collision", "a(Split) OUT -> IN s(Split)\na OUT[1] -> IN f(Merge)\ns OUT -> IN f\nf OUT -> IN z(Filter)", "distinct IN[i]"},
 	}
 	for _, c := range cases {
@@ -110,6 +112,19 @@ func TestCompileTypedErrors(t *testing.T) {
 				t.Fatalf("error %q missing %q", ce.Error(), c.want)
 			}
 		})
+	}
+}
+
+// TestCompileVRFsDefault: a vrfs bound to the component's default agrees
+// with a node that leaves it unbound.
+func TestCompileVRFsDefault(t *testing.T) {
+	for _, src := range []string{
+		"ed0(EDStep) OUT -> IN ed1(EDStep)\ned1 OUT -> IN ed0\n'4' -> VRFS ed1",
+		"c(LLMCoord) OUT[1] -> IN w(LLMWorker)\nw OUT -> IN[1] c\n'2' -> VRFS w",
+	} {
+		if _, err := fbp.CompileSource(src, fbp.Options{Spec: racer(t)}); err != nil {
+			t.Errorf("%q: %v", src, err)
+		}
 	}
 }
 

@@ -9,7 +9,7 @@
 //
 // where each node instantiates a component from the registry (Map over any
 // catalog kernel, Split/Merge/Filter/Reduce streaming primitives, and the
-// EDStep/LLMCoord/LLMWorker components that subsume the hand-wired apps).
+// EDStep/LLMCoord/LLMWorker components that emit the apps' own programs).
 // IIP literals ('value' -> PORT node) bind component parameters.
 //
 // The compiler places node i of the graph (first-appearance order) on MPU i

@@ -96,13 +96,24 @@ func broadcast(n int, v uint64) []uint64 {
 	return out
 }
 
+// The apps' register maps: editdistance keeps the resident chunk, the
+// visiting query and the best score in r0..r2; llmencode keeps d features
+// in r0.., and W1 then W2 row-major from r4.
+const (
+	edChunk, edQuery, edBest = 0, 1, 2
+	llmX, llmW1, llmD        = 0, 4, 4
+)
+
 // writeEditDistanceInputs mirrors RunEditDistance's data load (same rng
 // stream) for the default 8×4 configuration.
 func writeEditDistanceInputs(t *testing.T, spec *backends.Spec, m *machine.Machine) {
 	t.Helper()
 	const mpus, vrfs = 8, 4
 	lanes := spec.Lanes
-	addrs, _ := apps.EditDistanceLayout(spec, vrfs)
+	addrs := make([]controlpath.VRFAddr, vrfs)
+	for v := range addrs {
+		addrs[v] = controlpath.VRFAddr{RFH: uint8(v % spec.RFHsPerMPU), VRF: uint8(v / spec.RFHsPerMPU)}
+	}
 	rng := rand.New(rand.NewSource(7))
 	n := vrfs * lanes
 	for id := 0; id < mpus; id++ {
@@ -114,13 +125,13 @@ func writeEditDistanceInputs(t *testing.T, spec *backends.Spec, m *machine.Machi
 		}
 		for v := 0; v < vrfs; v++ {
 			lo := v * lanes
-			if err := m.WriteVector(id, addrs[v], apps.EDChunkReg, chunks[lo:lo+lanes]); err != nil {
+			if err := m.WriteVector(id, addrs[v], edChunk, chunks[lo:lo+lanes]); err != nil {
 				t.Fatal(err)
 			}
-			if err := m.WriteVector(id, addrs[v], apps.EDQueryReg, queries[lo:lo+lanes]); err != nil {
+			if err := m.WriteVector(id, addrs[v], edQuery, queries[lo:lo+lanes]); err != nil {
 				t.Fatal(err)
 			}
-			if err := m.WriteVector(id, addrs[v], apps.EDBestReg, broadcast(lanes, 1<<20)); err != nil {
+			if err := m.WriteVector(id, addrs[v], edBest, broadcast(lanes, 1<<20)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -132,10 +143,10 @@ func writeEditDistanceInputs(t *testing.T, spec *backends.Spec, m *machine.Machi
 func writeLLMEncodeInputs(t *testing.T, spec *backends.Spec, m *machine.Machine) {
 	t.Helper()
 	const workers, vrfs = 3, 2
-	const d = apps.LLMFeatures
+	const d = llmD
 	per := workers + 1
 	lanes := spec.Lanes
-	computeAddrs, _ := apps.LLMEncodeLayout(vrfs)
+	computeAddrs, _ := apps.ColumnLayout(vrfs)
 	rng := rand.New(rand.NewSource(7))
 	var w1, w2 [d][d]uint64
 	for i := 0; i < d; i++ {
@@ -159,10 +170,10 @@ func writeLLMEncodeInputs(t *testing.T, spec *backends.Spec, m *machine.Machine)
 		a := computeAddrs[v]
 		for i := 0; i < d; i++ {
 			for j := 0; j < d; j++ {
-				if err := m.WriteVector(coord, a, apps.LLMW1Reg+i*d+j, broadcast(lanes, w1[i][j])); err != nil {
+				if err := m.WriteVector(coord, a, llmW1+i*d+j, broadcast(lanes, w1[i][j])); err != nil {
 					t.Fatal(err)
 				}
-				if err := m.WriteVector(coord, a, apps.LLMW1Reg+d*d+i*d+j, broadcast(lanes, w2[i][j])); err != nil {
+				if err := m.WriteVector(coord, a, llmW1+d*d+i*d+j, broadcast(lanes, w2[i][j])); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -179,7 +190,7 @@ func writeLLMEncodeInputs(t *testing.T, spec *backends.Spec, m *machine.Machine)
 				for l := 0; l < lanes; l++ {
 					vals[l] = xs[batch][v*lanes+l][f]
 				}
-				if err := m.WriteVector(coord, a, apps.LLMXReg+f, vals); err != nil {
+				if err := m.WriteVector(coord, a, llmX+f, vals); err != nil {
 					t.Fatal(err)
 				}
 			}

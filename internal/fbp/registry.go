@@ -7,7 +7,6 @@ import (
 
 	"mpu/internal/apps"
 	"mpu/internal/backends"
-	"mpu/internal/controlpath"
 	"mpu/internal/ezpim"
 	"mpu/internal/workloads"
 )
@@ -129,19 +128,6 @@ func (c *Ctx) requireForward() error {
 		}
 	}
 	return nil
-}
-
-// streamLayout is the generic streaming-component data layout: register file
-// v of the record lives at (rfh v, vrf 0), moved by the identity pair map —
-// the same shape the kernel harness and llmencode use.
-func streamLayout(vrfs int) ([]controlpath.VRFAddr, []controlpath.RFHPair) {
-	addrs := make([]controlpath.VRFAddr, vrfs)
-	pairs := make([]controlpath.RFHPair, vrfs)
-	for v := 0; v < vrfs; v++ {
-		addrs[v] = controlpath.VRFAddr{RFH: uint8(v), VRF: 0}
-		pairs[v] = controlpath.RFHPair{Src: uint8(v), Dst: uint8(v)}
-	}
-	return addrs, pairs
 }
 
 // dstReg is the register a downstream edge receives into: the index of the
@@ -274,7 +260,7 @@ func emitMap(c *Ctx) error {
 	if err != nil {
 		return err
 	}
-	addrs, pairs := streamLayout(vrfs)
+	addrs, pairs := apps.ColumnLayout(vrfs)
 	b := c.B
 	if k.Subs != nil {
 		k.Subs(b)
@@ -310,7 +296,7 @@ func emitSplit(c *Ctx) error {
 	if err != nil {
 		return err
 	}
-	_, pairs := streamLayout(vrfs)
+	_, pairs := apps.ColumnLayout(vrfs)
 	b := c.B
 	for _, in := range c.Ins {
 		b.Recv(in.Peer)
@@ -357,7 +343,7 @@ func emitMerge(c *Ctx) error {
 		staged = append(staged, r)
 	}
 	sort.Ints(staged)
-	addrs, pairs := streamLayout(vrfs)
+	addrs, pairs := apps.ColumnLayout(vrfs)
 	for _, in := range c.Ins {
 		b.Recv(in.Peer)
 	}
@@ -398,7 +384,7 @@ func emitFilter(c *Ctx) error {
 	if err != nil {
 		return err
 	}
-	addrs, pairs := streamLayout(vrfs)
+	addrs, pairs := apps.ColumnLayout(vrfs)
 	b := c.B
 	for _, in := range c.Ins {
 		b.Recv(in.Peer)
@@ -443,7 +429,7 @@ func emitReduce(c *Ctx) error {
 	if err != nil {
 		return c.errf("%v", err)
 	}
-	addrs, pairs := streamLayout(vrfs)
+	addrs, pairs := apps.ColumnLayout(vrfs)
 	for _, in := range c.Ins {
 		b.Recv(in.Peer)
 	}
@@ -460,87 +446,89 @@ func emitReduce(c *Ctx) error {
 	return nil
 }
 
-// ringLength walks the single-out-edge cycle this node sits on and checks
-// every member is an EDStep. Placement order must advance around the ring
-// so that next == (id+1) mod ring, matching the hand-wired topology.
-func (c *Ctx) ringLength() (int, error) {
+// ring walks the single-out-edge cycle this node sits on, checks every
+// member is an EDStep, and returns the members in ring order starting here.
+// Placement order must advance around the ring so that next == (id+1) mod
+// ring, matching the hand-wired topology.
+func (c *Ctx) ring() ([]*Node, error) {
 	outOf := make(map[int]int, len(c.Graph.Nodes)) // node index -> successor
 	for _, e := range c.Graph.Edges {
 		if _, dup := outOf[e.From]; dup && c.Graph.Nodes[e.From].Component == "EDStep" {
-			return 0, c.errf("EDStep node %s has two OUT edges", c.Graph.Nodes[e.From].Name)
+			return nil, c.errf("EDStep node %s has two OUT edges", c.Graph.Nodes[e.From].Name)
 		}
 		outOf[e.From] = e.To
 	}
-	length := 0
+	var members []*Node
 	cur := c.Node.Index
 	for {
 		n := c.Graph.Nodes[cur]
 		if n.Component != "EDStep" {
-			return 0, c.errf("ring member %s is %s, not EDStep", n.Name, n.Component)
+			return nil, c.errf("ring member %s is %s, not EDStep", n.Name, n.Component)
 		}
 		next, ok := outOf[cur]
 		if !ok {
-			return 0, c.errf("ring member %s has no OUT edge — EDStep edges must close a ring", n.Name)
+			return nil, c.errf("ring member %s has no OUT edge — EDStep edges must close a ring", n.Name)
 		}
-		length++
+		members = append(members, n)
 		cur = next
 		if cur == c.Node.Index {
 			break
 		}
-		if length > len(c.Graph.Nodes) {
-			return 0, c.errf("EDStep edges do not close a ring")
+		if len(members) > len(c.Graph.Nodes) {
+			return nil, c.errf("EDStep edges do not close a ring")
 		}
 	}
-	return length, nil
+	return members, nil
+}
+
+// sameVRFs rejects a peer whose vrfs parameter (def when unbound) differs
+// from this node's: a position holding fewer VRFs than its neighbours stops
+// rotating their queries, and a worker holding fewer than its coordinator
+// leaves batches ungathered, so the run would give wrong answers silently.
+func (c *Ctx) sameVRFs(peer *Node, vrfs, def int) error {
+	v := def
+	if s, ok := peer.Params["vrfs"]; ok {
+		n, err := strconv.Atoi(s)
+		if err != nil {
+			return c.errf("%s parameter vrfs: %q is not an integer", peer.Name, s)
+		}
+		v = n
+	}
+	if v != vrfs {
+		return c.errf("vrfs %d here but %d on %s: the nodes of one ring or group must hold the same VRFs", vrfs, v, peer.Name)
+	}
+	return nil
 }
 
 func emitEDStep(c *Ctx) error {
 	if len(c.Ins) != 1 || len(c.Outs) != 1 {
 		return c.errf("EDStep needs exactly one IN and one OUT edge (a ring)")
 	}
-	ring, err := c.ringLength()
+	members, err := c.ring()
 	if err != nil {
 		return err
 	}
+	ring := len(members)
 	if ring%2 != 0 || ring < 2 {
 		return c.errf("ring size %d must be even and >= 2 (the alternating send/recv phases need it)", ring)
 	}
-	next, prev := c.Outs[0].Peer, c.Ins[0].Peer
-	if next != (c.MPU+1)%ring || prev != (c.MPU+ring-1)%ring {
+	if c.Outs[0].Peer != (c.MPU+1)%ring || c.Ins[0].Peer != (c.MPU+ring-1)%ring {
 		return c.errf("ring must advance in placement order: OUT -> next node, so node i feeds node (i+1) mod %d", ring)
 	}
 	vrfs, err := c.intParam("vrfs", 4, 1, c.Spec.VRFsPerMPU())
 	if err != nil {
 		return err
 	}
+	for _, m := range members[1:] {
+		if err := c.sameVRFs(m, vrfs, 4); err != nil {
+			return err
+		}
+	}
 	steps, err := c.intParam("steps", ring, 1, ring)
 	if err != nil {
 		return err
 	}
-	// From here the emission replicates buildEditDistanceBuilders for ring
-	// position c.MPU, instruction for instruction — the parity tests pin it.
-	addrs, pairs := apps.EditDistanceLayout(c.Spec, vrfs)
-	maxVRFID := (vrfs - 1) / c.Spec.RFHsPerMPU
-	b := c.B
-	for step := 0; step < steps; step++ {
-		b.Ensemble(addrs, func() { apps.EmitEditStep(b) })
-		send := func() {
-			b.Send(next, pairs, func(t *ezpim.Transfer) {
-				for v := 0; v <= maxVRFID; v++ {
-					t.Copy(v, apps.EDQueryReg, v, apps.EDStageReg)
-				}
-			})
-		}
-		recv := func() { b.Recv(prev) }
-		if c.MPU%2 == 0 {
-			send()
-			recv()
-		} else {
-			recv()
-			send()
-		}
-		b.Ensemble(addrs, func() { b.Mov(apps.EDStageReg, apps.EDQueryReg) })
-	}
+	apps.EmitEditDistanceMPU(c.B, c.Spec, c.MPU, ring, vrfs, steps)
 	return nil
 }
 
@@ -566,6 +554,11 @@ func emitLLMCoord(c *Ctx) error {
 		if o.Peer != c.MPU+w {
 			return c.errf("worker on OUT[%d] sits on MPU %d, want MPU %d (staging column w)", w, o.Peer, c.MPU+w)
 		}
+		if peer := c.Graph.Nodes[o.Peer]; peer.Component == "LLMWorker" {
+			if err := c.sameVRFs(peer, vrfs, 2); err != nil {
+				return err
+			}
+		}
 	}
 	for _, in := range c.Ins {
 		w := in.Local.Index
@@ -576,24 +569,7 @@ func emitLLMCoord(c *Ctx) error {
 			return c.errf("worker on IN[%d] sits on MPU %d, want MPU %d", w, in.Peer, c.MPU+w)
 		}
 	}
-	// Replicates buildLLMEncodeBuilders' coordinator program exactly.
-	computeAddrs, pairs := apps.LLMEncodeLayout(vrfs)
-	b := c.B
-	for w := 1; w <= workers; w++ {
-		wID := w
-		b.Send(c.MPU+w, pairs, func(t *ezpim.Transfer) {
-			for r := 0; r < 2*apps.LLMFeatures*apps.LLMFeatures; r++ {
-				t.Copy(0, apps.LLMW1Reg+r, 0, apps.LLMW1Reg+r) // broadcast W1/W2
-			}
-			for f := 0; f < apps.LLMFeatures; f++ {
-				t.Copy(wID, apps.LLMXReg+f, 0, apps.LLMXReg+f) // scatter batch w
-			}
-		})
-	}
-	b.Ensemble(computeAddrs, func() { apps.EmitLLMBlock(b) })
-	for w := 1; w <= workers; w++ {
-		b.Recv(c.MPU + w)
-	}
+	apps.EmitLLMCoordinator(c.B, c.MPU, workers, vrfs)
 	return nil
 }
 
@@ -619,15 +595,6 @@ func emitLLMWorker(c *Ctx) error {
 	if err != nil {
 		return err
 	}
-	// Replicates buildLLMEncodeBuilders' worker program exactly.
-	computeAddrs, pairs := apps.LLMEncodeLayout(vrfs)
-	b := c.B
-	b.Recv(coord)
-	b.Ensemble(computeAddrs, func() { apps.EmitLLMBlock(b) })
-	b.Send(coord, pairs, func(t *ezpim.Transfer) {
-		for f := 0; f < apps.LLMFeatures; f++ {
-			t.Copy(0, apps.LLMPReg+f, wID, apps.LLMPReg+f) // gather
-		}
-	})
+	apps.EmitLLMWorker(c.B, coord, wID, vrfs)
 	return nil
 }

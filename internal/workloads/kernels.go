@@ -114,20 +114,6 @@ func refAbsDiff(a, b uint64) uint64 {
 	return b - a
 }
 
-// refISqrt is floor(sqrt(x)) by the same Newton iteration the kernel runs.
-func refISqrt(x uint64) uint64 {
-	if x == 0 {
-		return 0
-	}
-	s := x
-	u := (s + x/s) / 2
-	for u < s {
-		s = u
-		u = (s + x/s) / 2
-	}
-	return s
-}
-
 // refCRC is the MSB-first CRC-32 (poly 0x04C11DB7, init 0) of the 64-bit
 // message, mirroring the kernel's bitwise loop.
 func refCRC(x uint64) uint64 {
@@ -151,39 +137,6 @@ func refSoftmaxExp(x, denom uint64) uint64 {
 	x3 := x2 * x
 	e := one + x + x2/(2*one) + x3/(6*one*one)
 	return e * one / denom
-}
-
-// emitAbsInto emits out = |a - b| (signed) using predication.
-func emitAbsInto(b *ezpim.Builder, a, bb, out, scratch int) {
-	b.Sub(a, bb, out)
-	b.Init0(scratch)
-	b.If(ezpim.Lt(out, scratch), func() {
-		b.Sub(bb, a, out)
-	}, nil)
-}
-
-// emitISqrtBody emits out = floor(sqrt(x)) with a data-driven Newton loop.
-// Scratch registers s..s+3 are clobbered.
-func emitISqrtBody(b *ezpim.Builder, x, out, s int) {
-	zero, two, u := s, s+1, s+2
-	b.Init0(zero)
-	b.Const(two, 2)
-	b.Mov(x, out) // s = x
-	b.If(ezpim.Gt(x, zero), func() {
-		t := s + 3
-		b.Div(x, out, t) // t = x/s
-		b.Add(out, t, t) // t = s + x/s
-		b.Div(t, two, t) // u = t/2
-		b.Mov(t, u)
-		b.While(ezpim.Lt(u, out), func() {
-			b.Mov(u, out)    // s = u
-			b.Div(x, out, t) // t = x/s
-			b.Add(out, t, t)
-			b.Div(t, two, u) // u = (s+x/s)/2
-		})
-	}, func() {
-		b.Init0(out)
-	})
 }
 
 // The kernel catalog is built once and shared: Kernel values are immutable
@@ -497,7 +450,7 @@ func complexKernels() []*Kernel {
 			Emit: func(b *ezpim.Builder) {
 				b.Init0(8)
 				for k := 0; k < 4; k++ {
-					emitAbsInto(b, k, 4+k, 9, 10)
+					ezpim.AbsDiff(b, k, 4+k, 9, 10)
 					b.Add(8, 9, 8)
 				}
 			},
@@ -518,19 +471,19 @@ func complexKernels() []*Kernel {
 					d := refAbsDiff(in[k], in[4+k])
 					s += d * d
 				}
-				return refISqrt(s)
+				return ezpim.RefISqrt(s)
 			},
 			Subs: func(b *ezpim.Builder) {
 				b.SubDef("isqrt", func() {
 					// In: r20, out: r21; clobbers r22..r25.
 					b.Mov(20, 26)
-					emitISqrtBody(b, 26, 21, 22)
+					ezpim.ISqrt(b, 26, 21, 22)
 				})
 			},
 			Emit: func(b *ezpim.Builder) {
 				b.Init0(9)
 				for k := 0; k < 4; k++ {
-					emitAbsInto(b, k, 4+k, 10, 11)
+					ezpim.AbsDiff(b, k, 4+k, 10, 11)
 					b.Mac(10, 10, 9)
 				}
 				b.Mov(9, 20)
@@ -546,8 +499,8 @@ func complexKernels() []*Kernel {
 				v[0] = 0 // pin the guard path
 				return [][]uint64{v}
 			},
-			Ref:  func(in []uint64) uint64 { return refISqrt(in[0]) },
-			Emit: func(b *ezpim.Builder) { emitISqrtBody(b, 0, 1, 2) },
+			Ref:  func(in []uint64) uint64 { return ezpim.RefISqrt(in[0]) },
+			Emit: func(b *ezpim.Builder) { ezpim.ISqrt(b, 0, 1, 2) },
 			GPU:  GPUTraits{Ops: 30, Bytes: 16, Passes: 1, Divergence: 3},
 		},
 		{
