@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race race-short race-machine race-resume repolint staticcheck govulncheck preflight fuzz check bench profile bench-compare serve-smoke cluster-smoke pipeline-smoke figures clean
+.PHONY: all build test vet race race-short race-machine repolint staticcheck govulncheck preflight fuzz check bench profile bench-compare serve-smoke cluster-smoke pipeline-smoke figures clean
 
 # Pinned staticcheck release — CI installs exactly this version so findings
 # are reproducible; locally the target is skipped (with a note) when the
@@ -58,65 +58,51 @@ race:
 # The concurrency-sensitive packages outside the machine: the sweep worker
 # pool, the linter the machine calls from strict mode, and the metrics
 # registry both daemons observe into (its hammer binds series, observes and
-# renders at once), two rounds running one shared compiled kernel at once
-# (its group scratch must stay on each caller's stack), the serve-layer
-# parity, cross-request isolation, warm-pool hammer, preemption/parking
+# renders at once), the serve-layer parity, cross-request isolation, warm-pool hammer, preemption/parking
 # (including a parked machine resuming on the other worker) and
 # join-until-sealed tests, the router's parity, drain, admission and
 # node-load-contract tests, and the FBP pipeline parity tests. The serve
 # list contains every serve test the mutation table in CHANGES.md names.
 # Timed on a 2-vCPU, 8 GB KVM guest with go1.24, one line after another as
 # CI runs them: 2.4 min in all — sweep/lint/obs 42 s (a cold race build
-# included; 0.2 GB peak RSS), vrf 3 s (0.1 GB), serve 19 s (0.6 GB),
-# router 15 s (0.2 GB), fbp 67 s (2.1 GB).
+# included; 0.2 GB peak RSS), serve 19 s (0.6 GB), router 15 s (0.2 GB),
+# fbp 67 s (2.1 GB), and a 3 s vrf line that has since moved to
+# race-machine.
 race-short:
 	$(GO) test -race -timeout 30m ./internal/sweep ./internal/lint ./internal/obs
-	$(GO) test -race -timeout 30m -run 'TestRunCompiledGroupsConcurrent' ./internal/vrf
 	$(GO) test -race -timeout 30m -run 'TestServeParity|TestServeIsolation|TestServePool|TestServePreemptParity|TestServePreemptHandoff|TestServeNoPreempt|TestParkedGauges|TestServeJoin|TestServeLateArrival|TestBatchingCoalesces|TestPipelineSession|TestPipelineLimits' ./internal/serve
 	$(GO) test -race -timeout 30m -run 'TestRouterParity|TestRollingDrain|TestFairAdmission|TestRouterPipeline|TestNodeLoadContract' ./internal/router
 	$(GO) test -race -timeout 30m -run 'TestPipelineParity' ./internal/fbp
 
-# The machine's concurrency tests under the race detector, a CI job of their
-# own: the engine-vs-interpreter parity difftest, whose replay path runs the
-# process-wide decode table's kernels that sweep workers share; the
-# parallel-scheduler parity difftest, which fans cores out across scheduler
-# goroutines; the round fan-out parity difftest, which splits a lone core's
-# thermal rounds across a Run's helpers (every round of two or more groups,
-# the chunk floor lowered to 1); and, in the last line, the concurrent-decode
-# and decode-table hammer tests, the test that two cores of a Workers 2
-# machine record the same kernel pointers, the helper-lifetime test (helpers
-# that park between rounds), the batched vector I/O parity test, which
-# splits every transfer of two or more VRFs across two goroutines, and the
-# register-file recycling oracles (no residue after Reset, bounded spare
-# list, reuse after a wide kernel). Together they contain every machine test
-# the mutation table in CHANGES.md names: they, not a lint rule, are what
-# fails when something outside the run path writes a core's state or a JIT
-# counter. The same tests were one line of race-short until it was timed as
-# one process on a 2-vCPU, 8 GB KVM guest with go1.24: it had passed 5.2 GB
-# RSS, still rising, when it was stopped after 14.8 min. As four processes,
-# one after another, on the same guest: 17.2 min in all —
-# TestRoundFanOutParity 10.3 min (1.8 GB peak RSS), TestTraceParity 3.0 min
-# (3.2 GB), TestParallelMachine 2.6 min (3.8 GB), the rest 1.3 min (1.7 GB).
+# The machine's race job, the only one. The first line holds the protocols
+# where its goroutines meet: the round crew's claim-and-stop protocol
+# (TestCrewProtocol), the decode table's concurrent inserts and flushes, two
+# cores recording the same kernel pointers, the helper lifetime, the split
+# shape, the batched vector I/O split, the deadlock diagnostic at 1 and 4
+# workers, and the register-file recycling oracles; with the JIT oracles and
+# TestRunStatsNotAliased it holds the tests outside TestMachineMatrix that
+# fail on a forged write to a core's state or a JIT counter, or on a wrong
+# round split (the mutation tables in CHANGES.md). The second line runs two
+# rounds on one shared compiled kernel at once (its group scratch must stay
+# on each caller's stack). The last four run every row of TestMachineMatrix
+# on one kernel per back end in both modes, each as its own process: gcd on
+# RACER with both rendezvous pairs, relu on MIMDRAM, ibert-sqrt on
+# DualityCache and vecmul on SIMDRAM — dynamic and replayed rounds, fanned
+# out and paused, SPMD cores at four workers, and snapshots restored across
+# worker counts. The full matrix runs without -race in tier-1. Timed on a
+# 2-vCPU, 8 GB KVM guest with go1.24, one line after another as CI runs
+# them: 2.8 min in all — the protocol line 66 s (a race build of the
+# package included; 1.7 GB peak RSS), vrf 2 s (0.1 GB), gcd/RACER and the
+# rendezvous pairs 59 s (0.1 GB), relu/MIMDRAM 4 s (0.2 GB),
+# ibert-sqrt/DualityCache 28 s (0.1 GB), vecmul/SIMDRAM 7 s (0.1 GB). The
+# apps stay out: their workers4 cells alone took 83 s and 3.4 GB here.
 race-machine:
-	$(GO) test -race -timeout 30m -run 'TestRoundFanOutParity' ./internal/machine
-	$(GO) test -race -timeout 30m -run 'TestTraceParity' ./internal/machine
-	$(GO) test -race -timeout 30m -run 'TestParallelMachine' ./internal/machine
-	$(GO) test -race -timeout 30m -run 'TestJITParityRandom|TestExpandConcurrent|TestDecodeTableHammer|TestParallelDeadlock|TestRoundSplitShape|TestFanOutHelperLifetime|TestSnapshotResumeParityRendezvous|TestTraceRunsInstructionKernels|TestRunStatsNotAliased|TestNoResidueAfterReset|TestSpareListBounded|TestResetReuseMatchesFresh|TestVectorIOParity' ./internal/machine
-
-# The pause/resume difftests under the race detector, a CI job of their own:
-# TestPreemptEveryInstruction and TestSnapshotResumeParity visit every
-# instruction boundary of the kernels they run, which made them most of
-# race-short's time; the preempt difftest pauses interpreted rounds between
-# two instructions while their rounds fan out. Each gets a process of its
-# own, one per back end for the latter, which bounds each process's memory
-# and its share of the timeout. Timed on the same guest: ≈ 27 min
-# (TestPreemptEveryInstruction 511 s, RACER 354 s, MIMDRAM 425 s,
-# DualityCache 327 s; peak RSS 1.5 GB).
-race-resume:
-	$(GO) test -race -timeout 30m -run '^TestPreemptEveryInstruction$$' ./internal/machine
-	$(GO) test -race -timeout 30m -run '^TestSnapshotResumeParity$$/^RACER$$' ./internal/machine
-	$(GO) test -race -timeout 30m -run '^TestSnapshotResumeParity$$/^MIMDRAM$$' ./internal/machine
-	$(GO) test -race -timeout 30m -run '^TestSnapshotResumeParity$$/^DualityCache$$' ./internal/machine
+	$(GO) test -race -timeout 30m -run 'TestCrewProtocol|TestDecodeTableHammer|TestExpandConcurrent|TestTraceRunsInstructionKernels|TestFanOutHelperLifetime|TestRoundSplitShape|TestVectorIOParity|TestParallelDeadlock|TestNoResidueAfterReset|TestSpareListBounded|TestResetReuseMatchesFresh|TestRunStatsNotAliased|TestJITParityRandom|FuzzJITParity' ./internal/machine
+	$(GO) test -race -timeout 30m -run 'TestRunCompiledGroupsConcurrent' ./internal/vrf
+	$(GO) test -race -timeout 30m -run 'TestMachineMatrix//(gcd|rendezvous-.*)/RACER/' ./internal/machine
+	$(GO) test -race -timeout 30m -run 'TestMachineMatrix//relu/MIMDRAM/' ./internal/machine
+	$(GO) test -race -timeout 30m -run 'TestMachineMatrix//ibert-sqrt/DualityCache/' ./internal/machine
+	$(GO) test -race -timeout 30m -run 'TestMachineMatrix//vecmul/SIMDRAM/' ./internal/machine
 
 # Bounded runs of the differential oracles: random programs the linter
 # passes must execute without ensemble or capacity faults, and random

@@ -378,9 +378,9 @@ func BenchmarkTraceReplay(b *testing.B) {
 // to two steps, one VRF per MPU) at 2, 16, and 128 MPUs, run /seq (Workers
 // 1, the exact pre-refactor core walk) and /par (Workers 0 = one scheduler
 // goroutine per CPU). Stats are byte-identical between the two (pinned by
-// TestParallelMachineParity); the wall-clock ratio tracks the intra-machine
-// speedup, which approaches min(NumCPU, MPUs)x on multi-core hosts and
-// stays 1.0x on a single-CPU host.
+// TestMachineMatrix's workers4 row); the wall-clock ratio tracks the
+// intra-machine speedup, which approaches min(NumCPU, MPUs)x on multi-core
+// hosts and stays 1.0x on a single-CPU host.
 func BenchmarkMachineRunMPUs(b *testing.B) {
 	for _, n := range []int{2, 16, 128} {
 		for _, sc := range []struct {

@@ -25,8 +25,8 @@
 //
 // Who may write a struct field is not a rule here: a name-based allowlist is
 // walked past by an alias or a same-named method, while the differential
-// tests (TestTraceParity, FuzzJITParity, TestSnapshotResumeParity*,
-// TestPipelineLimits) fail on the forged write itself.
+// tests (TestMachineMatrix's rows, FuzzJITParity, TestPipelineLimits) fail
+// on the forged write itself.
 //
 // Usage: repolint [root]   (default root ".")
 package main

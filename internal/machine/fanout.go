@@ -20,7 +20,8 @@ import (
 // at group boundaries; a smaller one of three or more VRFs splits into at
 // most one range per worker. Decode, accounting, recipe lookups and the
 // recorder stay on the caller, so no statistic, register or snapshot byte
-// depends on the split (TestRoundFanOutParity).
+// depends on the split (TestMachineMatrix's workers2 row), and
+// TestCrewProtocol holds the crew to its claim-and-stop protocol.
 
 // FanOutMicroOps is the least work worth handing to another goroutine, in
 // micro-op-words: micro-ops × VRFs × 64-bit words per plane. It is the

@@ -2,6 +2,7 @@ package machine
 
 import (
 	"fmt"
+	"math/rand"
 	"runtime"
 	"slices"
 	"testing"
@@ -211,4 +212,99 @@ func fannedRoundAllocs(t *testing.T, vrfs int, cuts []int) {
 		}
 		runtime.Gosched()
 	}
+}
+
+// TestCrewProtocol drives crews through random sequences of rounds, at
+// random helper budgets, spin limits and chunk floors, each round split by
+// crew.split or cut at random into 1 to n chunks that increment r1 of their
+// VRFs. After random rounds a crew is stopped, as a Run stops it when it
+// finishes or yields to a Preempt, and begun again, at once or once its
+// helpers have exited. It holds the crew to its protocol: every chunk runs
+// exactly once, done by the time run returns; no helper runs a chunk of a
+// round, or counts one done, after run returned; and once stop returns every
+// live helper is parked, or about to be, or gone, so a round put on offer
+// with no wake is claimed by none. (A Preempt after every kernel call's
+// claims, with the crew stopped each time, is TestMachineMatrix's resume
+// row at two workers.)
+func TestCrewProtocol(t *testing.T) {
+	defer runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0)))
+	defer SetHelperSpins(spinLimit)()
+	defer SetChunkFloor(chunkFloor)()
+	spec := backends.RACER()
+	k := decodeOn(t, spec, isa.Inc(1, 1)).kern
+	rng := rand.New(rand.NewSource(1))
+	vs := make([]*vrf.VRF, 24)
+	for i := range vs {
+		vs[i] = vrf.New(spec.Lanes)
+	}
+	count := make([]uint64, len(vs)) // increments each VRF has seen
+	check := func(when string) {
+		for i, v := range vs {
+			if got := v.ReadWord(1, 0); got != count[i] {
+				t.Fatalf("%s: VRF %d was incremented %d times, want %d", when, i, got, count[i])
+			}
+		}
+	}
+	settle := func(w *crew) { // waits for every helper to exit
+		for deadline := time.Now().Add(5 * time.Second); w.live.Load() != 0; runtime.Gosched() {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d helpers live after stop", w.live.Load())
+			}
+		}
+	}
+	spins := []int{0, 1, 64, 4096}
+	for trial := range 150 {
+		spinLimit = spins[rng.Intn(len(spins))]
+		chunkFloor = []uint64{1, k.Ops(), 4 * k.Ops()}[rng.Intn(3)]
+		w := &crew{wpl: 1, wake: make(chan struct{}, wakeCap)}
+		workers := 2 + rng.Intn(4)
+		w.begin(workers)
+		var rounds []*fanJob
+		for r := range 24 {
+			n := 1 + rng.Intn(len(vs))
+			cuts := slices.Clone(w.split(k.Ops(), k.GroupWidth(), n))
+			if cuts == nil || rng.Intn(2) == 0 {
+				cuts = []int{0}
+				for i := 1; i < n; i++ {
+					if rng.Intn(3) == 0 {
+						cuts = append(cuts, i)
+					}
+				}
+				cuts = append(cuts, n)
+			}
+			j := &fanJob{kern: k, vs: vs[:n], cuts: cuts}
+			w.run(j)
+			for i := range n {
+				count[i]++
+			}
+			check(fmt.Sprintf("trial %d round %d, cut at %v", trial, r, cuts))
+			if j.done.Load() != int64(j.chunks()) {
+				t.Fatalf("trial %d round %d: %d of %d chunks done when run returned", trial, r, j.done.Load(), j.chunks())
+			}
+			rounds = append(rounds, j)
+			if rng.Intn(3) != 0 {
+				continue
+			}
+			w.stop()
+			if rng.Intn(2) == 0 {
+				poison := &fanJob{kern: k, vs: []*vrf.VRF{vrf.New(spec.Lanes)}, cuts: []int{0, 1}}
+				w.job.Store(poison)
+				settle(w)
+				w.job.Store(nil)
+				if n := poison.next.Load(); n != 0 {
+					t.Fatalf("trial %d round %d: a round offered after stop was claimed %d times", trial, r, n)
+				}
+			}
+			w.begin(workers)
+		}
+		w.stop()
+		settle(w)
+		check(fmt.Sprintf("trial %d, its helpers exited", trial))
+		for i, j := range rounds {
+			if j.done.Load() != int64(j.chunks()) {
+				t.Fatalf("trial %d round %d: %d of %d chunks done after its helpers exited", trial, i, j.done.Load(), j.chunks())
+			}
+		}
+	}
+
 }

@@ -161,10 +161,10 @@ type Stats struct {
 	// once each, on their first replayed round, and JITReplays the replayed
 	// rounds, each of which runs its trace's kernels (so it equals
 	// TraceHits). The JSON keys keep the names they had when a trace was
-	// compiled again for replay. Only replayRound writes them;
-	// TestTraceParity and FuzzJITParity fail on a charge from anywhere else
-	// (a fallback round that counts a replay breaks JITReplays ==
-	// TraceHits).
+	// compiled again for replay. Only replayRound writes them; the
+	// notrace row of TestMachineMatrix and FuzzJITParity fail on a charge
+	// from anywhere else (a fallback round that counts a replay breaks
+	// JITReplays == TraceHits).
 	JITCompiles uint64 `json:"jit_compiles"`
 	JITReplays  uint64 `json:"jit_replays"`
 
@@ -227,10 +227,10 @@ type Machine struct {
 // forgotten in one of the three. Everything else that writes a field of it is
 // the run path itself (core.run, the ensemble rounds, the barrier-phase
 // rendezvous), and what holds those writes to their meaning is the
-// differential suite: TestTraceParity and FuzzJITParity (engine = reference
-// interpreter), TestParallelMachine (any worker count), and
-// TestSnapshotResumeParity* and TestPreemptEveryInstruction (paused,
-// snapshotted and resumed = uninterrupted, byte for byte).
+// differential suite: TestMachineMatrix, whose rows hold every engine arm to
+// one reference per cell (engine = reference interpreter, any worker count,
+// paused and resumed in place or snapshotted and restored = uninterrupted,
+// reused after Reset = fresh, byte for byte), and FuzzJITParity.
 type coreState struct {
 	pc      int
 	cycles  int64
@@ -747,8 +747,8 @@ func (m *Machine) workers() int {
 // reduceStats merges the per-core statistics, in ascending core-ID order,
 // into a new Stats the caller of Run owns; the machine keeps no totals. The
 // fixed reduction order makes the float energy sums bit-for-bit reproducible
-// across worker counts (TestParallelMachine), the same discipline runBody's
-// round-local accumulation applies within a core.
+// across worker counts (TestMachineMatrix's workers4 row), the same
+// discipline runBody's round-local accumulation applies within a core.
 func (m *Machine) reduceStats() *Stats {
 	st := &Stats{}
 	for _, c := range m.mpus {
@@ -1027,7 +1027,7 @@ func (c *core) replayRound(t *trace.Trace, batch []*vrf.VRF) {
 	st.DatapathEnergyPJ += t.EnergyPerVRF * float64(len(batch))
 	// The kernels mutate the same words in the same order under the same
 	// mask as an interpreted round, on each VRF of the batch (pinned by
-	// TestTraceParity and FuzzJITParity).
+	// TestMachineMatrix's notrace row and FuzzJITParity).
 	st.JITReplays++
 	c.m.fan.replay(t, batch)
 }

@@ -1,123 +1,18 @@
 package machine_test
 
-// Parallel-scheduler parity difftest: the phase-based scheduler must be
-// invisible in every reported number. Each workload runs twice — sequential
-// (Workers 1) and parallel (Workers 4) — and the two Stats must match byte
-// for byte: per-core accounting plus the fixed-order reduction makes the
-// merge independent of goroutine interleaving. The deadlock tests pin the
-// other contract: a stuck machine raises the same diagnostic at any worker
-// count.
+// The deadlock tests pin the phase-based scheduler's other contract (its
+// parity is the matrix's workers4 row): a stuck machine raises the same
+// diagnostic at any worker count.
 
 import (
 	"fmt"
-	"math/rand"
-	"reflect"
 	"strings"
 	"testing"
 
-	"mpu/internal/apps"
 	"mpu/internal/backends"
 	"mpu/internal/isa"
 	"mpu/internal/machine"
-	"mpu/internal/workloads"
 )
-
-const (
-	parallelWorkers = 4
-	spmdMPUs        = 4 // kernel-parity machine size
-	spmdVRFs        = 2
-)
-
-// runKernelSPMD executes kernel k's program on an SPMD multi-MPU machine —
-// unlike workloads.Run (which simulates one MPU's share), this instantiates
-// several cores so the parallel run phase actually fans out.
-func runKernelSPMD(t *testing.T, k *workloads.Kernel, spec *backends.Spec, mode machine.Mode, workers int) *machine.Stats {
-	t.Helper()
-	prog, addrs, err := workloads.BuildProgram(k, spec, spmdVRFs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := machine.New(machine.Config{Spec: spec, Mode: mode, NumMPUs: spmdMPUs, Workers: workers})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.LoadAll(prog); err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(1))
-	inputs := k.Gen(rng, spmdVRFs*spec.Lanes)
-	for mpu := 0; mpu < spmdMPUs; mpu++ {
-		for reg, vals := range inputs {
-			for v := 0; v < spmdVRFs; v++ {
-				lo := v * spec.Lanes
-				if err := m.WriteVector(mpu, addrs[v], reg, vals[lo:lo+spec.Lanes]); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-	}
-	st, err := m.Run()
-	if err != nil {
-		t.Fatalf("%s on %s/%s (workers %d): %v", k.Name, spec.Name, mode, workers, err)
-	}
-	return st
-}
-
-func requireWorkerParity(t *testing.T, name string, seq, par *machine.Stats) {
-	t.Helper()
-	if !reflect.DeepEqual(*seq, *par) {
-		t.Errorf("%s: stats diverge between sequential and parallel schedulers:\nseq: %+v\npar: %+v", name, *seq, *par)
-	}
-}
-
-func TestParallelMachineParity(t *testing.T) {
-	// All kernels, SPMD over 4 cores, both modes.
-	spec := backends.RACER()
-	for _, mode := range []machine.Mode{machine.ModeMPU, machine.ModeBaseline} {
-		for _, k := range workloads.All() {
-			name := fmt.Sprintf("%s/%s/%s", k.Name, spec.Name, mode)
-			seq := runKernelSPMD(t, k, spec, mode, 1)
-			par := runKernelSPMD(t, k, spec, mode, parallelWorkers)
-			requireWorkerParity(t, name, seq, par)
-		}
-	}
-
-	// All apps on every back end — including the §IX SIMDRAM portability
-	// demo — in both modes. The apps exercise the rendezvous barrier (ring,
-	// pipeline, and gather traffic), which the SPMD kernels never reach.
-	type appRun struct {
-		name string
-		run  func(spec *backends.Spec, mode machine.Mode, workers int) (*apps.Result, error)
-	}
-	cases := []appRun{
-		{"LLMEncode", func(spec *backends.Spec, mode machine.Mode, workers int) (*apps.Result, error) {
-			return apps.RunLLMEncode(apps.LLMEncodeConfig{Spec: spec, Mode: mode, Seed: 1, MachineWorkers: workers})
-		}},
-		{"BlackScholes", func(spec *backends.Spec, mode machine.Mode, workers int) (*apps.Result, error) {
-			return apps.RunBlackScholes(apps.BlackScholesConfig{Spec: spec, Mode: mode, Seed: 1, MachineWorkers: workers})
-		}},
-		{"EditDistance", func(spec *backends.Spec, mode machine.Mode, workers int) (*apps.Result, error) {
-			return apps.RunEditDistance(apps.EditDistanceConfig{Spec: spec, Mode: mode, Seed: 1, MachineWorkers: workers})
-		}},
-	}
-	specs := append(backends.All(), backends.SIMDRAM())
-	for _, spec := range specs {
-		for _, mode := range []machine.Mode{machine.ModeMPU, machine.ModeBaseline} {
-			for _, c := range cases {
-				name := fmt.Sprintf("%s/%s/%s", c.name, spec.Name, mode)
-				seq, err := c.run(spec, mode, 1)
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				par, err := c.run(spec, mode, parallelWorkers)
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				requireWorkerParity(t, name, seq.Stats, par.Stats)
-			}
-		}
-	}
-}
 
 // sendRecvProg builds a program that SENDs one register to dst and/or RECVs
 // from src (−1 skips the phase).
@@ -167,7 +62,7 @@ func TestParallelDeadlockDetection(t *testing.T) {
 	}
 	for _, c := range cases {
 		var errs []string
-		for _, workers := range []int{1, parallelWorkers} {
+		for _, workers := range []int{1, 4} {
 			m, err := machine.New(machine.Config{Spec: backends.RACER(), Mode: machine.ModeMPU,
 				NumMPUs: len(c.mpus), Workers: workers})
 			if err != nil {

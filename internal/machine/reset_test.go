@@ -45,99 +45,67 @@ func runKernelOn(t *testing.T, m *machine.Machine, spec *backends.Spec, name str
 	return statsBytes(t, res.Stats)
 }
 
-// TestResetReuseMatchesFresh pins the pool-reuse contract: back-to-back
-// loads on one machine (gcd, then relu, then gcd again) produce stats
-// byte-identical to fresh-machine runs of the same requests. A stale recipe
-// cache, RAS frame, compiled trace, or leftover VRF plane would each break
-// a different field.
-func TestResetReuseMatchesFresh(t *testing.T) {
-	spec := backends.RACER()
-	seq := []struct {
-		kernel string
-		elems  int
-		seed   int64
-	}{
-		{"gcd", 256, 1},
-		{"relu", 512, 2},
-		{"gcd", 256, 1},
-	}
-
-	warm, err := machine.New(machine.Config{Spec: spec, Mode: machine.ModeMPU, NumMPUs: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, rq := range seq {
-		got := runKernelOn(t, warm, spec, rq.kernel, rq.elems, rq.seed)
-		fresh, err := machine.New(machine.Config{Spec: spec, Mode: machine.ModeMPU, NumMPUs: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := runKernelOn(t, fresh, spec, rq.kernel, rq.elems, rq.seed)
-		if !bytes.Equal(got, want) {
-			t.Fatalf("request %d (%s): warm-machine stats diverge from fresh\nwarm:  %s\nfresh: %s",
-				i, rq.kernel, got, want)
-		}
-	}
-	t.Run("after-wide-kernel", resetReuseAfterWideKernel)
-}
-
-// The order-sensitive leg: a wide kernel first (sobelx and manhattan write
-// the most registers of the replayable suite), then vecadd on the same
-// machine, which recycles the wide kernel's register files and itself
+// TestResetReuseMatchesFresh pins the pool-reuse contract's order-sensitive
+// leg (TestMachineMatrix's reset row runs every kernel on a machine another
+// used first, on the engine): a wide kernel first (sobelx and manhattan
+// write the most registers of the replayable suite), then vecadd on the
+// same machine, which recycles the wide kernel's register files and itself
 // touches three registers. Stats and every register of every mapped VRF
 // must equal vecadd's on a fresh machine, on the engine and under NoTrace.
-func resetReuseAfterWideKernel(t *testing.T) {
-	const simVRFs = 4
-	for _, spec := range []*backends.Spec{backends.RACER(), backends.SIMDRAM()} {
-		for _, noTrace := range []bool{false, true} {
-			cfg := workloads.RunConfig{
-				Spec: spec, Mode: machine.ModeMPU, TotalElements: spec.MPUs * spec.Lanes * simVRFs,
-				Seed: 3, Check: true, MaxSimVRFs: simVRFs, NoTrace: noTrace,
-			}
-			run := func(m *machine.Machine, kernel string) []byte {
-				res, err := workloads.RunOn(m, workloads.ByName(kernel), cfg)
-				if err != nil {
-					t.Fatal(err)
+func TestResetReuseMatchesFresh(t *testing.T) {
+	t.Run("after-wide-kernel", func(t *testing.T) {
+		const simVRFs = 4
+		for _, spec := range []*backends.Spec{backends.RACER(), backends.SIMDRAM()} {
+			for _, noTrace := range []bool{false, true} {
+				cfg := workloads.RunConfig{
+					Spec: spec, Mode: machine.ModeMPU, TotalElements: spec.MPUs * spec.Lanes * simVRFs,
+					Seed: 3, Check: true, MaxSimVRFs: simVRFs, NoTrace: noTrace,
 				}
-				return statsBytes(t, res.Stats)
-			}
-			newMachine := func() *machine.Machine {
-				m, err := machine.New(workloads.MachineConfigFor(cfg))
-				if err != nil {
-					t.Fatal(err)
+				run := func(m *machine.Machine, kernel string) []byte {
+					res, err := workloads.RunOn(m, workloads.ByName(kernel), cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return statsBytes(t, res.Stats)
 				}
-				return m
-			}
-			for _, wide := range []string{"sobelx", "manhattan"} {
-				name := fmt.Sprintf("%s/%s/notrace=%v", wide, spec.Name, noTrace)
-				warm, fresh := newMachine(), newMachine()
-				run(warm, wide)
-				got, want := run(warm, "vecadd"), run(fresh, "vecadd")
-				if !bytes.Equal(got, want) {
-					t.Fatalf("%s then vecadd: stats diverge from a fresh machine's\nwarm:  %s\nfresh: %s", name, got, want)
+				newMachine := func() *machine.Machine {
+					m, err := machine.New(workloads.MachineConfigFor(cfg))
+					if err != nil {
+						t.Fatal(err)
+					}
+					return m
 				}
-				_, addrs, err := workloads.BuildProgram(workloads.ByName("vecadd"), spec, simVRFs)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, a := range addrs {
-					for reg := 0; reg < isa.NumRegs; reg++ {
-						g, err := warm.ReadVector(0, a, reg)
-						if err != nil {
-							t.Fatal(err)
-						}
-						w, err := fresh.ReadVector(0, a, reg)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if !slices.Equal(g, w) {
-							t.Fatalf("%s then vecadd: rfh%d.vrf%d r%d differs from a fresh machine's", name, a.RFH, a.VRF, reg)
+				for _, wide := range []string{"sobelx", "manhattan"} {
+					name := fmt.Sprintf("%s/%s/notrace=%v", wide, spec.Name, noTrace)
+					warm, fresh := newMachine(), newMachine()
+					run(warm, wide)
+					got, want := run(warm, "vecadd"), run(fresh, "vecadd")
+					if !bytes.Equal(got, want) {
+						t.Fatalf("%s then vecadd: stats diverge from a fresh machine's\nwarm:  %s\nfresh: %s", name, got, want)
+					}
+					_, addrs, err := workloads.BuildProgram(workloads.ByName("vecadd"), spec, simVRFs)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, a := range addrs {
+						for reg := 0; reg < isa.NumRegs; reg++ {
+							g, err := warm.ReadVector(0, a, reg)
+							if err != nil {
+								t.Fatal(err)
+							}
+							w, err := fresh.ReadVector(0, a, reg)
+							if err != nil {
+								t.Fatal(err)
+							}
+							if !slices.Equal(g, w) {
+								t.Fatalf("%s then vecadd: rfh%d.vrf%d r%d differs from a fresh machine's", name, a.RFH, a.VRF, reg)
+							}
 						}
 					}
 				}
 			}
 		}
-	}
+	})
 }
 
 // TestResetClearsArchitecturalState pins the functional half: a register

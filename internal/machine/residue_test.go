@@ -21,7 +21,7 @@ import (
 )
 
 func vrfBytes(v *vrf.VRF) []byte {
-	w := snap.NewWriter()
+	w := snap.NewWriter(0)
 	v.EncodeState(w)
 	return w.Finish()
 }

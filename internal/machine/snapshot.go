@@ -8,6 +8,7 @@ import (
 
 	"mpu/internal/controlpath"
 	"mpu/internal/isa"
+	"mpu/internal/micro"
 	"mpu/internal/recipe"
 	"mpu/internal/snap"
 	"mpu/internal/trace"
@@ -21,8 +22,8 @@ import (
 // planes, and the installed trace cache — to a versioned, checksummed binary
 // stream. Restore rebuilds a compatible machine into exactly that state, so
 // snapshot → restore → resume produces Stats and register contents
-// byte-identical to an uninterrupted run (TestSnapshotResumeParity), and
-// re-snapshotting a restored machine reproduces the input bytes
+// byte-identical to an uninterrupted run (TestMachineMatrix's restore row),
+// and re-snapshotting a restored machine reproduces the input bytes
 // (FuzzSnapshotRoundTrip).
 //
 // What is deliberately NOT serialized: the process-wide decode table (a
@@ -35,7 +36,7 @@ import (
 
 // snapMagic versions the snapshot format; bump it on any layout change.
 // Restore reads this one layout: a stream in an older one is refused.
-const snapMagic = "MPUSNAP3"
+const snapMagic = "MPUSNAP4"
 
 // rasDepth is the per-core return-stack limit (New passes it to
 // NewReturnStack); Restore validates frame counts against it before
@@ -48,7 +49,14 @@ const rasDepth = 64
 // machine, and so does a session); its users are the parity tests and bench's
 // codec probes.
 func (m *Machine) Snapshot() []byte {
-	w := snap.NewWriter()
+	// Nearly all of a stream is VRF word directories, so the buffer is sized
+	// from the VRF count once, with room for each core's program and fields.
+	vrfBytes := 2 + 8 + 8*micro.NumSlots*int(m.crew.wpl)
+	size := 256
+	for _, c := range m.mpus {
+		size += len(c.vrfs)*vrfBytes + 4*len(c.prog) + 1024
+	}
+	w := snap.NewWriter(size)
 	w.String(snapMagic)
 	w.Bytes(m.fingerprint())
 	w.Bool(m.midRun)
@@ -65,7 +73,7 @@ func (m *Machine) Snapshot() []byte {
 // byte-identical at any worker count, so snapshots move freely between
 // sequential and parallel machines.
 func (m *Machine) fingerprint() []byte {
-	w := snap.NewWriter()
+	w := snap.NewWriter(256)
 	spec := m.cfg.Spec
 	w.String(spec.Name)
 	w.Int(spec.Lanes)

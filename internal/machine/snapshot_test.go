@@ -1,27 +1,19 @@
 package machine_test
 
-// Snapshot/restore/resume parity difftest: preemption must be invisible in
-// every reported number and every byte of architectural state. Each kernel
-// runs twice — once uninterrupted, and once preempted at EVERY instruction
-// boundary (inside interpreted rounds too), with the machine serialized,
-// discarded, and restored into a freshly constructed machine (alternating worker counts, since snapshots
-// are scheduler-portable) before each resume. The final Stats, their JSON
-// rendering, and a final post-run snapshot must be byte-identical across
-// the two runs. Every intermediate snapshot must also survive a
-// restore→re-snapshot round trip byte-for-byte, which is the same
-// canonical-encoding property FuzzSnapshotRoundTrip hammers with corrupted
-// streams.
+// Snapshot/restore: the codec's refusals and its canonical form. That a
+// restored machine resumes byte-identical to an uninterrupted run is the
+// matrix's restore row.
 
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
-	"fmt"
-	"hash/fnv"
+	"hash/crc32"
 	"math"
-	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -33,191 +25,14 @@ import (
 	"mpu/internal/workloads"
 )
 
-const (
-	snapMPUs = 4
-	snapVRFs = 2
-)
-
-// buildSnapKernelMachine instantiates an SPMD machine with kernel k loaded
-// and its inputs written — the starting state both the uninterrupted and
-// the preempted run share.
-func buildSnapKernelMachine(t *testing.T, k *workloads.Kernel, cfg machine.Config) *machine.Machine {
-	t.Helper()
-	prog, addrs, err := workloads.BuildProgram(k, cfg.Spec, snapVRFs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := machine.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.LoadAll(prog); err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(1))
-	inputs := k.Gen(rng, snapVRFs*cfg.Spec.Lanes)
-	for mpu := 0; mpu < cfg.NumMPUs; mpu++ {
-		for reg, vals := range inputs {
-			for v := 0; v < snapVRFs; v++ {
-				lo := v * cfg.Spec.Lanes
-				if err := m.WriteVector(mpu, addrs[v], reg, vals[lo:lo+cfg.Spec.Lanes]); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-	}
-	return m
-}
-
-// resumePreempted drives m to completion while preempting before every
-// segment: each Run call is immediately asked to yield at its first
-// instruction boundary, the machine is snapshotted and thrown away, and a
-// fresh machine — built with the next worker count in the rotation, since
-// the fingerprint deliberately excludes Workers — is restored from the
-// bytes and resumed. Returns the final stats and the machine that produced
-// them.
-func resumePreempted(t *testing.T, name string, m *machine.Machine, cfg machine.Config) (*machine.Stats, *machine.Machine) {
-	t.Helper()
-	workerSeq := []int{4, 1, 2}
-	for i := 0; ; i++ {
-		if i > 1<<20 {
-			t.Fatalf("%s: preemption loop made no progress", name)
-		}
-		m.Preempt()
-		st, err := m.Run()
-		if err == nil {
-			return st, m
-		}
-		if !errors.Is(err, machine.ErrPreempted) {
-			t.Fatalf("%s: run at boundary %d: %v", name, i, err)
-		}
-		data := m.Snapshot()
-		cfg.Workers = workerSeq[i%len(workerSeq)]
-		fresh, err := machine.New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := fresh.Restore(data); err != nil {
-			t.Fatalf("%s: restore at boundary %d: %v", name, i, err)
-		}
-		if again := fresh.Snapshot(); !bytes.Equal(again, data) {
-			t.Fatalf("%s: snapshot round-trip diverged at boundary %d (%d vs %d bytes)", name, i, len(again), len(data))
-		}
-		m = fresh
-	}
-}
-
-// requireSnapshotParity compares an uninterrupted run against a
-// preempt-at-every-boundary run: Stats struct, JSON wire rendering, and a
-// final post-run snapshot (which covers VRF contents, trace caches, recipe
-// tables — the complete architectural state) must all be byte-identical.
-func requireSnapshotParity(t *testing.T, name string, ref, got *machine.Stats, refM, gotM *machine.Machine) {
-	t.Helper()
-	if !reflect.DeepEqual(*ref, *got) {
-		t.Errorf("%s: stats diverge between uninterrupted and preempted runs:\n ref: %+v\n got: %+v", name, *ref, *got)
-	}
-	refJSON, err := json.Marshal(ref)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotJSON, err := json.Marshal(got)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(refJSON, gotJSON) {
-		t.Errorf("%s: stats JSON diverges:\n ref: %s\n got: %s", name, refJSON, gotJSON)
-	}
-	if !bytes.Equal(refM.Snapshot(), gotM.Snapshot()) {
-		t.Errorf("%s: final architectural state diverges between uninterrupted and preempted runs", name)
-	}
-}
-
-func TestSnapshotResumeParity(t *testing.T) {
-	specs := backends.All()
-	modes := []machine.Mode{machine.ModeMPU, machine.ModeBaseline}
-	if testing.Short() {
-		specs = specs[:1]
-	}
-	// One subtest per back end, so that CI can run them as separate
-	// processes (make race-short).
-	for _, spec := range specs {
-		t.Run(spec.Name, func(t *testing.T) {
-			for _, mode := range modes {
-				for _, k := range workloads.All() {
-					name := fmt.Sprintf("%s/%s/%s", k.Name, spec.Name, mode)
-					cfg := machine.Config{Spec: spec, Mode: mode, NumMPUs: snapMPUs, Workers: 1}
-					refM := buildSnapKernelMachine(t, k, cfg)
-					ref, err := refM.Run()
-					if err != nil {
-						t.Fatalf("%s: %v", name, err)
-					}
-					preM := buildSnapKernelMachine(t, k, cfg)
-					pre, preM := resumePreempted(t, name, preM, cfg)
-					requireSnapshotParity(t, name, ref, pre, refM, preM)
-				}
-			}
-		})
-	}
-}
-
-// TestSnapshotResumeParityRendezvous pins preemption across in-flight
-// SEND/RECV waits, which the SPMD kernels never reach, from both sides: with
-// the NOP prelude on mpu0 it computes before sending, so mpu1 spends many
-// preempted Run calls blocked in RECV; with the prelude on mpu1 it is mpu0
-// that sits blocked in SEND. Either wait state rides through snapshot,
-// restore, and worker-count changes, and the rendezvous must still charge the
-// same cycles as the uninterrupted run — a snapshot that drops or forges a
-// pending wait deadlocks the resumed run.
-func TestSnapshotResumeParityRendezvous(t *testing.T) {
-	prelude := strings.Repeat("NOP\n", 12)
-	const send = "SEND mpu1\nMOVE rfh0 rfh0\nMEMCPY vrf0 r0 vrf0 r0\nMOVE_DONE\nSEND_DONE\n"
-	const recv = "RECV mpu0\nNOP\n"
-	for _, waiter := range []struct{ name, sender, receiver string }{
-		{"recv-waits", prelude + send, recv},
-		{"send-waits", send, prelude + recv},
-	} {
-		sender, err := isa.Assemble(waiter.sender)
-		if err != nil {
-			t.Fatal(err)
-		}
-		receiver, err := isa.Assemble(waiter.receiver)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, mode := range []machine.Mode{machine.ModeMPU, machine.ModeBaseline} {
-			name := fmt.Sprintf("rendezvous/%s/%s", waiter.name, mode)
-			cfg := machine.Config{Spec: backends.RACER(), Mode: mode, NumMPUs: 2, Workers: 1}
-			build := func() *machine.Machine {
-				m, err := machine.New(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := m.LoadProgram(0, sender); err != nil {
-					t.Fatal(err)
-				}
-				if err := m.LoadProgram(1, receiver); err != nil {
-					t.Fatal(err)
-				}
-				return m
-			}
-			refM := build()
-			ref, err := refM.Run()
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			pre, preM := resumePreempted(t, name, build(), cfg)
-			requireSnapshotParity(t, name, ref, pre, refM, preM)
-		}
-	}
-}
-
 // TestRestoreRejectsMismatchedMachine pins the fingerprint check: a
 // snapshot must not restore into a machine with a different configuration,
 // and a failed restore must leave the target untouched.
 func TestRestoreRejectsMismatchedMachine(t *testing.T) {
 	k := workloads.All()[0]
 	cfg := machine.Config{Spec: backends.RACER(), Mode: machine.ModeMPU, NumMPUs: 2, Workers: 1}
-	m := buildSnapKernelMachine(t, k, cfg)
+	m := mustNew(t, cfg)
+	loadSPMD(t, m, k)
 	data := m.Snapshot()
 
 	for _, alt := range []machine.Config{
@@ -257,7 +72,8 @@ func TestRestoreRejectsMismatchedMachine(t *testing.T) {
 // round-trip.
 func TestRestoreRejectsCorruption(t *testing.T) {
 	cfg := machine.Config{Spec: backends.RACER(), Mode: machine.ModeMPU, NumMPUs: 2, Workers: 1}
-	m := buildSnapKernelMachine(t, workloads.All()[0], cfg)
+	m := mustNew(t, cfg)
+	loadSPMD(t, m, workloads.All()[0])
 	m.Preempt()
 	if _, err := m.Run(); !errors.Is(err, machine.ErrPreempted) {
 		t.Fatalf("expected preemption, got %v", err)
@@ -305,7 +121,8 @@ func TestRestoreRejectsCorruption(t *testing.T) {
 // instructions of an interpreted round.
 func pausedMidRound(t *testing.T, cfg machine.Config) *machine.Machine {
 	t.Helper()
-	m := buildSnapKernelMachine(t, workloads.ByName("gcd"), cfg)
+	m := mustNew(t, cfg)
+	loadSPMD(t, m, workloads.ByName("gcd"))
 	for i := 0; !m.PausedMidRound(); i++ {
 		if i == 1000 {
 			t.Fatal("gcd never paused inside a round")
@@ -479,9 +296,8 @@ func TestSnapshotAfterFailedRun(t *testing.T) {
 // reseal recomputes a mutated stream's trailing checksum, so the mutation
 // reaches the decoder instead of dying at the integrity check.
 func reseal(data []byte) []byte {
-	h := fnv.New64a()
-	h.Write(data[:len(data)-8])
-	binary.LittleEndian.PutUint64(data[len(data)-8:], h.Sum64())
+	n := len(data) - 4
+	binary.LittleEndian.PutUint32(data[n:], crc32.Checksum(data[:n], crc32.MakeTable(crc32.Castagnoli)))
 	return data
 }
 
@@ -570,13 +386,39 @@ func fuzzSpec() *backends.Spec {
 	return s
 }
 
+// fuzzConfig is the machine FuzzSnapshotRoundTrip restores into.
+func fuzzConfig() machine.Config {
+	return machine.Config{Spec: fuzzSpec(), Mode: machine.ModeMPU, NumMPUs: 2, Workers: 1}
+}
+
+// TestFuzzCorpusRestores requires every stream in FuzzSnapshotRoundTrip's
+// corpus to restore and round-trip: one in a format Restore refuses tests
+// only the refusal.
+func TestFuzzCorpusRestores(t *testing.T) {
+	files, _ := filepath.Glob("testdata/fuzz/FuzzSnapshotRoundTrip/*")
+	for _, name := range files {
+		raw, err := os.ReadFile(name)
+		lit := strings.TrimSuffix(strings.TrimPrefix(string(raw), "go test fuzz v1\n[]byte("), ")\n")
+		data, uerr := strconv.Unquote(lit)
+		if err != nil || uerr != nil {
+			t.Fatalf("%s: not a one-[]byte corpus file (%v, %v)", name, err, uerr)
+		}
+		if m := mustNew(t, fuzzConfig()); m.Restore([]byte(data)) != nil || !bytes.Equal(m.Snapshot(), []byte(data)) {
+			t.Errorf("%s: does not restore and round-trip", name)
+		}
+	}
+	if len(files) == 0 {
+		t.Fatal("no corpus files")
+	}
+}
+
 // FuzzSnapshotRoundTrip asserts decode∘encode = identity: any byte stream
 // Restore accepts must re-snapshot to exactly the input bytes. Combined
-// with TestSnapshotResumeParity (encode∘decode = identity on real states),
+// with the matrix's restore row (encode∘decode = identity on real states),
 // this pins the format as canonical — there is exactly one serialization
 // of any machine state, so snapshot bytes are comparable for equality.
 func FuzzSnapshotRoundTrip(f *testing.F) {
-	cfg := machine.Config{Spec: fuzzSpec(), Mode: machine.ModeMPU, NumMPUs: 2, Workers: 1}
+	cfg := fuzzConfig()
 	// A straight-line ensemble (recorded, then replayed) and a loop of two
 	// iterations, whose rounds are interpreted and pause between
 	// instructions.

@@ -2,7 +2,7 @@
 // snapshots. The format is deliberately rigid so that a snapshot is a pure
 // function of the serialized state: every field is fixed-width little-endian,
 // booleans are strictly 0/1, variable-length sections are length-prefixed,
-// and the stream ends with an FNV-64a checksum over everything before it.
+// and the stream ends with a CRC-32C checksum over everything before it.
 // Rigidity is what makes the round-trip oracle meaningful — any byte stream
 // the Reader accepts re-encodes to exactly the same bytes, so
 // FuzzSnapshotRoundTrip can assert decode∘encode = identity instead of a
@@ -12,17 +12,26 @@ package snap
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/fnv"
+	"hash/crc32"
 	"math"
+	"slices"
 )
+
+// castagnoli is the CRC-32C table: the polynomial the CPU's CRC32
+// instruction computes, so hash/crc32 checksums a stream at memory speed.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// sumBytes is the length of the trailing checksum.
+const sumBytes = 4
 
 // Writer accumulates one snapshot stream.
 type Writer struct {
 	buf []byte
 }
 
-// NewWriter returns an empty snapshot writer.
-func NewWriter() *Writer { return &Writer{} }
+// NewWriter returns an empty snapshot writer whose buffer holds size bytes
+// before it first grows.
+func NewWriter(size int) *Writer { return &Writer{buf: make([]byte, 0, size)} }
 
 // U8 appends one byte.
 func (w *Writer) U8(v uint8) { w.buf = append(w.buf, v) }
@@ -42,8 +51,15 @@ func (w *Writer) U16(v uint16) { w.buf = binary.LittleEndian.AppendUint16(w.buf,
 // U32 appends a little-endian uint32.
 func (w *Writer) U32(v uint32) { w.buf = binary.LittleEndian.AppendUint32(w.buf, v) }
 
-// U64 appends a little-endian uint64.
-func (w *Writer) U64(v uint64) { w.buf = binary.LittleEndian.AppendUint64(w.buf, v) }
+// U64 appends little-endian uint64s, growing the buffer once for all of
+// them: a whole word directory is one call.
+func (w *Writer) U64(vs ...uint64) {
+	n := len(w.buf)
+	w.buf = slices.Grow(w.buf, 8*len(vs))[:n+8*len(vs)]
+	for i, v := range vs {
+		binary.LittleEndian.PutUint64(w.buf[n+8*i:], v)
+	}
+}
 
 // I64 appends a little-endian int64 (two's complement).
 func (w *Writer) I64(v int64) { w.U64(uint64(v)) }
@@ -66,12 +82,10 @@ func (w *Writer) String(s string) {
 	w.buf = append(w.buf, s...)
 }
 
-// Finish appends the FNV-64a checksum of everything written so far and
+// Finish appends the CRC-32C checksum of everything written so far and
 // returns the completed stream. The writer must not be reused afterwards.
 func (w *Writer) Finish() []byte {
-	h := fnv.New64a()
-	h.Write(w.buf)
-	return binary.LittleEndian.AppendUint64(w.buf, h.Sum64())
+	return binary.LittleEndian.AppendUint32(w.buf, crc32.Checksum(w.buf, castagnoli))
 }
 
 // Reader consumes a snapshot stream produced by Writer. Errors are sticky:
@@ -87,14 +101,13 @@ type Reader struct {
 // NewReader verifies the stream's trailing checksum and returns a reader
 // over the payload before it.
 func NewReader(data []byte) (*Reader, error) {
-	if len(data) < 8 {
+	if len(data) < sumBytes {
 		return nil, fmt.Errorf("snap: stream of %d bytes is shorter than its checksum", len(data))
 	}
-	payload, sum := data[:len(data)-8], binary.LittleEndian.Uint64(data[len(data)-8:])
-	h := fnv.New64a()
-	h.Write(payload)
-	if got := h.Sum64(); got != sum {
-		return nil, fmt.Errorf("snap: checksum mismatch (stream %016x, computed %016x)", sum, got)
+	payload := data[:len(data)-sumBytes]
+	sum := binary.LittleEndian.Uint32(data[len(data)-sumBytes:])
+	if got := crc32.Checksum(payload, castagnoli); got != sum {
+		return nil, fmt.Errorf("snap: checksum mismatch (stream %08x, computed %08x)", sum, got)
 	}
 	return &Reader{buf: payload}, nil
 }

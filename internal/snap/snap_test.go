@@ -7,13 +7,14 @@ import (
 )
 
 func TestRoundTrip(t *testing.T) {
-	w := NewWriter()
+	w := NewWriter(0)
 	w.U8(7)
 	w.Bool(true)
 	w.Bool(false)
 	w.U16(0xbeef)
 	w.U32(0xdeadbeef)
 	w.U64(1 << 60)
+	w.U64(5, 6, 7)
 	w.I64(-42)
 	w.Int(123456)
 	w.F64(3.25)
@@ -40,6 +41,11 @@ func TestRoundTrip(t *testing.T) {
 	if got := r.U64(); got != 1<<60 {
 		t.Errorf("U64 = %#x", got)
 	}
+	for _, want := range []uint64{5, 6, 7} {
+		if got := r.U64(); got != want {
+			t.Errorf("bulk U64 = %d, want %d", got, want)
+		}
+	}
 	if got := r.I64(); got != -42 {
 		t.Errorf("I64 = %d", got)
 	}
@@ -61,7 +67,7 @@ func TestRoundTrip(t *testing.T) {
 }
 
 func TestChecksumRejectsCorruption(t *testing.T) {
-	w := NewWriter()
+	w := NewWriter(0)
 	w.U64(12345)
 	data := w.Finish()
 	for i := range data {
@@ -77,7 +83,7 @@ func TestChecksumRejectsCorruption(t *testing.T) {
 }
 
 func TestStrictBool(t *testing.T) {
-	w := NewWriter()
+	w := NewWriter(0)
 	w.U8(2) // not a legal bool byte
 	data := w.Finish()
 	r, err := NewReader(data)
@@ -91,7 +97,7 @@ func TestStrictBool(t *testing.T) {
 }
 
 func TestTruncationSticks(t *testing.T) {
-	w := NewWriter()
+	w := NewWriter(0)
 	w.U8(1)
 	data := w.Finish()
 	r, err := NewReader(data)
@@ -112,7 +118,7 @@ func TestTruncationSticks(t *testing.T) {
 }
 
 func TestCloseRejectsTrailingBytes(t *testing.T) {
-	w := NewWriter()
+	w := NewWriter(0)
 	w.U8(1)
 	w.U8(2)
 	data := w.Finish()
@@ -127,7 +133,7 @@ func TestCloseRejectsTrailingBytes(t *testing.T) {
 }
 
 func TestLenGuardsAllocation(t *testing.T) {
-	w := NewWriter()
+	w := NewWriter(0)
 	w.U64(1 << 40) // a length no stream this short can satisfy
 	data := w.Finish()
 	r, err := NewReader(data)

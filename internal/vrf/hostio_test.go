@@ -34,7 +34,7 @@ func requireSameWords(t *testing.T, name string, ref, got *VRF) {
 }
 
 func encoded(v *VRF) []byte {
-	w := snap.NewWriter()
+	w := snap.NewWriter(0)
 	v.EncodeState(w)
 	return w.Finish()
 }

@@ -18,9 +18,7 @@ import (
 // EncodeState appends the VRF's architectural state to w.
 func (v *VRF) EncodeState(w *snap.Writer) {
 	w.U64(v.MicroOps)
-	for _, x := range v.words {
-		w.U64(x)
-	}
+	w.U64(v.words...)
 }
 
 // DecodeState overwrites a freshly constructed VRF (same lane count as the
