@@ -84,7 +84,7 @@ race-short:
 # fail on a forged write to a core's state or a JIT counter, or on a wrong
 # round split (the mutation tables in CHANGES.md). The second line runs two
 # rounds on one shared compiled kernel at once (its group scratch must stay
-# on each caller's stack). The last four run every row of TestMachineMatrix
+# on each caller's stack). The last four run every matrix row
 # on one kernel per back end in both modes, each as its own process: gcd on
 # RACER with both rendezvous pairs, relu on MIMDRAM, ibert-sqrt on
 # DualityCache and vecmul on SIMDRAM — dynamic and replayed rounds, fanned
@@ -99,10 +99,10 @@ race-short:
 race-machine:
 	$(GO) test -race -timeout 30m -run 'TestCrewProtocol|TestDecodeTableHammer|TestExpandConcurrent|TestTraceRunsInstructionKernels|TestFanOutHelperLifetime|TestRoundSplitShape|TestVectorIOParity|TestParallelDeadlock|TestNoResidueAfterReset|TestSpareListBounded|TestResetReuseMatchesFresh|TestRunStatsNotAliased|TestJITParityRandom|FuzzJITParity' ./internal/machine
 	$(GO) test -race -timeout 30m -run 'TestRunCompiledGroupsConcurrent' ./internal/vrf
-	$(GO) test -race -timeout 30m -run 'TestMachineMatrix//(gcd|rendezvous-.*)/RACER/' ./internal/machine
-	$(GO) test -race -timeout 30m -run 'TestMachineMatrix//relu/MIMDRAM/' ./internal/machine
-	$(GO) test -race -timeout 30m -run 'TestMachineMatrix//ibert-sqrt/DualityCache/' ./internal/machine
-	$(GO) test -race -timeout 30m -run 'TestMachineMatrix//vecmul/SIMDRAM/' ./internal/machine
+	$(GO) test -race -timeout 30m -run '(TestMachineMatrix|TestTraceParity|TestSnapshotResumeParity)//(gcd|rendezvous-.*)/RACER/' ./internal/machine
+	$(GO) test -race -timeout 30m -run '(TestMachineMatrix|TestTraceParity|TestSnapshotResumeParity)//relu/MIMDRAM/' ./internal/machine
+	$(GO) test -race -timeout 30m -run '(TestMachineMatrix|TestTraceParity|TestSnapshotResumeParity)//ibert-sqrt/DualityCache/' ./internal/machine
+	$(GO) test -race -timeout 30m -run '(TestMachineMatrix|TestTraceParity|TestSnapshotResumeParity)//vecmul/SIMDRAM/' ./internal/machine
 
 # Bounded runs of the differential oracles: random programs the linter
 # passes must execute without ensemble or capacity faults, and random

@@ -25,7 +25,7 @@
 //
 // Who may write a struct field is not a rule here: a name-based allowlist is
 // walked past by an alias or a same-named method, while the differential
-// tests (TestMachineMatrix's rows, FuzzJITParity, TestPipelineLimits) fail
+// tests (the machine's matrix rows, FuzzJITParity, TestPipelineLimits) fail
 // on the forged write itself.
 //
 // Usage: repolint [root]   (default root ".")

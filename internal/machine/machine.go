@@ -162,9 +162,9 @@ type Stats struct {
 	// rounds, each of which runs its trace's kernels (so it equals
 	// TraceHits). The JSON keys keep the names they had when a trace was
 	// compiled again for replay. Only replayRound writes them; the
-	// notrace row of TestMachineMatrix and FuzzJITParity fail on a charge
-	// from anywhere else (a fallback round that counts a replay breaks
-	// JITReplays == TraceHits).
+	// matrix's notrace row (TestTraceParity) and FuzzJITParity fail on a
+	// charge from anywhere else (a fallback round that counts a replay
+	// breaks JITReplays == TraceHits).
 	JITCompiles uint64 `json:"jit_compiles"`
 	JITReplays  uint64 `json:"jit_replays"`
 
@@ -227,8 +227,9 @@ type Machine struct {
 // forgotten in one of the three. Everything else that writes a field of it is
 // the run path itself (core.run, the ensemble rounds, the barrier-phase
 // rendezvous), and what holds those writes to their meaning is the
-// differential suite: TestMachineMatrix, whose rows hold every engine arm to
-// one reference per cell (engine = reference interpreter, any worker count,
+// differential matrix (TestMachineMatrix, TestTraceParity*,
+// TestSnapshotResumeParity*), whose rows hold every engine arm to one
+// reference per cell (engine = reference interpreter, any worker count,
 // paused and resumed in place or snapshotted and restored = uninterrupted,
 // reused after Reset = fresh, byte for byte), and FuzzJITParity.
 type coreState struct {
@@ -1027,7 +1028,7 @@ func (c *core) replayRound(t *trace.Trace, batch []*vrf.VRF) {
 	st.DatapathEnergyPJ += t.EnergyPerVRF * float64(len(batch))
 	// The kernels mutate the same words in the same order under the same
 	// mask as an interpreted round, on each VRF of the batch (pinned by
-	// TestMachineMatrix's notrace row and FuzzJITParity).
+	// TestTraceParity, the matrix's notrace row, and FuzzJITParity).
 	st.JITReplays++
 	c.m.fan.replay(t, batch)
 }

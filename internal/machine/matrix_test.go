@@ -5,8 +5,11 @@ package machine_test
 // engine arm must leave exactly the state of the reference interpreter. A
 // cell is a program (a shipped kernel, an app or a rendezvous pair) on one
 // back end, in one mode and shape; the reference table holds its
-// uninterrupted Workers 1 runs, each built once per test binary. Each row of
-// TestMachineMatrix is one arm, compared with its cell's references:
+// uninterrupted Workers 1 runs, each built once per test binary. Each row is
+// one arm, compared with its cell's references; the notrace and restore rows
+// run as TestTraceParity, TestTraceParityApps, TestSnapshotResumeParity and
+// TestSnapshotResumeParityRendezvous, the others as TestMachineMatrix's
+// subtests:
 //
 //   - notrace: the engine against NoTrace, engine counters stripped;
 //   - workers2: Workers 2, chunk floor 1;
@@ -409,7 +412,6 @@ func eachCell(t *testing.T, cs []*cell, f func(t *testing.T, c *cell)) {
 }
 
 func TestMachineMatrix(t *testing.T) {
-	t.Run("notrace", rowNoTrace)
 	t.Run("workers2", func(t *testing.T) {
 		fanOutAll(t)
 		eachCell(t, slices.Concat(cells(allSpecs, []int{matrixVRFs}, allKernels), cells(allSpecs, smallVRFs, smallKernels)),
@@ -421,24 +423,61 @@ func TestMachineMatrix(t *testing.T) {
 	})
 	t.Run("decode-flush", rowDecodeFlush)
 	t.Run("resume", rowResume)
-	t.Run("restore", func(t *testing.T) {
-		eachCell(t, slices.Concat(cells(backends.All(), []int{0}, allKernels), rendezvousCells(t)), func(t *testing.T, c *cell) {
-			m, _ := c.prepare(t, arm{workers: 1})
-			st, m := resumePreempted(t, c.name, m, c.config(arm{workers: 1}))
-			requireSame(t, c.name, c.ref(t, refEngine), c.collect(t, m, st, nil))
-		})
-	})
 	t.Run("reset", rowReset)
+}
+
+// The notrace and restore rows keep the names of the tests they grew out
+// of and share the reference table with TestMachineMatrix. In every row a
+// cell's name is the subtest two levels below the top, so
+// -run '(TestMachineMatrix|TestTraceParity|TestSnapshotResumeParity)//gcd/RACER/'
+// reaches every row on gcd on RACER.
+
+// TestTraceParity is the notrace row on the kernels (one MPU at 16 VRFs,
+// and SPMD) and the rendezvous pairs.
+func TestTraceParity(t *testing.T) {
+	t.Run("notrace", func(t *testing.T) {
+		rowNoTrace(t, slices.Concat(cells(backends.All(), []int{matrixVRFs, 0}, allKernels), rendezvousCells(t)), true)
+	})
+}
+
+// TestTraceParityApps is the notrace row on the three apps.
+func TestTraceParityApps(t *testing.T) {
+	t.Run("notrace", func(t *testing.T) { rowNoTrace(t, appCells(backends.All()), false) })
+}
+
+// TestSnapshotResumeParity is the restore row on the SPMD kernels, one
+// subtest per back end.
+func TestSnapshotResumeParity(t *testing.T) {
+	for _, spec := range backends.All() {
+		t.Run(spec.Name, func(t *testing.T) { rowRestore(t, cells([]*backends.Spec{spec}, []int{0}, allKernels)) })
+	}
+}
+
+// TestSnapshotResumeParityRendezvous is the restore row on the rendezvous
+// pairs, whose pauses land inside in-flight SEND/RECV waits.
+func TestSnapshotResumeParityRendezvous(t *testing.T) {
+	t.Run("restore", func(t *testing.T) { rowRestore(t, rendezvousCells(t)) })
+}
+
+// rowRestore pauses each cell at every instruction boundary, snapshots it
+// and restores it into a fresh machine (resumePreempted), and holds the
+// final state to the engine's uninterrupted run.
+func rowRestore(t *testing.T, cs []*cell) {
+	eachCell(t, cs, func(t *testing.T, c *cell) {
+		m, _ := c.prepare(t, arm{workers: 1})
+		st, m := resumePreempted(t, c.name, m, c.config(arm{workers: 1}))
+		requireSame(t, c.name, c.ref(t, refEngine), c.collect(t, m, st, nil))
+	})
 }
 
 // rowNoTrace holds the engine to the reference interpreter: the stats
 // (engine counters stripped) and every register. A dynamic body must never
-// replay from a trace, and across the row rounds must replay.
-func rowNoTrace(t *testing.T) {
-	cs := slices.Concat(cells(backends.All(), []int{matrixVRFs, 0}, allKernels), appCells(backends.All()), rendezvousCells(t))
+// replay from a trace, and, if engages, across cs rounds must replay (the
+// apps' rounds are too small to).
+func rowNoTrace(t *testing.T, cs []*cell, engages bool) {
 	var ran, hits, replays atomic.Uint64
 	t.Cleanup(func() { // after every cell's subtest
-		if ran.Load() == uint64(len(cs)) && (hits.Load() == 0 || replays.Load() == 0) {
+		if engages && ran.Load() == uint64(len(cs)) && (hits.Load() == 0 || replays.Load() == 0) {
 			t.Errorf("%d trace hits and %d compiled replays in the whole row — the engine never engaged", hits.Load(), replays.Load())
 		}
 	})

@@ -22,7 +22,7 @@ import (
 // planes, and the installed trace cache — to a versioned, checksummed binary
 // stream. Restore rebuilds a compatible machine into exactly that state, so
 // snapshot → restore → resume produces Stats and register contents
-// byte-identical to an uninterrupted run (TestMachineMatrix's restore row),
+// byte-identical to an uninterrupted run (TestSnapshotResumeParity),
 // and re-snapshotting a restored machine reproduces the input bytes
 // (FuzzSnapshotRoundTrip).
 //
