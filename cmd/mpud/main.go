@@ -8,20 +8,20 @@
 //
 //	mpud [-addr :8080] [-pools racer:mpu:2,mimdram:mpu:1] [-queue 64]
 //	     [-deadline 30s] [-max-elements 1048576] [-node-id node0] [-quiet]
-//	     [-nopreempt] [-max-parked 8] [-pprof 127.0.0.1:6060]
+//	     [-nopreempt] [-pprof 127.0.0.1:6060]
 //
 // There is no worker flag: the daemon's parallelism is across requests, and a
 // session machine picks its own schedule (docs/SERVE.md, "No worker knob").
 //
 // Coalescing needs no setting: a request identical to one that is queued,
-// running or parked shares that run, and no request ever waits for a twin
+// running or paused shares that run, and no request ever waits for a twin
 // to arrive (docs/SERVE.md, "Batching").
 //
 // QoS: the X-QoS request header selects a class — "latency" (strict queue
 // priority; preempts running batch jobs at instruction boundaries) or "batch"
-// (the default). -nopreempt keeps the priority queues but never interrupts a
-// running job; -max-parked bounds each pool's parking lot of preempted jobs,
-// each of which keeps its machine.
+// (the default). A preempted job pauses on its worker's machine while that
+// worker runs the latency work on a second machine, then resumes in place.
+// -nopreempt keeps the priority queues but never interrupts a running job.
 //
 // Endpoints:
 //
@@ -56,6 +56,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -71,28 +72,39 @@ import (
 )
 
 func main() {
-	addr := flag.String("addr", ":8080", "listen address (host:port; :0 picks a free port)")
-	pools := flag.String("pools", "racer:mpu:2", "warm pools: backend:mode[:size],... (modes: mpu, baseline)")
-	queue := flag.Int("queue", 64, "admission queue depth per pool, in batches")
-	deadline := flag.Duration("deadline", 30*time.Second, "default per-request deadline")
-	maxElements := flag.Int("max-elements", 1<<20, "per-request element cap for workload runs")
-	nodeID := flag.String("node-id", "", "cluster node label on /metrics gauges and request logs (empty = standalone)")
-	quiet := flag.Bool("quiet", false, "suppress JSON request logs")
-	nopreempt := flag.Bool("nopreempt", false, "disable instruction-boundary preemption (latency keeps queue priority only)")
-	maxParked := flag.Int("max-parked", 8, "parking-lot bound per pool for preempted jobs (each keeps its machine)")
-	maxSessions := flag.Int("max-sessions", 8, "live pipeline session bound (/v1/pipelines)")
-	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address, on its own listener (empty = off)")
-	smoke := flag.Bool("smoke", false, "self-test: serve on a random port, run one request, drain, exit")
-	pipelineSmoke := flag.Bool("pipeline-smoke", false, "self-test the session plane: create, stream, 422 check, close, drain, exit")
-	flag.Parse()
-
-	if err := run(*addr, *pools, *queue, *deadline, *maxElements, *nodeID, *quiet, *nopreempt, *maxParked, *maxSessions, *pprofAddr, *smoke, *pipelineSmoke); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintf(os.Stderr, "mpud: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run(addr, pools string, queue int, deadline time.Duration, maxElements int, nodeID string, quiet, nopreempt bool, maxParked, maxSessions int, pprofAddr string, smoke, pipelineSmoke bool) error {
+// run is the whole command: parse args, serve until SIGTERM/SIGINT (or until
+// a self-test passes), drain, and print status lines to stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("mpud", flag.ContinueOnError)
+	fs.SetOutput(stdout)
+	var (
+		addr, pools, nodeID, pprofAddr         string
+		queue, maxElements, maxSessions        int
+		deadline                               time.Duration
+		quiet, nopreempt, smoke, pipelineSmoke bool
+	)
+	fs.StringVar(&addr, "addr", ":8080", "listen address (host:port; :0 picks a free port)")
+	fs.StringVar(&pools, "pools", "racer:mpu:2", "warm pools: backend:mode[:size],... (modes: mpu, baseline)")
+	fs.IntVar(&queue, "queue", 64, "admission queue depth per pool, in batches")
+	fs.DurationVar(&deadline, "deadline", 30*time.Second, "default per-request deadline")
+	fs.IntVar(&maxElements, "max-elements", 1<<20, "per-request element cap for workload runs")
+	fs.StringVar(&nodeID, "node-id", "", "cluster node label on /metrics gauges and request logs (empty = standalone)")
+	fs.BoolVar(&quiet, "quiet", false, "suppress JSON request logs")
+	fs.BoolVar(&nopreempt, "nopreempt", false, "disable instruction-boundary preemption (latency keeps queue priority only)")
+	fs.IntVar(&maxSessions, "max-sessions", 8, "live pipeline session bound (/v1/pipelines)")
+	fs.StringVar(&pprofAddr, "pprof", "", "serve net/http/pprof on this address, on its own listener (empty = off)")
+	fs.BoolVar(&smoke, "smoke", false, "self-test: serve on a random port, run one request, drain, exit")
+	fs.BoolVar(&pipelineSmoke, "pipeline-smoke", false, "self-test the session plane: create, stream, 422 check, close, drain, exit")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+
 	specs, err := serve.ParsePoolSpecs(pools)
 	if err != nil {
 		return err
@@ -108,7 +120,6 @@ func run(addr, pools string, queue int, deadline time.Duration, maxElements int,
 		DefaultDeadline: deadline,
 		NodeID:          nodeID,
 		NoPreempt:       nopreempt,
-		MaxParked:       maxParked,
 		MaxSessions:     maxSessions,
 		Logs:            logs,
 	})
@@ -133,9 +144,9 @@ func run(addr, pools string, queue int, deadline time.Duration, maxElements int,
 		WriteTimeout:      2 * deadline,
 		IdleTimeout:       2 * time.Minute,
 	}
-	fmt.Printf("mpud: listening on %s (pools %s)\n", ln.Addr(), pools)
+	fmt.Fprintf(stdout, "mpud: listening on %s (pools %s)\n", ln.Addr(), pools)
 
-	errCh := make(chan error, 2) // one send per server
+	errCh := make(chan error, 3) // one send per server and one from a self-test
 	go func() { errCh <- hs.Serve(ln) }()
 
 	if pprofAddr != "" {
@@ -145,19 +156,22 @@ func run(addr, pools string, queue int, deadline time.Duration, maxElements int,
 		}
 		ps := obs.ProfilerServer()
 		defer ps.Close()
-		fmt.Printf("mpud: pprof on http://%s/debug/pprof/\n", pln.Addr())
+		fmt.Fprintf(stdout, "mpud: pprof on http://%s/debug/pprof/\n", pln.Addr())
 		go func() { errCh <- ps.Serve(pln) }()
 	}
 
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, syscall.SIGTERM, syscall.SIGINT)
+	defer signal.Stop(sig)
 	if smoke || pipelineSmoke {
 		test, name := smokeTest, "smoke"
 		if pipelineSmoke {
 			test, name = pipelineSmokeTest, "pipeline-smoke"
 		}
 		go func() {
-			if err := test("http://" + ln.Addr().String()); err != nil {
-				fmt.Fprintf(os.Stderr, "mpud: %s: %v\n", name, err)
-				os.Exit(1)
+			if err := test("http://"+ln.Addr().String(), stdout); err != nil {
+				errCh <- fmt.Errorf("%s: %w", name, err)
+				return
 			}
 			// Self-deliver the drain signal so the smoke run exercises the
 			// same shutdown path as production.
@@ -166,13 +180,11 @@ func run(addr, pools string, queue int, deadline time.Duration, maxElements int,
 		}()
 	}
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGTERM, syscall.SIGINT)
 	select {
 	case err := <-errCh:
 		return err
 	case s := <-sig:
-		fmt.Printf("mpud: %s: draining\n", s)
+		fmt.Fprintf(stdout, "mpud: %s: draining\n", s)
 	}
 
 	// Drain sequence: stop admitting, let the HTTP layer finish in-flight
@@ -184,13 +196,13 @@ func run(addr, pools string, queue int, deadline time.Duration, maxElements int,
 		return fmt.Errorf("shutdown: %w", err)
 	}
 	srv.Close()
-	fmt.Println("mpud: drained")
+	fmt.Fprintln(stdout, "mpud: drained")
 	return nil
 }
 
 // smokeTest is the end-to-end liveness exercise run by -smoke (and CI):
 // healthz, one kernel execution with plausibility checks, and metrics.
-func smokeTest(base string) error {
+func smokeTest(base string, stdout io.Writer) error {
 	client := &http.Client{Timeout: 30 * time.Second}
 
 	resp, err := client.Get(base + "/healthz")
@@ -237,7 +249,7 @@ func smokeTest(base string) error {
 	if !bytes.Contains(metrics, []byte("mpud_preemptions_total")) {
 		return fmt.Errorf("metrics missing the QoS preemption plane:\n%s", metrics)
 	}
-	fmt.Println("mpud: smoke ok")
+	fmt.Fprintln(stdout, "mpud: smoke ok")
 	return nil
 }
 
@@ -250,7 +262,7 @@ const pipelineSmokeSource = "src(Split) OUT -> IN total(Reduce)\n'1' -> REGS src
 // -pipeline-smoke (and CI): compile once, stream records across two
 // requests (the second must replay warm traces with zero recompilation),
 // verify the 422 admission path on a deadlocking graph, and close.
-func pipelineSmokeTest(base string) error {
+func pipelineSmokeTest(base string, stdout io.Writer) error {
 	client := &http.Client{Timeout: 30 * time.Second}
 	post := func(path string, req, resp any) (int, []byte, error) {
 		body, err := json.Marshal(req)
@@ -372,6 +384,6 @@ func pipelineSmokeTest(base string) error {
 		!bytes.Contains(metrics, []byte("mpud_sessions 0\n")) {
 		return fmt.Errorf("metrics did not account the session:\n%s", metrics)
 	}
-	fmt.Println("mpud: pipeline-smoke ok")
+	fmt.Fprintln(stdout, "mpud: pipeline-smoke ok")
 	return nil
 }

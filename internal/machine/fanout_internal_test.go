@@ -252,6 +252,20 @@ func TestCrewProtocol(t *testing.T) {
 			}
 		}
 	}
+	// stopped fails when stop returned with a helper still looking for a
+	// round. A helper that stop woke, or that counted itself parked and then
+	// saw quit, leaves the parked count a few instructions before it leaves
+	// live, so live reads above parked for a moment: at most 342 reads
+	// (about a microsecond) in 800 runs on a 2-vCPU host. A helper that stop
+	// did not wait for keeps it there until the helper is scheduled again,
+	// for up to milliseconds while this goroutine spins on its CPU.
+	stopped := func(w *crew, when string) {
+		for start := time.Now(); w.live.Load() > w.parked.Load(); {
+			if time.Since(start) > 100*time.Microsecond {
+				t.Fatalf("%s: %d helpers live, %d parked, 100µs after stop returned", when, w.live.Load(), w.parked.Load())
+			}
+		}
+	}
 	spins := []int{0, 1, 64, 4096}
 	for trial := range 150 {
 		spinLimit = spins[rng.Intn(len(spins))]
@@ -286,6 +300,7 @@ func TestCrewProtocol(t *testing.T) {
 				continue
 			}
 			w.stop()
+			stopped(w, fmt.Sprintf("trial %d round %d", trial, r))
 			if rng.Intn(2) == 0 {
 				poison := &fanJob{kern: k, vs: []*vrf.VRF{vrf.New(spec.Lanes)}, cuts: []int{0, 1}}
 				w.job.Store(poison)
@@ -298,6 +313,7 @@ func TestCrewProtocol(t *testing.T) {
 			w.begin(workers)
 		}
 		w.stop()
+		stopped(w, fmt.Sprintf("trial %d", trial))
 		settle(w)
 		check(fmt.Sprintf("trial %d, its helpers exited", trial))
 		for i, j := range rounds {

@@ -13,7 +13,7 @@ import (
 )
 
 // A batch is joinable until its result is sealed — while it is queued, held,
-// running or parked — and not a moment longer. These tests pin the three
+// running or paused — and not a moment longer. These tests pin the three
 // edges of that span; the merge itself is what TestBatchingCoalesces and the
 // batched leg of TestServeParityColdWarmBatchedConcurrent pin.
 
@@ -92,9 +92,8 @@ func TestServeJoinInFlight(t *testing.T) {
 }
 
 // TestServeJoinParked: the preemptOnce choreography, plus a twin of the batch
-// request sent while the job sits in the parking lot. The twin rides on the
-// parked job: one run, resumed once, both answers byte-equal to the
-// uncontended reference.
+// request sent while the job is paused. The twin rides on the paused job: one
+// run, resumed once, both answers byte-equal to the uncontended reference.
 func TestServeJoinParked(t *testing.T) {
 	batchReq := Request{Workload: "gcd", Backend: "racer", Elements: 512, Seed: 11, Check: true}
 	latReq := Request{Workload: "vecadd", Backend: "racer", Elements: 64, Seed: 3}
@@ -127,8 +126,8 @@ func TestServeJoinParked(t *testing.T) {
 				t.Errorf("latency request: %d %s", code, body)
 			}
 		}()
-		// Watch for the job to reach the parking lot; if its answer comes
-		// first, this attempt saw no preemption.
+		// Watch for the job to pause; if its answer comes first, this attempt
+		// saw no preemption.
 		answered := func() bool {
 			select {
 			case <-firstDone:
@@ -160,7 +159,7 @@ func TestServeJoinParked(t *testing.T) {
 		for i, body := range bodies {
 			r := decodeResponse(t, body)
 			if r.BatchSize != 2 {
-				t.Errorf("response %d: batch_size %d, want 2 (joined while parked)", i, r.BatchSize)
+				t.Errorf("response %d: batch_size %d, want 2 (joined while paused)", i, r.BatchSize)
 			}
 			if !bytes.Equal(want, r.Stats) {
 				t.Errorf("response %d: stats diverge from the uncontended run:\nwant: %s\ngot:  %s", i, want, r.Stats)

@@ -33,10 +33,10 @@ type metrics struct {
 
 	traceHits, traceMisses, traceFallbacks, jitCompiles, jitReplays, roundsTotal *obs.Int
 
-	// QoS plane: preemption accounting, the jobs (each holding its machine)
-	// sitting in pool parking lots, and per-class latency.
-	preemptions, preemptSpills, parkedJobs *obs.Int
-	classSeconds                           map[string]*obs.Histogram // ClassLatency / ClassBatch
+	// QoS plane: preemption accounting, the batch jobs paused while their
+	// workers serve latency work, and per-class latency.
+	preemptions, parkedJobs *obs.Int
+	classSeconds            map[string]*obs.Histogram // ClassLatency / ClassBatch
 
 	// Pipeline session plane: live sessions and records streamed.
 	sessionsOpen, sessionRecords *obs.Int
@@ -68,9 +68,8 @@ func newMetrics(node string) *metrics {
 	m.jitReplays = counter("mpud_jit_replays_total", "Replay rounds served by JIT-compiled closure chains, rolled up from run stats.")
 	m.roundsTotal = counter("mpud_scheduler_rounds_total", "Machine scheduler rounds rolled up from run stats.")
 
-	m.preemptions = counter("mpud_preemptions_total", "Batch jobs parked at an instruction boundary to admit latency work.")
-	m.preemptSpills = counter("mpud_preempt_spills_total", "Preemption boundaries where the parking lot was full and the job resumed in place.")
-	m.parkedJobs = gauge("mpud_parked_jobs", "Preempted batch jobs currently held in parking lots.")
+	m.preemptions = counter("mpud_preemptions_total", "Batch jobs paused at an instruction boundary while their worker ran latency work.")
+	m.parkedJobs = gauge("mpud_parked_jobs", "Batch jobs paused while their worker runs latency work.")
 	byClass := r.Histogram("mpud_class_request_seconds", "Request wall time from admission to response, by QoS class.", requestBounds, "class")
 	m.classSeconds = map[string]*obs.Histogram{ClassBatch: byClass.With(ClassBatch), ClassLatency: byClass.With(ClassLatency)}
 
@@ -114,13 +113,13 @@ func (m *metrics) observeClass(class string, seconds float64) {
 	}
 }
 
-// observePark counts one batch job preempted into a parking lot.
+// observePark counts one batch job paused while its worker runs latency work.
 func (m *metrics) observePark() {
 	m.preemptions.Inc()
 	m.parkedJobs.Inc()
 }
 
-// observeUnpark removes one job from the parked gauge as a worker picks it up.
+// observeUnpark removes one job from the paused gauge as it resumes.
 func (m *metrics) observeUnpark() { m.parkedJobs.Add(-1) }
 
 // render samples the pool gauges (pool name → batches waiting) and the

@@ -29,7 +29,6 @@ func goldenMetrics() *metrics {
 	m.observeClass(ClassLatency, 0.004)
 	m.observePark()
 	m.observePark()
-	m.preemptSpills.Inc()
 	m.observeUnpark()
 	m.sessionsOpen.Add(1)
 	m.sessionRecords.Add(15)

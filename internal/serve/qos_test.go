@@ -93,10 +93,9 @@ func scrapeMetric(t *testing.T, url, name string) string {
 // preemptOnce runs the preemption choreography against a single-machine pool:
 // a batch request is admitted first and held by DebugDelay, a
 // latency request arrives while the worker is busy, and (with preemption
-// enabled) the batch job parks with its machine at its first ensemble
-// boundary, the latency request runs on a fresh machine, and the batch job
-// resumes on its own. Returns the batch run's stats and whether a
-// preemption was recorded.
+// enabled) the batch job pauses at its first instruction boundary, the worker
+// runs the latency request on its spare machine, and the batch job resumes in
+// place. Returns the batch run's stats and whether a preemption was recorded.
 func preemptOnce(t *testing.T, cfg Config, batchReq, latReq Request) (batchStats []byte, preempted bool) {
 	t.Helper()
 	_, ts := newTestServer(t, cfg)
@@ -123,7 +122,7 @@ func preemptOnce(t *testing.T, cfg Config, batchReq, latReq Request) (batchStats
 }
 
 // TestServePreemptParity is the serve-level acceptance bar: a batch run that
-// was preempted at an instruction boundary, parked with its machine, and
+// was preempted at an instruction boundary, paused on its machine, and
 // resumed after a latency request answers with byte-identical
 // machine.Stats to the same request served uncontended. It runs under -race
 // in CI (make race-short).
@@ -155,7 +154,7 @@ func TestServePreemptParity(t *testing.T) {
 }
 
 // TestServeNoPreempt pins the opt-out: with NoPreempt the same choreography
-// never parks a job (latency work waits for the batch run), and parity holds.
+// never pauses a job (latency work waits for the batch run), and parity holds.
 func TestServeNoPreempt(t *testing.T) {
 	batchReq := Request{Workload: "gcd", Backend: "racer", Elements: 512, Seed: 11, Check: true}
 	latReq := Request{Workload: "vecadd", Backend: "racer", Elements: 64, Seed: 3}
@@ -206,10 +205,10 @@ func TestClassCoalescingSeparation(t *testing.T) {
 	}
 }
 
-// TestParkedGaugesDrain pins the parking-lot accounting: after a preempted
-// job has resumed and answered, the parked gauge is back to zero, the
-// preemption was counted, and the snapshot-era families (parked bytes,
-// restore time) stay deleted.
+// TestParkedGaugesDrain pins the preemption accounting: after a paused job
+// has resumed and answered, the parked gauge is back to zero, the preemption
+// was counted, and the deleted families (parked bytes, restore time, parking
+// lot spills) stay deleted.
 func TestParkedGaugesDrain(t *testing.T) {
 	cfg := Config{
 		Pools:      []PoolSpec{{Backend: "racer", Mode: machine.ModeMPU, Size: 1}},
@@ -243,7 +242,7 @@ func TestParkedGaugesDrain(t *testing.T) {
 		if got := scrapeMetric(t, ts.URL, "mpud_parked_jobs"); got != "0" {
 			t.Fatalf("mpud_parked_jobs = %s after drain, want 0", got)
 		}
-		for _, gone := range []string{"mpud_parked_bytes", "mpud_restore_seconds_count"} {
+		for _, gone := range []string{"mpud_parked_bytes", "mpud_restore_seconds_count", "mpud_preempt_spills_total"} {
 			if got := scrapeMetric(t, ts.URL, gone); got != "" {
 				t.Errorf("%s renders (%s); the family is deleted", gone, got)
 			}
@@ -253,98 +252,109 @@ func TestParkedGaugesDrain(t *testing.T) {
 	t.Fatal("no preemption observed in 3 attempts")
 }
 
-// TestServePreemptHandoff pins that a parked job keeps its machine wherever
-// it resumes. On a two-worker pool both gcd batch jobs park for a burst of
-// three latency requests; the worker that parked first also runs the third,
-// so the other worker frees up first and adopts the first worker's parked
-// machine. Every answer is byte-identical to its solo reference, and
-// afterwards the lot is empty and the two workers hold two distinct
-// machines. If park kept the worker on the parked machine, the latency job's
-// Reset would wipe the parked run. It runs under -race in CI (make
-// race-short).
+// TestServePreemptHandoff pins that a paused job waits on its own worker. On a
+// two-worker pool, two gcd batch jobs pause for a burst of three latency
+// requests, twice. Each worker runs the latency work on its spare machine and
+// then resumes its own job on the machine it started with; the spare built at
+// the first burst serves the second. Every answer is byte-identical to its
+// solo reference. If a worker ran latency work on the machine its job is
+// paused on, the latency job's Reset would wipe the paused run. It runs under
+// -race in CI (make race-short).
 func TestServePreemptHandoff(t *testing.T) {
 	type job struct {
 		class string
 		req   Request
 		want  []byte
 	}
-	jobs := []*job{
-		{class: ClassBatch, req: Request{Workload: "gcd", Backend: "racer", Elements: 512, Seed: 11, Check: true}},
-		{class: ClassBatch, req: Request{Workload: "gcd", Backend: "racer", Elements: 512, Seed: 12, Check: true}},
-	}
-	for seed := int64(1); seed <= 3; seed++ {
-		jobs = append(jobs, &job{class: ClassLatency, req: Request{Workload: "vecadd", Backend: "racer", Elements: 64, Seed: seed, Check: true}})
-	}
-	for _, j := range jobs {
-		j.want = soloStats(t, j.req)
+	var rounds [2][]*job
+	for r := range rounds {
+		for i := int64(0); i < 2; i++ {
+			rounds[r] = append(rounds[r], &job{class: ClassBatch, req: Request{Workload: "gcd", Backend: "racer", Elements: 512, Seed: 11 + 2*int64(r) + i, Check: true}})
+		}
+		for i := int64(1); i <= 3; i++ {
+			rounds[r] = append(rounds[r], &job{class: ClassLatency, req: Request{Workload: "vecadd", Backend: "racer", Elements: 64, Seed: 3*int64(r) + i, Check: true}})
+		}
+		for _, j := range rounds[r] {
+			j.want = soloStats(t, j.req)
+		}
 	}
 
 	// DebugDelay holds every batch before its run. The second batch job
 	// starts a quarter of it after the first and the burst lands half-way
-	// through the first hold, so both workers are busy and both jobs park;
+	// through the first hold, so both workers are busy and both jobs pause;
 	// each latency request then holds its worker for another DebugDelay.
 	cfg := Config{
 		Pools:      []PoolSpec{{Backend: "racer", Mode: machine.ModeMPU, Size: 2}},
-		MaxParked:  2,
 		DebugDelay: 300 * time.Millisecond,
+	}
+	machines := func(p *pool) (held, spares [2]*machine.Machine) {
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		for i, w := range p.workers {
+			held[i], spares[i] = w.m, w.spare
+		}
+		return held, spares
 	}
 	for attempt := 0; attempt < 3; attempt++ {
 		s, ts := newTestServer(t, cfg)
 		p := s.pools[s.order[0]]
-		p.mu.Lock()
-		started := []*machine.Machine{p.workers[0].m, p.workers[1].m}
-		p.mu.Unlock()
-
-		var wg sync.WaitGroup
-		bodies := make([][]byte, len(jobs))
-		post := func(i int) {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				code, body := postExecuteClass(t, ts.URL, jobs[i].class, jobs[i].req)
-				if code != http.StatusOK {
-					t.Errorf("%s seed %d: %d %s", jobs[i].class, jobs[i].req.Seed, code, body)
-					return
+		started, _ := machines(p)
+		var firstSpares [2]*machine.Machine
+		ok := true
+		for r, jobs := range rounds {
+			var wg sync.WaitGroup
+			bodies := make([][]byte, len(jobs))
+			post := func(i int) {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					code, body := postExecuteClass(t, ts.URL, jobs[i].class, jobs[i].req)
+					if code != http.StatusOK {
+						t.Errorf("%s seed %d: %d %s", jobs[i].class, jobs[i].req.Seed, code, body)
+						return
+					}
+					bodies[i] = body
+				}()
+			}
+			post(0)
+			time.Sleep(cfg.DebugDelay / 4)
+			post(1)
+			time.Sleep(cfg.DebugDelay / 4)
+			for i := 2; i < len(jobs); i++ {
+				post(i)
+			}
+			wg.Wait()
+			if t.Failed() {
+				return
+			}
+			for i, j := range jobs {
+				if got := decodeResponse(t, bodies[i]).Stats; !bytes.Equal(j.want, got) {
+					t.Fatalf("round %d: %s seed %d: stats diverge from the solo run:\nwant: %s\ngot:  %s", r, j.class, j.req.Seed, j.want, got)
 				}
-				bodies[i] = body
-			}()
-		}
-		post(0)
-		time.Sleep(cfg.DebugDelay / 4)
-		post(1)
-		time.Sleep(cfg.DebugDelay / 4)
-		for i := 2; i < len(jobs); i++ {
-			post(i)
-		}
-		wg.Wait()
-		if t.Failed() {
-			return
-		}
-		for i, j := range jobs {
-			if got := decodeResponse(t, bodies[i]).Stats; !bytes.Equal(j.want, got) {
-				t.Fatalf("%s seed %d: stats diverge from the solo run:\nwant: %s\ngot:  %s", j.class, j.req.Seed, j.want, got)
+			}
+			held, spares := machines(p)
+			if held != started {
+				t.Fatalf("round %d: workers hold %v, started on %v", r, held, started)
+			}
+			// Both jobs pause once per burst, and each worker then runs at
+			// least one latency request: two preemptions per round.
+			if n, _ := strconv.Atoi(scrapeMetric(t, ts.URL, "mpud_preemptions_total")); n != 2*(r+1) || spares[0] == nil || spares[1] == nil {
+				t.Logf("attempt %d round %d: %d preemptions, spares %v, retrying", attempt, r, n, spares)
+				ok = false
+				break
+			}
+			if spares[0] == spares[1] || spares[0] == held[0] || spares[1] == held[1] {
+				t.Fatalf("round %d: workers hold %v with spares %v; want four distinct machines", r, held, spares)
+			}
+			if r == 0 {
+				firstSpares = spares
+			} else if spares != firstSpares {
+				t.Fatalf("spares %v after the second burst, %v after the first", spares, firstSpares)
 			}
 		}
-
-		p.mu.Lock()
-		parked, held := len(p.parked), []*machine.Machine{p.workers[0].m, p.workers[1].m}
-		p.mu.Unlock()
-		if parked != 0 {
-			t.Fatalf("%d jobs left in the parking lot after every answer", parked)
-		}
-		if held[0] == held[1] {
-			t.Fatal("both workers hold the same machine")
-		}
-		// No latency request arrives after the burst, so each job parks at
-		// most once, and with two preemptions each worker parked once and
-		// took a fresh machine. A worker then ends on the machine it started
-		// with only by resuming its own job; any other end state means a
-		// parked machine changed workers.
-		n, _ := strconv.Atoi(scrapeMetric(t, ts.URL, "mpud_preemptions_total"))
-		if n == 2 && (held[0] != started[0] || held[1] != started[1]) {
+		if ok {
 			return
 		}
-		t.Logf("attempt %d: %d preemptions, no parked machine changed workers, retrying", attempt, n)
 	}
-	t.Fatal("no cross-worker resume observed in 3 attempts")
+	t.Fatal("no two bursts with both jobs paused in 3 attempts")
 }

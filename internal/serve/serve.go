@@ -2,7 +2,7 @@
 // daemon: warm machine pools per (backend, mode) in front of the
 // process-wide decode table, a bounded admission queue with 503
 // backpressure, a single-flight coalescer that lets a request join an
-// identical one that is queued, running or parked and share its run,
+// identical one that is queued, running or paused and share its run,
 // per-request deadlines, and an observability plane
 // (/metrics in Prometheus text format, /healthz, structured JSON request
 // logs). The package is stdlib-only.
@@ -19,12 +19,12 @@
 // (interactive, strict queue priority) and "batch" (the default). When a
 // latency request arrives and every pool worker is busy, the scheduler asks
 // the longest-running preemptible batch job to yield at its next
-// instruction boundary; the job parks with its machine, exactly as Run left it, in a
-// bounded parking lot, the worker takes a fresh machine for the latency
-// request, and whichever worker frees up first adopts the parked machine and
-// resumes the run. Nothing is serialised. Preemption extends rather than
-// weakens the determinism contract: a parked-and-resumed run answers with
-// byte-identical machine.Stats to an uninterrupted one.
+// instruction boundary. The job stays paused on its worker's machine, exactly
+// as Run left it, while that worker runs the queued latency requests on a
+// second machine of its own; then the job resumes in place. Nothing is
+// serialised. Preemption extends rather than weakens the determinism
+// contract: a paused-and-resumed run answers with byte-identical
+// machine.Stats to an uninterrupted one.
 package serve
 
 import (
@@ -98,12 +98,6 @@ type Config struct {
 	// a running batch job.
 	NoPreempt bool
 
-	// MaxParked bounds each pool's parking lot of preempted batch jobs, each
-	// holding its machine, so a pool has at most Size+MaxParked machines.
-	// When the lot is full a preempted job resumes in place and the miss is
-	// counted as a spill. Default 8.
-	MaxParked int
-
 	// MaxSessions bounds the live pipeline sessions (/v1/pipelines). A full
 	// table refuses creates with 503 + Retry-After. Default 8.
 	MaxSessions int
@@ -132,9 +126,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RetryAfter <= 0 {
 		c.RetryAfter = time.Second
-	}
-	if c.MaxParked <= 0 {
-		c.MaxParked = 8
 	}
 	if c.MaxSessions <= 0 {
 		c.MaxSessions = 8
@@ -305,7 +296,7 @@ type batchResult struct {
 	body   []byte
 }
 
-// batch is one piece of work — queued, running or parked — plus the waiters
+// batch is one piece of work — queued, running or paused — plus the waiters
 // coalesced onto it. It accepts joiners from admit until pool.seal, which
 // runs once its result is known.
 type batch struct {
@@ -316,30 +307,23 @@ type batch struct {
 }
 
 // workerState is the scheduler's view of one executor goroutine and its
-// warm machine. Every field is guarded by the pool mutex, with one
-// exception: the worker's own goroutine reads m without it, because only
-// that goroutine writes m (park hands the worker a fresh machine, take gives
-// it a parked one). The preemption path may call m.Preempt (an atomic flag)
-// while the worker's Run is in flight.
+// warm machine m, which never changes after New. The flags are guarded by the
+// pool mutex; the preemption path may call m.Preempt (an atomic flag) while
+// the worker's Run is in flight. spare runs latency work while the worker's
+// batch job stays paused on m; it is built at the worker's first preemption,
+// under the mutex, and read by the worker's goroutine alone.
 type workerState struct {
 	m           *machine.Machine
+	spare       *machine.Machine
 	busy        bool      // between take and the next take
-	preemptible bool      // running a batch-class kernel job that can park
+	preemptible bool      // running a batch-class kernel job that can pause
 	preempting  bool      // a preemption request is outstanding
-	started     time.Time // when the current job was taken
-}
-
-// parkedJob is one preempted batch job: its (still joinable) batch and the
-// prepared run, whose Machine is paused at the instruction boundary where it
-// yielded and is adopted whole by the worker that resumes it.
-type parkedJob struct {
-	b    *batch
-	prep *workloads.Prepared
+	started     time.Time // when the current job was taken or resumed
 }
 
 // pool is one (backend, mode) warm machine pool: Size pre-built machines,
 // each owned by one executor goroutine, fed from two class queues (latency
-// has strict priority) plus a parking lot of preempted batch jobs.
+// has strict priority).
 type pool struct {
 	name string
 	spec *backends.Spec
@@ -347,15 +331,13 @@ type pool struct {
 	mc   machine.Config // what every pool machine is built from
 
 	queueDepth int  // shared bound across both class queues
-	maxParked  int  // parking-lot bound, in jobs
 	preempt    bool // instruction-boundary preemption enabled
 
 	mu      sync.Mutex
-	cond    *sync.Cond // signaled on new work and on close
-	latQ    []*batch   // latency-class admission queue (strict priority)
-	batQ    []*batch   // batch-class admission queue
-	parked  []*parkedJob
-	open    map[string]*batch // unsealed batches: queued, running or parked
+	cond    *sync.Cond        // signaled on new work and on close
+	latQ    []*batch          // latency-class admission queue (strict priority)
+	batQ    []*batch          // batch-class admission queue
+	open    map[string]*batch // unsealed batches: queued, running or paused
 	workers []*workerState
 	closed  bool
 }
@@ -417,7 +399,6 @@ func New(cfg Config) (*Server, error) {
 			mode:       ps.Mode,
 			mc:         workloads.MachineConfigFor(workloads.RunConfig{Spec: spec, Mode: ps.Mode}),
 			queueDepth: cfg.QueueDepth,
-			maxParked:  cfg.MaxParked,
 			preempt:    !cfg.NoPreempt,
 			open:       map[string]*batch{},
 		}
@@ -482,34 +463,18 @@ func (s *Server) Close() {
 	s.logger.log(logEntry{Msg: "closed"})
 }
 
-// runWorker owns one warm machine and executes work from the pool — fresh
-// batches and parked resumptions — until Close.
+// runWorker owns one warm machine and executes batches from the pool until
+// Close.
 func (s *Server) runWorker(p *pool, w *workerState) {
 	defer s.workers.Done()
-	for {
-		b, pj := p.take(w)
-		switch {
-		case pj != nil:
-			s.resume(p, w, pj)
-		case b != nil:
-			if s.cfg.DebugDelay > 0 {
-				time.Sleep(s.cfg.DebugDelay)
-			}
-			res, parked := s.execute(p, w, b)
-			if parked {
-				continue // the job is in the parking lot; pick up latency work
-			}
-			s.deliver(p, b, res)
-		default:
-			return // closed and drained
-		}
+	for b := p.take(w); b != nil; b = p.take(w) {
+		s.deliver(p, b, s.execute(p, w, w.m, b))
 	}
 }
 
 // take blocks until there is work for this worker: a latency batch first,
-// then a parked job to resume, then fresh batch work. Returns (nil, nil)
-// once the pool is closed and fully drained.
-func (p *pool) take(w *workerState) (*batch, *parkedJob) {
+// then batch work. Returns nil once the pool is closed and fully drained.
+func (p *pool) take(w *workerState) *batch {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	w.busy, w.preemptible, w.preempting = false, false, false
@@ -518,25 +483,17 @@ func (p *pool) take(w *workerState) (*batch, *parkedJob) {
 			b := p.latQ[0]
 			p.latQ = p.latQ[1:]
 			w.busy, w.started = true, time.Now()
-			return b, nil
-		}
-		if len(p.parked) > 0 {
-			pj := p.parked[0]
-			p.parked = p.parked[1:]
-			w.m = pj.prep.Machine // the worker's own machine is dropped
-			w.busy, w.started = true, time.Now()
-			w.preemptible = p.preempt // a resumed batch job can be parked again
-			return nil, pj
+			return b
 		}
 		if len(p.batQ) > 0 {
 			b := p.batQ[0]
 			p.batQ = p.batQ[1:]
 			w.busy, w.started = true, time.Now()
-			w.preemptible = p.preempt && b.req.kernel != nil // binary runs never park
-			return b, nil
+			w.preemptible = p.preempt && b.req.kernel != nil // binary runs never pause
+			return b
 		}
 		if p.closed {
-			return nil, nil
+			return nil
 		}
 		p.cond.Wait()
 	}
@@ -614,52 +571,45 @@ func (p *pool) preemptForLatency() {
 	}
 }
 
-// park moves a preempted batch job, machine and all, into the pool's
-// parking lot and hands the worker a fresh machine for the latency work.
-// Called after Run returned ErrPreempted at an instruction boundary; returns
-// false when the job should simply resume in place — the latency burst that
-// triggered the preemption was already absorbed by another worker, the lot
-// is full (counted as a spill), or no fresh machine could be built.
-func (p *pool) park(w *workerState, b *batch, prep *workloads.Prepared, mt *metrics) bool {
+// yieldToLatency runs while the worker's batch job is paused on w.m at an
+// instruction boundary: it serves the latency queue on the worker's spare
+// machine until the queue is empty, then returns so the job resumes in place.
+// If another worker already took the burst, the job resumes at once.
+func (s *Server) yieldToLatency(p *pool, w *workerState) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	w.preempting = false
 	if len(p.latQ) == 0 {
-		return false
-	}
-	if len(p.parked) >= p.maxParked {
-		mt.preemptSpills.Inc()
-		return false
-	}
-	m, err := machine.New(p.mc)
-	if err != nil {
-		return false
-	}
-	w.m = m
-	p.parked = append(p.parked, &parkedJob{b: b, prep: prep})
-	mt.observePark()
-	p.cond.Signal()
-	return true
-}
-
-// resume runs a parked job, whose machine take already gave this worker, to
-// completion (or parks it again at the next preemption point).
-func (s *Server) resume(p *pool, w *workerState, pj *parkedJob) {
-	s.metrics.observeUnpark()
-	res, parked := s.runKernel(p, w, pj.b, pj.prep)
-	if parked {
 		return
 	}
-	s.deliver(p, pj.b, res)
+	if w.spare == nil {
+		m, err := machine.New(p.mc)
+		if err != nil {
+			return // no second machine: the job resumes in place
+		}
+		w.spare = m
+	}
+	w.preemptible = false // latency work is never preempted
+	s.metrics.observePark()
+	for len(p.latQ) > 0 {
+		b := p.latQ[0]
+		p.latQ = p.latQ[1:]
+		p.mu.Unlock()
+		s.deliver(p, b, s.execute(p, w, w.spare, b))
+		p.mu.Lock()
+	}
+	s.metrics.observeUnpark()
+	w.preemptible, w.started = true, time.Now()
 }
 
-// execute runs one batch on the worker's warm machine. The second
-// return reports that the job was preempted and parked instead of finishing;
-// its result will be delivered by whichever worker resumes it.
-func (s *Server) execute(p *pool, w *workerState, b *batch) (*batchResult, bool) {
+// execute runs one fresh batch on machine m, one of the worker's two.
+func (s *Server) execute(p *pool, w *workerState, m *machine.Machine, b *batch) *batchResult {
+	if s.cfg.DebugDelay > 0 {
+		time.Sleep(s.cfg.DebugDelay)
+	}
 	rq := b.req
 	if rq.kernel != nil {
-		prep, err := workloads.PrepareOn(w.m, rq.kernel, workloads.RunConfig{
+		prep, err := workloads.PrepareOn(m, rq.kernel, workloads.RunConfig{
 			Spec:          p.spec,
 			Mode:          p.mode,
 			TotalElements: rq.raw.Elements,
@@ -667,11 +617,10 @@ func (s *Server) execute(p *pool, w *workerState, b *batch) (*batchResult, bool)
 			Check:         rq.raw.Check,
 		})
 		if err != nil {
-			return errResult(http.StatusInternalServerError, err), false
+			return errResult(http.StatusInternalServerError, err)
 		}
 		return s.runKernel(p, w, b, prep)
 	}
-	m := w.m
 	resp := Response{
 		Backend: p.spec.Name,
 		Mode:    p.mode.String(),
@@ -679,34 +628,35 @@ func (s *Server) execute(p *pool, w *workerState, b *batch) (*batchResult, bool)
 	}
 	m.Reset()
 	if err := m.LoadAll(rq.prog); err != nil {
-		return errResult(http.StatusInternalServerError, err), false
+		return errResult(http.StatusInternalServerError, err)
 	}
 	for _, set := range rq.raw.Sets {
 		a := controlpath.VRFAddr{RFH: set.RFH, VRF: set.VRF}
 		if err := m.WriteVector(0, a, set.Reg, set.Values); err != nil {
-			return errResult(http.StatusBadRequest, err), false
+			return errResult(http.StatusBadRequest, err)
 		}
 	}
 	run, err := m.Run()
 	if err != nil {
-		return errResult(runStatus(err), err), false
+		return errResult(runStatus(err), err)
 	}
 	for _, d := range rq.raw.Dumps {
 		a := controlpath.VRFAddr{RFH: d.RFH, VRF: d.VRF}
 		vals, err := m.ReadVector(0, a, d.Reg)
 		if err != nil {
-			return errResult(http.StatusBadRequest, err), false
+			return errResult(http.StatusBadRequest, err)
 		}
 		resp.Dumps = append(resp.Dumps, RegisterDump{RFH: d.RFH, VRF: d.VRF, Reg: d.Reg, Values: vals})
 	}
-	return s.sealResponse(p, b, &resp, run), false
+	return s.sealResponse(p, b, &resp, run)
 }
 
-// runKernel drives a prepared kernel batch to completion, parking it when a
-// preemption request lands at an instruction boundary and the pool wants the
-// machine. Preemption is invisible in the response: a parked-and-resumed run
-// produces byte-identical stats to an uninterrupted one.
-func (s *Server) runKernel(p *pool, w *workerState, b *batch, prep *workloads.Prepared) (*batchResult, bool) {
+// runKernel drives a prepared kernel batch to completion. When a preemption
+// request lands at an instruction boundary, the run pauses while the worker
+// serves latency work, then resumes in place. Preemption is invisible in the
+// response: a paused-and-resumed run produces byte-identical stats to an
+// uninterrupted one.
+func (s *Server) runKernel(p *pool, w *workerState, b *batch, prep *workloads.Prepared) *batchResult {
 	for {
 		// A preemption request that landed before this run started was
 		// cleared by the Reset inside PrepareOn; re-arm it so the run
@@ -718,17 +668,15 @@ func (s *Server) runKernel(p *pool, w *workerState, b *batch, prep *workloads.Pr
 		p.mu.Unlock()
 		run, err := prep.Machine.Run()
 		if errors.Is(err, machine.ErrPreempted) {
-			if p.park(w, b, prep, s.metrics) {
-				return nil, true
-			}
-			continue // nothing to yield to (or no room): resume in place
+			s.yieldToLatency(p, w)
+			continue
 		}
 		if err != nil {
-			return errResult(runStatus(err), err), false
+			return errResult(runStatus(err), err)
 		}
 		res, err := prep.Finish(run)
 		if err != nil {
-			return errResult(http.StatusInternalServerError, err), false
+			return errResult(http.StatusInternalServerError, err)
 		}
 		resp := Response{
 			Workload:     b.req.kernel.Name,
@@ -740,7 +688,7 @@ func (s *Server) runKernel(p *pool, w *workerState, b *batch, prep *workloads.Pr
 			Joules:       res.Joules,
 			CheckedLanes: res.CheckedLanes,
 		}
-		return s.sealResponse(p, b, &resp, res.Stats), false
+		return s.sealResponse(p, b, &resp, res.Stats)
 	}
 }
 
@@ -836,7 +784,7 @@ func (s *Server) validate(raw *Request, class string) (*execReq, *pool, error) {
 		return nil, nil, fmt.Errorf("request needs a workload or a binary")
 	}
 	// The class is part of the coalescing identity: a latency request never
-	// rides on an open batch-class twin, which may be parked behind it.
+	// rides on an open batch-class twin, which may be paused behind it.
 	key, err := json.Marshal(struct {
 		W  string        `json:"w"`
 		B  string        `json:"b"`
