@@ -56,12 +56,13 @@ race:
 	$(GO) test -race -timeout 45m ./...
 
 # The concurrency-sensitive packages outside the machine: the sweep worker
-# pool, the linter the machine calls from strict mode, and the metrics
-# registry both daemons observe into (its hammer binds series, observes and
-# renders at once), the serve-layer parity, cross-request isolation, warm-pool hammer, preemption
-# (including two workers that each serve latency bursts on a spare machine
-# while their own jobs stay paused) and join-until-sealed tests, the router's parity, drain, admission and
-# node-load-contract tests, and the FBP pipeline parity tests. The serve
+# pool, the linter mpud runs at admission, and the metrics registry both
+# daemons observe into (its hammer binds series, observes and renders at
+# once), the serve-layer parity, cross-request isolation, warm-pool hammer,
+# preemption (of a catalog kernel and of a submitted binary, and two workers
+# that each serve latency bursts on a spare machine while their own jobs stay
+# paused) and join-until-sealed tests, the router's parity, drain, admission
+# and node-load-contract tests, and the FBP pipeline parity tests. The serve
 # list contains every serve test the mutation table in CHANGES.md names.
 # Timed on a 2-vCPU, 8 GB KVM guest with go1.24, one line after another as
 # CI runs them: 2.4 min in all — sweep/lint/obs 42 s (a cold race build
@@ -70,7 +71,7 @@ race:
 # race-machine.
 race-short:
 	$(GO) test -race -timeout 30m ./internal/sweep ./internal/lint ./internal/obs
-	$(GO) test -race -timeout 30m -run 'TestServeParity|TestServeIsolation|TestServePool|TestServePreemptParity|TestServePreemptHandoff|TestServeNoPreempt|TestParkedGauges|TestServeJoin|TestServeLateArrival|TestBatchingCoalesces|TestPipelineSession|TestPipelineLimits' ./internal/serve
+	$(GO) test -race -timeout 30m -run 'TestServeParity|TestServeIsolation|TestServePool|TestServePreemptParity|TestServePreemptHandoff|TestServePreemptBinary|TestParkedGauges|TestServeJoin|TestServeLateArrival|TestBatchingCoalesces|TestPipelineSession|TestPipelineLimits' ./internal/serve
 	$(GO) test -race -timeout 30m -run 'TestRouterParity|TestRollingDrain|TestFairAdmission|TestRouterPipeline|TestNodeLoadContract' ./internal/router
 	$(GO) test -race -timeout 30m -run 'TestPipelineParity' ./internal/fbp
 

@@ -238,7 +238,7 @@ func BenchmarkSweepSpeedup(b *testing.B) {
 
 // BenchmarkLintLargestKernel measures the static-verification overhead on
 // the largest kernel binary in the suite — the preflight cost every tool in
-// the chain (Builder.Program, mpurun, strict machines) pays per program.
+// the chain (Builder.Program, mpurun, mpud) pays per program.
 func BenchmarkLintLargestKernel(b *testing.B) {
 	spec := mpu.RACER()
 	var largest mpu.Program

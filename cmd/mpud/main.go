@@ -8,7 +8,7 @@
 //
 //	mpud [-addr :8080] [-pools racer:mpu:2,mimdram:mpu:1] [-queue 64]
 //	     [-deadline 30s] [-max-elements 1048576] [-node-id node0] [-quiet]
-//	     [-nopreempt] [-pprof 127.0.0.1:6060]
+//	     [-max-sessions 8] [-pprof 127.0.0.1:6060]
 //
 // There is no worker flag: the daemon's parallelism is across requests, and a
 // session machine picks its own schedule (docs/SERVE.md, "No worker knob").
@@ -19,9 +19,9 @@
 //
 // QoS: the X-QoS request header selects a class — "latency" (strict queue
 // priority; preempts running batch jobs at instruction boundaries) or "batch"
-// (the default). A preempted job pauses on its worker's machine while that
-// worker runs the latency work on a second machine, then resumes in place.
-// -nopreempt keeps the priority queues but never interrupts a running job.
+// (the default). Every batch job can pause, a catalog kernel or a submitted
+// binary alike: it waits on its worker's machine while that worker runs the
+// latency work on a second machine, then resumes in place.
 //
 // Endpoints:
 //
@@ -84,10 +84,10 @@ func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("mpud", flag.ContinueOnError)
 	fs.SetOutput(stdout)
 	var (
-		addr, pools, nodeID, pprofAddr         string
-		queue, maxElements, maxSessions        int
-		deadline                               time.Duration
-		quiet, nopreempt, smoke, pipelineSmoke bool
+		addr, pools, nodeID, pprofAddr  string
+		queue, maxElements, maxSessions int
+		deadline                        time.Duration
+		quiet, smoke, pipelineSmoke     bool
 	)
 	fs.StringVar(&addr, "addr", ":8080", "listen address (host:port; :0 picks a free port)")
 	fs.StringVar(&pools, "pools", "racer:mpu:2", "warm pools: backend:mode[:size],... (modes: mpu, baseline)")
@@ -96,7 +96,6 @@ func run(args []string, stdout io.Writer) error {
 	fs.IntVar(&maxElements, "max-elements", 1<<20, "per-request element cap for workload runs")
 	fs.StringVar(&nodeID, "node-id", "", "cluster node label on /metrics gauges and request logs (empty = standalone)")
 	fs.BoolVar(&quiet, "quiet", false, "suppress JSON request logs")
-	fs.BoolVar(&nopreempt, "nopreempt", false, "disable instruction-boundary preemption (latency keeps queue priority only)")
 	fs.IntVar(&maxSessions, "max-sessions", 8, "live pipeline session bound (/v1/pipelines)")
 	fs.StringVar(&pprofAddr, "pprof", "", "serve net/http/pprof on this address, on its own listener (empty = off)")
 	fs.BoolVar(&smoke, "smoke", false, "self-test: serve on a random port, run one request, drain, exit")
@@ -119,7 +118,6 @@ func run(args []string, stdout io.Writer) error {
 		MaxElements:     maxElements,
 		DefaultDeadline: deadline,
 		NodeID:          nodeID,
-		NoPreempt:       nopreempt,
 		MaxSessions:     maxSessions,
 		Logs:            logs,
 	})

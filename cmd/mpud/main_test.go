@@ -10,8 +10,9 @@ import (
 	"testing"
 )
 
-// TestFlags pins the command line: the twelve flags, and that the deleted
-// parking-lot bound is refused by the parser rather than ignored.
+// TestFlags pins the command line: the eleven flags, and that the deleted
+// parking-lot bound and preemption opt-out are refused by the parser rather
+// than ignored.
 func TestFlags(t *testing.T) {
 	var usage bytes.Buffer
 	if err := run([]string{"-h"}, &usage); !errors.Is(err, flag.ErrHelp) {
@@ -23,14 +24,16 @@ func TestFlags(t *testing.T) {
 			got = append(got, strings.Fields(line)[0])
 		}
 	}
-	want := "-addr -deadline -max-elements -max-sessions -node-id -nopreempt -pipeline-smoke -pools -pprof -queue -quiet -smoke"
+	want := "-addr -deadline -max-elements -max-sessions -node-id -pipeline-smoke -pools -pprof -queue -quiet -smoke"
 	if strings.Join(got, " ") != want {
 		t.Errorf("flags = %v, want %s", got, want)
 	}
 
-	err := run([]string{"-max-parked", "8", "-smoke"}, io.Discard)
-	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
-		t.Errorf("-max-parked: err = %v, want a flag error", err)
+	for _, gone := range [][]string{{"-max-parked", "8"}, {"-nopreempt"}} {
+		err := run(append(gone, "-smoke"), io.Discard)
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Errorf("%s: err = %v, want a flag error", gone[0], err)
+		}
 	}
 }
 

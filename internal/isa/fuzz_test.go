@@ -148,7 +148,7 @@ func checkLintSoundness(t *testing.T, data []byte) {
 		if spec.MPUs < 2 {
 			mpus = 1
 		}
-		m, err := machine.New(machine.Config{Spec: spec, NumMPUs: mpus, MaxSteps: 5000, Strict: true})
+		m, err := machine.New(machine.Config{Spec: spec, NumMPUs: mpus, MaxSteps: 5000})
 		if err != nil {
 			t.Fatal(err)
 		}

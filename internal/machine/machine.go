@@ -21,7 +21,6 @@ import (
 	"mpu/internal/controlpath"
 	"mpu/internal/hostcpu"
 	"mpu/internal/isa"
-	"mpu/internal/lint"
 	"mpu/internal/lint/comm"
 	"mpu/internal/noc"
 	"mpu/internal/recipe"
@@ -90,12 +89,6 @@ type Config struct {
 	// MaxSteps bounds instruction executions per scheduling round to catch
 	// runaway loops. 0 means the default of 50M.
 	MaxSteps int
-
-	// Strict makes LoadProgram reject programs the static linter flags
-	// with Error findings (checked against Spec), and Run escalate any
-	// ensemble or capacity fault that slips through to a lint-soundness
-	// violation — loaded programs proved clean must not trip those guards.
-	Strict bool
 
 	// Workers bounds the goroutines one Run executes on. 0 means one per
 	// CPU (runtime.GOMAXPROCS), 1 runs everything on the calling goroutine.
@@ -386,11 +379,6 @@ func (m *Machine) LoadProgram(mpu int, p isa.Program) error {
 	if p.BinarySize() > isuBytes {
 		return fmt.Errorf("machine: binary of %d bytes exceeds the %d-byte ISU", p.BinarySize(), isuBytes)
 	}
-	if m.cfg.Strict {
-		if err := lint.Lint(p, lint.Options{Spec: m.cfg.Spec}).Err(); err != nil {
-			return fmt.Errorf("machine: strict mode rejected the program: %w", err)
-		}
-	}
 	c := m.mpus[mpu]
 	c.prog = p
 	c.pc = 0
@@ -647,7 +635,7 @@ func (m *Machine) Run() (*Stats, error) {
 			}
 			for _, c := range runnable {
 				if err := c.run(); err != nil {
-					return nil, m.faultf(fmt.Errorf("mpu%d: %w", c.id, err))
+					return nil, fmt.Errorf("mpu%d: %w", c.id, err)
 				}
 			}
 		} else if err := sweep.Each(workers, len(runnable), func(i int) error {
@@ -656,7 +644,7 @@ func (m *Machine) Run() (*Stats, error) {
 			}
 			return nil
 		}); err != nil {
-			return nil, m.faultf(err)
+			return nil, err
 		}
 		// Barrier phase: match pending rendezvous. A blocked sender names
 		// its destination, so the only core that can complete it is
@@ -669,7 +657,7 @@ func (m *Machine) Run() (*Stats, error) {
 			r := m.mpus[s.sendDst]
 			if r.blocked && r.waitRecv && r.recvSrc == s.id {
 				if err := m.rendezvous(s, r); err != nil {
-					return nil, m.faultf(err)
+					return nil, err
 				}
 				progress = true
 			}
@@ -797,16 +785,6 @@ func (m *Machine) reduceStats() *Stats {
 		st.FrontendDynamicPJ = 0 // no MPU front end exists
 	}
 	return st
-}
-
-// faultf escalates tagged faults under strict mode: a strict machine only
-// loads lint-clean programs, so an ensemble or capacity fault at run time
-// means the static analysis missed a path — surface it as such.
-func (m *Machine) faultf(err error) error {
-	if m.cfg.Strict && (errors.Is(err, ErrEnsembleFault) || errors.Is(err, ErrCapacityFault)) {
-		return fmt.Errorf("machine: lint soundness violation — lint-clean program tripped a runtime guard: %w", err)
-	}
-	return err
 }
 
 // Front-end energy constants (see internal/frontend; duplicated here to keep

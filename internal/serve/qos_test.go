@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"encoding/base64"
 	"encoding/json"
 	"net/http"
 	"strconv"
@@ -10,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"mpu/internal/isa"
 	"mpu/internal/machine"
 )
 
@@ -90,35 +92,51 @@ func scrapeMetric(t *testing.T, url, name string) string {
 	return ""
 }
 
-// preemptOnce runs the preemption choreography against a single-machine pool:
-// a batch request is admitted first and held by DebugDelay, a
-// latency request arrives while the worker is busy, and (with preemption
-// enabled) the batch job pauses at its first instruction boundary, the worker
-// runs the latency request on its spare machine, and the batch job resumes in
-// place. Returns the batch run's stats and whether a preemption was recorded.
-func preemptOnce(t *testing.T, cfg Config, batchReq, latReq Request) (batchStats []byte, preempted bool) {
+// preemptedBody runs the preemption choreography against a single-machine
+// pool: batchReq is admitted first and held by DebugDelay, a latency request
+// arrives while the worker is busy, the batch job pauses at its first
+// instruction boundary, the worker runs the latency request on its spare
+// machine, and the batch job resumes in place. It returns the batch run's
+// response body. The choreography depends on the latency request landing
+// while the batch job is held, so it retries on a slow machine rather than
+// flake.
+func preemptedBody(t *testing.T, batchReq Request) []byte {
 	t.Helper()
-	_, ts := newTestServer(t, cfg)
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		code, body := postExecuteClass(t, ts.URL, ClassBatch, batchReq)
-		if code != http.StatusOK {
-			t.Errorf("batch request: %d %s", code, body)
-			return
-		}
-		batchStats = []byte(decodeResponse(t, body).Stats)
-	}()
-	// Land the latency request while the batch job is held before its run so
-	// the worker is reliably busy with preemptible work.
-	time.Sleep(cfg.DebugDelay / 4)
-	code, body := postExecuteClass(t, ts.URL, ClassLatency, latReq)
-	if code != http.StatusOK {
-		t.Fatalf("latency request: %d %s", code, body)
+	latReq := Request{Workload: "vecadd", Backend: "racer", Elements: 64, Seed: 3}
+	cfg := Config{
+		Pools:      []PoolSpec{{Backend: "racer", Mode: machine.ModeMPU, Size: 1}},
+		DebugDelay: 300 * time.Millisecond,
 	}
-	wg.Wait()
-	return batchStats, scrapeMetric(t, ts.URL, "mpud_preemptions_total") != "0"
+	for attempt := 0; attempt < 3; attempt++ {
+		_, ts := newTestServer(t, cfg)
+		var batchBody []byte
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			code, body := postExecuteClass(t, ts.URL, ClassBatch, batchReq)
+			if code != http.StatusOK {
+				t.Errorf("batch request: %d %s", code, body)
+				return
+			}
+			batchBody = body
+		}()
+		time.Sleep(cfg.DebugDelay / 4)
+		code, body := postExecuteClass(t, ts.URL, ClassLatency, latReq)
+		wg.Wait()
+		if code != http.StatusOK {
+			t.Fatalf("latency request: %d %s", code, body)
+		}
+		if t.Failed() {
+			t.FailNow()
+		}
+		if n, _ := strconv.Atoi(scrapeMetric(t, ts.URL, "mpud_preemptions_total")); n >= 1 {
+			return batchBody
+		}
+		t.Logf("attempt %d: no preemption observed, retrying", attempt)
+	}
+	t.Fatal("no preemption observed in 3 attempts")
+	return nil
 }
 
 // TestServePreemptParity is the serve-level acceptance bar: a batch run that
@@ -128,51 +146,49 @@ func preemptOnce(t *testing.T, cfg Config, batchReq, latReq Request) (batchStats
 // in CI (make race-short).
 func TestServePreemptParity(t *testing.T) {
 	batchReq := Request{Workload: "gcd", Backend: "racer", Elements: 512, Seed: 11, Check: true}
-	latReq := Request{Workload: "vecadd", Backend: "racer", Elements: 64, Seed: 3}
 	want := soloStats(t, batchReq) // uncontended reference
-
-	cfg := Config{
-		Pools:      []PoolSpec{{Backend: "racer", Mode: machine.ModeMPU, Size: 1}},
-		DebugDelay: 300 * time.Millisecond,
+	if got := decodeResponse(t, preemptedBody(t, batchReq)).Stats; !bytes.Equal(want, got) {
+		t.Fatalf("preempted batch stats diverge from uncontended run:\nwant: %s\ngot:  %s", want, got)
 	}
-	// The choreography depends on the latency request landing while the
-	// batch job is held; retry on a slow machine rather than flake.
-	for attempt := 0; attempt < 3; attempt++ {
-		got, preempted := preemptOnce(t, cfg, batchReq, latReq)
-		if t.Failed() {
-			return
-		}
-		if !bytes.Equal(want, got) {
-			t.Fatalf("preempted batch stats diverge from uncontended run:\nwant: %s\ngot:  %s", want, got)
-		}
-		if preempted {
-			return
-		}
-		t.Logf("attempt %d: no preemption observed, retrying", attempt)
-	}
-	t.Fatal("no preemption observed in 3 attempts")
 }
 
-// TestServeNoPreempt pins the opt-out: with NoPreempt the same choreography
-// never pauses a job (latency work waits for the batch run), and parity holds.
-func TestServeNoPreempt(t *testing.T) {
-	batchReq := Request{Workload: "gcd", Backend: "racer", Elements: 512, Seed: 11, Check: true}
-	latReq := Request{Workload: "vecadd", Backend: "racer", Elements: 64, Seed: 3}
-	want := soloStats(t, batchReq)
-
-	got, preempted := preemptOnce(t, Config{
-		Pools:      []PoolSpec{{Backend: "racer", Mode: machine.ModeMPU, Size: 1}},
-		DebugDelay: 150 * time.Millisecond,
-		NoPreempt:  true,
-	}, batchReq, latReq)
-	if t.Failed() {
-		return
+// TestServePreemptBinary holds a submitted binary to the same rule as a
+// catalog kernel: a batch-class binary job with preloads and dumps pauses for
+// a latency request and answers with a body byte-identical to its solo run,
+// stats and dumps alike. It runs under -race in CI (make race-short).
+func TestServePreemptBinary(t *testing.T) {
+	prog, err := isa.Assemble(`
+	COMPUTE rfh0 vrf0
+	ADD r2 r0 r1
+	MUL r3 r2 r1
+	XOR r4 r3 r0
+	COMPUTE_DONE
+	COMPUTE rfh0 vrf0
+	SUB r5 r4 r2
+	OR r6 r5 r1
+	COMPUTE_DONE
+`)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if preempted {
-		t.Fatal("NoPreempt server recorded a preemption")
+	req := Request{
+		Binary:  base64.StdEncoding.EncodeToString(isa.EncodeProgram(prog)),
+		Backend: "racer",
+		Sets: []RegisterSet{
+			{RFH: 0, VRF: 0, Reg: 0, Values: []uint64{3, 5, 7, 1 << 40}},
+			{RFH: 0, VRF: 0, Reg: 1, Values: []uint64{10, 20, 30, 9}},
+		},
 	}
-	if !bytes.Equal(want, got) {
-		t.Fatalf("batch stats diverge under NoPreempt:\nwant: %s\ngot:  %s", want, got)
+	for reg := 2; reg <= 6; reg++ {
+		req.Dumps = append(req.Dumps, RegisterRef{RFH: 0, VRF: 0, Reg: reg})
+	}
+	_, ts := newTestServer(t, Config{Pools: onePool})
+	code, want, _ := postExecute(t, ts.URL, req)
+	if code != http.StatusOK {
+		t.Fatalf("reference: %d %s", code, want)
+	}
+	if got := preemptedBody(t, req); !bytes.Equal(want, got) {
+		t.Fatalf("preempted binary run diverges from its solo run:\nwant: %s\ngot:  %s", want, got)
 	}
 }
 

@@ -24,18 +24,19 @@ func newReqLogger(w io.Writer, node string) *reqLogger {
 
 // logEntry is the request-log schema; field order is the JSON order.
 type logEntry struct {
-	TS        string  `json:"ts"`
-	Msg       string  `json:"msg"`
-	Node      string  `json:"node,omitempty"`
-	Pool      string  `json:"pool,omitempty"`
-	Workload  string  `json:"workload,omitempty"`
-	Pipeline  string  `json:"pipeline,omitempty"`
-	Class     string  `json:"class,omitempty"`
-	Status    int     `json:"status,omitempty"`
-	MS        float64 `json:"ms,omitempty"`
-	BatchSize int     `json:"batch_size,omitempty"`
-	Queue     int     `json:"queue,omitempty"`
-	Err       string  `json:"err,omitempty"`
+	TS       string  `json:"ts"`
+	Msg      string  `json:"msg"`
+	Node     string  `json:"node,omitempty"`
+	Pool     string  `json:"pool,omitempty"`
+	Workload string  `json:"workload,omitempty"`
+	Pipeline string  `json:"pipeline,omitempty"`
+	Class    string  `json:"class,omitempty"`
+	Status   int     `json:"status,omitempty"`
+	MS       float64 `json:"ms,omitempty"`
+	Queue    int     `json:"queue,omitempty"`
+	Err      string  `json:"err,omitempty"`
+
+	pool *pool // fills Pool and Queue when the line is written
 }
 
 func (l *reqLogger) log(e logEntry) {
@@ -45,6 +46,9 @@ func (l *reqLogger) log(e logEntry) {
 	e.TS = l.now().UTC().Format(time.RFC3339Nano)
 	if e.Node == "" {
 		e.Node = l.node
+	}
+	if e.pool != nil {
+		e.Pool, e.Queue = e.pool.name, e.pool.depth()
 	}
 	b, err := json.Marshal(e)
 	if err != nil {

@@ -18,12 +18,13 @@
 // QoS classes: the X-QoS header sorts requests into two classes — "latency"
 // (interactive, strict queue priority) and "batch" (the default). When a
 // latency request arrives and every pool worker is busy, the scheduler asks
-// the longest-running preemptible batch job to yield at its next
-// instruction boundary. The job stays paused on its worker's machine, exactly
-// as Run left it, while that worker runs the queued latency requests on a
-// second machine of its own; then the job resumes in place. Nothing is
-// serialised. Preemption extends rather than weakens the determinism
-// contract: a paused-and-resumed run answers with byte-identical
+// the longest-running batch job to yield at its next instruction boundary; a
+// catalog kernel and a submitted binary load differently, then run through
+// one loop, so either can pause. The job stays paused on its worker's
+// machine, exactly as Run left it, while that worker runs the queued latency
+// requests on a second machine of its own; then the job resumes in place.
+// Nothing is serialised. Preemption extends rather than weakens the
+// determinism contract: a paused-and-resumed run answers with byte-identical
 // machine.Stats to an uninterrupted one.
 package serve
 
@@ -77,9 +78,6 @@ type Config struct {
 	// Default 30s.
 	DefaultDeadline time.Duration
 
-	// RetryAfter is the hint returned with 503 responses. Default 1s.
-	RetryAfter time.Duration
-
 	// NodeID labels this daemon in a multi-node cluster: when non-empty it
 	// appears as a node="..." label on the /metrics gauges and as a "node"
 	// field in the JSON request log, so a router scraping several mpuds can
@@ -93,19 +91,9 @@ type Config struct {
 	// machine.Stats, only wall time. Zero disables it.
 	DebugDelay time.Duration
 
-	// NoPreempt disables instruction-boundary preemption: latency requests
-	// still get strict queue priority over batch work, but never interrupt
-	// a running batch job.
-	NoPreempt bool
-
 	// MaxSessions bounds the live pipeline sessions (/v1/pipelines). A full
 	// table refuses creates with 503 + Retry-After. Default 8.
 	MaxSessions int
-
-	// MaxPipelineMPUs caps how many MPUs one compiled pipeline may place; a
-	// larger graph is rejected at admission with the geometry finding (422).
-	// The backend's own MPU count still applies when smaller. Default 64.
-	MaxPipelineMPUs int
 
 	// Logs receives one JSON line per answered request; nil discards.
 	Logs io.Writer
@@ -124,14 +112,8 @@ func (c Config) withDefaults() Config {
 	if c.DefaultDeadline <= 0 {
 		c.DefaultDeadline = 30 * time.Second
 	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
-	}
 	if c.MaxSessions <= 0 {
 		c.MaxSessions = 8
-	}
-	if c.MaxPipelineMPUs <= 0 {
-		c.MaxPipelineMPUs = 64
 	}
 	return c
 }
@@ -268,11 +250,14 @@ type errorBody struct {
 // submitted binaries against the same geometry they will run on.
 const poolMPUs = 1
 
+// retryAfter is the Retry-After hint, in seconds, on every 503.
+const retryAfter = "1"
+
 // admissionError is a statically rejected submission: the commlint preflight
-// proved the program would stall or fault the pooled machine. It maps to
-// 422 Unprocessable Entity with the finding report attached — distinct from
-// 400 (malformed request) and from the base-lint rejection, which predates
-// the communication checks and stays a 400.
+// proved the program would stall or fault the pooled machine. errResult maps
+// it to 422 Unprocessable Entity with the finding report attached — distinct
+// from 400 (malformed request) and from the base-lint rejection, which
+// predates the communication checks and stays a 400.
 type admissionError struct {
 	report *lint.Report
 }
@@ -316,7 +301,7 @@ type workerState struct {
 	m           *machine.Machine
 	spare       *machine.Machine
 	busy        bool      // between take and the next take
-	preemptible bool      // running a batch-class kernel job that can pause
+	preemptible bool      // running a batch-class job, which can pause
 	preempting  bool      // a preemption request is outstanding
 	started     time.Time // when the current job was taken or resumed
 }
@@ -330,8 +315,7 @@ type pool struct {
 	mode machine.Mode
 	mc   machine.Config // what every pool machine is built from
 
-	queueDepth int  // shared bound across both class queues
-	preempt    bool // instruction-boundary preemption enabled
+	queueDepth int // shared bound across both class queues
 
 	mu      sync.Mutex
 	cond    *sync.Cond        // signaled on new work and on close
@@ -399,7 +383,6 @@ func New(cfg Config) (*Server, error) {
 			mode:       ps.Mode,
 			mc:         workloads.MachineConfigFor(workloads.RunConfig{Spec: spec, Mode: ps.Mode}),
 			queueDepth: cfg.QueueDepth,
-			preempt:    !cfg.NoPreempt,
 			open:       map[string]*batch{},
 		}
 		p.cond = sync.NewCond(&p.mu)
@@ -488,8 +471,7 @@ func (p *pool) take(w *workerState) *batch {
 		if len(p.batQ) > 0 {
 			b := p.batQ[0]
 			p.batQ = p.batQ[1:]
-			w.busy, w.started = true, time.Now()
-			w.preemptible = p.preempt && b.req.kernel != nil // binary runs never pause
+			w.busy, w.preemptible, w.started = true, true, time.Now()
 			return b
 		}
 		if p.closed {
@@ -540,9 +522,7 @@ func (p *pool) admit(rq *execReq) (<-chan *batchResult, bool) {
 	b := &batch{key: rq.key, class: rq.class, req: rq, waiters: []chan *batchResult{ch}}
 	if rq.class == ClassLatency {
 		p.latQ = append(p.latQ, b)
-		if p.preempt {
-			p.preemptForLatency()
-		}
+		p.preemptForLatency()
 	} else {
 		p.batQ = append(p.batQ, b)
 	}
@@ -554,7 +534,7 @@ func (p *pool) admit(rq *execReq) (<-chan *batchResult, bool) {
 // preemptForLatency, called with p.mu held after a latency enqueue, asks the
 // longest-running preemptible batch job to yield. A no-op when any worker is
 // idle (it will pick the latency batch up directly) or when nothing running
-// can be preempted (only latency or binary jobs in flight).
+// can be preempted (only latency jobs in flight).
 func (p *pool) preemptForLatency() {
 	var victim *workerState
 	for _, w := range p.workers {
@@ -602,12 +582,19 @@ func (s *Server) yieldToLatency(p *pool, w *workerState) {
 	w.preemptible, w.started = true, time.Now()
 }
 
-// execute runs one fresh batch on machine m, one of the worker's two.
+// execute loads one fresh batch on machine m, one of the worker's two, and
+// runs it: a kernel through workloads.PrepareOn, a binary through Reset,
+// LoadAll and its preloads.
 func (s *Server) execute(p *pool, w *workerState, m *machine.Machine, b *batch) *batchResult {
 	if s.cfg.DebugDelay > 0 {
 		time.Sleep(s.cfg.DebugDelay)
 	}
 	rq := b.req
+	resp := Response{
+		Backend: p.spec.Name,
+		Mode:    p.mode.String(),
+		Seed:    rq.raw.Seed,
+	}
 	if rq.kernel != nil {
 		prep, err := workloads.PrepareOn(m, rq.kernel, workloads.RunConfig{
 			Spec:          p.spec,
@@ -619,12 +606,17 @@ func (s *Server) execute(p *pool, w *workerState, m *machine.Machine, b *batch) 
 		if err != nil {
 			return errResult(http.StatusInternalServerError, err)
 		}
-		return s.runKernel(p, w, b, prep)
-	}
-	resp := Response{
-		Backend: p.spec.Name,
-		Mode:    p.mode.String(),
-		Seed:    rq.raw.Seed,
+		st, fail := s.run(p, w, m)
+		if fail != nil {
+			return fail
+		}
+		res, err := prep.Finish(st)
+		if err != nil {
+			return errResult(http.StatusInternalServerError, err)
+		}
+		resp.Workload, resp.Elements = rq.kernel.Name, rq.raw.Elements
+		resp.Seconds, resp.Joules, resp.CheckedLanes = res.Seconds, res.Joules, res.CheckedLanes
+		return s.sealResponse(p, b, &resp, res.Stats)
 	}
 	m.Reset()
 	if err := m.LoadAll(rq.prog); err != nil {
@@ -636,9 +628,9 @@ func (s *Server) execute(p *pool, w *workerState, m *machine.Machine, b *batch) 
 			return errResult(http.StatusBadRequest, err)
 		}
 	}
-	run, err := m.Run()
-	if err != nil {
-		return errResult(runStatus(err), err)
+	st, fail := s.run(p, w, m)
+	if fail != nil {
+		return fail
 	}
 	for _, d := range rq.raw.Dumps {
 		a := controlpath.VRFAddr{RFH: d.RFH, VRF: d.VRF}
@@ -648,47 +640,33 @@ func (s *Server) execute(p *pool, w *workerState, m *machine.Machine, b *batch) 
 		}
 		resp.Dumps = append(resp.Dumps, RegisterDump{RFH: d.RFH, VRF: d.VRF, Reg: d.Reg, Values: vals})
 	}
-	return s.sealResponse(p, b, &resp, run)
+	return s.sealResponse(p, b, &resp, st)
 }
 
-// runKernel drives a prepared kernel batch to completion. When a preemption
+// run drives the program loaded on m to completion. When a preemption
 // request lands at an instruction boundary, the run pauses while the worker
 // serves latency work, then resumes in place. Preemption is invisible in the
 // response: a paused-and-resumed run produces byte-identical stats to an
-// uninterrupted one.
-func (s *Server) runKernel(p *pool, w *workerState, b *batch, prep *workloads.Prepared) *batchResult {
+// uninterrupted one. A failed run returns its error result instead.
+func (s *Server) run(p *pool, w *workerState, m *machine.Machine) (*machine.Stats, *batchResult) {
 	for {
 		// A preemption request that landed before this run started was
-		// cleared by the Reset inside PrepareOn; re-arm it so the run
-		// yields at its first instruction boundary.
+		// cleared by the load's Reset; re-arm it so the run yields at its
+		// first instruction boundary.
 		p.mu.Lock()
 		if w.preempting {
-			prep.Machine.Preempt()
+			m.Preempt()
 		}
 		p.mu.Unlock()
-		run, err := prep.Machine.Run()
+		st, err := m.Run()
 		if errors.Is(err, machine.ErrPreempted) {
 			s.yieldToLatency(p, w)
 			continue
 		}
 		if err != nil {
-			return errResult(runStatus(err), err)
+			return nil, errResult(runStatus(err), err)
 		}
-		res, err := prep.Finish(run)
-		if err != nil {
-			return errResult(http.StatusInternalServerError, err)
-		}
-		resp := Response{
-			Workload:     b.req.kernel.Name,
-			Backend:      p.spec.Name,
-			Mode:         p.mode.String(),
-			Elements:     b.req.raw.Elements,
-			Seed:         b.req.raw.Seed,
-			Seconds:      res.Seconds,
-			Joules:       res.Joules,
-			CheckedLanes: res.CheckedLanes,
-		}
-		return s.sealResponse(p, b, &resp, res.Stats)
+		return st, nil
 	}
 }
 
@@ -703,11 +681,7 @@ func (s *Server) sealResponse(p *pool, b *batch, resp *Response, st *machine.Sta
 		return errResult(http.StatusInternalServerError, err)
 	}
 	resp.Stats = statsJSON
-	body, err := json.Marshal(resp)
-	if err != nil {
-		return errResult(http.StatusInternalServerError, err)
-	}
-	return &batchResult{status: http.StatusOK, body: body}
+	return jsonResult(http.StatusOK, resp)
 }
 
 // runStatus answers a failed run: 422 when the program went past a
@@ -719,8 +693,29 @@ func runStatus(err error) int {
 	return http.StatusInternalServerError
 }
 
+// errResult renders err into the errorBody envelope. An admissionError is
+// always a 422 and carries its finding report; a recordError carries how many
+// records its advance applied.
 func errResult(status int, err error) *batchResult {
-	body, _ := json.Marshal(errorBody{Error: err.Error()})
+	eb := errorBody{Error: err.Error()}
+	var adm *admissionError
+	var rec *recordError
+	switch {
+	case errors.As(err, &adm):
+		status, eb.Findings = http.StatusUnprocessableEntity, adm.report.Findings
+	case errors.As(err, &rec):
+		eb.Applied = &rec.applied
+	}
+	body, _ := json.Marshal(eb)
+	return &batchResult{status: status, body: body}
+}
+
+// jsonResult answers with v as the body.
+func jsonResult(status int, v any) *batchResult {
+	body, err := json.Marshal(v)
+	if err != nil {
+		return errResult(http.StatusInternalServerError, err)
+	}
 	return &batchResult{status: status, body: body}
 }
 
@@ -808,39 +803,33 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	start := time.Now()
+	e := logEntry{Msg: "request"}
 	class, err := ParseClass(r.Header.Get("X-QoS"))
 	if err != nil {
-		s.finish(w, nil, "", "", start, http.StatusBadRequest,
-			errResult(http.StatusBadRequest, err))
+		s.finish(w, start, errResult(http.StatusBadRequest, err), e)
 		return
 	}
+	e.Class = class
 	var raw Request
 	body := http.MaxBytesReader(w, r.Body, 8<<20)
 	if err := json.NewDecoder(body).Decode(&raw); err != nil {
-		s.finish(w, nil, "", class, start, http.StatusBadRequest,
-			errResult(http.StatusBadRequest, fmt.Errorf("bad request body: %w", err)))
+		s.finish(w, start, errResult(http.StatusBadRequest, fmt.Errorf("bad request body: %w", err)), e)
 		return
 	}
+	e.Workload = raw.Workload
 	rq, p, err := s.validate(&raw, class)
 	if err != nil {
-		var adm *admissionError
-		if errors.As(err, &adm) {
-			body, _ := json.Marshal(errorBody{Error: adm.Error(), Findings: adm.report.Findings})
-			s.finish(w, nil, raw.Workload, class, start, http.StatusUnprocessableEntity,
-				&batchResult{status: http.StatusUnprocessableEntity, body: body})
-			return
-		}
-		s.finish(w, nil, raw.Workload, class, start, http.StatusBadRequest,
-			errResult(http.StatusBadRequest, err))
+		s.finish(w, start, errResult(http.StatusBadRequest, err), e)
 		return
 	}
+	e.pool = p
 	if s.Draining() {
-		s.refuse(w, p, rq, start, "draining")
+		s.refuse(w, start, "draining", e)
 		return
 	}
 	ch, admitted := p.admit(rq)
 	if !admitted {
-		s.refuse(w, p, rq, start, "queue full")
+		s.refuse(w, start, "queue full", e)
 		return
 	}
 	s.metrics.inflight.Inc()
@@ -855,42 +844,37 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 
 	select {
 	case res := <-ch:
-		s.finish(w, p, raw.Workload, class, start, res.status, res)
+		s.finish(w, start, res, e)
 	case <-ctx.Done():
 		// The batch still executes (its result lands in the buffered
 		// channel); only this waiter gives up.
-		s.finish(w, p, raw.Workload, class, start, http.StatusGatewayTimeout,
-			errResult(http.StatusGatewayTimeout, fmt.Errorf("deadline exceeded after %s", deadline)))
+		s.finish(w, start, errResult(http.StatusGatewayTimeout, fmt.Errorf("deadline exceeded after %s", deadline)), e)
 	}
 }
 
-// refuse answers 503 + Retry-After: the admission-side backpressure path.
-func (s *Server) refuse(w http.ResponseWriter, p *pool, rq *execReq, start time.Time, why string) {
-	w.Header().Set("Retry-After", strconv.Itoa(int((s.cfg.RetryAfter+time.Second-1)/time.Second)))
+// refuse answers 503 + Retry-After, the admission-side backpressure path of
+// both /v1/execute and /v1/pipelines, and logs e as a refusal.
+func (s *Server) refuse(w http.ResponseWriter, start time.Time, why string, e logEntry) {
+	w.Header().Set("Retry-After", retryAfter)
 	s.metrics.observeDrop(http.StatusServiceUnavailable)
 	res := errResult(http.StatusServiceUnavailable, fmt.Errorf("not admitted: %s", why))
 	writeBody(w, res.status, res.body)
-	s.logger.log(logEntry{
-		Msg: "refused", Pool: p.name, Workload: rq.raw.Workload, Class: rq.class,
-		Status: http.StatusServiceUnavailable, MS: msSince(start), Queue: p.depth(), Err: why,
-	})
+	e.Msg, e.Status, e.MS, e.Err = "refused", res.status, msSince(start), why
+	s.logger.log(e)
 }
 
-// finish writes the response and the request log line, and counts the
-// request in the metrics plane.
-func (s *Server) finish(w http.ResponseWriter, p *pool, workload, class string, start time.Time, status int, res *batchResult) {
+// finish writes the response of /v1/execute or /v1/pipelines, counts it in
+// the metrics plane (under its QoS class, if e names one) and logs e with
+// the outcome.
+func (s *Server) finish(w http.ResponseWriter, start time.Time, res *batchResult, e logEntry) {
 	elapsed := time.Since(start).Seconds()
-	s.metrics.observeRequest(status, elapsed)
-	if class != "" {
-		s.metrics.observeClass(class, elapsed)
+	s.metrics.observeRequest(res.status, elapsed)
+	if e.Class != "" {
+		s.metrics.observeClass(e.Class, elapsed)
 	}
-	writeBody(w, status, res.body)
-	e := logEntry{Msg: "request", Workload: workload, Class: class, Status: status, MS: elapsed * 1e3}
-	if p != nil {
-		e.Pool = p.name
-		e.Queue = p.depth()
-	}
-	if status >= 400 {
+	writeBody(w, res.status, res.body)
+	e.Status, e.MS = res.status, elapsed*1e3
+	if res.status >= 400 {
 		var eb errorBody
 		if json.Unmarshal(res.body, &eb) == nil {
 			e.Err = eb.Error

@@ -31,7 +31,7 @@ import (
 // compiled programs, every later advance runs on it where it stands, and
 // close drops it for the collector — state stays where it is computed, and
 // nothing is serialised between requests. What sessions can hold is bounded
-// by MaxSessions machines of at most MaxPipelineMPUs MPUs each (a live
+// by MaxSessions machines of at most maxPipelineMPUs MPUs each (a live
 // six-MPU racer machine measured 397 KB of heap, its snapshot 270 KB: a
 // parked copy saved nothing the table bound does not already cap).
 // Admission failures reuse the /v1/execute taxonomy: a grammar or
@@ -44,6 +44,11 @@ import (
 // meanwhile) and how large its response grows; longer streams split across
 // requests.
 const maxAdvanceRecords = 256
+
+// maxPipelineMPUs caps how many MPUs one compiled pipeline may place; a
+// larger graph is rejected at admission with the geometry finding (422). The
+// backend's own MPU count still applies when smaller.
+const maxPipelineMPUs = 64
 
 // PipelineRequest is the POST /v1/pipelines body.
 type PipelineRequest struct {
@@ -209,7 +214,7 @@ func (s *Server) createSession(req *PipelineRequest) (*PipelineResponse, int, er
 	if strings.TrimSpace(req.Source) == "" {
 		return nil, http.StatusBadRequest, fmt.Errorf("pipeline request needs a source graph")
 	}
-	maxMPUs := s.cfg.MaxPipelineMPUs
+	maxMPUs := maxPipelineMPUs
 	if req.MaxMPUs > 0 && req.MaxMPUs < maxMPUs {
 		maxMPUs = req.MaxMPUs
 	}
@@ -449,27 +454,27 @@ func (s *Server) handlePipelines(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, out)
 	case http.MethodPost:
 		start := time.Now()
+		e := logEntry{Msg: "pipeline", Workload: "create"}
 		if s.Draining() {
-			s.refusePipeline(w, "", start, "draining")
+			s.refuse(w, start, "draining", e)
 			return
 		}
 		var req PipelineRequest
 		body := http.MaxBytesReader(w, r.Body, 1<<20)
 		if err := json.NewDecoder(body).Decode(&req); err != nil {
-			s.finishPipeline(w, "", "create", start, http.StatusBadRequest,
-				errResult(http.StatusBadRequest, fmt.Errorf("bad request body: %w", err)))
+			s.finish(w, start, errResult(http.StatusBadRequest, fmt.Errorf("bad request body: %w", err)), e)
 			return
 		}
 		resp, status, err := s.createSession(&req)
-		if err != nil {
-			if status == http.StatusServiceUnavailable {
-				s.refusePipeline(w, "", start, err.Error())
-				return
-			}
-			s.finishPipeline(w, "", "create", start, status, pipelineError(status, err))
-			return
+		switch {
+		case status == http.StatusServiceUnavailable:
+			s.refuse(w, start, err.Error(), e)
+		case err != nil:
+			s.finish(w, start, errResult(status, err), e)
+		default:
+			e.Pipeline = resp.ID
+			s.finish(w, start, jsonResult(status, resp), e)
 		}
-		s.finishPipeline(w, resp.ID, "create", start, status, jsonResult(status, resp))
 	default:
 		writeJSON(w, http.StatusMethodNotAllowed, errorBody{Error: "GET or POST only"})
 	}
@@ -484,6 +489,7 @@ func (s *Server) handlePipelineID(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	start := time.Now()
+	e := logEntry{Msg: "pipeline", Pipeline: id}
 	switch r.Method {
 	case http.MethodGet:
 		st := s.sessionStatus(id)
@@ -496,84 +502,32 @@ func (s *Server) handlePipelineID(w http.ResponseWriter, r *http.Request) {
 		// Advancing an existing session is admitted work, so it keeps
 		// flowing during a drain; only new sessions are refused. An unknown
 		// id is refused before its body (up to 64 MiB) is read.
+		e.Workload = "advance"
 		if s.sessionStatus(id) == nil {
-			s.finishPipeline(w, id, "advance", start, http.StatusNotFound,
-				errResult(http.StatusNotFound, fmt.Errorf("no session %q", id)))
+			s.finish(w, start, errResult(http.StatusNotFound, fmt.Errorf("no session %q", id)), e)
 			return
 		}
 		var req AdvanceRequest
 		body := http.MaxBytesReader(w, r.Body, 64<<20)
 		if err := json.NewDecoder(body).Decode(&req); err != nil {
-			s.finishPipeline(w, id, "advance", start, http.StatusBadRequest,
-				errResult(http.StatusBadRequest, fmt.Errorf("bad request body: %w", err)))
+			s.finish(w, start, errResult(http.StatusBadRequest, fmt.Errorf("bad request body: %w", err)), e)
 			return
 		}
 		resp, status, err := s.advanceSession(id, &req)
 		if err != nil {
-			s.finishPipeline(w, id, "advance", start, status, pipelineError(status, err))
+			s.finish(w, start, errResult(status, err), e)
 			return
 		}
-		s.finishPipeline(w, id, "advance", start, status, jsonResult(status, resp))
+		s.finish(w, start, jsonResult(status, resp), e)
 	case http.MethodDelete:
+		e.Workload = "close"
 		st, status, err := s.closeSession(id)
 		if err != nil {
-			s.finishPipeline(w, id, "close", start, status, pipelineError(status, err))
+			s.finish(w, start, errResult(status, err), e)
 			return
 		}
-		s.finishPipeline(w, id, "close", start, status, jsonResult(status, st))
+		s.finish(w, start, jsonResult(status, st), e)
 	default:
 		writeJSON(w, http.StatusMethodNotAllowed, errorBody{Error: "GET, POST, or DELETE only"})
 	}
-}
-
-// pipelineError renders an error into the shared errorBody envelope,
-// attaching the finding report on 422s exactly as /v1/execute does, and the
-// applied count when an advance stopped at a record.
-func pipelineError(status int, err error) *batchResult {
-	eb := errorBody{Error: err.Error()}
-	var adm *admissionError
-	var rec *recordError
-	switch {
-	case errors.As(err, &adm):
-		eb.Findings = adm.report.Findings
-	case errors.As(err, &rec):
-		eb.Applied = &rec.applied
-	}
-	body, _ := json.Marshal(eb)
-	return &batchResult{status: status, body: body}
-}
-
-func jsonResult(status int, v any) *batchResult {
-	body, err := json.Marshal(v)
-	if err != nil {
-		return errResult(http.StatusInternalServerError, err)
-	}
-	return &batchResult{status: status, body: body}
-}
-
-// finishPipeline writes the response, counts it in the metrics plane, and
-// logs one line.
-func (s *Server) finishPipeline(w http.ResponseWriter, id, op string, start time.Time, status int, res *batchResult) {
-	elapsed := time.Since(start).Seconds()
-	s.metrics.observeRequest(status, elapsed)
-	writeBody(w, status, res.body)
-	e := logEntry{Msg: "pipeline", Pipeline: id, Workload: op, Status: status, MS: elapsed * 1e3}
-	if status >= 400 {
-		var eb errorBody
-		if json.Unmarshal(res.body, &eb) == nil {
-			e.Err = eb.Error
-		}
-	}
-	s.logger.log(e)
-}
-
-// refusePipeline is the 503 + Retry-After path for creates (draining, or the
-// session table is full).
-func (s *Server) refusePipeline(w http.ResponseWriter, id string, start time.Time, why string) {
-	w.Header().Set("Retry-After", strconv.Itoa(int((s.cfg.RetryAfter+time.Second-1)/time.Second)))
-	s.metrics.observeDrop(http.StatusServiceUnavailable)
-	res := errResult(http.StatusServiceUnavailable, fmt.Errorf("not admitted: %s", why))
-	writeBody(w, res.status, res.body)
-	s.logger.log(logEntry{Msg: "refused", Pipeline: id, Workload: "create",
-		Status: http.StatusServiceUnavailable, MS: msSince(start), Err: why})
 }
