@@ -84,22 +84,24 @@ race-short:
 # TestRunStatsNotAliased it holds the tests outside TestMachineMatrix that
 # fail on a forged write to a core's state or a JIT counter, or on a wrong
 # round split (the mutation tables in CHANGES.md). The second line runs two
-# rounds on one shared compiled kernel at once (its group scratch must stay
-# on each caller's stack). The last four run every matrix row
+# rounds on one shared compiled kernel at once through the 4- and 2-wide
+# group loops (their directories and masks must stay on each caller's
+# stack), and the host-stream differential: every datapath opcode's host
+# stream against its recipe on every back end. The last four run every matrix row
 # on one kernel per back end in both modes, each as its own process: gcd on
 # RACER with both rendezvous pairs, relu on MIMDRAM, ibert-sqrt on
 # DualityCache and vecmul on SIMDRAM — dynamic and replayed rounds, fanned
 # out and paused, SPMD cores at four workers, and snapshots restored across
 # worker counts. The full matrix runs without -race in tier-1. Timed on a
 # 2-vCPU, 8 GB KVM guest with go1.24, one line after another as CI runs
-# them: 2.8 min in all — the protocol line 66 s (a race build of the
-# package included; 1.7 GB peak RSS), vrf 2 s (0.1 GB), gcd/RACER and the
-# rendezvous pairs 59 s (0.1 GB), relu/MIMDRAM 4 s (0.2 GB),
-# ibert-sqrt/DualityCache 28 s (0.1 GB), vecmul/SIMDRAM 7 s (0.1 GB). The
+# them, once kernels ran host streams: 5.9 min in all and 0.54 GB peak RSS
+# — the protocol line 61 s, vrf 214 s (TestHostStreamExact is nearly all
+# of it; 0.2 GB), gcd/RACER and the rendezvous pairs 47 s, relu/MIMDRAM
+# 3 s, ibert-sqrt/DualityCache 25 s, vecmul/SIMDRAM 4 s (0.1 GB). The
 # apps stay out: their workers4 cells alone took 83 s and 3.4 GB here.
 race-machine:
 	$(GO) test -race -timeout 30m -run 'TestCrewProtocol|TestDecodeTableHammer|TestExpandConcurrent|TestTraceRunsInstructionKernels|TestFanOutHelperLifetime|TestRoundSplitShape|TestVectorIOParity|TestParallelDeadlock|TestNoResidueAfterReset|TestSpareListBounded|TestResetReuseMatchesFresh|TestRunStatsNotAliased|TestJITParityRandom|FuzzJITParity' ./internal/machine
-	$(GO) test -race -timeout 30m -run 'TestRunCompiledGroupsConcurrent' ./internal/vrf
+	$(GO) test -race -timeout 30m -run 'TestRunCompiledGroupsConcurrent|TestHostStreamExact' ./internal/vrf
 	$(GO) test -race -timeout 30m -run '(TestMachineMatrix|TestTraceParity|TestSnapshotResumeParity)//(gcd|rendezvous-.*)/RACER/' ./internal/machine
 	$(GO) test -race -timeout 30m -run '(TestMachineMatrix|TestTraceParity|TestSnapshotResumeParity)//relu/MIMDRAM/' ./internal/machine
 	$(GO) test -race -timeout 30m -run '(TestMachineMatrix|TestTraceParity|TestSnapshotResumeParity)//ibert-sqrt/DualityCache/' ./internal/machine

@@ -275,13 +275,13 @@ var engineCases = []struct {
 // worker pool. The activation limit is pinned to 1 with two VRFs per RFH so
 // every ensemble schedules at least two rounds of eight. crc32's body is
 // dynamic, so no round replays: /engine runs every round through the
-// expansion kernels and /notrace through the reference interpreter. At 64
-// lanes that is the closure chain against the per-op switch — ahead where
-// the recipe has same-kind runs to fuse (racer), behind where it has none
-// (mimdram); at simdram's 256 both run the same slab kernels and the legs
-// land together. racer-3vrf is the sim-dynamic workload's shape: three VRFs,
-// one round of three, so its engine leg runs the 3-wide group bodies (`make
-// profile BENCH='MachineRun/racer-3vrf/engine'`).
+// expansion kernels and /notrace through the reference interpreter: the
+// host stream, with each gate the recipe decomposes run as one native op,
+// against the recipe's own micro-ops, through the same per-op switch at 64
+// lanes and the same slab kernels at simdram's 256. racer-3vrf is the
+// sim-dynamic workload's shape: three VRFs, one round of three, so its
+// engine leg runs the 2-wide group loop and a lone VRF (`make profile
+// BENCH='MachineRun/racer-3vrf/engine'`).
 func BenchmarkMachineRun(b *testing.B) {
 	var largest *workloads.Kernel
 	var size int
@@ -330,7 +330,7 @@ func BenchmarkMachineRun(b *testing.B) {
 // scheduling round is a trace hit and no host data transfer or program load
 // is re-paid. The activation limit is pinned to 1 over many VRFs so one Run
 // replays many rounds. /engine replays through the geometry's kernel — the
-// fused closure chains at racer's 64 lanes (one word per plane), the
+// host streams' flat switch at racer's 64 lanes (one word per plane), the
 // slab-kernel loop at simdram's 256 (4-word slabs) — and /notrace is the
 // reference interpreter.
 func BenchmarkTraceReplay(b *testing.B) {

@@ -24,9 +24,13 @@ import (
 // most programBudget bytes of them (decodeAt).
 
 // decodeBudget is the default of both budgets. Measured with go1.24 on a
-// 2-vCPU x86-64 guest: all 21 kernels on all four back ends, both modes, in
-// one process charge 233 MiB (468 entries); `mastodon -scale 32 all`
-// charges 880 MiB (1,219 entries), and its largest program holds 236 MiB.
+// 2-vCPU x86-64 guest: all 21 kernels on all four back ends, both modes, at
+// two register files' worth of elements each, in one process charge 75 MiB
+// for 624 entries — each entry its recipe stream and a kernel that retains
+// only its host stream — where the closure-chain kernels charged 248 MiB.
+// `mastodon -scale 32 all` charged 880 MiB (1,219 entries) with those
+// kernels, its largest program 236 MiB; it has not been re-measured, and a
+// kernel now retains less than the stream it is charged beside.
 const decodeBudget = 1 << 30
 
 // tableBudget and programBudget are decodeBudget outside tests.
@@ -72,12 +76,14 @@ func decodeShape(spec *backends.Spec) uint64 {
 }
 
 // expandEntry is one decoded datapath instruction: the slot-resolved recipe
-// stream, and the kernel compiled from it for the key's lane count, built
-// when a compiling machine first asks (kernel). Every round executes kern —
-// the recorder puts kern itself into the trace — except on the NoTrace
-// reference interpreter, which executes rops and never builds kern.
+// stream, which every round charges, its host stream (recipe.ExpandHost),
+// and the kernel compiled from the host stream for the key's lane count,
+// built when a compiling machine first asks (kernel). Every round executes
+// kern — the recorder puts kern itself into the trace — except on the
+// NoTrace reference interpreter, which executes rops and never builds kern.
 type expandEntry struct {
 	rops  []micro.ResolvedOp
+	host  []micro.ResolvedOp
 	kern  *vrf.CompiledExec
 	once  sync.Once
 	lanes int
@@ -93,7 +99,7 @@ func (e *expandEntry) ropsBytes() int64 {
 // emptied out: an overcharge, never an undercharge).
 func (e *expandEntry) kernel() *vrf.CompiledExec {
 	e.once.Do(func() {
-		e.kern = vrf.CompileResolved(e.rops, e.lanes)
+		e.kern = vrf.CompileHost(e.host, uint64(len(e.rops)), e.lanes)
 		decoded.mu.Lock()
 		charge(e.kern.Bytes())
 		decoded.mu.Unlock()
@@ -131,11 +137,11 @@ func (m *Machine) expand(in isa.Instr) (*expandEntry, error) {
 	if e, ok := decoded.m.Load().Load(k); ok {
 		return e.(*expandEntry), nil
 	}
-	_, rops, err := recipe.ExpandResolved(m.cfg.Spec.Caps, in)
+	rops, host, err := recipe.ExpandHost(m.cfg.Spec.Caps, in)
 	if err != nil {
 		return nil, err
 	}
-	e := &expandEntry{rops: rops, lanes: m.cfg.Spec.Lanes}
+	e := &expandEntry{rops: rops, host: host, lanes: m.cfg.Spec.Lanes}
 	decoded.mu.Lock()
 	defer decoded.mu.Unlock()
 	if prev, ok := decoded.m.Load().Load(k); ok {

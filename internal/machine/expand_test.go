@@ -220,3 +220,25 @@ func TestTraceRunsInstructionKernels(t *testing.T) {
 		}
 	}
 }
+
+// A kernel retains its host stream and nothing else, and charges its
+// recipe's micro-ops: no opcode's kernel, on any back end, retains more than
+// the resolved recipe stream its entry already holds.
+func TestKernelBytesWithinRecipe(t *testing.T) {
+	for _, spec := range []*backends.Spec{backends.RACER(), backends.MIMDRAM(), backends.DualityCache(), backends.SIMDRAM()} {
+		m := newMachine(t, spec, ModeMPU, 1)
+		for op := isa.Op(0); int(op) < isa.NumOps; op++ {
+			if !recipe.IsDatapathOp(op) {
+				continue
+			}
+			e, err := m.expand(isa.Instr{Op: op, A: 1, B: 2, C: 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if k := e.kernel(); k.Bytes() > e.ropsBytes() || k.Ops() != uint64(len(e.rops)) {
+				t.Errorf("%s %s: kernel retains %d bytes beside a %d-byte recipe stream and charges %d of its %d micro-ops",
+					spec.Name, op, k.Bytes(), e.ropsBytes(), k.Ops(), len(e.rops))
+			}
+		}
+	}
+}

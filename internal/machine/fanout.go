@@ -24,11 +24,16 @@ import (
 // TestCrewProtocol holds the crew to its claim-and-stop protocol.
 
 // FanOutMicroOps is the least work worth handing to another goroutine, in
-// micro-op-words: micro-ops × VRFs × 64-bit words per plane. It is the
-// floor of a round's chunks here, and internal/serve reads it per rendezvous
-// to pick a session machine's schedule, where it was measured: phases of
-// ≈ 860 micro-ops ran twice as fast inline, phases of ≈ 53,000 and more
-// faster fanned out (docs/PERF.md, "Which session machines fan out").
+// micro-op-words: simulated micro-ops (a kernel's Ops, the recipe's count)
+// × VRFs × 64-bit words per plane. It prices a round by what it simulates,
+// not by the host ops that run it: a kernel's host stream is up to ~8×
+// shorter than its recipe on RACER and MIMDRAM and as long on DualityCache,
+// so the same floor now stands for less host work on the first two. It is
+// the floor of a round's chunks here, and internal/serve reads it per
+// rendezvous to pick a session machine's schedule, where it was measured
+// before host streams: phases of ≈ 860 micro-ops ran twice as fast inline,
+// phases of ≈ 53,000 and more faster fanned out (docs/PERF.md, "Which
+// session machines fan out").
 const FanOutMicroOps = 1 << 13
 
 // hostIOTiles is the least host I/O worth splitting, in 64-lane tiles (one
@@ -126,7 +131,7 @@ type fanJob struct {
 //     one range per worker, each carrying at least chunkFloor
 //     micro-op-words. The first range, which the caller claims unless a
 //     spinning helper is quicker, is the larger: three VRFs split 2+1 at two
-//     workers. vrf.RunCompiledGroups runs group bodies inside each range.
+//     workers. vrf.RunCompiledGroups runs group loops inside each range.
 //   - A round of two VRFs stays one group.
 func (w *crew) split(ops uint64, width, n int) []int {
 	if w == nil || ops == 0 {

@@ -977,7 +977,7 @@ func (c *core) replayable(t *trace.Trace) bool {
 }
 
 // replayRound applies a recorded body to one round's activated VRFs: the
-// steps run their instructions' kernels micro-op-major over groups of the
+// steps run their instructions' kernels op-major over groups of the
 // batch (trace.Trace.Run, split across the Run's helpers when the round is
 // big enough), and every cost counter advances by the precomputed delta —
 // O(1) accounting regardless of dynamic body length. A trace's first
@@ -1081,12 +1081,17 @@ func (c *core) runBody(at bodyPos, batch []*vrf.VRF, rec *trace.Recorder) (int, 
 				rec.Lookup(uint8(in.Op), len(e.rops))
 				c.cycles += c.rcache.Lookup(uint8(in.Op), len(e.rops))
 			}
+			// The reference interpreter never reads e.kern: another machine
+			// sharing the entry may be compiling it (decodeAt's kernel call
+			// is what orders a compiling machine's reads after that write).
+			var kern *vrf.CompiledExec
 			if noTrace {
 				for _, v := range batch {
 					v.ExecAllResolved(e.rops)
 				}
 			} else {
-				c.m.fan.groups(e.kern, batch)
+				kern = e.kern
+				c.m.fan.groups(kern, batch)
 			}
 			n := int64(len(e.rops))
 			exec := int64(float64(n*int64(spec.CyclesPerMicroOp)) * c.m.cfg.ComputeScale)
@@ -1096,7 +1101,7 @@ func (c *core) runBody(at bodyPos, batch []*vrf.VRF, rec *trace.Recorder) (int, 
 			st.MicroOps += uint64(n) * uint64(len(batch))
 			perVRF := float64(n) * spec.MicroOpEnergyPJ * c.m.cfg.ComputeScale
 			bodyPJ += perVRF
-			rec.Exec(pc, e.kern, exec, perVRF)
+			rec.Exec(pc, kern, exec, perVRF)
 			pc++
 
 		case in.Op == isa.SETMASK:

@@ -53,7 +53,7 @@ func rewindRun(t testing.TB, m *machine.Machine) *machine.Stats {
 // TestRewindSteadyState pins the resident-kernel regime Rewind models: the
 // rewound run decodes against a warm recipe table and replays the traces
 // the first run recorded — every round a hit, every replay through the
-// closure chain compiled during the first run (no new lowering) — and the
+// kernels decoded during the first run (no new lowering) — and the
 // regime is a fixed point: a second rewound run reproduces the first's
 // stats byte for byte. Engine and interpreter must also agree in steady
 // state exactly as they do cold (strategy counters aside).
@@ -92,7 +92,7 @@ func TestRewindSteadyState(t *testing.T) {
 // so the two slopes are the scheduler's alone and equal. A replay path that
 // allocated per round (a slice header, a boxed interface, a deferred mask
 // copy) lifts the engine's slope past the interpreter's and fails here.
-// (trace.TestProgRunDoesNotAllocate pins the closure chains themselves at
+// (vrf.TestRunCompiledDoesNotAllocate pins the kernels themselves at
 // exactly zero.)
 func TestReplayAllocsEngineInvariant(t *testing.T) {
 	measure := func(noTrace bool, vrfs int) float64 {

@@ -106,11 +106,16 @@ func Resolve(ops []Op) []ResolvedOp {
 			op.Dst2.Space == SpaceOne {
 			panic(fmt.Sprintf("micro: op %d writes a constant plane", i))
 		}
-		out[i] = ResolvedOp{
-			Kind: op.Kind,
-			Dst:  SlotOf(op.Dst), Dst2: SlotOf(op.Dst2),
-			A: SlotOf(op.A), B: SlotOf(op.B), C: SlotOf(op.C),
-		}
+		out[i] = ResolveOp(op)
 	}
 	return out
+}
+
+// ResolveOp resolves one micro-op, without Resolve's constant-plane check.
+func ResolveOp(op Op) ResolvedOp {
+	return ResolvedOp{
+		Kind: op.Kind,
+		Dst:  SlotOf(op.Dst), Dst2: SlotOf(op.Dst2),
+		A: SlotOf(op.A), B: SlotOf(op.B), C: SlotOf(op.C),
+	}
 }

@@ -18,12 +18,45 @@ import (
 )
 
 // expander accumulates micro-ops and manages the per-VRF temp-plane pool.
+// When spans is non-nil (ExpandHost) it also records every gate call.
 type expander struct {
-	caps micro.CapabilitySet
-	ops  []micro.Op
-	free []micro.Ref
-	high int // high-water mark of simultaneously live temps
-	live int
+	caps  micro.CapabilitySet
+	ops   []micro.Op
+	spans []span
+	free  []micro.Ref
+	high  int // high-water mark of simultaneously live temps
+	live  int
+}
+
+// span is one gate call: the micro-ops [start, end) it emitted, and op, the
+// one native micro-op that computes the same destinations. Spans are kept in
+// the order their calls began, so a span's children follow it.
+type span struct {
+	start, end int32
+	op         micro.Op
+}
+
+// open begins the span of a gate call, if the expander records spans; the
+// gate closes it with its native op when it returns (defer e.close(e.open(),
+// op)).
+func (e *expander) open() int {
+	if e.spans == nil {
+		return -1
+	}
+	e.spans = append(e.spans, span{start: int32(len(e.ops))})
+	return len(e.spans) - 1
+}
+
+// close ends span i. A span of one micro-op has no children and nothing to
+// collapse, so it is dropped: it is the last one recorded.
+func (e *expander) close(i int, op micro.Op) {
+	switch {
+	case i < 0:
+	case int32(len(e.ops)) == e.spans[i].start+1:
+		e.spans = e.spans[:i]
+	default:
+		e.spans[i].end, e.spans[i].op = int32(len(e.ops)), op
+	}
 }
 
 func newExpander(caps micro.CapabilitySet) *expander {
@@ -62,10 +95,13 @@ func (e *expander) emit(op micro.Op) { e.ops = append(e.ops, op) }
 // ---- Gate-level emitters -------------------------------------------------
 //
 // Every emitter reads all of its sources before writing its destination, so
-// destinations may alias sources unless documented otherwise.
+// destinations may alias sources unless documented otherwise. The eight
+// gates with a native micro-op (NOT, AND, OR, NOR, XOR, MAJ, MUX, FADD)
+// record their span with it.
 
 // gNot emits d = ¬a.
 func (e *expander) gNot(d, a micro.Ref) {
+	defer e.close(e.open(), micro.Op{Kind: micro.NOT, Dst: d, A: a})
 	switch {
 	case e.caps.Has(micro.NOT):
 		e.emit(micro.Op{Kind: micro.NOT, Dst: d, A: a})
@@ -80,6 +116,7 @@ func (e *expander) gNot(d, a micro.Ref) {
 
 // gAnd emits d = a ∧ b.
 func (e *expander) gAnd(d, a, b micro.Ref) {
+	defer e.close(e.open(), micro.Op{Kind: micro.AND, Dst: d, A: a, B: b})
 	switch {
 	case e.caps.Has(micro.AND):
 		e.emit(micro.Op{Kind: micro.AND, Dst: d, A: a, B: b})
@@ -99,6 +136,7 @@ func (e *expander) gAnd(d, a, b micro.Ref) {
 
 // gOr emits d = a ∨ b.
 func (e *expander) gOr(d, a, b micro.Ref) {
+	defer e.close(e.open(), micro.Op{Kind: micro.OR, Dst: d, A: a, B: b})
 	switch {
 	case e.caps.Has(micro.OR):
 		e.emit(micro.Op{Kind: micro.OR, Dst: d, A: a, B: b})
@@ -116,6 +154,7 @@ func (e *expander) gOr(d, a, b micro.Ref) {
 
 // gNor emits d = ¬(a ∨ b).
 func (e *expander) gNor(d, a, b micro.Ref) {
+	defer e.close(e.open(), micro.Op{Kind: micro.NOR, Dst: d, A: a, B: b})
 	if e.caps.Has(micro.NOR) {
 		e.emit(micro.Op{Kind: micro.NOR, Dst: d, A: a, B: b})
 		return
@@ -132,6 +171,7 @@ func (e *expander) gNand(d, a, b micro.Ref) {
 
 // gXor emits d = a ⊕ b.
 func (e *expander) gXor(d, a, b micro.Ref) {
+	defer e.close(e.open(), micro.Op{Kind: micro.XOR, Dst: d, A: a, B: b})
 	if e.caps.Has(micro.XOR) {
 		e.emit(micro.Op{Kind: micro.XOR, Dst: d, A: a, B: b})
 		return
@@ -167,6 +207,7 @@ func (e *expander) gSet(d micro.Ref, one bool) {
 
 // gMaj emits d = majority(a, b, c).
 func (e *expander) gMaj(d, a, b, c micro.Ref) {
+	defer e.close(e.open(), micro.Op{Kind: micro.MAJ, Dst: d, A: a, B: b, C: c})
 	if e.caps.Has(micro.MAJ) {
 		e.emit(micro.Op{Kind: micro.MAJ, Dst: d, A: a, B: b, C: c})
 		return
@@ -183,6 +224,7 @@ func (e *expander) gMaj(d, a, b, c micro.Ref) {
 
 // gMux emits d = sel ? a : b.
 func (e *expander) gMux(d, a, b, sel micro.Ref) {
+	defer e.close(e.open(), micro.Op{Kind: micro.MUX, Dst: d, A: a, B: b, C: sel})
 	if e.caps.Has(micro.MUX) {
 		e.emit(micro.Op{Kind: micro.MUX, Dst: d, A: a, B: b, C: sel})
 		return
@@ -200,6 +242,7 @@ func (e *expander) gMux(d, a, b, sel micro.Ref) {
 // gFullAdd emits sum = a⊕b⊕cin and cout = maj(a,b,cin). sum and cout must
 // not alias each other or any input (recipes pass temps).
 func (e *expander) gFullAdd(sum, cout, a, b, cin micro.Ref) {
+	defer e.close(e.open(), micro.Op{Kind: micro.FADD, Dst: sum, Dst2: cout, A: a, B: b, C: cin})
 	if e.caps.Has(micro.FADD) {
 		e.emit(micro.Op{Kind: micro.FADD, Dst: sum, Dst2: cout, A: a, B: b, C: cin})
 		return

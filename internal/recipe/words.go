@@ -43,10 +43,18 @@ func IsDatapathOp(op isa.Op) bool {
 // the given capabilities. It returns an error for instructions that are not
 // datapath instructions (ensemble, control, MEMCPY).
 func Expand(caps micro.CapabilitySet, in isa.Instr) ([]micro.Op, error) {
-	if !IsDatapathOp(in.Op) {
-		return nil, fmt.Errorf("recipe: %s is not a datapath instruction", in.Op)
-	}
 	e := newExpander(caps)
+	if err := e.instr(in); err != nil {
+		return nil, err
+	}
+	return e.finish(), nil
+}
+
+// instr emits the recipe of in.
+func (e *expander) instr(in isa.Instr) error {
+	if !IsDatapathOp(in.Op) {
+		return fmt.Errorf("recipe: %s is not a datapath instruction", in.Op)
+	}
 	rs, rt, rd := regw(in.A), regw(in.B), regw(in.C)
 	switch in.Op {
 	case isa.ADD:
@@ -183,9 +191,9 @@ func Expand(caps micro.CapabilitySet, in isa.Instr) ([]micro.Op, error) {
 			e.gCopy(rd(i), rs(i))
 		}
 	default:
-		return nil, fmt.Errorf("recipe: no recipe for %s", in.Op)
+		return fmt.Errorf("recipe: no recipe for %s", in.Op)
 	}
-	return e.finish(), nil
+	return nil
 }
 
 // emitAdd emits rd = a + b (two's complement, wrap on overflow). rd may

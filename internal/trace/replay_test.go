@@ -19,7 +19,7 @@ type bodyStep struct {
 func slot(reg, bit int) micro.Slot { return micro.Slot(reg*micro.SlotWordBits + bit) }
 
 // mixedBody has exec and mask steps over real register slots, with kinds
-// outside RACER's, so its kernels have no group bodies.
+// outside RACER's.
 func mixedBody() []bodyStep {
 	return []bodyStep{
 		{ops: []micro.ResolvedOp{
@@ -41,8 +41,8 @@ func mixedBody() []bodyStep {
 	}
 }
 
-// racerBody is mixedBody over RACER's kinds only, so its exec steps take the
-// group bodies: the mask steps give each VRF of a round its own mask.
+// racerBody is mixedBody over RACER's kinds only: the mask steps give each
+// VRF of a round its own mask.
 func racerBody() []bodyStep {
 	return []bodyStep{
 		{ops: []micro.ResolvedOp{
@@ -107,16 +107,16 @@ func interpretSteps(body []bodyStep, v *vrf.VRF) {
 	}
 }
 
-// A replay over a round of seven VRFs — a group of four and a group of
-// three on RACER-kind bodies — leaves each VRF as the step interpreter
-// leaves it run alone.
+// A replay over a round of seven VRFs — a group of four, one of two and a
+// lone VRF at one word per plane, whatever the body's kinds — leaves each
+// VRF as the step interpreter leaves it run alone.
 func TestTraceRunMatchesStepInterpreter(t *testing.T) {
 	const round = 7
 	for name, body := range map[string][]bodyStep{"mixed": mixedBody(), "racer": racerBody()} {
 		for _, lanes := range []int{48, 64, 65, 256} {
 			tr := record(t, body, lanes)
 			wantWidth := 1
-			if name == "racer" && lanes <= 64 {
+			if lanes <= 64 {
 				wantWidth = 4
 			}
 			if tr.Width() != wantWidth {

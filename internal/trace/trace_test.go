@@ -80,7 +80,7 @@ func TestRecorderCompilesBody(t *testing.T) {
 	if !reflect.DeepEqual(tr.Steps, want) {
 		t.Fatalf("Steps = %+v, want %+v", tr.Steps, want)
 	}
-	// The widest kernel sets the width: the COPY-only one has group bodies.
+	// Every kernel at one word per plane runs in groups of four.
 	if tr.Width() != 4 {
 		t.Errorf("Width() = %d, want 4", tr.Width())
 	}

@@ -12,8 +12,9 @@ import (
 
 // BenchmarkRunCompiledGroups times one RACER kernel call over a round of one
 // to four VRFs: what a chunk of a fanned-out round costs on the goroutine
-// that runs it. A group body advances its VRFs in lockstep, so a round of
-// three costs less than three rounds of one; docs/PERF.md ("Small rounds
+// that runs it, on the host stream the machine's decode compiles. A group
+// loop advances its VRFs in lockstep, so a round of four costs less than
+// four rounds of one; docs/PERF.md ("Small rounds
 // split by VRF range") reads its table to size the 2+1 split.
 //
 //	go test ./internal/vrf -run '^$' -bench RunCompiledGroups -count 5
@@ -24,11 +25,11 @@ func BenchmarkRunCompiledGroups(b *testing.B) {
 		vals[i] = uint64(i*i+7) % (1 << 20)
 	}
 	for _, in := range []isa.Instr{isa.QRDiv(0, 1, 2), isa.Mul(0, 1, 2), isa.Add(0, 1, 2)} {
-		_, rs, err := recipe.ExpandResolved(spec.Caps, in)
+		rs, host, err := recipe.ExpandHost(spec.Caps, in)
 		if err != nil {
 			b.Fatal(err)
 		}
-		k := vrf.CompileResolved(rs, spec.Lanes)
+		k := vrf.CompileHost(host, uint64(len(rs)), spec.Lanes)
 		for n := 1; n <= 4; n++ {
 			b.Run(fmt.Sprintf("%s/%dvrf", in.Op, n), func(b *testing.B) {
 				vs := make([]*vrf.VRF, n)

@@ -11,7 +11,7 @@ import (
 )
 
 // allKinds is every micro-op kind; racerKindSet is the subset RACER's
-// recipes emit, the streams that take the group bodies.
+// recipes emit.
 var (
 	allKinds = []micro.Kind{
 		micro.NOR, micro.AND, micro.OR, micro.XOR, micro.NOT, micro.COPY,
@@ -114,15 +114,14 @@ func requireZeroTails(t *testing.T, name string, v *VRF) {
 // must leave the resolved executor and the compiled kernels bit-identical to
 // the plane reference executor (Exec over bitvec.Plane) run on each VRF
 // alone, with identical MicroOps and every tail bit still zero. The compiled
-// side runs a whole round through RunCompiledGroups: RACER-kind streams in
-// groups of min(4, remaining) while two VRFs remain — rounds of 1 to 9 run a
-// 2- and a 3-wide group alone and behind a group of four (6 = 4+2, 7 =
-// 4+3), and a lone last VRF (5, 9) — all-kind streams one VRF at a time.
-// Every VRF has its own state; even trials run every VRF under an all-ones
-// mask (the group bodies' unmasked loops), odd trials cycle all-ones,
-// partial and empty masks across the VRFs of one group. A second, fresh
-// round runs the same stream under the same masks and must Recycle to what
-// New leaves.
+// side runs a whole round through RunCompiledGroups: at one word per plane,
+// groups of four while four VRFs remain, then one of two, then a lone VRF —
+// rounds of 1 to 9 run the 2-wide group alone (2, 3 = 2+1) and behind
+// groups of four (6 = 4+2, 7 = 4+2+1), and a lone last VRF (5, 9); wider
+// planes one VRF at a time. Every VRF has its own state; even trials run
+// every VRF under an all-ones mask, odd trials cycle all-ones, partial and
+// empty masks across the VRFs of one group. A second, fresh round runs the
+// same stream under the same masks and must Recycle to what New leaves.
 func TestCompiledExecMatchesInterpreter(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for _, lanes := range []int{1, 48, 63, 64, 65, 100, 256} {
@@ -197,26 +196,27 @@ func TestCompiledExecMatchesInterpreter(t *testing.T) {
 	}
 }
 
-// Exactly the RACER-kind streams at one word per plane get group bodies.
+// Every stream runs in groups of four at one word per plane, whatever its
+// kinds, and one VRF at a time at wider planes.
 func TestCompileResolvedGroups(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	racer, mixed := randStream(40, racerKindSet, rng), randResolved(40, rng)
 	for _, tc := range []struct {
-		rs      []micro.ResolvedOp
-		lanes   int
-		grouped bool
-	}{{racer, 1, true}, {racer, 64, true}, {racer, 65, false}, {racer, 256, false}, {mixed, 64, false}, {nil, 64, false}} {
-		if got := CompileResolved(tc.rs, tc.lanes).g64 != nil; got != tc.grouped {
-			t.Errorf("%d ops at lanes %d: grouped = %v, want %v", len(tc.rs), tc.lanes, got, tc.grouped)
+		rs    []micro.ResolvedOp
+		lanes int
+		width int
+	}{{racer, 1, 4}, {racer, 64, 4}, {racer, 65, 1}, {racer, 256, 1}, {mixed, 64, 4}, {mixed, 256, 1}, {nil, 64, 4}} {
+		if got := CompileResolved(tc.rs, tc.lanes).GroupWidth(); got != tc.width {
+			t.Errorf("%d ops at lanes %d: GroupWidth() = %d, want %d", len(tc.rs), tc.lanes, got, tc.width)
 		}
 	}
 }
 
-// Two rounds on one process-wide kernel at once: the group scratch lives on
-// each caller's stack, so concurrent rounds (cores on scheduler goroutines,
-// requests on server workers) neither race nor see each other's VRFs. Each
-// round is seven VRFs, a group of four and one of three. Run under -race by
-// make race-short.
+// Two rounds on one process-wide kernel at once: the group's directories
+// and masks live on each caller's stack, so concurrent rounds (cores on
+// scheduler goroutines, requests on server workers) neither race nor see
+// each other's VRFs. Each round is seven VRFs: the 4-wide loop, the 2-wide
+// loop and a lone VRF. Run under -race by make race-machine.
 func TestRunCompiledGroupsConcurrent(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	c := CompileResolved(randStream(200, racerKindSet, rng), 64)

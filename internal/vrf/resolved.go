@@ -108,7 +108,8 @@ func (v *VRF) span(s micro.Slot) []uint64 {
 // bitvec slab kernel over the operand spans; the kernels reproduce the
 // plane path bit for bit (word i of one plane only ever combines with word
 // i of another, and the mask's zero tail bits keep every other plane's tail
-// zero). It is also the replay kernel RunCompiled uses at this geometry.
+// zero). It is also the kernel RunCompiled runs host streams through at
+// this geometry.
 func (v *VRF) execResolvedWide(rs []micro.ResolvedOp) {
 	m := v.span(micro.SlotMask) // no micro-op writes the mask plane
 	for i := range rs {

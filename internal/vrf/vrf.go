@@ -8,13 +8,14 @@
 // All of it is stored in one flat word directory, at every lane count.
 // Exec/ExecAll run micro-ops over bitvec.Plane views of that directory and
 // are the reference the tests compare against. ExecAllResolved and
-// RunCompiled work on the words directly: RunCompiled is the one-VRF
-// kernel, through the one loop its lane geometry favours (kernel.go), and
-// RunCompiledGroups is what the machine executes on every round, replayed or
-// not — RACER-kind streams micro-op-major in groups of two to four VRFs, a
-// lone VRF and every other stream through RunCompiled. ExecAllResolved is
-// the uncompiled per-op executor, kept as the NoTrace reference interpreter
-// the parity oracles compare those kernels against, one VRF at a time.
+// RunCompiled work on the words directly, through one flat-switch loop per
+// lane geometry (kernel.go). RunCompiledGroups is what the machine executes
+// on every round, replayed or not: a kernel's host stream (each gate the
+// recipe decomposes run as its one native op), op-major over groups of four
+// and two VRFs at one word per plane, a lone VRF and wider planes through
+// RunCompiled. ExecAllResolved on the recipe stream itself is the NoTrace
+// reference interpreter the parity oracles compare those kernels against,
+// one VRF at a time.
 //
 // Host data crosses into and out of the directory a 64×64 bit tile at a
 // time (WriteReg, ReadReg, ReadRegInto: one bitvec.Transpose64 per 64
